@@ -26,13 +26,12 @@ let to_original plan cut =
 
 (* One solver round on the plan's current mask; assumes [plan_usable]. *)
 let solve_plan plan =
-  let ctx = Opt_edgecut.context plan.state in
   let (solution, next_mask), elapsed_ms =
     Bionav_util.Timing.time (fun () ->
         let solution = Opt_edgecut.solve_mask plan.state plan.mask in
         let lowered =
           List.fold_left
-            (fun acc v -> acc lor Cost_model.subtree_mask ctx ~mask:plan.mask v)
+            (fun acc v -> acc lor Opt_edgecut.subtree_mask plan.state ~mask:plan.mask v)
             0 solution.Opt_edgecut.cut_children
         in
         (solution, plan.mask land lnot lowered))

@@ -1,9 +1,13 @@
 let now_ms () = Unix.gettimeofday () *. 1e3
 
+external monotonic_ms : unit -> (float[@unboxed])
+  = "bionav_monotonic_ms_byte" "bionav_monotonic_ms"
+[@@noalloc]
+
 let time f =
-  let t0 = now_ms () in
+  let t0 = monotonic_ms () in
   let result = f () in
-  let t1 = now_ms () in
+  let t1 = monotonic_ms () in
   (result, t1 -. t0)
 
 let time_ms f =
@@ -12,8 +16,8 @@ let time_ms f =
 
 let repeat_ms n f =
   assert (n > 0);
-  let t0 = now_ms () in
+  let t0 = monotonic_ms () in
   for _ = 1 to n do
     f ()
   done;
-  (now_ms () -. t0) /. float_of_int n
+  (monotonic_ms () -. t0) /. float_of_int n

@@ -172,6 +172,163 @@ let test_expand_cost_monotone () =
   in
   Alcotest.(check bool) "monotone in expand cost" true (cost_at 1.0 <= cost_at 16.0)
 
+(* --- differential test against the list-based oracle ------------------- *)
+
+module Oracle = Opt_edgecut_oracle
+module A = Bionav_adaptive.Adaptive
+
+(* A random component tree shaped like the solver's real inputs: node
+   indices are not in preorder, and some nodes stand for several
+   underlying concepts, as supernodes of a reduced tree do. One seed in
+   four gives every node the same number of disjoint results and the same
+   total instead, so that symmetric cuts tie exactly and the tie-break is
+   exercised. *)
+let random_tree seed n =
+  let rng = Rng.create seed in
+  let uniform = seed mod 4 = 0 in
+  let parent = Array.init n (fun i -> if i = 0 then -1 else Rng.int rng i) in
+  let next = ref 0 in
+  let results =
+    Array.init n (fun _ ->
+        let k = if uniform then 6 else 1 + Rng.int rng 24 in
+        let l = List.init k (fun j -> !next + j) in
+        next := !next + if uniform then k else (k / 2) + 1;
+        Docset.of_list l)
+  in
+  let totals =
+    Array.init n (fun i ->
+        Docset.cardinal results.(i) * if uniform then 10 else 2 + Rng.int rng 30)
+  in
+  let multiplicity =
+    Array.init n (fun _ -> if (not uniform) && Rng.int rng 3 = 0 then 2 + Rng.int rng 6 else 1)
+  in
+  let sub_weights =
+    Array.mapi
+      (fun i m -> Array.init m (fun _ -> float_of_int (1 + Rng.int rng (Docset.cardinal results.(i)))))
+      multiplicity
+  in
+  let sub_concepts = Array.mapi (fun i m -> Array.init m (fun j -> 100 + (8 * i) + j)) multiplicity in
+  Comp_tree.make ~parent ~results ~totals
+    ~concepts:(Array.init n (fun i -> 100 + (8 * i)))
+    ~multiplicity ~sub_weights ~sub_concepts ()
+
+(* A learned model with evidence recorded for some of [random_tree]'s
+   concepts. *)
+let adaptive_model seed =
+  let rng = Rng.create (seed + 1) in
+  let ad = A.create ~now_ms:(fun () -> 0.) () in
+  for _ = 1 to 40 do
+    let concept = 100 + Rng.int rng (8 * Opt_edgecut.max_size) in
+    match Rng.int rng 3 with
+    | 0 -> A.observe_expand ad ~concept
+    | 1 -> A.observe_show ad ~concept
+    | _ -> A.observe_ignore ad ~concept
+  done;
+  A.refresh ad;
+  A.model ad
+
+(* The solver and the oracle agree bit for bit on the full mask and on
+   each upper component a replan leaves behind, and on the expected cost
+   and cut count; the heuristic's replans (no reduction at k = size) walk
+   the same sequence. *)
+let agrees model tree =
+  let same (a : Opt_edgecut.solution) (b : Oracle.solution) =
+    a.Opt_edgecut.cut_children = b.Oracle.cut_children && Float.equal a.Opt_edgecut.cost b.Oracle.cost
+  in
+  let ctx = Cost_model.create ~model tree in
+  let st = Opt_edgecut.init ctx and ost = Oracle.init (Cost_model.create ~model tree) in
+  let rec chain mask acc =
+    if Bits.popcount mask < 2 then Some (List.rev acc)
+    else
+      let a = Opt_edgecut.solve_mask st mask and b = Oracle.solve_mask ost mask in
+      if not (same a b) then None
+      else
+        let lowered =
+          List.fold_left
+            (fun l v -> l lor Cost_model.subtree_mask ctx ~mask v)
+            0 b.Oracle.cut_children
+        in
+        chain (mask land lnot lowered) ((b.Oracle.cut_children, b.Oracle.cost) :: acc)
+  in
+  let rec replans plan acc =
+    match Heuristic.replan plan with
+    | None -> List.rev acc
+    | Some (r, plan) ->
+        replans plan ((r.Heuristic.cut_children, r.Heuristic.reduced_cost) :: acc)
+  in
+  let heuristic () =
+    let r, plan = Heuristic.best_cut_with_plan ~model ~k:(Comp_tree.size tree) tree in
+    replans plan [ (r.Heuristic.cut_children, r.Heuristic.reduced_cost) ]
+  in
+  let same_steps =
+    List.equal (fun (c, x) (c', x') -> c = c' && Float.equal x x')
+  in
+  match chain (Cost_model.full_mask ctx) [] with
+  | None -> false
+  | Some steps ->
+      same_steps steps (heuristic ())
+      (* [Oracle.expected_cost] is this lookup on a fresh state; reusing
+         [ost] saves a second exponential oracle run. *)
+      && Float.equal
+           (Opt_edgecut.expected_cost ~model tree)
+           (Oracle.cost_mask ost (Cost_model.full_mask ctx))
+      && Opt_edgecut.count_valid_cuts tree = Oracle.count_valid_cuts tree
+
+let differential ~name ~count ~sizes =
+  QCheck.Test.make ~name ~count
+    QCheck.(pair sizes (int_range 0 100_000))
+    (fun (n, seed) ->
+      let tree = random_tree seed n in
+      List.for_all
+        (fun model -> agrees model tree)
+        [ Probability.default_model; Probability.facet_model; adaptive_model seed ])
+
+let qcheck_differential =
+  differential ~name:"dense solver = list oracle (2-12 nodes)" ~count:200
+    ~sizes:(QCheck.int_range 2 12)
+
+let qcheck_differential_max =
+  differential ~name:"dense solver = list oracle (16 nodes)" ~count:3
+    ~sizes:(QCheck.always Opt_edgecut.max_size)
+
+(* --- mask validation ----------------------------------------------------- *)
+
+let rejects f =
+  try
+    ignore (f ());
+    false
+  with Invalid_argument _ -> true
+
+let test_rejects_bad_masks () =
+  (* 0 -> {1, 2}, 1 -> {3} *)
+  let t = mk [| -1; 0; 0; 1 |] [| [ 0 ]; [ 1 ]; [ 2 ]; [ 3 ] |] [| 9; 9; 9; 9 |] in
+  let st = Opt_edgecut.init (Cost_model.create t) in
+  List.iter
+    (fun (what, mask) ->
+      Alcotest.(check bool) ("solve_mask " ^ what) true
+        (rejects (fun () -> Opt_edgecut.solve_mask st mask));
+      Alcotest.(check bool) ("cost_mask " ^ what) true
+        (rejects (fun () -> Opt_edgecut.cost_mask st mask)))
+    [
+      ("empty", 0);
+      ("negative", -1);
+      ("min_int", min_int);
+      ("just past the tree", 1 lsl 4);
+      ("valid plus an outside bit", 0b1111 lor (1 lsl 20));
+      ("not connected", 0b1001);
+    ];
+  Alcotest.(check bool) "subtree_mask node outside" true
+    (rejects (fun () -> Opt_edgecut.subtree_mask st ~mask:0b0011 2));
+  Alcotest.(check int) "subtree_mask" 0b1010 (Opt_edgecut.subtree_mask st ~mask:0b1111 1);
+  Alcotest.(check bool) "valid mask accepted" true
+    (Float.is_finite (Opt_edgecut.cost_mask st 0b1011))
+
+let test_init_rejects_oversize () =
+  let n = Opt_edgecut.max_size + 1 in
+  let t = mk (Array.init n (fun i -> i - 1)) (Array.init n (fun i -> [ i ])) (Array.make n 50) in
+  Alcotest.(check bool) "init rejects" true
+    (rejects (fun () -> Opt_edgecut.init (Cost_model.create t)))
+
 let () =
   Alcotest.run "opt_edgecut"
     [
@@ -195,5 +352,9 @@ let () =
         [
           Alcotest.test_case "rejects singleton" `Quick test_solve_rejects_singleton;
           Alcotest.test_case "rejects oversize" `Quick test_solve_rejects_oversize;
+          Alcotest.test_case "rejects bad masks" `Quick test_rejects_bad_masks;
+          Alcotest.test_case "init rejects oversize" `Quick test_init_rejects_oversize;
         ] );
+      ( "differential",
+        List.map QCheck_alcotest.to_alcotest [ qcheck_differential; qcheck_differential_max ] );
     ]

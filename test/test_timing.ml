@@ -20,6 +20,18 @@ let test_repeat_ms_mean () =
   let ms = Timing.repeat_ms 100 (fun () -> ()) in
   Alcotest.(check bool) "tiny for no-op" true (ms >= 0. && ms < 10.)
 
+(* Durations come from the monotonic clock: back-to-back measurements of
+   near-empty work are never negative. *)
+let test_elapsed_never_negative () =
+  for _ = 1 to 10_000 do
+    let (), ms = Timing.time ignore in
+    if ms < 0. then Alcotest.failf "time: negative elapsed %g ms" ms;
+    let ms = Timing.time_ms ignore in
+    if ms < 0. then Alcotest.failf "time_ms: negative elapsed %g ms" ms
+  done;
+  let ms = Timing.repeat_ms 1_000 ignore in
+  Alcotest.(check bool) "repeat_ms non-negative" true (ms >= 0.)
+
 let () =
   Alcotest.run "timing"
     [
@@ -28,5 +40,6 @@ let () =
           Alcotest.test_case "returns result" `Quick test_time_returns_result;
           Alcotest.test_case "measures work" `Quick test_time_measures_work;
           Alcotest.test_case "repeat mean" `Quick test_repeat_ms_mean;
+          Alcotest.test_case "elapsed never negative" `Quick test_elapsed_never_negative;
         ] );
     ]
