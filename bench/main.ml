@@ -624,17 +624,17 @@ let micro () =
   say ""
 
 (* ------------------------------------------------------------------ *)
-(* Prefetch: plan cache + speculation under repeated Zipf traffic      *)
+(* Prefetch: the plan cache under repeated Zipf traffic               *)
 (* ------------------------------------------------------------------ *)
 
 (* Repeat traffic drawn Zipf-style over the workload queries (rank 0 most
    popular), each session an oracle navigation to the query's target —
    exactly the regime the prefetch subsystem is built for: repeat sessions
    of a query replay identical expand sequences, so memoized plans serve
-   them at O(1). Run once with prefetch off and once with it on, compare
-   expand latency percentiles and report the plan-cache hit rate. *)
+   them at O(1). Run once with the plan cache off and once with it on,
+   compare expand latency percentiles and report the hit rate. *)
 let prefetch_bench () =
-  say "%s" (Table.section "Prefetch: plan cache + speculation (repeated Zipf workload)");
+  say "%s" (Table.section "Prefetch: plan cache off vs on (repeated Zipf workload)");
   say "";
   let w = Q.build ~config:Q.small_config ~seed:workload_seed () in
   let queries = Array.of_list w.Q.queries in
@@ -653,35 +653,22 @@ let prefetch_bench () =
       let q = queries.(Zipf.draw zipf rng) in
       match Engine.search engine q.Q.keyword with
       | Ok (Engine.Session s) ->
-          (* Bulk driving runs under [run_locked]: the engine drains the
-             session's speculation backlog when the lock is released. *)
           Engine.run_locked s (fun () ->
               ignore (Simulate.to_target (Engine.navigation s) ~target:q.Q.target_node));
           ignore (Engine.close engine (Engine.session_id s) : bool)
       | Ok Engine.No_results | Error _ -> ()
     done;
     let hist = Metrics.histogram "bionav_expand_latency_ms" in
-    let speculations, plans_cached =
-      match Engine.prefetch engine with
-      | None -> (0, 0)
-      | Some pf ->
-          ( Bionav_prefetch.Speculator.executed (Bionav_prefetch.Prefetch.speculator pf),
-            Bionav_prefetch.Plan_cache.length (Bionav_prefetch.Prefetch.plans pf) )
-    in
     ( Metrics.percentile hist 50.,
       Metrics.percentile hist 95.,
       Metrics.count hist,
-      Engine.plan_cache_hit_rate engine,
-      speculations,
-      plans_cached )
+      Engine.plan_cache_hit_rate engine )
   in
-  let off_p50, off_p95, off_expands, _, _, _ = run_traffic ~prefetch:false in
-  let on_p50, on_p95, on_expands, hit_rate, speculations, plans_cached =
-    run_traffic ~prefetch:true
-  in
+  let off_p50, off_p95, off_expands, _ = run_traffic ~prefetch:false in
+  let on_p50, on_p95, on_expands, hit_rate = run_traffic ~prefetch:true in
   print_string
     (Table.render
-       ~header:[ "prefetch"; "EXPANDs"; "p50/EXPAND"; "p95/EXPAND"; "plan hit rate" ]
+       ~header:[ "plan cache"; "EXPANDs"; "p50/EXPAND"; "p95/EXPAND"; "plan hit rate" ]
        [ Table.Left; Right; Right; Right; Right ]
        [
          [ "off"; string_of_int off_expands; Printf.sprintf "%.3f ms" off_p50;
@@ -690,9 +677,7 @@ let prefetch_bench () =
            Printf.sprintf "%.3f ms" on_p95; Printf.sprintf "%.0f%%" (100. *. hit_rate) ];
        ]);
   say "";
-  say "  %d sessions over %d queries (Zipf, exponent 1.0); %d speculative"
-    n_sessions (Array.length queries) speculations;
-  say "  precomputations ran, %d plans cached." plans_cached;
+  say "  %d sessions over %d queries (Zipf, exponent 1.0)." n_sessions (Array.length queries);
   let json =
     Printf.sprintf
       "{\n\
@@ -700,10 +685,10 @@ let prefetch_bench () =
       \  \"queries\": %d,\n\
       \  \"off\": { \"expands\": %d, \"expand_p50_ms\": %.4f, \"expand_p95_ms\": %.4f },\n\
       \  \"on\": { \"expands\": %d, \"expand_p50_ms\": %.4f, \"expand_p95_ms\": %.4f,\n\
-      \          \"plan_cache_hit_rate\": %.4f, \"speculations\": %d, \"plans_cached\": %d }\n\
+      \          \"plan_cache_hit_rate\": %.4f }\n\
        }\n"
       n_sessions (Array.length queries) off_expands off_p50 off_p95 on_expands on_p50
-      on_p95 hit_rate speculations plans_cached
+      on_p95 hit_rate
   in
   let path = "BENCH_prefetch.json" in
   let oc = open_out path in

@@ -41,8 +41,8 @@ let metrics_arg =
 
 let prefetch_arg =
   let doc =
-    "Enable the prefetch subsystem: memoize EdgeCut plans across sessions and \
-     speculatively precompute cuts for the most promising follow-up expansions."
+    "Enable the cross-session plan cache: memoize EdgeCut plans so a repeat \
+     session of a query is served cached cuts instead of rerunning the solver."
   in
   Arg.(value & flag & info [ "prefetch" ] ~doc)
 
@@ -507,17 +507,7 @@ let serve_cmd =
         max_connections; domains; keep_alive; idle_timeout_ms; max_requests_per_conn;
         rate_limit }
     in
-    (* With multiple serving domains, speculation moves off the request
-       path onto its own background domain (each tick takes the shard
-       locks, so it never races the workers). *)
-    let pd =
-      if prefetch && domains > 1 then
-        Some (Engine.spawn_prefetch_domain (Bionav_web.App.engine app) ~budget:4)
-      else None
-    in
-    Fun.protect
-      ~finally:(fun () -> Option.iter Engine.stop_prefetch_domain pd)
-      (fun () -> Bionav_web.Http.serve ~config ~port (Bionav_web.App.handle app))
+    Bionav_web.Http.serve ~config ~port (Bionav_web.App.handle app)
   in
   let doc = "Serve the BioNav web interface over the synthetic corpus." in
   Cmd.v

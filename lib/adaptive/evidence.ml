@@ -32,7 +32,7 @@ let create ?half_life_ms () =
 let half_life_ms t = t.half_life_ms
 
 (* Lazy exponential decay: a cell is only aged when touched, so [observe]
-   stays O(1) regardless of how much wall-clock passed. *)
+   stays O(1) regardless of how much time passed. *)
 let decay_cell t cell ~now_ms =
   (match t.half_life_ms with
   | None -> ()

@@ -5,7 +5,7 @@
     configurable half-life ("MeSH Concept Relevance and Knowledge
     Evolution": concept relevance drifts, so stale behaviour must stop
     steering cuts); decay is applied {e lazily} on touch, so every
-    [observe_*] is O(1) no matter how much wall-clock passed — cheap
+    [observe_*] is O(1) no matter how much time passed — cheap
     enough to call from engine actions under the shard lock. A count
     decayed below [1e-9] snaps to exactly zero, making "fully decayed"
     indistinguishable from "never observed". All operations are

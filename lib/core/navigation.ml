@@ -62,7 +62,6 @@ type t = {
   plans : (int, Heuristic.plan) Hashtbl.t;
       (* visible node -> reusable solver state for its component *)
   mutable plan_source : plan_source option;
-  mutable on_expand : (node:int -> revealed:int list -> unit) option;
   mutable budget : (unit -> unit -> bool) option;
       (* called at EXPAND entry; returns the over-budget check consulted
          before any solver runs (see set_budget) *)
@@ -75,7 +74,6 @@ let start strategy nav_tree =
     stats = { expands = 0; revealed = 0; results_listed = 0; history = [] };
     plans = Hashtbl.create 16;
     plan_source = None;
-    on_expand = None;
     budget = None;
   }
 
@@ -83,7 +81,6 @@ let active t = t.active
 let strategy t = t.strategy
 let stats t = t.stats
 let set_plan_source t src = t.plan_source <- src
-let set_on_expand t f = t.on_expand <- f
 let set_budget t f = t.budget <- f
 
 (* Translate component-tree cut children (indices) back to navigation nodes
@@ -227,7 +224,6 @@ let expand t root =
         revealed = t.stats.revealed + record.n_revealed;
         history = record :: t.stats.history;
       };
-    (match t.on_expand with None -> () | Some f -> f ~node:root ~revealed);
     revealed
     end
   end

@@ -135,13 +135,6 @@ val set_budget : t -> (unit -> unit -> bool) option -> unit
     already trivial or explicitly exact). [None] (the {!start} default)
     disables budgeting. *)
 
-val set_on_expand : t -> (node:int -> revealed:int list -> unit) option -> unit
-(** Observer called after every {e effective} EXPAND (one that revealed
-    at least one concept), with the expanded node and the newly visible
-    nodes, after cost accounting. One observer at most; [None] removes
-    it. The prefetch layer uses this to speculate on follow-up
-    expansions regardless of which entry point drove the session. *)
-
 val expand : t -> int -> int list
 (** EXPAND the component rooted at the given visible node; returns the
     newly revealed navigation nodes (empty for a singleton component, in

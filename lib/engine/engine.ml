@@ -3,7 +3,6 @@ open Bionav_core
 module Eutils = Bionav_search.Eutils
 module Nav_snapshot = Bionav_search.Nav_snapshot
 module Prefetch = Bionav_prefetch.Prefetch
-module Speculator = Bionav_prefetch.Speculator
 module Warmer = Bionav_prefetch.Warmer
 module Snapshot = Bionav_store.Snapshot
 module Clock = Bionav_resilience.Clock
@@ -52,7 +51,7 @@ type frame = {
          equal member sets, so caches may key on it *)
   fdim : Bionav_core.Nav_space.dimension;
   fkey : string;
-      (* cache/speculation key of this space: the bare query for the base
+      (* tree- and plan-cache key of this space: the bare query for the base
          descriptor frame (legacy-compatible with warm start and the plan
          cache), [normalize query ^ "\x1f" ^ fid] for derived spaces *)
   fnav : Nav_tree.t;
@@ -65,9 +64,9 @@ type frame = {
    [home.lock]. Reads go through [snapshot]: an immutable epoch-versioned
    view of the {e top} frame republished (RCU-style) after every
    mutation, consumed with [Atomic.get] and no lock (DESIGN.md §12).
-   [frames] is itself an Atomic so the off-lock speculation drain can
-   check which space is live without the lock; it is only written under
-   the shard lock and is never empty. *)
+   [frames] is an Atomic so the off-lock accessors ([navigation],
+   [space_id], [refine_depth]) read a consistent stack; it is only
+   written under the shard lock and is never empty. *)
 type session = {
   sid : string;
   query : string;
@@ -76,9 +75,6 @@ type session = {
   frames : frame list Atomic.t;  (* top frame first *)
   home : shard;
   snapshot : Nav_snapshot.t Atomic.t;
-  pending_spec : int list Atomic.t;
-      (* nodes revealed since the last speculation pass; appended (under
-         the shard lock) by the expand observer, drained off-lock *)
   seen_concepts : (int, unit) Hashtbl.t;
       (* concepts revealed to this session but not (yet) engaged with;
          mutated under the shard lock, flushed as IGNORE evidence when
@@ -295,7 +291,7 @@ let create ?(config = default_config) ?chaos ?snapshot ~database ~eutils () =
       swaiters = Metrics.gauge (Printf.sprintf "bionav_shard_lock_waiters_s%d" snum);
       cache = Nav_cache.create ~capacity:config.cache_capacity ~build ();
       sprefetch =
-        Option.map (fun pc -> Prefetch.create ~config:pc ~clock:config.clock ()) config.prefetch;
+        Option.map (fun pc -> Prefetch.create ~config:pc ()) config.prefetch;
       sguard = guard;
       sadaptive = adaptive;
       sderiver = Nav_space.deriver ~medline:(Eutils.medline eutils) database;
@@ -488,49 +484,6 @@ let touch t s =
   s.tick <- shard.sclock;
   s.last_use_ms <- Clock.now_ms t.config.clock
 
-(* A session of [query] just left this shard. If it was the shard's last
-   one for that query, cancel the shard's queued speculation — a dead
-   session must not leave pending work behind. Cached plans stay: they
-   are keyed by exact component and remain correct for future sessions.
-   Prefetch state is shard-local, so only this shard's sessions matter. *)
-let release_query shard query =
-  match shard.sprefetch with
-  | None -> ()
-  | Some pf ->
-      let norm = Nav_cache.normalize query in
-      let still_live =
-        Hashtbl.fold
-          (fun _ s acc -> acc || String.equal norm (Nav_cache.normalize s.query))
-          shard.sessions false
-      in
-      if not still_live then ignore (Prefetch.drop_query pf query : int)
-
-(* Derived frames speculate under their own composite keys; drop those
-   too when the leaving session was the last one holding the space open
-   on this shard. The base frame's key is the bare query and goes through
-   [release_query]'s normalized comparison. *)
-let release_frames shard s =
-  (match shard.sprefetch with
-  | None -> ()
-  | Some pf ->
-      List.iter
-        (fun fr ->
-          if not (String.equal fr.fkey s.query) then begin
-            let shared =
-              Hashtbl.fold
-                (fun _ other acc ->
-                  acc
-                  || (other != s
-                     && List.exists
-                          (fun f2 -> String.equal f2.fkey fr.fkey)
-                          (Atomic.get other.frames)))
-                shard.sessions false
-            in
-            if not shared then ignore (Prefetch.drop_query pf fr.fkey : int)
-          end)
-        (Atomic.get s.frames));
-  release_query shard s.query
-
 let evict_lru shard =
   let victim =
     Hashtbl.fold
@@ -544,33 +497,19 @@ let evict_lru shard =
       Hashtbl.remove shard.sessions s.sid;
       shard.sevictions <- shard.sevictions + 1;
       Metrics.incr evicted_counter;
-      release_frames shard s;
       Logs.debug (fun m -> m "engine: evicted session %s (shard %d full)" s.sid shard.snum)
   | None -> ()
 
 type search_outcome = No_results | Session of session
 
-(* Wire a frame's navigation into the engine services: the EXPAND budget,
-   the plan cache (keyed by the frame's space key) and the speculation
-   observer. Shared by the base frame ([search]) and every derived frame
-   ([refine]/[facet]). The observer only records reveals into
-   [pending_spec]; ranking runs off-lock against the published snapshot
-   (see [drain_speculation]). *)
-let wire_frame shard ~fkey ~pending_spec navigation =
+(* Wire a frame's navigation into the engine services: the EXPAND budget
+   and the plan cache (keyed by the frame's space key). Shared by the base
+   frame ([search]) and every derived frame ([refine]/[facet]). *)
+let wire_frame shard ~fkey navigation =
   (match shard.sbudget with
   | None -> ()
   | Some factory -> Navigation.set_budget navigation (Some factory));
-  match shard.sprefetch with
-  | Some pf -> (
-      Prefetch.attach_plans pf ~query:fkey navigation;
-      match Navigation.strategy navigation with
-      | Navigation.Heuristic _ | Navigation.Faceted _ ->
-          Navigation.set_on_expand navigation
-            (Some
-               (fun ~node:_ ~revealed ->
-                 Atomic.set pending_spec (revealed @ Atomic.get pending_spec)))
-      | Navigation.Optimal _ | Navigation.Static | Navigation.Static_paged _ -> ())
-  | None -> ()
+  Option.iter (fun pf -> Prefetch.attach_plans pf ~query:fkey navigation) shard.sprefetch
 
 (* Fetch or derive a navigation space for a derived frame, through the
    shard's tree cache under the frame's composite key — so revisiting a
@@ -639,7 +578,6 @@ let search t ?(strategy = Navigation.bionav ()) query =
                         Atomic.make
                           (Nav_snapshot.capture ~epoch:0 ~query ~space:base.fid
                              ~refine_depth:0 base.fnavigation);
-                      pending_spec = Atomic.make [];
                       seen_concepts = Hashtbl.create 16;
                       epoch = 0;
                       tick = 0;
@@ -648,8 +586,7 @@ let search t ?(strategy = Navigation.bionav ()) query =
                   in
                   touch t s;
                   Hashtbl.replace shard.sessions sid s;
-                  wire_frame shard ~fkey:base.fkey ~pending_spec:s.pending_spec
-                    base.fnavigation;
+                  wire_frame shard ~fkey:base.fkey base.fnavigation;
                   Metrics.incr started_counter;
                   publish_live t;
                   Ok (Session s)
@@ -673,7 +610,6 @@ let close t sid =
           flush_ignores s;
           Hashtbl.remove shard.sessions sid;
           Metrics.incr closed_counter;
-          release_frames shard s;
           publish_live t;
           true
       | None -> false)
@@ -697,7 +633,6 @@ let sweep ?now_ms t =
                   flush_ignores s;
                   Hashtbl.remove shard.sessions s.sid)
                 expired;
-              List.iter (fun s -> release_frames shard s) expired;
               total := !total + List.length expired))
         t.shards;
       let n = !total in
@@ -722,53 +657,12 @@ let publish s =
     (Nav_snapshot.capture ~epoch:s.epoch ~query:s.query ~space:fr.fid
        ~refine_depth:(refine_depth s) fr.fnavigation)
 
-(* Speculation, engine-driven: the expand observer only records revealed
-   nodes, and this drains them — ranking (the expensive comp-tree +
-   probability work) runs with no lock against the just-published
-   snapshot; only the queue append and the budgeted tick re-enter the
-   shard lock. Nodes that were hidden again or expanded meanwhile simply
-   rank out (they are absent or non-expandable in the snapshot), and a
-   snapshot whose space no longer matches the live top frame (the session
-   refined or unrefined concurrently) is dropped wholesale — speculation
-   stays within the active space. *)
-let drain_speculation s =
-  match s.home.sprefetch with
-  | None -> ()
-  | Some pf -> (
-      match Atomic.exchange s.pending_spec [] with
-      | [] -> ()
-      | revealed -> (
-          let fr = top_frame s in
-          match Navigation.strategy fr.fnavigation with
-          | Navigation.Heuristic { k; model; _ } | Navigation.Faceted { k; model; _ } ->
-              let snap = Atomic.get s.snapshot in
-              if String.equal (Nav_snapshot.space snap) fr.fid then begin
-                let revealed = List.sort_uniq Int.compare revealed in
-                let ranked = Speculator.rank_snapshot ~model snap revealed in
-                let budget = (Prefetch.config pf).Prefetch.budget_per_action in
-                if ranked <> [] || budget > 0 then
-                  with_shard s.home (fun () ->
-                      (* Re-check under the lock: enqueue only if the frame
-                         is still the live top (space ids are unique within
-                         a session's stack, so fid equality suffices). *)
-                      if String.equal (top_frame s).fid fr.fid then begin
-                        Speculator.enqueue_ranked (Prefetch.speculator pf) ~query:fr.fkey
-                          snap ~k ~model ranked;
-                        ignore (Prefetch.tick pf ~budget : int)
-                      end)
-              end
-          | Navigation.Optimal _ | Navigation.Static | Navigation.Static_paged _ -> ()))
-
 let run_locked s f =
-  let r =
-    with_shard s.home (fun () ->
-        Docset_arena.adopt (Nav_tree.arena (top_frame s).fnav);
-        let r = f () in
-        publish s;
-        r)
-  in
-  drain_speculation s;
-  r
+  with_shard s.home (fun () ->
+      Docset_arena.adopt (Nav_tree.arena (top_frame s).fnav);
+      let r = f () in
+      publish s;
+      r)
 
 let expand s node =
   run_locked s (fun () ->
@@ -789,9 +683,8 @@ let backtrack s = run_locked s (fun () -> Navigation.backtrack (navigation s))
 
 (* Push a derived frame: resolve the space through the tree cache (a
    revisited path is a Plan_cache-style hit, not a re-derivation), start
-   a navigation on it under the dimension-mapped strategy, wire it into
-   budget/plans/speculation, and publish. Pending speculation of the old
-   frame is cleared — speculation stays within the active space. *)
+   a navigation on it under the dimension-mapped strategy and wire it
+   into the budget and the plan cache. [run_locked] then publishes. *)
 let push_frame s ~fid ~dim subset =
   let shard = s.home in
   let fkey = frame_key s.query fid in
@@ -799,8 +692,7 @@ let push_frame s ~fid ~dim subset =
   Docset_arena.adopt (Nav_tree.arena fnav);
   let fnavigation = Navigation.start (frame_strategy shard.sadaptive s.sstrategy dim) fnav in
   let fr = { fid; fdim = dim; fkey; fnav; fnavigation } in
-  wire_frame shard ~fkey ~pending_spec:s.pending_spec fnavigation;
-  Atomic.set s.pending_spec [];
+  wire_frame shard ~fkey fnavigation;
   Atomic.set s.frames (fr :: Atomic.get s.frames);
   Metrics.incr refinements_counter;
   Metrics.set refine_depth_gauge (float_of_int (refine_depth s));
@@ -841,25 +733,8 @@ let unrefine s =
   run_locked s (fun () ->
       match Atomic.get s.frames with
       | [] | [ _ ] -> false
-      | popped :: rest ->
-          Atomic.set s.pending_spec [];
+      | _ :: rest ->
           Atomic.set s.frames rest;
-          (* Cancel the popped space's queued speculation unless another
-             session on this shard still navigates it. Plans stay cached:
-             revisiting the space serves them again. *)
-          (match s.home.sprefetch with
-          | Some pf when not (String.equal popped.fkey s.query) ->
-              let shared =
-                Hashtbl.fold
-                  (fun _ other acc ->
-                    acc
-                    || List.exists
-                         (fun f2 -> String.equal f2.fkey popped.fkey)
-                         (Atomic.get other.frames))
-                  s.home.sessions false
-              in
-              if not shared then ignore (Prefetch.drop_query pf popped.fkey : int)
-          | Some _ | None -> ());
           Metrics.set refine_depth_gauge (float_of_int (refine_depth s));
           true)
 
@@ -873,36 +748,6 @@ let start strategy nav =
   Navigation.start strategy nav
 
 (* --- prefetch & warm start ---------------------------------------------- *)
-
-let prefetch_tick t ~budget =
-  Array.fold_left
-    (fun acc shard ->
-      match shard.sprefetch with
-      | None -> acc
-      | Some pf ->
-          acc
-          + with_shard shard (fun () ->
-                (* Speculation jobs compute cuts on trees cached in this
-                   shard; run_job adopts each job's arena itself. *)
-                Prefetch.tick pf ~budget))
-    0 t.shards
-
-type prefetch_domain = { stop_flag : bool Atomic.t; handle : unit Domain.t }
-
-let spawn_prefetch_domain ?(interval_s = 0.01) t ~budget =
-  let stop_flag = Atomic.make false in
-  let handle =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop_flag) do
-          ignore (prefetch_tick t ~budget : int);
-          Unix.sleepf interval_s
-        done)
-  in
-  { stop_flag; handle }
-
-let stop_prefetch_domain pd =
-  Atomic.set pd.stop_flag true;
-  Domain.join pd.handle
 
 let warm t queries =
   let model = Option.map Adaptive.model t.adaptive in

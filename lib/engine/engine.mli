@@ -23,7 +23,7 @@
 
     {b Concurrency} (DESIGN.md §11–§12): the store is sharded
     [config.shards] ways by session-id hash. Each shard owns a mutex, a
-    tree cache, prefetch state and a backend guard; sessions — and the
+    tree cache, plan cache and a backend guard; sessions — and the
     navigation trees and docset arenas behind them — are confined to
     their shard and only {e mutated} under its lock, with the arena
     {!Bionav_util.Docset_arena.adopt}ed by the locking domain. The one
@@ -34,9 +34,8 @@
     an immutable {!Bionav_search.Nav_snapshot} of the session (frozen
     arena, epoch-versioned), and {!snapshot} hands it out with one
     [Atomic.get]. The shard mutex covers only session-table mutation,
-    tree/plan-cache writes, speculation enqueueing and snapshot
-    publication; rendering, result paging, metrics scraping and
-    speculative {e ranking} all run lock-free. Lock behaviour is
+    tree/plan-cache writes and snapshot publication; rendering, result
+    paging and metrics scraping all run lock-free. Lock behaviour is
     instrumented: [bionav_shard_lock_wait_ms] / [_hold_ms] histograms,
     [bionav_shard_lock_acquisitions_total], and a
     [bionav_shard_lock_waiters_s<N>] queue-depth gauge per shard. Shard
@@ -48,8 +47,8 @@
     ESearch keyword lookup) runs under a {!Bionav_resilience.Guard} —
     retry with backoff, circuit breaker, optional fault injection — and
     a failed call surfaces as an [Error] from {!search}, never an
-    exception. All timing (session TTLs, EXPAND deadlines, speculation
-    job TTLs, retry backoff) reads [config.clock], so a simulated clock
+    exception. All timing (session TTLs, EXPAND deadlines, retry
+    backoff) reads [config.clock], so a simulated clock
     makes the whole engine's time behaviour test-controlled. With
     [expand_budget_ms] set, an EXPAND whose budget is exhausted before
     the cut computation starts degrades to a static-style cut (see
@@ -66,8 +65,9 @@ type config = {
           [None] (no TTL). *)
   cache_capacity : int;  (** Navigation-tree cache entries. Default 32. *)
   prefetch : Bionav_prefetch.Prefetch.config option;
-      (** Enable the plan cache + speculator ({!Bionav_prefetch}); every
-          Heuristic session is attached to it. Default [None] (off). *)
+      (** Enable the cross-session plan cache ({!Bionav_prefetch}); every
+          Heuristic and Faceted session is attached to it. Default [None]
+          (off). *)
   clock : Bionav_resilience.Clock.t;
       (** The clock behind every engine timing decision. Default the
           real clock. *)
@@ -82,7 +82,7 @@ type config = {
   shards : int;
       (** Session-store shards (>= 1, default 1). Sessions are hashed to
           a shard by session id; each shard has its own mutex, tree
-          cache, prefetch state and guard, so expands on sessions in
+          cache, plan cache and guard, so expands on sessions in
           different shards proceed in parallel while every navigation
           tree stays confined to the shard that built it (the same query
           may therefore be built once per shard). The per-shard session
@@ -268,9 +268,8 @@ val refine : session -> int -> int
     descriptor space of that subset (through the shard's tree cache —
     revisiting a refinement path is a cache hit, not a re-derivation),
     and push it as the session's new top frame. Returns the refined
-    space's distinct result count. Pending speculation of the previous
-    space is cancelled; the snapshot republishes with the new space id
-    and an advanced epoch in one atomic store.
+    space's distinct result count. The snapshot republishes with the new
+    space id and an advanced epoch in one atomic store.
     @raise Invalid_argument if the node is not visible or is the root. *)
 
 val facet : session -> int
@@ -308,23 +307,6 @@ val start :
     session. *)
 
 (* --- prefetch & warm start -------------------------------------------- *)
-
-val prefetch_tick : t -> budget:int -> int
-(** Run up to [budget] queued speculation jobs {e per shard} (idle-time
-    pacing, e.g. between requests in the serve loop), each shard ticked
-    under its own lock; 0 when prefetch is disabled. *)
-
-type prefetch_domain
-
-val spawn_prefetch_domain : ?interval_s:float -> t -> budget:int -> prefetch_domain
-(** Spawn a background domain calling {!prefetch_tick} every
-    [interval_s] seconds (default 0.01). Each tick takes the shard locks
-    in turn, so speculation never races request-serving domains over
-    shard state. Stop it with {!stop_prefetch_domain} before discarding
-    the engine. *)
-
-val stop_prefetch_domain : prefetch_domain -> unit
-(** Signal the domain to stop and join it. *)
 
 val warm : t -> string list -> Bionav_store.Snapshot.entry list
 (** Run each query through the engine's own search path, build its

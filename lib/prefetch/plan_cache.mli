@@ -6,12 +6,12 @@
     probability-model fingerprint that priced the cut, visible root, the
     exact member set [I(n)]). Two sessions of the same query {e and model}
     that expand the same way reach byte-identical components, so a cut
-    computed once — in the foreground, by speculation, or warmed from a
-    snapshot — serves every later EXPAND of that component at O(1). The
-    fingerprint (see {!Bionav_core.Navigation.model_fingerprint}) keeps the
-    cache honest across model updates: a cut optimized under yesterday's
-    probabilities is a {e stale} plan for today's learned model, and a
-    changed fingerprint makes it unreachable instead of served.
+    computed once — in the foreground or warmed from a snapshot — serves
+    every later EXPAND of that component at O(1). The fingerprint (see
+    {!Bionav_core.Navigation.model_fingerprint}) keeps the cache honest
+    across model updates: a cut optimized under yesterday's probabilities
+    is a {e stale} plan for today's learned model, and a changed
+    fingerprint makes it unreachable instead of served.
 
     The member set is keyed by its arena fingerprint (O(1), computed at
     intern time) but {e verified} on lookup
@@ -42,7 +42,7 @@ val find :
 val mem :
   t -> query:string -> fingerprint:string -> root:int -> members:Bionav_util.Docset.t -> bool
 (** Side-effect free: no recency refresh, no hit/miss accounting. For
-    speculation probing whether work is already done. *)
+    probes that must not distort the hit rate. *)
 
 val store :
   t ->

@@ -1,51 +1,15 @@
 open Bionav_core
 
-type config = {
-  plan_capacity : int;
-  top_m : int;
-  max_queue : int;
-  budget_per_action : int;
-  job_ttl_ms : float option;
-}
+type config = { plan_capacity : int }
 
-let default_config =
-  {
-    plan_capacity = Plan_cache.default_capacity;
-    top_m = 2;
-    max_queue = 64;
-    budget_per_action = 1;
-    job_ttl_ms = None;
-  }
+let default_config = { plan_capacity = Plan_cache.default_capacity }
 
-type t = { config : config; plans : Plan_cache.t; spec : Speculator.t }
+type t = { plans : Plan_cache.t }
 
-let create ?(config = default_config) ?clock () =
-  if config.budget_per_action < 0 then
-    invalid_arg "Prefetch.create: budget_per_action must be >= 0";
-  let plans = Plan_cache.create ~capacity:config.plan_capacity () in
-  let spec =
-    Speculator.create ~top_m:config.top_m ~max_queue:config.max_queue ?clock
-      ?job_ttl_ms:config.job_ttl_ms plans
-  in
-  { config; plans; spec }
+let create ?(config = default_config) () =
+  { plans = Plan_cache.create ~capacity:config.plan_capacity () }
 
-let config t = t.config
 let plans t = t.plans
-let speculator t = t.spec
-
-let attach t ~query session =
-  match Navigation.strategy session with
-  | Navigation.Heuristic { k; model; _ } | Navigation.Faceted { k; model; _ } ->
-      let fingerprint = model.Probability.fingerprint in
-      Navigation.set_plan_source session
-        (Some (Plan_cache.plan_source t.plans ~query ~fingerprint));
-      Navigation.set_on_expand session
-        (Some
-           (fun ~node:_ ~revealed ->
-             Speculator.observe t.spec ~query ~active:(Navigation.active session) ~k ~model
-               ~revealed;
-             ignore (Speculator.tick t.spec ~budget:t.config.budget_per_action : int)))
-  | Navigation.Optimal _ | Navigation.Static | Navigation.Static_paged _ -> ()
 
 let attach_plans t ~query session =
   match Navigation.strategy session with
@@ -55,7 +19,3 @@ let attach_plans t ~query session =
            (Plan_cache.plan_source t.plans ~query
               ~fingerprint:model.Probability.fingerprint))
   | Navigation.Optimal _ | Navigation.Static | Navigation.Static_paged _ -> ()
-
-let tick t ~budget = Speculator.tick t.spec ~budget
-let drop_query t query = Speculator.drop_query t.spec query
-let drain t = Speculator.tick t.spec ~budget:max_int

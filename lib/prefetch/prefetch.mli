@@ -1,60 +1,23 @@
-(** The prefetch facade: one shared {!Plan_cache} plus one {!Speculator},
-    wired into navigation sessions.
+(** The prefetch facade: one shared {!Plan_cache} wired into navigation
+    sessions.
 
-    The engine creates one [t] per process and {!attach}es every new
-    Heuristic session: the session then consults the plan cache before
-    running Heuristic-ReducedOpt, feeds foreground computations back in,
-    and after each effective EXPAND enqueues speculation for the revealed
-    nodes and ticks the queue by [budget_per_action]. Because the hook
-    lives on {!Bionav_core.Navigation} itself, speculation fires no matter
-    what drives the session — the web app, the CLI, or a simulated user. *)
+    The engine creates one [t] per shard and {!attach_plans} every new
+    Heuristic or Faceted session: the session then consults the plan
+    cache before running Heuristic-ReducedOpt and feeds every foreground
+    computation back in, so a repeat session of the same query (or a
+    warm start, see {!Warmer}) is served cached cuts. *)
 
-type config = {
-  plan_capacity : int;  (** Plan-cache LRU capacity (default 512). *)
-  top_m : int;  (** Speculation candidates queued per EXPAND (default 2). *)
-  max_queue : int;  (** Speculation FIFO bound (default 64). *)
-  budget_per_action : int;
-      (** Queued jobs run synchronously after each EXPAND (default 1).
-          0 means enqueue-only — some external pacer calls {!tick}. *)
-  job_ttl_ms : float option;
-      (** Queued-job TTL on the creation clock (default [None]: never);
-          see {!Speculator.create}. *)
-}
+type config = { plan_capacity : int  (** Plan-cache LRU capacity (default 512). *) }
 
 val default_config : config
 
 type t
 
-val create : ?config:config -> ?clock:Bionav_resilience.Clock.t -> unit -> t
-(** [clock] (default the real clock) stamps and expires speculation jobs.
-    @raise Invalid_argument on negative [budget_per_action] or invalid
-    speculator bounds. *)
-
-val config : t -> config
+val create : ?config:config -> unit -> t
 val plans : t -> Plan_cache.t
-val speculator : t -> Speculator.t
-
-val attach : t -> query:string -> Bionav_core.Navigation.t -> unit
-(** Wire a session of [query]: set its plan source and expand observer.
-    No-op for non-Heuristic strategies (their cuts are trivial or exact,
-    nothing worth memoizing). The speculator inherits the session's own
-    [k]/[params], keeping speculated cuts byte-identical to foreground
-    ones. *)
 
 val attach_plans : t -> query:string -> Bionav_core.Navigation.t -> unit
-(** Like {!attach} but wires only the plan source, not the expand
-    observer — for callers (the engine) that drive speculation off
-    published snapshots instead: rank with
-    {!Speculator.rank_snapshot} outside the shard lock, then
-    {!Speculator.enqueue_ranked} and {!tick} inside it. Keeps the
-    in-lock portion of each EXPAND to a queue append. *)
-
-val tick : t -> budget:int -> int
-(** Run up to [budget] queued speculation jobs (idle-time pacing). *)
-
-val drain : t -> int
-(** Run every queued job — benchmarks and tests. *)
-
-val drop_query : t -> string -> int
-(** Cancel queued speculation for a query (its last session ended).
-    Cached plans survive: they stay correct and serve repeat traffic. *)
+(** Set the session's plan source to this cache under [query] and the
+    session model's fingerprint. No-op for [Optimal], [Static] and
+    [Static_paged] sessions: their cuts are trivial or exact, nothing
+    worth memoizing. *)

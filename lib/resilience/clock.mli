@@ -1,10 +1,10 @@
 (** The virtual clock: one interface, a real and a simulated implementation.
 
     Every time-dependent behavior in the serving stack — session TTLs,
-    retry backoff sleeps, circuit-breaker cool-downs, speculation job
-    expiry, per-EXPAND deadlines — reads time through a [Clock.t] instead
-    of [Unix.gettimeofday], so tests and the chaos harness replace the
-    wall clock with a simulated one and control time exactly: a "sleep"
+    retry backoff sleeps, circuit-breaker cool-downs, per-EXPAND
+    deadlines — reads time through a [Clock.t] instead of a system
+    clock, so tests and the chaos harness replace the real clock with a
+    simulated one and control time exactly: a "sleep"
     advances the virtual clock instantly, a cool-down elapses when the
     test says so, and a whole fault-injected workload replay is
     deterministic down to the timestamp. *)
@@ -12,8 +12,9 @@
 type t
 
 val real : t
-(** Wall-clock milliseconds ({!Bionav_util.Timing.now_ms}); [sleep_ms]
-    blocks the calling thread for real. *)
+(** Monotonic milliseconds ({!Bionav_util.Timing.now_ms}): never steps,
+    so differences of readings are true elapsed times. [sleep_ms] blocks
+    the calling thread for real. *)
 
 val simulated : ?start_ms:float -> unit -> t
 (** A fresh virtual clock starting at [start_ms] (default 0). Time moves

@@ -4,13 +4,11 @@ open Bionav_core
 type vnode = {
   id : int;
   label : string;
-  weight : float;
   distinct : int;
   expandable : bool;
   parent : int;
   children : int list;
   members : int array;
-  member_set : Docset.t;
   results : Docset.t;
 }
 
@@ -37,10 +35,9 @@ let capture ~epoch ~query ?(space = "descriptor") ?(refine_depth = 0) navigation
   let index = Hashtbl.create (max 16 (List.length order)) in
   List.iter
     (fun id ->
-      (* Component member lists come out ascending and strictly
-         increasing, so they intern without a sort. *)
+      (* Component results come out of a sorted docset, so they intern
+         without a sort. *)
       let members = Array.of_list (Active_tree.component active id) in
-      let member_set = Docset.of_sorted_array_unchecked_in arena (Array.copy members) in
       let results =
         Docset.of_sorted_array_unchecked_in arena
           (Docset.to_array (Active_tree.component_results active id))
@@ -49,13 +46,11 @@ let capture ~epoch ~query ?(space = "descriptor") ?(refine_depth = 0) navigation
         {
           id;
           label = Nav_tree.label nav id;
-          weight = Relevance.component_weight active id;
           distinct = Docset.cardinal results;
           expandable = Active_tree.is_expandable active id;
           parent = Active_tree.visible_parent active id;
           children = Relevance.ranked_children active id;
           members;
-          member_set;
           results;
         })
     order;

@@ -5,7 +5,7 @@
     {!capture}s the session's visible tree — while still holding the
     shard lock — into a self-contained snapshot and publishes it through
     an [Atomic.t], RCU-style. Readers (HTML rendering, result paging,
-    metrics, speculative ranking) work entirely off the snapshot they
+    metrics) work entirely off the snapshot they
     [Atomic.get] and never touch the shard lock; a reader holding epoch
     [e] keeps a consistent view even as the session advances past it.
 
@@ -27,18 +27,11 @@
 type vnode = {
   id : int;  (** Navigation node id (dense, preorder). *)
   label : string;
-  weight : float;
-      (** Explore mass [Σ |L|/|LT|] of the component — the relevance
-          signal, precomputed so ranking needs no tree walk. *)
   distinct : int;  (** Distinct citations of the component. *)
   expandable : bool;  (** Component has ≥ 2 nodes (the ">>>" affordance). *)
   parent : int;  (** Visible parent in the embedding; -1 for the root. *)
   children : int list;  (** Visible children, relevance-ranked. *)
   members : int array;  (** Component members, ascending navigation ids. *)
-  member_set : Bionav_util.Docset.t;
-      (** [members] interned in the snapshot arena — plan caches key on
-          its O(1) fingerprint, which is content-based and therefore
-          consistent with live-arena member sets. *)
   results : Bionav_util.Docset.t;
       (** Distinct citations of the component, in the snapshot arena. *)
 }
@@ -68,17 +61,15 @@ val space : t -> string
 (** Identity of the navigation space this snapshot was captured from
     (e.g. ["descriptor"], ["descriptor>refine:42"]). A reader holding a
     snapshot never observes a mixed-space tree: epoch {e and} space
-    advance together atomically, and consumers that act on a snapshot
-    (speculation ranking) re-check the space id before committing work
-    against the live session. *)
+    advance together atomically. *)
 
 val refine_depth : t -> int
 (** Depth of the session's refinement stack at capture (0 = base space). *)
 
 val model_fingerprint : t -> string
 (** Fingerprint of the probability model the session's strategy was using
-    at capture — the plan-cache key component that keeps speculation
-    ranked off this snapshot from storing plans under a stale model. *)
+    at capture — the plan-cache key component that keeps a plan computed
+    under one model from being served under another. *)
 
 val stats : t -> Bionav_core.Navigation.stats
 (** Cost accounting as of the capture. *)

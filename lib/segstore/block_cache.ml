@@ -27,10 +27,11 @@ let block t seg kidx bidx =
       ds
   | None ->
       Metrics.incr misses;
-      let t0 = Unix.gettimeofday () in
-      let arr = Segment.decode_block seg kidx bidx in
-      let ds = Docset.of_sorted_array_unchecked arr in
-      Metrics.observe decode_ms ((Unix.gettimeofday () -. t0) *. 1000.);
+      let ds, ms =
+        Timing.time (fun () ->
+            Docset.of_sorted_array_unchecked (Segment.decode_block seg kidx bidx))
+      in
+      Metrics.observe decode_ms ms;
       Metrics.incr decoded;
       Lru.add t.lru key ds;
       ds

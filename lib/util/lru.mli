@@ -23,7 +23,7 @@ val mem : ('k, 'v) t -> 'k -> bool
 val peek : ('k, 'v) t -> 'k -> 'v option
 (** Like {!find} but side-effect free: no recency refresh, no hit/miss
     accounting. For callers probing "is this already cached?" without
-    distorting the statistics (e.g. speculation that skips known work). *)
+    distorting the statistics. *)
 
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Inserts or replaces; evicts the least recently used entry when full. *)

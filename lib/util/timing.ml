@@ -1,8 +1,8 @@
-let now_ms () = Unix.gettimeofday () *. 1e3
-
 external monotonic_ms : unit -> (float[@unboxed])
   = "bionav_monotonic_ms_byte" "bionav_monotonic_ms"
 [@@noalloc]
+
+let now_ms () = monotonic_ms ()
 
 let time f =
   let t0 = monotonic_ms () in

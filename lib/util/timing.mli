@@ -1,16 +1,17 @@
 (** Elapsed-time measurement for the execution-time experiments (paper
-    Figs. 10 and 11) and the latency histograms, plus a wall clock for
-    timestamps.
+    Figs. 10 and 11), the latency histograms and every timeout.
 
-    [time], [time_ms] and [repeat_ms] read the monotonic clock
-    ([clock_gettime(CLOCK_MONOTONIC)]), which never steps, so the
-    durations they return are never negative. {!now_ms} is the wall clock
-    and is not meant for durations. *)
+    Everything here reads one time base, the monotonic clock
+    ([clock_gettime(CLOCK_MONOTONIC)]). It never steps (NTP corrections,
+    manual clock changes), so a difference of two readings is never
+    negative. It is not a calendar date: do not persist or print a
+    reading as one. *)
 
 val now_ms : unit -> float
-(** Wall-clock milliseconds since the epoch, for session timestamps and
-    TTLs. It can step (NTP, manual changes); measure durations with the
-    functions below instead. *)
+(** Monotonic milliseconds since an arbitrary fixed origin (typically
+    boot). Never decreases within a process; meaningful only as the
+    difference of two readings — session TTLs, breaker cool-downs,
+    deadlines, idle timeouts, lock wait/hold times, evidence decay. *)
 
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f ()] and returns its result together with the elapsed

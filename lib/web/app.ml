@@ -295,21 +295,15 @@ let prefetch_status t =
     | None -> "prefetch: disabled\n"
     | Some pf ->
         let plans = Bionav_prefetch.Prefetch.plans pf in
-        let spec = Bionav_prefetch.Prefetch.speculator pf in
         let module P = Bionav_prefetch.Plan_cache in
-        let module S = Bionav_prefetch.Speculator in
         Printf.sprintf
           "prefetch: enabled\n\
            plans_cached: %d\n\
            plan_hits: %d\n\
            plan_misses: %d\n\
-           plan_hit_rate: %.3f\n\
-           speculation_queue: %d\n\
-           speculations_executed: %d\n\
-           speculations_dropped: %d\n"
+           plan_hit_rate: %.3f\n"
           (P.length plans) (P.hits plans) (P.misses plans)
           (Engine.plan_cache_hit_rate t.engine)
-          (S.queue_length spec) (S.executed spec) (S.dropped spec)
   in
   Http.ok ~content_type:"text/plain; charset=utf-8" body
 

@@ -17,9 +17,8 @@
     - [/back?sid=...] — BACKTRACK;
     - [/metrics] — plaintext dump of the process metrics registry
       (expand latency percentiles, cache, session and prefetch counters);
-    - [/prefetch] — plaintext prefetch status: plan-cache size and hit
-      rate, speculation queue depth and executed/dropped counts (or
-      ["prefetch: disabled"]);
+    - [/prefetch] — plaintext plan-cache status: size, hits, misses and
+      hit rate (or ["prefetch: disabled"]);
     - [/healthz] — constant-work liveness probe (shard and session
       counts), cheap enough for load balancers and the serve bench to
       poll without perturbing the engine. *)
@@ -47,4 +46,4 @@ val session_count : t -> int
 
 val engine : t -> Bionav_engine.Engine.t
 (** The app's engine — so a server can drive engine-level concerns the
-    handler does not (background prefetch ticks, sweeps). *)
+    handler does not (warm starts, session sweeps). *)

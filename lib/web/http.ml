@@ -243,46 +243,7 @@ let parse_errors_counter = Metrics.counter "bionav_serve_parse_errors_total"
 let idle_closed_counter = Metrics.counter "bionav_serve_idle_closed_total"
 let queue_wait_hist = Metrics.histogram "bionav_serve_queue_wait_ms"
 
-(* --- hardened connection I/O (legacy one-shot path) --------------------- *)
-
-exception Request_too_long
-exception Read_timeout
-
-(* One LF-terminated line straight off the descriptor, at most [limit]
-   bytes before the terminator. Byte-at-a-time reads are plenty for a
-   request line and let SO_RCVTIMEO bound every wait: a peer that stops
-   mid-line raises [Read_timeout] instead of hanging the accept loop. *)
-let read_line_bounded fd ~limit =
-  let buf = Buffer.create 128 in
-  let byte = Bytes.create 1 in
-  let rec go () =
-    match Unix.read fd byte 0 1 with
-    | 0 -> if Buffer.length buf = 0 then raise End_of_file else Buffer.contents buf
-    | _ -> (
-        match Bytes.get byte 0 with
-        | '\n' -> Buffer.contents buf
-        | c ->
-            if Buffer.length buf >= limit then raise Request_too_long;
-            Buffer.add_char buf c;
-            go ())
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> raise Read_timeout
-  in
-  go ()
-
-(* The request line is all we need; headers are read and dropped, each
-   under the same length bound, and capped in number so a drip-feed of
-   headers cannot occupy the server indefinitely. *)
-let read_request fd ~limit =
-  let line = read_line_bounded fd ~limit in
-  let rec drain n =
-    if n >= max_header_lines then raise Request_too_long;
-    match read_line_bounded fd ~limit with
-    | "" | "\r" -> ()
-    | _ -> drain (n + 1)
-    | exception End_of_file -> ()
-  in
-  drain 0;
-  line
+(* --- connection I/O ------------------------------------------------------ *)
 
 let write_all fd s =
   let b = Bytes.unsafe_of_string s in
@@ -299,33 +260,6 @@ let run_handler handler (req : Parser.request) =
 
 let method_not_allowed =
   { status = 405; content_type = "text/plain"; body = "only GET is supported" }
-
-let handle_connection ?(config = default_server_config) handler client =
-  validate_server_config config;
-  if config.read_timeout_ms > 0. then
-    (try Unix.setsockopt_float client Unix.SO_RCVTIMEO (config.read_timeout_ms /. 1000.)
-     with Unix.Unix_error _ -> ());
-  let response =
-    match read_request client ~limit:config.max_request_line with
-    | exception Request_too_long ->
-        Metrics.incr oversized_counter;
-        bad_request "request too long"
-    | exception Read_timeout ->
-        Metrics.incr timeouts_counter;
-        { status = 408; content_type = "text/plain; charset=utf-8"; body = "request timeout" }
-    | exception End_of_file -> bad_request "empty request"
-    | line -> (
-        match parse_request_line line with
-        | None -> bad_request "malformed request line"
-        | Some (meth, _) when meth <> "GET" -> method_not_allowed
-        | Some (_, target) -> (
-            let path, query = parse_target target in
-            try handler ~path ~query
-            with e ->
-              Logs.err (fun m -> m "handler error on %s: %s" path (Printexc.to_string e));
-              { status = 500; content_type = "text/plain"; body = "internal error" }))
-  in
-  write_all client (render_response response)
 
 let shed_connection client =
   Metrics.incr shed_counter;

@@ -23,7 +23,7 @@
     with an immediate 503, and {!Admission} sheds rate-limited or
     over-capacity requests with a 503 before they reach a worker.
 
-    Metrics: the legacy hardening counters
+    Metrics: the hardening counters
     ([bionav_resilience_request_timeouts_total],
     [bionav_resilience_oversized_requests_total],
     [bionav_resilience_shed_connections_total],
@@ -160,15 +160,6 @@ val render_response_keep : keep_alive:bool -> response -> string
 
 val max_header_lines : int
 (** Default header-count bound (128). *)
-
-val handle_connection : ?config:server_config -> handler -> Unix.file_descr -> unit
-(** Legacy one-shot path: serve exactly one request on a connected
-    descriptor — read under the config's deadline and length bounds,
-    run the handler, write a [Connection: close] response. Never raises
-    for peer misbehaviour (timeout, oversized or malformed request,
-    handler exception — each maps to an error response); does {e not}
-    close the descriptor. Exposed so tests can drive the full
-    read/respond path over a [Unix.socketpair]. *)
 
 val serve_connection : ?config:server_config -> handler -> Unix.file_descr -> unit
 (** Serve one established connection to completion with blocking reads:

@@ -241,6 +241,41 @@ let prop_refine_roundtrip =
 
 (* --- caches across revisited refinements -------------------------------- *)
 
+(* One refinement-churn session: search, expand, refine, expand, facet,
+   expand, unrefine back to the base space, then facet and expand there
+   too. Returns the space id refined into, the narrowed result count and
+   the transcript a user sees — every revealed node list and every
+   published snapshot. *)
+let churn e =
+  let s = must_session (Engine.search e "cancer") in
+  let transcript = ref [] in
+  let record revealed =
+    transcript :=
+      (String.concat "," (List.map string_of_int revealed)
+      ^ "\n" ^ snapshot_fingerprint (Engine.snapshot s))
+      :: !transcript
+  in
+  let expand_root () = record (Engine.expand s (Nav_tree.root (Engine.session_nav s))) in
+  expand_root ();
+  let node = Option.get (first_refinable s) in
+  let narrowed = Engine.refine s node in
+  let space = Engine.space_id s in
+  record [];
+  expand_root ();
+  ignore (Engine.facet s : int);
+  record [];
+  expand_root ();
+  while Engine.unrefine s do
+    record []
+  done;
+  ignore (Engine.facet s : int);
+  record [];
+  expand_root ();
+  ignore (Engine.unrefine s : bool);
+  record [];
+  ignore (Engine.close e (Engine.session_id s) : bool);
+  (space, narrowed, List.rev !transcript)
+
 let test_revisited_refinement_hits_caches () =
   let e =
     engine
@@ -249,26 +284,26 @@ let test_revisited_refinement_hits_caches () =
           Engine.prefetch = Some Bionav_prefetch.Prefetch.default_config }
       ()
   in
-  let drive () =
-    let s = must_session (Engine.search e "cancer") in
-    ignore (Engine.expand s (Nav_tree.root (Engine.session_nav s)) : int list);
-    let node = Option.get (first_refinable s) in
-    let narrowed = Engine.refine s node in
-    let space = Engine.space_id s in
-    ignore (Engine.expand s (Nav_tree.root (Engine.session_nav s)) : int list);
-    ignore (Engine.unrefine s : bool);
-    ignore (Engine.close e (Engine.session_id s) : bool);
-    (space, narrowed)
-  in
   let hits0 = Metrics.value (Metrics.counter "bionav_cache_hits_total") in
-  let space1, narrowed1 = drive () in
-  let space2, narrowed2 = drive () in
+  let space1, narrowed1, seen1 = churn e in
+  let space2, narrowed2, seen2 = churn e in
   Alcotest.(check string) "same space id on revisit" space1 space2;
   Alcotest.(check int) "same result set on revisit" narrowed1 narrowed2;
   let hits1 = Metrics.value (Metrics.counter "bionav_cache_hits_total") in
   Alcotest.(check bool) "revisit served from the nav cache" true (hits1 > hits0);
   Alcotest.(check bool) "plans reused under refinement churn" true
-    (Engine.plan_cache_hit_rate e > 0.)
+    (Engine.plan_cache_hit_rate e > 0.);
+  (* Differential: the same churn with the plan cache off must show the
+     user exactly the same thing. Cached plans are keyed per space (bare
+     query for the base space, query plus derivation path for refined
+     and facet spaces) and verified against the exact member set; a plan
+     served into the wrong space or component would reveal different
+     nodes here. *)
+  let off = engine () in
+  let _, _, off1 = churn off in
+  let _, _, off2 = churn off in
+  Alcotest.(check (list string)) "cold run matches prefetch off" off1 seen1;
+  Alcotest.(check (list string)) "cached run matches prefetch off" off2 seen2
 
 let test_derivation_histograms_populated () =
   let d = deriver () in

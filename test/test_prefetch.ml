@@ -9,7 +9,6 @@ module Engine = Bionav_engine.Engine
 module Http = Bionav_web.Http
 module App = Bionav_web.App
 module Plan_cache = Bionav_prefetch.Plan_cache
-module Speculator = Bionav_prefetch.Speculator
 module Prefetch = Bionav_prefetch.Prefetch
 
 let fp = Probability.default_model.Probability.fingerprint
@@ -180,111 +179,6 @@ let test_cached_replay_is_byte_identical () =
       Alcotest.(check int) "no reduced tree" 0 r.Navigation.reduced_size)
     (Navigation.stats replay).Navigation.history
 
-(* --- speculator -------------------------------------------------------- *)
-
-(* One root EXPAND on the cancer tree plus the state speculation ranks. *)
-let root_reveal () =
-  let nav = Lazy.force cancer_nav in
-  let s = Navigation.start (Navigation.bionav ()) nav in
-  let revealed = Navigation.expand s (Nav_tree.root nav) in
-  let active = Navigation.active s in
-  let expandable = List.filter (Active_tree.is_expandable active) revealed in
-  Alcotest.(check bool) "fixture reveals >= 2 expandable nodes" true
-    (List.length expandable >= 2);
-  (active, revealed)
-
-let observe spec ~active ~revealed =
-  Speculator.observe spec ~query:"cancer" ~active ~k:Heuristic.default_k
-    ~model:Probability.default_model ~revealed
-
-let test_speculator_budget_ticks () =
-  let active, revealed = root_reveal () in
-  let cache = Plan_cache.create () in
-  let spec = Speculator.create ~top_m:2 ~max_queue:8 cache in
-  observe spec ~active ~revealed;
-  Alcotest.(check int) "top-m queued" 2 (Speculator.queue_length spec);
-  Alcotest.(check int) "budget 0 runs nothing" 0 (Speculator.tick spec ~budget:0);
-  Alcotest.(check int) "still queued" 2 (Speculator.queue_length spec);
-  Alcotest.(check int) "budget 1 runs one" 1 (Speculator.tick spec ~budget:1);
-  Alcotest.(check int) "one left" 1 (Speculator.queue_length spec);
-  Alcotest.(check int) "surplus budget drains" 1 (Speculator.tick spec ~budget:10);
-  Alcotest.(check int) "queue empty" 0 (Speculator.queue_length spec);
-  Alcotest.(check int) "executed" 2 (Speculator.executed spec);
-  Alcotest.(check int) "two plans cached" 2 (Plan_cache.length cache);
-  (* Re-observing the same reveal enqueues nothing: plans are cached now. *)
-  observe spec ~active ~revealed;
-  Alcotest.(check int) "cached candidates skipped" 0 (Speculator.queue_length spec)
-
-let test_speculator_is_deterministic () =
-  let run () =
-    let active, revealed = root_reveal () in
-    let cache = Plan_cache.create () in
-    let spec = Speculator.create ~top_m:4 ~max_queue:16 cache in
-    observe spec ~active ~revealed;
-    ignore (Speculator.tick spec ~budget:max_int);
-    let plans =
-      List.filter_map
-        (fun n ->
-          let members = Active_tree.component_set active n in
-          Option.map (fun cut -> (n, cut)) (Plan_cache.find cache ~fingerprint:fp ~query:"cancer" ~root:n ~members))
-        revealed
-    in
-    (Speculator.executed spec, plans)
-  in
-  let a = run () and b = run () in
-  Alcotest.(check bool) "two identical runs, identical plans" true (a = b);
-  Alcotest.(check bool) "speculation happened" true (fst a > 0)
-
-let test_speculated_plan_matches_foreground () =
-  let nav = Lazy.force cancer_nav in
-  let cache = Plan_cache.create () in
-  let spec = Speculator.create ~top_m:4 ~max_queue:16 cache in
-  let s1 = Navigation.start (Navigation.bionav ()) nav in
-  let revealed = Navigation.expand s1 (Nav_tree.root nav) in
-  let active1 = Navigation.active s1 in
-  observe spec ~active:active1 ~revealed;
-  Alcotest.(check bool) "jobs queued" true (Speculator.queue_length spec > 0);
-  ignore (Speculator.tick spec ~budget:max_int);
-  let target =
-    List.find
-      (fun n ->
-        Plan_cache.mem cache ~fingerprint:fp ~query:"cancer" ~root:n ~members:(Active_tree.component_set active1 n))
-      revealed
-  in
-  (* Replay: the speculated plan serves the follow-up EXPAND... *)
-  let s2 = Navigation.start (Navigation.bionav ()) nav in
-  Navigation.set_plan_source s2 (Some (Plan_cache.plan_source cache ~query:"cancer" ~fingerprint:fp));
-  Alcotest.(check (list int)) "same root reveal" revealed (Navigation.expand s2 (Nav_tree.root nav));
-  let hits_before = Plan_cache.hits cache in
-  let served = Navigation.expand s2 target in
-  Alcotest.(check int) "served from cache" (hits_before + 1) (Plan_cache.hits cache);
-  (* ...and is byte-identical to what a cold session computes. *)
-  let s3 = Navigation.start (Navigation.bionav ()) nav in
-  ignore (Navigation.expand s3 (Nav_tree.root nav));
-  Alcotest.(check (list int)) "speculated cut = foreground cut" (Navigation.expand s3 target) served
-
-let test_speculator_overflow_drops_new_job () =
-  let active, revealed = root_reveal () in
-  let cache = Plan_cache.create () in
-  let spec = Speculator.create ~top_m:2 ~max_queue:1 cache in
-  observe spec ~active ~revealed;
-  Alcotest.(check int) "bounded queue" 1 (Speculator.queue_length spec);
-  Alcotest.(check int) "overflow dropped" 1 (Speculator.dropped spec)
-
-let test_speculator_drop_query () =
-  let active, revealed = root_reveal () in
-  let cache = Plan_cache.create () in
-  let spec = Speculator.create ~top_m:2 ~max_queue:8 cache in
-  observe spec ~active ~revealed;
-  let queued = Speculator.queue_length spec in
-  Alcotest.(check int) "unrelated query drops nothing" 0 (Speculator.drop_query spec "histones");
-  Alcotest.(check int) "queue untouched" queued (Speculator.queue_length spec);
-  Alcotest.(check int) "normalized variant drops all" queued
-    (Speculator.drop_query spec "  Cancer ");
-  Alcotest.(check int) "queue empty" 0 (Speculator.queue_length spec);
-  Alcotest.(check int) "drops counted" queued (Speculator.dropped spec);
-  Alcotest.(check int) "nothing left to tick" 0 (Speculator.tick spec ~budget:8)
-
 (* --- snapshot format --------------------------------------------------- *)
 
 let sample_entries () =
@@ -358,8 +252,7 @@ let test_engine_repeat_sessions_hit_cache () =
     [
       "bionav_prefetch_plan_hits_total";
       "bionav_prefetch_plan_misses_total";
-      "bionav_prefetch_queue_depth";
-      "bionav_prefetch_speculations_total";
+      "bionav_prefetch_plan_insertions_total";
     ]
 
 let test_engine_disabled_prefetch_is_inert () =
@@ -367,48 +260,7 @@ let test_engine_disabled_prefetch_is_inert () =
   Alcotest.(check bool) "no facade" true (Engine.prefetch t = None);
   let s = must_session (Engine.search t "cancer") in
   ignore (Engine.expand s (Nav_tree.root (Engine.session_nav s)));
-  Alcotest.(check int) "tick is a no-op" 0 (Engine.prefetch_tick t ~budget:8);
   Alcotest.(check (float 1e-9)) "no hit rate" 0. (Engine.plan_cache_hit_rate t)
-
-(* Satellite: a TTL sweep that races queued speculation must leave no
-   stale work behind once the query's last session expires. *)
-let test_engine_ttl_sweep_drops_queued_speculation () =
-  let clock = Bionav_resilience.Clock.simulated () in
-  let config =
-    {
-      prefetch_config with
-      Engine.session_ttl_ms = Some 5.;
-      clock;
-      prefetch = Some { Prefetch.default_config with budget_per_action = 0 };
-    }
-  in
-  let t = engine ~config () in
-  let s = must_session (Engine.search t "cancer") in
-  ignore (Engine.expand s (Nav_tree.root (Engine.session_nav s)));
-  let spec = Prefetch.speculator (Option.get (Engine.prefetch t)) in
-  Alcotest.(check bool) "speculation queued, not yet run" true (Speculator.queue_length spec > 0);
-  let dropped_before = Speculator.dropped spec in
-  Bionav_resilience.Clock.advance clock 10.;
-  Alcotest.(check int) "session expired" 1 (Engine.sweep t);
-  Alcotest.(check int) "expired session left no queued work" 0 (Speculator.queue_length spec);
-  Alcotest.(check bool) "drops counted" true (Speculator.dropped spec > dropped_before);
-  Alcotest.(check int) "nothing for the pacer to run" 0 (Engine.prefetch_tick t ~budget:8)
-
-let test_engine_close_refcounts_query_speculation () =
-  let config =
-    { prefetch_config with prefetch = Some { Prefetch.default_config with budget_per_action = 0 } }
-  in
-  let t = engine ~config () in
-  let s1 = must_session (Engine.search t "cancer") in
-  let s2 = must_session (Engine.search t "  CANCER ") in
-  ignore (Engine.expand s1 (Nav_tree.root (Engine.session_nav s1)));
-  ignore (Engine.expand s2 (Nav_tree.root (Engine.session_nav s2)));
-  let spec = Prefetch.speculator (Option.get (Engine.prefetch t)) in
-  Alcotest.(check bool) "speculation queued" true (Speculator.queue_length spec > 0);
-  Alcotest.(check bool) "closed" true (Engine.close t (Engine.session_id s1));
-  Alcotest.(check bool) "live twin keeps the queue" true (Speculator.queue_length spec > 0);
-  Alcotest.(check bool) "closed" true (Engine.close t (Engine.session_id s2));
-  Alcotest.(check int) "last close drops the queue" 0 (Speculator.queue_length spec)
 
 let test_engine_warm_snapshot_roundtrip () =
   let t = engine ~config:prefetch_config () in
@@ -469,15 +321,6 @@ let () =
           Alcotest.test_case "cached replay byte-identical" `Quick
             test_cached_replay_is_byte_identical;
         ] );
-      ( "speculator",
-        [
-          Alcotest.test_case "budget ticks" `Quick test_speculator_budget_ticks;
-          Alcotest.test_case "deterministic" `Quick test_speculator_is_deterministic;
-          Alcotest.test_case "matches foreground" `Quick test_speculated_plan_matches_foreground;
-          Alcotest.test_case "overflow drops new job" `Quick
-            test_speculator_overflow_drops_new_job;
-          Alcotest.test_case "drop_query" `Quick test_speculator_drop_query;
-        ] );
       ( "snapshot",
         [
           Alcotest.test_case "roundtrip" `Quick test_snapshot_roundtrip;
@@ -490,10 +333,6 @@ let () =
             test_engine_repeat_sessions_hit_cache;
           Alcotest.test_case "disabled prefetch inert" `Quick
             test_engine_disabled_prefetch_is_inert;
-          Alcotest.test_case "TTL sweep drops speculation" `Quick
-            test_engine_ttl_sweep_drops_queued_speculation;
-          Alcotest.test_case "close refcounts speculation" `Quick
-            test_engine_close_refcounts_query_speculation;
           Alcotest.test_case "warm + snapshot roundtrip" `Quick
             test_engine_warm_snapshot_roundtrip;
         ] );

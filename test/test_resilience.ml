@@ -10,7 +10,6 @@ module DB = Bionav_store.Database
 module Eu = Bionav_search.Eutils
 module Engine = Bionav_engine.Engine
 module Prefetch = Bionav_prefetch.Prefetch
-module Speculator = Bionav_prefetch.Speculator
 module Clock = Bionav_resilience.Clock
 module Backoff = Bionav_resilience.Backoff
 module Retry = Bionav_resilience.Retry
@@ -80,6 +79,20 @@ let test_clock_validation () =
     (raises_invalid (fun () -> Clock.advance Clock.real 1.));
   Alcotest.(check bool) "negative advance raises" true
     (raises_invalid (fun () -> Clock.advance (Clock.simulated ()) (-1.)))
+
+(* The real clock is monotonic: readings never decrease, and a real
+   sleep shows up as elapsed time, so TTLs and cool-downs measured as
+   differences of readings are never negative. *)
+let test_real_clock_monotonic () =
+  let prev = ref (Clock.now_ms Clock.real) in
+  for i = 1 to 1_000 do
+    let now = Clock.now_ms Clock.real in
+    if now < !prev then Alcotest.failf "real clock: reading %d went back %g ms" i (!prev -. now);
+    prev := now
+  done;
+  let t0 = Clock.now_ms Clock.real in
+  Clock.sleep_ms Clock.real 2.;
+  Alcotest.(check bool) "sleep is elapsed time" true (Clock.now_ms Clock.real -. t0 >= 1.)
 
 (* --- backoff ------------------------------------------------------------ *)
 
@@ -423,38 +436,6 @@ let test_degraded_cut_never_stored () =
   ignore (Navigation.expand healthy root : int list);
   Alcotest.(check int) "computed cut memoized" 1 (List.length !stored)
 
-(* --- speculation TTL ----------------------------------------------------- *)
-
-let spec_session clock ~job_ttl_ms =
-  let nav = Lazy.force cancer_nav in
-  let pf =
-    Prefetch.create
-      ~config:{ Prefetch.default_config with budget_per_action = 0; job_ttl_ms }
-      ~clock ()
-  in
-  let session = Navigation.start (Navigation.bionav ()) nav in
-  Prefetch.attach pf ~query:"cancer" session;
-  ignore (Navigation.expand session (Nav_tree.root nav) : int list);
-  pf
-
-let test_speculation_jobs_expire () =
-  let clock = Clock.simulated () in
-  let pf = spec_session clock ~job_ttl_ms:(Some 100.) in
-  let spec = Prefetch.speculator pf in
-  Alcotest.(check bool) "jobs queued" true (Speculator.queue_length spec > 0);
-  Clock.advance clock 101.;
-  Alcotest.(check int) "stale jobs execute nothing" 0 (Prefetch.tick pf ~budget:8);
-  Alcotest.(check int) "queue drained" 0 (Speculator.queue_length spec);
-  Alcotest.(check bool) "expiries counted" true (Speculator.expired spec > 0);
-  Alcotest.(check int) "nothing executed" 0 (Speculator.executed spec)
-
-let test_speculation_jobs_run_before_ttl () =
-  let clock = Clock.simulated () in
-  let pf = spec_session clock ~job_ttl_ms:(Some 100.) in
-  Clock.advance clock 100.;  (* exactly the TTL: not yet stale *)
-  Alcotest.(check bool) "fresh jobs still run" true (Prefetch.tick pf ~budget:8 > 0);
-  Alcotest.(check int) "no expiries" 0 (Speculator.expired (Prefetch.speculator pf))
-
 (* --- engine under chaos -------------------------------------------------- *)
 
 (* Replay deterministic traffic against a chaos-injected engine and fold
@@ -522,8 +503,7 @@ let chaos_traffic ~seed ~sessions =
           (Printf.sprintf "s%d %s error %s t=%.3f\n" i q msg (Clock.now_ms clock))
     | exception e ->
         incr crashes;
-        Buffer.add_string trace (Printf.sprintf "s%d CRASH %s\n" i (Printexc.to_string e)));
-    ignore (Engine.prefetch_tick t ~budget:1 : int)
+        Buffer.add_string trace (Printf.sprintf "s%d CRASH %s\n" i (Printexc.to_string e)))
   done;
   (Buffer.contents trace, !crashes, !degraded)
 
@@ -582,6 +562,11 @@ let () =
           Alcotest.test_case "simulated clock" `Quick test_simulated_clock;
           Alcotest.test_case "validation" `Quick test_clock_validation;
         ] );
+      (* Alcotest pads each line to the longest group name and truncates
+         long test names to fit, so the printed names of the qcheck
+         properties below depend on it: keep the longest group name at
+         exactly 15 characters. *)
+      ("clock-monotonic", [ Alcotest.test_case "real clock" `Quick test_real_clock_monotonic ]);
       ( "backoff",
         [
           Alcotest.test_case "validation" `Quick test_backoff_validation;
@@ -619,11 +604,6 @@ let () =
           Alcotest.test_case "degraded expand flagged" `Quick test_degraded_expand_flagged;
           Alcotest.test_case "plan hit not degraded" `Quick test_injected_plan_is_not_degraded;
           Alcotest.test_case "degraded cut never stored" `Quick test_degraded_cut_never_stored;
-        ] );
-      ( "speculation-ttl",
-        [
-          Alcotest.test_case "jobs expire" `Quick test_speculation_jobs_expire;
-          Alcotest.test_case "jobs run before ttl" `Quick test_speculation_jobs_run_before_ttl;
         ] );
       ( "engine-chaos",
         [

@@ -32,6 +32,17 @@ let test_elapsed_never_negative () =
   let ms = Timing.repeat_ms 1_000 ignore in
   Alcotest.(check bool) "repeat_ms non-negative" true (ms >= 0.)
 
+(* [now_ms] is on the same monotonic base: consecutive readings never
+   decrease, so durations taken as differences of readings (TTLs,
+   cool-downs, lock wait/hold) are never negative. *)
+let test_now_ms_never_decreases () =
+  let prev = ref (Timing.now_ms ()) in
+  for i = 1 to 10_000 do
+    let now = Timing.now_ms () in
+    if now < !prev then Alcotest.failf "now_ms: reading %d went back %g ms" i (!prev -. now);
+    prev := now
+  done
+
 let () =
   Alcotest.run "timing"
     [
@@ -41,5 +52,6 @@ let () =
           Alcotest.test_case "measures work" `Quick test_time_measures_work;
           Alcotest.test_case "repeat mean" `Quick test_repeat_ms_mean;
           Alcotest.test_case "elapsed never negative" `Quick test_elapsed_never_negative;
+          Alcotest.test_case "now_ms never decreases" `Quick test_now_ms_never_decreases;
         ] );
     ]

@@ -364,7 +364,7 @@ let exchange ?config request =
   with_socketpair (fun client server ->
       ignore (Unix.write_substring client request 0 (String.length request));
       Unix.shutdown client Unix.SHUTDOWN_SEND;
-      Http.handle_connection ?config hello_handler server;
+      Http.serve_connection ?config hello_handler server;
       (* Shutdown, not close: closing with unread request bytes still in
          the server's receive buffer resets the connection and can
          discard the buffered response before the client reads it. *)
@@ -399,7 +399,7 @@ let test_truncated_request_times_out () =
            not for the socket deadline. *)
         let partial = "GET /x HT" in
         ignore (Unix.write_substring client partial 0 (String.length partial));
-        Http.handle_connection ~config hello_handler server;
+        Http.serve_connection ~config hello_handler server;
         Unix.shutdown server Unix.SHUTDOWN_SEND;
         read_all client)
   in
