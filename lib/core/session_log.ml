@@ -1,13 +1,5 @@
 type action = Expand of int | Show_results of int | Backtrack | Refine of int | Unrefine | Facet
 
-let pp_action ppf = function
-  | Expand c -> Format.fprintf ppf "expand %d" c
-  | Show_results c -> Format.fprintf ppf "show %d" c
-  | Backtrack -> Format.fprintf ppf "backtrack"
-  | Refine c -> Format.fprintf ppf "refine %d" c
-  | Unrefine -> Format.fprintf ppf "unrefine"
-  | Facet -> Format.fprintf ppf "facet"
-
 type event =
   | Expanded of { concept : int; revealed : int list }
   | Shown of { concept : int; n_listed : int }
@@ -26,31 +18,8 @@ let action_of_event = function
 
 type t = action list
 
-let header = "# bionav session transcript v1"
 let header_v2 = "# bionav session transcript v2"
 let supported_versions = [ 1; 2 ]
-
-let to_string actions =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf header;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun a ->
-      (* The v1 wire format predates navigation spaces; silently dropping a
-         refinement would corrupt the transcript's meaning (every later
-         action addresses the wrong space), so refuse loudly. *)
-      (match a with
-      | Refine _ | Unrefine | Facet ->
-          invalid_arg
-            (Format.asprintf
-               "Session_log.to_string: action %a is not representable in the v1 wire format; \
-                write a v2 transcript (events_to_string)"
-               pp_action a)
-      | Expand _ | Show_results _ | Backtrack -> ());
-      Buffer.add_string buf (Format.asprintf "%a" pp_action a);
-      Buffer.add_char buf '\n')
-    actions;
-  Buffer.contents buf
 
 let events_to_string events =
   let buf = Buffer.create 256 in
@@ -165,10 +134,6 @@ let events_of_string text =
              | _ -> parse_line_v1 lineno line))
 
 let of_string text = List.map action_of_event (events_of_string text)
-
-let save t path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string t))
 
 let save_events events path =
   let oc = open_out path in

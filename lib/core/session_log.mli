@@ -28,15 +28,14 @@
     v2 additionally carries each action's {e outcome} — which concepts the
     EXPAND revealed and how many citations the SHOWRESULTS listed — the
     signals an evidence aggregator needs to tell engaged concepts from
-    ignored ones. Both versions parse (a file with no header is v1);
+    ignored ones. Both versions parse (a file with no header is v1); only
+    v2 is written, the v1 reader stays for existing transcripts;
     unknown versions are rejected naming the supported ones, and a
     conflicting second header mid-file is corruption. Actions address
     nodes by {e hierarchy concept id} (stable across navigation-tree
     rebuilds), not by navigation-tree node. *)
 
 type action = Expand of int | Show_results of int | Backtrack | Refine of int | Unrefine | Facet
-
-val pp_action : Format.formatter -> action -> unit
 
 type event =
   | Expanded of { concept : int; revealed : int list }
@@ -56,11 +55,6 @@ val action_of_event : event -> action
 type t = action list
 (** Chronological. *)
 
-val to_string : t -> string
-(** v1 wire format (actions carry no outcomes). @raise Invalid_argument
-    on space-changing actions ([Refine]/[Unrefine]/[Facet]) — they are not
-    representable in v1; write a v2 transcript instead. *)
-
 val events_to_string : event list -> string
 (** v2 wire format. v2 additionally carries [refine <concept>],
     [unrefine] and [facet] lines for navigation-space changes — still
@@ -78,7 +72,6 @@ val events_of_string : string -> event list
 (** Like {!of_string} but keeps outcomes; v1 actions parse as events with
     empty outcomes ([revealed = []], [n_listed = 0]). *)
 
-val save : t -> string -> unit
 val load : string -> t
 val save_events : event list -> string -> unit
 val load_events : string -> event list

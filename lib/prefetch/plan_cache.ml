@@ -32,11 +32,6 @@ let find t ~query ~fingerprint ~root ~members =
       Metrics.incr misses_counter;
       None
 
-let mem t ~query ~fingerprint ~root ~members =
-  match Lru.peek t.cache (key query fingerprint root members) with
-  | Some e -> same_members e.members members
-  | None -> false
-
 let store t ~query ~fingerprint ~root ~members ~cut =
   match cut with
   | [] -> ()

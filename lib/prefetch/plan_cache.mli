@@ -39,11 +39,6 @@ val find :
     ids are exactly [members], refreshing LRU recency; [None] on miss or
     fingerprint collision. Counts into hits/misses. *)
 
-val mem :
-  t -> query:string -> fingerprint:string -> root:int -> members:Bionav_util.Docset.t -> bool
-(** Side-effect free: no recency refresh, no hit/miss accounting. For
-    probes that must not distort the hit rate. *)
-
 val store :
   t ->
   query:string ->

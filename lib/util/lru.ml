@@ -45,9 +45,6 @@ let find t k =
 
 let mem t k = Hashtbl.mem t.table k
 
-let peek t k =
-  match Hashtbl.find_opt t.table k with Some e -> Some e.value | None -> None
-
 let evict_lru t =
   let victim =
     Hashtbl.fold

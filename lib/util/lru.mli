@@ -20,11 +20,6 @@ val find : ('k, 'v) t -> 'k -> 'v option
 val mem : ('k, 'v) t -> 'k -> bool
 (** Does not refresh recency. *)
 
-val peek : ('k, 'v) t -> 'k -> 'v option
-(** Like {!find} but side-effect free: no recency refresh, no hit/miss
-    accounting. For callers probing "is this already cached?" without
-    distorting the statistics. *)
-
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Inserts or replaces; evicts the least recently used entry when full. *)
 
@@ -36,8 +31,8 @@ val fold : ('k, 'v) t -> ('v -> 'a -> 'a) -> 'a -> 'a
     recency or hit/miss accounting (observability walks). Structural
     mutation from inside the fold callback — {!add}, {!remove},
     {!clear} — raises [Invalid_argument] rather than leaving iteration
-    behavior unspecified; non-structural reads ({!find}, {!peek},
-    {!mem}) remain allowed. *)
+    behavior unspecified; non-structural reads ({!find}, {!mem})
+    remain allowed. *)
 
 val hits : ('k, 'v) t -> int
 val misses : ('k, 'v) t -> int

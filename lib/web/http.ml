@@ -116,11 +116,6 @@ let parse_target target =
       in
       (url_decode_component ~plus_as_space:false path, params)
 
-let parse_request_line line =
-  match String.split_on_char ' ' (String.trim line) with
-  | [ meth; target; _version ] -> Some (meth, target)
-  | _ -> None
-
 let status_text = function
   | 200 -> "OK"
   | 400 -> "Bad Request"
@@ -261,27 +256,6 @@ let run_handler handler (req : Parser.request) =
 let method_not_allowed =
   { status = 405; content_type = "text/plain"; body = "only GET is supported" }
 
-let shed_connection client =
-  Metrics.incr shed_counter;
-  (try
-     write_all client
-       (render_response
-          { status = 503;
-            content_type = "text/plain; charset=utf-8";
-            body = "server overloaded, try again" })
-   with Unix.Unix_error _ | Sys_error _ -> ());
-  try Unix.close client with Unix.Unix_error _ -> ()
-
-(* --- keep-alive connection driver (blocking; socketpair-testable) ------- *)
-
-let recv_capacity config = max 16384 (2 * config.max_request_line)
-
-(* A response carries [Connection: keep-alive] only if the server allows
-   it, the request asked for (or defaulted to) it, and this response
-   does not exhaust the per-connection budget. *)
-let effective_keep config ~served (req : Parser.request) =
-  config.keep_alive && req.Parser.keep_alive && served + 1 < config.max_requests_per_conn
-
 let timeout_response =
   { status = 408; content_type = "text/plain; charset=utf-8"; body = "request timeout" }
 
@@ -291,99 +265,155 @@ let overload_response =
 let rate_limited_response =
   { status = 503; content_type = "text/plain; charset=utf-8"; body = "rate limited, slow down" }
 
-(* Serve one established connection to completion with blocking reads:
-   the keep-alive request/response loop over the incremental parser,
-   with SO_RCVTIMEO bounding each wait — [idle_timeout_ms] between
-   requests (expiry closes silently), [read_timeout_ms] mid-request
-   (expiry answers 408). This is the single-connection semantics of the
-   readiness loop in a form a socketpair test can drive; it does not
-   close [fd]. *)
-let serve_connection ?(config = default_server_config) handler fd =
-  validate_server_config config;
-  let cap = recv_capacity config in
-  let buf = Bytes.create cap in
-  let rlen = ref 0 in
-  let served = ref 0 in
-  let set_deadline ms =
-    try Unix.setsockopt_float fd Unix.SO_RCVTIMEO (if ms > 0. then ms /. 1000. else 0.)
-    with Unix.Unix_error _ -> ()
-  in
-  let send ~keep resp =
-    write_all fd (render_response_keep ~keep_alive:keep resp);
-    incr served
-  in
-  let rec step () =
-    match Parser.parse ~max_line:config.max_request_line buf ~len:!rlen with
-    | Parser.Error e ->
-        Metrics.incr parse_errors_counter;
-        (match e with
-        | Parser.Line_too_long | Parser.Too_many_headers ->
-            Metrics.incr oversized_counter;
-            send ~keep:false (bad_request "request too long")
-        | Parser.Bad_request_line -> send ~keep:false (bad_request "malformed request line"))
+let shed_connection client =
+  Metrics.incr shed_counter;
+  (try write_all client (render_response overload_response)
+   with Unix.Unix_error _ | Sys_error _ -> ());
+  try Unix.close client with Unix.Unix_error _ -> ()
+
+(* --- per-connection state machine ----------------------------------------- *)
+
+let recv_capacity config = max 16384 (2 * config.max_request_line)
+
+module Conn = struct
+  type event = Data of string | Eof | Response of response | Progress | Flushed | Tick
+
+  type action = Write of string | Run of Parser.request | Close
+
+  type t = {
+    config : server_config;
+    cap : int;
+    mutable buf : Bytes.t;
+    mutable rlen : int;
+    mutable served : int;
+    mutable keep : bool;  (* keep-alive verdict of the request in flight *)
+    mutable busy : bool;  (* a [Run] awaits its [Response] *)
+    mutable writing : bool;  (* a [Write] awaits [Flushed] *)
+    mutable eof : bool;
+    mutable since_ms : float;  (* start of whichever deadline applies now *)
+  }
+
+  let initial_buf = 256
+
+  let create config ~now_ms =
+    validate_server_config config;
+    { config; cap = recv_capacity config; buf = Bytes.create initial_buf; rlen = 0; served = 0;
+      keep = true; busy = false; writing = false; eof = false; since_ms = now_ms }
+
+  let room t = if t.busy || t.eof || (t.writing && not t.keep) then 0 else max 0 (t.cap - t.rlen)
+
+  let idle t = (not (t.busy || t.writing)) && t.rlen = 0
+
+  let append t s =
+    let n = String.length s in
+    if t.rlen + n > Bytes.length t.buf then begin
+      let nb = Bytes.create (max (t.rlen + n) (min t.cap (2 * Bytes.length t.buf))) in
+      Bytes.blit t.buf 0 nb 0 t.rlen;
+      t.buf <- nb
+    end;
+    Bytes.blit_string s 0 t.buf t.rlen n;
+    t.rlen <- t.rlen + n
+
+  let consume t n =
+    let rest = t.rlen - n in
+    if rest > 0 then Bytes.blit t.buf n t.buf 0 rest;
+    t.rlen <- rest;
+    (* Shrink a grown buffer once drained so parked keep-alive
+       connections pay the idle footprint, not their largest request. *)
+    if rest = 0 && Bytes.length t.buf > 4096 then t.buf <- Bytes.create initial_buf
+
+  let write t ~now_ms ~keep resp =
+    t.keep <- keep;
+    t.writing <- true;
+    t.served <- t.served + 1;
+    t.since_ms <- now_ms;
+    [ Write (render_response_keep ~keep_alive:keep resp) ]
+
+  let reject t ~now_ms ~oversized reason =
+    Metrics.incr parse_errors_counter;
+    if oversized then Metrics.incr oversized_counter;
+    write t ~now_ms ~keep:false (bad_request reason)
+
+  (* Parse the next buffered request; called only when no request is in
+     flight, so pipelined requests are answered strictly one at a time. *)
+  let next t ~now_ms =
+    match Parser.parse ~max_line:t.config.max_request_line t.buf ~len:t.rlen with
+    | Parser.Error Parser.Bad_request_line ->
+        reject t ~now_ms ~oversized:false "malformed request line"
+    | Parser.Error (Parser.Line_too_long | Parser.Too_many_headers) ->
+        reject t ~now_ms ~oversized:true "request too long"
+    | Parser.Incomplete when t.rlen >= t.cap -> reject t ~now_ms ~oversized:true "request too long"
+    | Parser.Incomplete when t.eof ->
+        if t.rlen > 0 then reject t ~now_ms ~oversized:false "truncated request" else [ Close ]
+    | Parser.Incomplete -> []
     | Parser.Complete (req, consumed) ->
-        let rest = !rlen - consumed in
-        if rest > 0 then Bytes.blit buf consumed buf 0 rest;
-        rlen := rest;
-        let keep = effective_keep config ~served:!served req in
+        consume t consumed;
         Metrics.incr serve_requests_counter;
-        if !served > 0 then Metrics.incr keepalive_reuse_counter;
-        send ~keep
-          (if req.Parser.meth <> "GET" then method_not_allowed else run_handler handler req);
-        if keep then step ()
-    | Parser.Incomplete ->
-        if !rlen >= cap then begin
-          Metrics.incr parse_errors_counter;
-          Metrics.incr oversized_counter;
-          send ~keep:false (bad_request "request too long")
-        end
+        if t.served > 0 then Metrics.incr keepalive_reuse_counter;
+        (* [Connection: keep-alive] only if the server allows it, the
+           request asked for (or defaulted to) it, and this response does
+           not exhaust the per-connection budget. *)
+        let c = t.config in
+        let keep =
+          c.keep_alive && req.Parser.keep_alive && t.served + 1 < c.max_requests_per_conn
+        in
+        if req.Parser.meth <> "GET" then write t ~now_ms ~keep method_not_allowed
         else begin
-          let idle = !rlen = 0 in
-          set_deadline (if idle then config.idle_timeout_ms else config.read_timeout_ms);
-          match Unix.read fd buf !rlen (cap - !rlen) with
-          | 0 ->
-              if !rlen > 0 then begin
-                Metrics.incr parse_errors_counter;
-                send ~keep:false (bad_request "truncated request")
-              end
-          | n ->
-              rlen := !rlen + n;
-              step ()
-          | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-              if idle then Metrics.incr idle_closed_counter
-              else begin
-                Metrics.incr timeouts_counter;
-                send ~keep:false timeout_response
-              end
+          t.keep <- keep;
+          t.busy <- true;
+          [ Run req ]
         end
-  in
-  try step () with
-  | Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> ()
-  | Sys_error _ -> ()
 
-(* --- readiness-loop server ---------------------------------------------- *)
+  let expired t ~now_ms limit = limit > 0. && now_ms -. t.since_ms > limit
 
-(* Per-connection state owned exclusively by the listener domain. An
-   idle connection is this record plus a drained 256-byte read buffer —
-   a few hundred bytes, not a parked domain. *)
+  let step t ~now_ms = function
+    | Data s ->
+        if t.rlen = 0 && not (t.busy || t.writing) then t.since_ms <- now_ms;
+        append t s;
+        if t.busy || t.writing then [] else next t ~now_ms
+    | Eof ->
+        t.eof <- true;
+        if t.busy || t.writing then [] else next t ~now_ms
+    | Response r ->
+        t.busy <- false;
+        write t ~now_ms ~keep:t.keep r
+    | Progress ->
+        t.since_ms <- now_ms;
+        []
+    | Flushed ->
+        t.writing <- false;
+        t.since_ms <- now_ms;
+        if t.keep then next t ~now_ms else [ Close ]
+    | Tick ->
+        if t.busy then []
+        else if t.writing || t.rlen = 0 then
+          if expired t ~now_ms t.config.idle_timeout_ms then begin
+            Metrics.incr idle_closed_counter;
+            [ Close ]
+          end
+          else []
+        else if expired t ~now_ms t.config.read_timeout_ms then begin
+          Metrics.incr timeouts_counter;
+          write t ~now_ms ~keep:false timeout_response
+        end
+        else []
+end
+
+(* --- readiness loop over the machines ------------------------------------ *)
+
+(* The listener's view of one connection: the socket and the bytes of
+   the one response the machine may have pending. An idle connection is
+   this record plus the machine's drained 256-byte read buffer. *)
 type conn = {
   fd : Unix.file_descr;
   peer : string;
-  mutable buf : Bytes.t;
-  mutable rlen : int;
-  outq : string Queue.t;
+  m : Conn.t;
+  mutable out : string;
   mutable out_off : int;
-  mutable busy : bool;
-  mutable served : int;
-  mutable last_activity_ms : float;
-  mutable close_after_write : bool;
-  mutable eof : bool;
   mutable closed : bool;
 }
 
-type pending = { p_conn : conn; p_req : Parser.request; p_keep : bool; p_enqueued_ms : float }
-
-let initial_rbuf = 256
+type pending = { p_conn : conn; p_req : Parser.request; p_enqueued_ms : float }
 
 let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max_requests
     ~port handler =
@@ -392,7 +422,7 @@ let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max
   | Some n when n < 1 -> invalid_arg "Http.serve: max_requests must be >= 1"
   | Some _ | None -> ());
   let clock = config.clock in
-  let cap = recv_capacity config in
+  let now () = Clock.now_ms clock in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
   Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
@@ -417,7 +447,7 @@ let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max
   let inline = config.domains = 1 in
   let queue : pending Bounded_queue.t = Bounded_queue.create ~capacity:config.queue_capacity in
   let completions_mu = Mutex.create () in
-  let completions : (conn * string * bool) list ref = ref [] in
+  let completions : (conn * response) list ref = ref [] in
   let wake_r, wake_w = Unix.pipe () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
@@ -435,119 +465,57 @@ let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max
       Metrics.set open_conns_gauge (float_of_int (Hashtbl.length conns))
     end
   in
-  let rec flush_conn c =
-    if not c.closed then
-      match Queue.peek_opt c.outq with
-      | None -> if c.close_after_write || (c.eof && not c.busy) then close_conn c
-      | Some s -> (
-          let remaining = String.length s - c.out_off in
-          match Unix.write_substring c.fd s c.out_off remaining with
-          | n when n = remaining ->
-              ignore (Queue.pop c.outq);
-              c.out_off <- 0;
-              flush_conn c
-          | n -> c.out_off <- c.out_off + n
-          | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-          | exception Unix.Unix_error (_, _, _) -> close_conn c)
-  in
-  let respond_direct c ~keep resp =
-    Queue.push (render_response_keep ~keep_alive:keep resp) c.outq;
-    c.served <- c.served + 1;
-    if not keep then c.close_after_write <- true
-  in
-  let consume c n =
-    let rest = c.rlen - n in
-    if rest > 0 then Bytes.blit c.buf n c.buf 0 rest;
-    c.rlen <- rest;
-    (* Shrink a grown buffer once drained so parked keep-alive
-       connections pay the idle footprint, not their largest request. *)
-    if rest = 0 && Bytes.length c.buf > 4096 then c.buf <- Bytes.create initial_rbuf
-  in
-  let rec dispatch c =
-    if (not c.closed) && (not c.busy) && not c.close_after_write then
-      match Parser.parse ~max_line:config.max_request_line c.buf ~len:c.rlen with
-      | Parser.Incomplete ->
-          if c.rlen >= cap then begin
-            Metrics.incr parse_errors_counter;
-            Metrics.incr oversized_counter;
-            respond_direct c ~keep:false (bad_request "request too long")
-          end
-      | Parser.Error e ->
-          Metrics.incr parse_errors_counter;
-          (match e with
-          | Parser.Bad_request_line ->
-              respond_direct c ~keep:false (bad_request "malformed request line")
-          | Parser.Line_too_long | Parser.Too_many_headers ->
-              Metrics.incr oversized_counter;
-              respond_direct c ~keep:false (bad_request "request too long"))
-      | Parser.Complete (req, consumed) -> (
-          consume c consumed;
-          c.last_activity_ms <- Clock.now_ms clock;
-          let keep = effective_keep config ~served:c.served req in
-          if req.Parser.meth <> "GET" then begin
-            Metrics.incr serve_requests_counter;
-            respond_direct c ~keep method_not_allowed;
-            dispatch c
-          end
-          else
-            match Admission.admit adm ~peer:c.peer with
-            | Admission.Shed_rate_limited ->
-                respond_direct c ~keep rate_limited_response;
-                dispatch c
-            | Admission.Shed_overload ->
-                Metrics.incr shed_counter;
-                respond_direct c ~keep overload_response;
-                dispatch c
-            | Admission.Admit ->
-                Metrics.incr serve_requests_counter;
-                if c.served > 0 then Metrics.incr keepalive_reuse_counter;
-                c.busy <- true;
-                if inline then begin
-                  let resp = run_handler handler req in
-                  apply_completion (c, render_response_keep ~keep_alive:keep resp, keep)
-                end
-                else begin
-                  let p =
-                    { p_conn = c; p_req = req; p_keep = keep;
-                      p_enqueued_ms = Clock.now_ms clock }
-                  in
-                  if Bounded_queue.try_push queue p then
-                    Metrics.set queue_gauge (float_of_int (Bounded_queue.length queue))
-                  else begin
-                    Admission.release adm;
-                    c.busy <- false;
-                    Metrics.incr shed_counter;
-                    Metrics.incr (Metrics.counter Admission.shed_overload_total);
-                    respond_direct c ~keep overload_response;
-                    dispatch c
-                  end
-                end)
-  and apply_completion (c, rendered, keep) =
+  let rec feed c ev = if not c.closed then List.iter (act c) (Conn.step c.m ~now_ms:(now ()) ev)
+  and act c = function
+    | _ when c.closed -> ()
+    | Conn.Close -> close_conn c
+    | Conn.Write s ->
+        c.out <- s;
+        c.out_off <- 0;
+        flush c
+    | Conn.Run req -> (
+        match Admission.admit adm ~peer:c.peer with
+        | Admission.Shed_rate_limited -> feed c (Conn.Response rate_limited_response)
+        | Admission.Shed_overload ->
+            Metrics.incr shed_counter;
+            feed c (Conn.Response overload_response)
+        | Admission.Admit ->
+            if inline then complete (c, run_handler handler req)
+            else if Bounded_queue.try_push queue { p_conn = c; p_req = req; p_enqueued_ms = now () }
+            then Metrics.set queue_gauge (float_of_int (Bounded_queue.length queue))
+            else begin
+              Admission.release adm;
+              Metrics.incr shed_counter;
+              Metrics.incr (Metrics.counter Admission.shed_overload_total);
+              feed c (Conn.Response overload_response)
+            end)
+  and flush c =
+    let remaining = String.length c.out - c.out_off in
+    if (not c.closed) && remaining > 0 then
+      match Unix.write_substring c.fd c.out c.out_off remaining with
+      | n when n = remaining ->
+          c.out <- "";
+          c.out_off <- 0;
+          feed c Conn.Flushed
+      | n ->
+          c.out_off <- c.out_off + n;
+          feed c Conn.Progress
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+      | exception Unix.Unix_error (_, _, _) -> close_conn c
+  and complete (c, resp) =
     Admission.release adm;
     incr completed;
     if not (budget_ok ()) then running := false;
-    if not c.closed then begin
-      c.busy <- false;
-      Queue.push rendered c.outq;
-      c.served <- c.served + 1;
-      if not keep then c.close_after_write <- true;
-      flush_conn c;
-      if not c.closed then begin
-        dispatch c;
-        flush_conn c
-      end
-    end
+    feed c (Conn.Response resp)
   in
   let worker () =
     let rec loop () =
       match Bounded_queue.pop_opt queue with
       | None -> ()
       | Some p ->
-          Metrics.observe queue_wait_hist (Float.max 0. (Clock.now_ms clock -. p.p_enqueued_ms));
+          Metrics.observe queue_wait_hist (Float.max 0. (now () -. p.p_enqueued_ms));
           let resp = run_handler handler p.p_req in
-          let rendered = render_response_keep ~keep_alive:p.p_keep resp in
-          Mutex.protect completions_mu (fun () ->
-              completions := (p.p_conn, rendered, p.p_keep) :: !completions);
+          Mutex.protect completions_mu (fun () -> completions := (p.p_conn, resp) :: !completions);
           wake ();
           loop ()
     in
@@ -556,30 +524,17 @@ let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max
   let workers =
     if inline then [||] else Array.init config.domains (fun _ -> Domain.spawn worker)
   in
-  let grow c =
-    let nb = Bytes.create (min cap (2 * Bytes.length c.buf)) in
-    Bytes.blit c.buf 0 nb 0 c.rlen;
-    c.buf <- nb
-  in
-  let handle_readable c =
-    let rec rd () =
-      if (not c.closed) && c.rlen < cap && not c.eof then begin
-        if c.rlen = Bytes.length c.buf then grow c;
-        match Unix.read c.fd c.buf c.rlen (Bytes.length c.buf - c.rlen) with
-        | 0 -> c.eof <- true
-        | n ->
-            c.rlen <- c.rlen + n;
-            c.last_activity_ms <- Clock.now_ms clock;
-            rd ()
-        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-        | exception Unix.Unix_error (_, _, _) -> close_conn c
-      end
-    in
-    rd ();
-    if not c.closed then begin
-      dispatch c;
-      if not c.closed then flush_conn c
-    end
+  let scratch = Bytes.create (recv_capacity config) in
+  let rec handle_readable c =
+    let room = min (Conn.room c.m) (Bytes.length scratch) in
+    if (not c.closed) && room > 0 then
+      match Unix.read c.fd scratch 0 room with
+      | 0 -> feed c Conn.Eof
+      | n ->
+          feed c (Conn.Data (Bytes.sub_string scratch 0 n));
+          handle_readable c
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+      | exception Unix.Unix_error (_, _, _) -> close_conn c
   in
   let accept_ready () =
     let continue = ref true in
@@ -595,13 +550,9 @@ let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max
               | Unix.ADDR_INET (a, _) -> Unix.string_of_inet_addr a
               | Unix.ADDR_UNIX p -> "unix:" ^ p
             in
-            let c =
-              { fd = client; peer; buf = Bytes.create initial_rbuf; rlen = 0;
-                outq = Queue.create (); out_off = 0; busy = false; served = 0;
-                last_activity_ms = Clock.now_ms clock; close_after_write = false;
-                eof = false; closed = false }
-            in
-            Hashtbl.replace conns client c;
+            Hashtbl.replace conns client
+              { fd = client; peer; m = Conn.create config ~now_ms:(now ()); out = ""; out_off = 0;
+                closed = false };
             Metrics.set open_conns_gauge (float_of_int (Hashtbl.length conns))
           end
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EMFILE | ENFILE), _, _) ->
@@ -626,37 +577,17 @@ let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max
           completions := [];
           List.rev l)
     in
-    List.iter apply_completion comps
+    List.iter complete comps
   in
-  let sweep now =
+  let sweep () =
     let idle_count = ref 0 in
-    let to_idle_close = ref [] in
-    let to_timeout = ref [] in
-    Hashtbl.iter
-      (fun _ c ->
-        if not c.closed then
-          if (not c.busy) && c.rlen = 0 && Queue.is_empty c.outq then begin
-            incr idle_count;
-            if config.idle_timeout_ms > 0. && now -. c.last_activity_ms > config.idle_timeout_ms
-            then to_idle_close := c :: !to_idle_close
-          end
-          else if
-            (not c.busy) && c.rlen > 0 && config.read_timeout_ms > 0.
-            && now -. c.last_activity_ms > config.read_timeout_ms
-          then to_timeout := c :: !to_timeout)
-      conns;
-    Metrics.set idle_conns_gauge (float_of_int !idle_count);
+    let all = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
     List.iter
       (fun c ->
-        Metrics.incr idle_closed_counter;
-        close_conn c)
-      !to_idle_close;
-    List.iter
-      (fun c ->
-        Metrics.incr timeouts_counter;
-        respond_direct c ~keep:false timeout_response;
-        flush_conn c)
-      !to_timeout
+        if Conn.idle c.m then incr idle_count;
+        feed c Conn.Tick)
+      all;
+    Metrics.set idle_conns_gauge (float_of_int !idle_count)
   in
   let pset = Poll.create ~initial_capacity:1024 () in
   let reg : conn option array ref = ref (Array.make 1024 None) in
@@ -670,7 +601,7 @@ let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max
     !reg.(!reg_n) <- co;
     incr reg_n
   in
-  let last_sweep = ref (Clock.now_ms clock) in
+  let last_sweep = ref (now ()) in
   while !running do
     Poll.clear pset;
     reg_n := 0;
@@ -681,10 +612,8 @@ let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max
     Hashtbl.iter
       (fun _ c ->
         let ev =
-          (if (not c.busy) && (not c.close_after_write) && (not c.eof) && c.rlen < cap then
-             Poll.pollin
-           else 0)
-          lor (if Queue.is_empty c.outq then 0 else Poll.pollout)
+          (if Conn.room c.m > 0 then Poll.pollin else 0)
+          lor if c.out = "" then 0 else Poll.pollout
         in
         Poll.add pset c.fd ev;
         reg_push (Some c))
@@ -699,7 +628,7 @@ let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max
           | None -> if i = 0 then accept_ready () else drain_wake ()
           | Some c ->
               if not c.closed then begin
-                if re land Poll.pollout <> 0 then flush_conn c;
+                if re land Poll.pollout <> 0 then flush c;
                 if (not c.closed) && re land Poll.pollin <> 0 then handle_readable c;
                 if (not c.closed) && re land Poll.pollerr <> 0 && re land Poll.pollin = 0
                 then close_conn c
@@ -707,10 +636,9 @@ let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max
       end
     done;
     drain_completions ();
-    let now = Clock.now_ms clock in
-    if now -. !last_sweep >= 100. then begin
-      last_sweep := now;
-      sweep now
+    if now () -. !last_sweep >= 100. then begin
+      last_sweep := now ();
+      sweep ()
     end
   done;
   (try Unix.close sock with Unix.Unix_error _ -> ());
@@ -722,17 +650,9 @@ let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max
   let remaining = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
   List.iter
     (fun c ->
-      (try Unix.clear_nonblock c.fd with Unix.Unix_error _ -> ());
       (try
-         while not (Queue.is_empty c.outq) do
-           let s = Queue.peek c.outq in
-           let n = Unix.write_substring c.fd s c.out_off (String.length s - c.out_off) in
-           if c.out_off + n >= String.length s then begin
-             ignore (Queue.pop c.outq);
-             c.out_off <- 0
-           end
-           else c.out_off <- c.out_off + n
-         done
+         Unix.clear_nonblock c.fd;
+         write_all c.fd (String.sub c.out c.out_off (String.length c.out - c.out_off))
        with Unix.Unix_error _ -> ());
       close_conn c)
     remaining;

@@ -1,27 +1,35 @@
 (** The HTTP/1.1 serving tier: keep-alive with pipelining, a readiness
     loop over poll(2), and per-peer admission control.
 
-    Only GET is supported. The {!serve} entry point runs a single
-    listener domain that owns every socket: it accepts, reads, parses
-    (incrementally, via {!Parser}) and writes, so an idle keep-alive
-    connection costs a few hundred bytes of state instead of a parked
-    domain. With [domains = 1] parsed requests run inline on the
-    listener (sequential handler semantics, byte-for-byte the responses
-    of the pre-keep-alive server when [keep_alive = false]); with
-    [domains > 1] ready parsed requests are handed to a fixed pool of
-    worker domains over a bounded queue and the rendered responses come
-    back to the listener for writing — the handler must then be safe to
-    call from multiple domains concurrently (the engine's sharded
-    sessions and domain-safe metrics are). No external dependencies
-    beyond [Unix] and a small poll(2) stub ({!Poll}).
+    Only GET is supported. The tier is split in two. {!Conn} is a pure
+    per-connection state machine (bytes, EOF, responses and clock ticks
+    in; writes, handler runs and closes out) and the only implementation
+    of the protocol: parsing, pipelining, keep-alive, the 400/405/408
+    answers and the deadlines. {!serve} runs one per socket and owns
+    everything touching the outside world: one listener domain accepts,
+    reads, writes partial output and runs {!Admission}, so an idle
+    keep-alive connection costs a few hundred bytes of state instead of
+    a parked domain. With [domains = 1] admitted requests run inline on
+    the listener (sequential handler semantics, byte-for-byte the
+    responses of the pre-keep-alive server when [keep_alive = false]);
+    with [domains > 1] they go to a fixed pool of worker domains over a
+    bounded queue and the responses come back to the listener — the
+    handler must then be safe to call from multiple domains concurrently
+    (the engine's sharded sessions and domain-safe metrics are). No
+    external dependencies beyond [Unix] and a small poll(2) stub
+    ({!Poll}).
 
     Hardened against misbehaving peers: request lines and header lines
-    are length-bounded even while incomplete (400 past the bound), a
-    peer that stalls mid-request gets a 408 after [read_timeout_ms], an
-    idle keep-alive connection is closed silently after
-    [idle_timeout_ms], connections beyond [max_connections] are shed
-    with an immediate 503, and {!Admission} sheds rate-limited or
-    over-capacity requests with a 503 before they reach a worker.
+    are length-bounded even while incomplete (400 past the bound); a
+    request cut short by EOF is answered 400; a request not complete
+    within [read_timeout_ms] of its first byte gets a 408, however
+    slowly it trickles in; an idle keep-alive connection, and one whose
+    peer stops reading its response, is closed silently after
+    [idle_timeout_ms]; a connection holds at most one rendered response
+    however many requests it pipelines; connections beyond
+    [max_connections] are shed with an immediate 503; and {!Admission}
+    sheds rate-limited or over-capacity requests with a 503 before they
+    reach a worker.
 
     Metrics: the hardening counters
     ([bionav_resilience_request_timeouts_total],
@@ -29,7 +37,8 @@
     [bionav_resilience_shed_connections_total],
     [bionav_web_queue_depth]) plus the serving-tier family —
     [bionav_serve_open_connections], [bionav_serve_idle_connections],
-    [bionav_serve_requests_total], [bionav_serve_keepalive_reuses_total],
+    [bionav_serve_requests_total] (every complete request head,
+    including shed ones), [bionav_serve_keepalive_reuses_total],
     [bionav_serve_parse_errors_total], [bionav_serve_idle_closed_total],
     [bionav_serve_queue_wait_ms] and the {!Admission} shed counters. *)
 
@@ -46,8 +55,9 @@ type handler = path:string -> query:(string * string) list -> response
 type server_config = {
   backlog : int;  (** [Unix.listen] backlog (>= 1). Default 128. *)
   read_timeout_ms : float;
-      (** Deadline for completing a started request; a stalled peer
-          times out with a 408. 0 disables. Default 5000. *)
+      (** Deadline for completing a started request, measured from its
+          first byte; a stalled or drip-feeding peer times out with a
+          408. 0 disables. Default 5000. *)
   max_request_line : int;
       (** Bound on the request line and each header line, in bytes
           (>= 1); longer gets a 400. Default 8192. *)
@@ -69,8 +79,9 @@ type server_config = {
           client asked for. *)
   idle_timeout_ms : float;
       (** Close a connection silently after this long with no request
-          in progress (counted in [bionav_serve_idle_closed_total]).
-          0 disables. Default 30000. *)
+          in progress, or whose pending response makes no write progress
+          for this long (both counted in
+          [bionav_serve_idle_closed_total]). 0 disables. Default 30000. *)
   max_requests_per_conn : int;
       (** Requests served on one connection before the server forces
           [Connection: close] (>= 1). Default 1000. *)
@@ -106,9 +117,6 @@ val parse_target : string -> string * (string * string) list
     is percent-decoded without the [+]→space rule. Repeated keys are
     all kept, in request order, so [List.assoc] sees the first
     occurrence — the behavior every route in {!App} relies on. *)
-
-val parse_request_line : string -> (string * string) option
-(** ["GET /x HTTP/1.1"] -> [Some ("GET", "/x")]; [None] if malformed. *)
 
 (** Incremental, resumable HTTP/1.1 request parsing over a
     per-connection buffer.
@@ -161,16 +169,56 @@ val render_response_keep : keep_alive:bool -> response -> string
 val max_header_lines : int
 (** Default header-count bound (128). *)
 
-val serve_connection : ?config:server_config -> handler -> Unix.file_descr -> unit
-(** Serve one established connection to completion with blocking reads:
-    the keep-alive request/response loop over {!Parser}, answering
-    pipelined requests in order until the client closes, sends
-    [Connection: close], exhausts [max_requests_per_conn], or times
-    out — [idle_timeout_ms] between requests closes silently,
-    [read_timeout_ms] mid-request answers 408 (both via [SO_RCVTIMEO]).
-    This is the single-connection semantics of {!serve} in a form a
-    socketpair test can drive; it does {e not} apply admission control
-    and does {e not} close the descriptor. *)
+(** The per-connection state machine: the one implementation of the
+    HTTP/1.1 connection protocol, which {!serve} drives for every socket
+    and tests drive directly with a simulated clock. It owns the read
+    buffer, {!Parser} calls and pipelining, the keep-alive decision, the
+    400/405/408 responses, the idle and read deadlines and the
+    [bionav_serve_*] request and parse-error counters; it touches no
+    socket and reads no clock (every event carries [now_ms]).
+
+    Requests are answered strictly one at a time: after a [Run] the
+    machine emits nothing until its [Response], and after a [Write]
+    nothing until [Flushed]. So a connection never holds more than one
+    rendered response, however many requests a peer pipelines. *)
+module Conn : sig
+  type t
+
+  type event =
+    | Data of string  (** Bytes read from the peer (at most {!room}). *)
+    | Eof  (** The peer closed its sending side. *)
+    | Response of response  (** The answer to the last [Run]. *)
+    | Progress  (** Part of the last [Write] reached the peer. *)
+    | Flushed  (** All of the last [Write] reached the peer. *)
+    | Tick  (** Time passed: check the deadlines. *)
+
+  type action =
+    | Write of string
+        (** Send these bytes: report [Progress] after a partial write and
+            [Flushed] once all are sent. *)
+    | Run of Parser.request  (** Answer this GET with a [Response]. *)
+    | Close  (** Close the connection now. *)
+
+  val create : server_config -> now_ms:float -> t
+  (** @raise Invalid_argument on a malformed config. *)
+
+  val step : t -> now_ms:float -> event -> action list
+  (** Deadlines, checked on [Tick]: a request must be complete within
+      [read_timeout_ms] of its first byte (or of the previous response
+      flushing, if it was pipelined) or it is answered 408 — bytes that
+      trickle in do not extend it. A connection with no request in
+      progress is closed silently after [idle_timeout_ms]; so is one
+      whose pending [Write] makes no progress for [idle_timeout_ms] (a
+      peer that stopped reading). [Eof] mid-request answers 400
+      ["truncated request"]. *)
+
+  val room : t -> int
+  (** How many bytes the machine accepts now: 0 while a request is in
+      flight, after [Eof], or while closing. *)
+
+  val idle : t -> bool
+  (** No request in progress and nothing buffered either way. *)
+end
 
 val shed_connection : Unix.file_descr -> unit
 (** Best-effort 503 and close — load shedding for connections beyond
@@ -186,10 +234,10 @@ val serve :
   unit
 (** The readiness-loop server. One listener domain owns the listening
     socket and every connection: poll(2) readiness drives non-blocking
-    accepts, reads, incremental parsing and writes; complete parsed
-    requests pass {!Admission} and run either inline ([domains = 1]) or
-    on the worker pool, whose rendered responses return to the listener
-    for in-order writing. Exceptions from the handler produce a 500 and
+    accepts, reads and writes, each fed to the connection's {!Conn}
+    machine; the requests it emits pass {!Admission} and run either
+    inline ([domains = 1]) or on the worker pool, whose responses return
+    to the listener. Exceptions from the handler produce a 500 and
     are logged; socket errors on one connection do not kill the server.
     [on_ready] fires once the socket is listening, with the actual
     bound port (pass [port:0] to let the kernel pick — the way tests

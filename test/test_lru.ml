@@ -59,18 +59,6 @@ let test_capacity_one_churn () =
   Alcotest.(check bool) "old gone" false (Lru.mem c "a");
   Alcotest.(check (option int)) "new present" (Some 3) (Lru.find c "b")
 
-let test_peek_no_side_effects () =
-  let c = Lru.create ~capacity:2 in
-  Lru.add c "a" 1;
-  Lru.add c "b" 2;
-  Alcotest.(check (option int)) "peek hit" (Some 1) (Lru.peek c "a");
-  Alcotest.(check (option int)) "peek miss" None (Lru.peek c "z");
-  Alcotest.(check int) "no hits recorded" 0 (Lru.hits c);
-  Alcotest.(check int) "no misses recorded" 0 (Lru.misses c);
-  (* No recency refresh either: "a" must still be the eviction victim. *)
-  Lru.add c "c" 3;
-  Alcotest.(check bool) "a still evicted first" false (Lru.mem c "a")
-
 let test_reset_counters () =
   let c = Lru.create ~capacity:1 in
   Lru.add c "a" 1;
@@ -135,8 +123,8 @@ let test_mutation_during_fold () =
   Alcotest.(check bool) "clear during fold" true
     (raises (fun () -> Lru.fold c (fun _ () -> Lru.clear c) ()));
   (* Non-structural reads inside the fold are fine. *)
-  Alcotest.(check int) "peek during fold ok" 2
-    (Lru.fold c (fun _ acc -> ignore (Lru.peek c "a" : int option); acc + 1) 0);
+  Alcotest.(check int) "find during fold ok" 2
+    (Lru.fold c (fun _ acc -> ignore (Lru.find c "a" : int option); acc + 1) 0);
   (* A raising fold must release the guard for the next mutation. *)
   (try Lru.fold c (fun _ () -> failwith "boom") () with Failure _ -> ());
   Lru.add c "d" 4;
@@ -176,7 +164,6 @@ let () =
           Alcotest.test_case "capacity one" `Quick test_capacity_one;
           Alcotest.test_case "capacity-one churn" `Quick test_capacity_one_churn;
           Alcotest.test_case "re-insert LRU head" `Quick test_reinsert_lru_head_refreshes;
-          Alcotest.test_case "peek is side-effect free" `Quick test_peek_no_side_effects;
           Alcotest.test_case "reset_counters" `Quick test_reset_counters;
           Alcotest.test_case "hits/misses" `Quick test_hits_misses;
           Alcotest.test_case "find_or_add" `Quick test_find_or_add;

@@ -116,21 +116,13 @@ let test_plan_cache_empty_cut_ignored () =
   Alcotest.(check (option (list int))) "still a miss" None
     (Plan_cache.find c ~fingerprint:fp ~query:"q" ~root:3 ~members:(Docset.of_list [ 3; 4 ]))
 
-let test_plan_cache_mem_is_pure () =
-  let c = Plan_cache.create () in
-  Plan_cache.store c ~fingerprint:fp ~query:"q" ~root:0 ~members:(Docset.of_list [ 0; 1 ]) ~cut:[ 1 ];
-  Alcotest.(check bool) "mem hit" true (Plan_cache.mem c ~fingerprint:fp ~query:"q" ~root:0 ~members:(Docset.of_list [ 0; 1 ]));
-  Alcotest.(check bool) "mem miss" false (Plan_cache.mem c ~fingerprint:fp ~query:"q" ~root:9 ~members:(Docset.of_list [ 9 ]));
-  Alcotest.(check int) "no hits recorded" 0 (Plan_cache.hits c);
-  Alcotest.(check int) "no misses recorded" 0 (Plan_cache.misses c)
-
 let test_plan_cache_capacity_and_clear () =
   let c = Plan_cache.create ~capacity:1 () in
   Plan_cache.store c ~fingerprint:fp ~query:"a" ~root:0 ~members:(Docset.of_list [ 0; 1 ]) ~cut:[ 1 ];
   Plan_cache.store c ~fingerprint:fp ~query:"b" ~root:0 ~members:(Docset.of_list [ 0; 1 ]) ~cut:[ 1 ];
   Alcotest.(check int) "LRU bound holds" 1 (Plan_cache.length c);
-  Alcotest.(check bool) "older evicted" false
-    (Plan_cache.mem c ~fingerprint:fp ~query:"a" ~root:0 ~members:(Docset.of_list [ 0; 1 ]));
+  Alcotest.(check (option (list int))) "older evicted" None
+    (Plan_cache.find c ~fingerprint:fp ~query:"a" ~root:0 ~members:(Docset.of_list [ 0; 1 ]));
   ignore (Plan_cache.find c ~fingerprint:fp ~query:"b" ~root:0 ~members:(Docset.of_list [ 0; 1 ]));
   Plan_cache.clear c;
   Alcotest.(check int) "emptied" 0 (Plan_cache.length c);
@@ -147,9 +139,7 @@ let test_plan_cache_fingerprint_keying () =
   Alcotest.(check (option (list int))) "same fingerprint hits" (Some [ 1; 2 ])
     (Plan_cache.find c ~fingerprint:fp ~query:"cancer" ~root:0 ~members);
   Alcotest.(check (option (list int))) "other fingerprint misses" None
-    (Plan_cache.find c ~fingerprint:"learned/50/10/16/10/e1" ~query:"cancer" ~root:0 ~members);
-  Alcotest.(check bool) "mem agrees" false
-    (Plan_cache.mem c ~fingerprint:"learned/50/10/16/10/e1" ~query:"cancer" ~root:0 ~members)
+    (Plan_cache.find c ~fingerprint:"learned/50/10/16/10/e1" ~query:"cancer" ~root:0 ~members)
 
 (* --- served plans are byte-identical ----------------------------------- *)
 
@@ -315,7 +305,6 @@ let () =
         [
           Alcotest.test_case "roundtrip + keying" `Quick test_plan_cache_roundtrip;
           Alcotest.test_case "empty cut ignored" `Quick test_plan_cache_empty_cut_ignored;
-          Alcotest.test_case "mem is pure" `Quick test_plan_cache_mem_is_pure;
           Alcotest.test_case "capacity + clear" `Quick test_plan_cache_capacity_and_clear;
           Alcotest.test_case "fingerprint keying" `Quick test_plan_cache_fingerprint_keying;
           Alcotest.test_case "cached replay byte-identical" `Quick

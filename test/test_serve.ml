@@ -1,7 +1,8 @@
-(* The serving tier: keep-alive protocol semantics over socketpairs,
-   the incremental parser (including the fragmentation property), the
-   admission controller on a simulated clock, and the readiness-loop
-   server end to end over TCP — under both --domains 1 and multicore. *)
+(* The serving tier: keep-alive protocol semantics on the connection
+   state machine (simulated clock, no sockets), the incremental parser
+   (including the fragmentation property), the admission controller on
+   a simulated clock, and the readiness-loop server end to end over TCP
+   — under both --domains 1 and multicore. *)
 
 module Http = Bionav_web.Http
 module Admission = Bionav_web.Admission
@@ -23,13 +24,6 @@ let count_sub ~sub s =
   if m = 0 then 0 else go 0 0
 
 let hello_handler ~path ~query:_ = Http.ok ("hello " ^ path)
-
-let with_socketpair f =
-  let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ client; server ])
-    (fun () -> f client server)
 
 let write_str fd s = ignore (Unix.write_substring fd s 0 (String.length s))
 
@@ -89,21 +83,51 @@ let read_response fd pending =
   Buffer.add_string pending leftover;
   (status, raw)
 
-(* --- socketpair protocol tests (serve_connection) -------------------- *)
+(* --- protocol tests on the connection state machine ----------------- *)
 
 let fast_config =
   { Http.default_server_config with Http.read_timeout_ms = 2000.; idle_timeout_ms = 2000. }
 
+type input = Send of string | Hangup | Wait of float
+
+(* [Http.serve] in miniature over one [Http.Conn]: runs [handler]
+   inline, appends every [Write] to the reply and, if the peer [reads],
+   reports it flushed at once. [Wait ms] advances a simulated clock and ticks, so
+   timeouts need no sleeps. Returns the reply and whether the machine
+   closed the connection. *)
+let run_machine ?(config = fast_config) ?(handler = hello_handler) ?(reads = true) inputs =
+  let clock = Clock.simulated ~start_ms:0. () in
+  let m = Http.Conn.create config ~now_ms:(Clock.now_ms clock) in
+  let out = Buffer.create 256 in
+  let closed = ref false in
+  let rec feed ev =
+    if not !closed then List.iter act (Http.Conn.step m ~now_ms:(Clock.now_ms clock) ev)
+  and act = function
+    | Http.Conn.Write s ->
+        Buffer.add_string out s;
+        if reads then feed Http.Conn.Flushed
+    | Http.Conn.Run req ->
+        let path, query = Http.parse_target req.Http.Parser.target in
+        feed (Http.Conn.Response (handler ~path ~query))
+    | Http.Conn.Close -> closed := true
+  in
+  List.iter
+    (function
+      | Send s -> feed (Http.Conn.Data s)
+      | Hangup -> feed Http.Conn.Eof
+      | Wait ms ->
+          Clock.advance clock ms;
+          feed Http.Conn.Tick)
+    inputs;
+  (Buffer.contents out, !closed)
+
+let machine_reply ?config inputs = fst (run_machine ?config inputs)
+
+let status_of raw = Scanf.sscanf raw "HTTP/1.1 %d" Fun.id
+
 (* Two complete requests in a single write: both answered, in order. *)
 let test_pipelined_pair () =
-  let reply =
-    with_socketpair (fun client server ->
-        write_str client "GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n";
-        Unix.shutdown client Unix.SHUTDOWN_SEND;
-        Http.serve_connection ~config:fast_config hello_handler server;
-        Unix.shutdown server Unix.SHUTDOWN_SEND;
-        read_all client)
-  in
+  let reply = machine_reply [ Send "GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n"; Hangup ] in
   Alcotest.(check int) "two responses" 2 (count_sub ~sub:"HTTP/1.1 200 OK" reply);
   Alcotest.(check bool) "first body" true (contains ~sub:"hello /a" reply);
   Alcotest.(check bool) "second body" true (contains ~sub:"hello /b" reply);
@@ -116,60 +140,18 @@ let test_pipelined_pair () =
 
 (* One byte per write across every parser boundary. *)
 let test_split_byte_by_byte () =
-  with_socketpair (fun client server ->
-      let t =
-        Thread.create
-          (fun () ->
-            Http.serve_connection ~config:fast_config hello_handler server;
-            Unix.shutdown server Unix.SHUTDOWN_SEND)
-          ()
-      in
-      let req = "GET /drip HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n" in
-      String.iter (fun ch -> write_str client (String.make 1 ch)) req;
-      let pending = Buffer.create 64 in
-      let status, raw = read_response client pending in
-      Thread.join t;
-      Alcotest.(check int) "200 despite fragmentation" 200 status;
-      Alcotest.(check bool) "body" true (contains ~sub:"hello /drip" raw))
-
-(* Keep-alive reuse: five sequential request/response exchanges on one
-   connection, reuse counted. *)
-let test_keepalive_reuse () =
-  let reuse = Metrics.counter "bionav_serve_keepalive_reuses_total" in
-  let before = Metrics.value reuse in
-  with_socketpair (fun client server ->
-      let t =
-        Thread.create (fun () -> Http.serve_connection ~config:fast_config hello_handler server) ()
-      in
-      let pending = Buffer.create 256 in
-      for i = 1 to 5 do
-        write_str client (Printf.sprintf "GET /r%d HTTP/1.1\r\n\r\n" i);
-        let status, raw = read_response client pending in
-        Alcotest.(check int) (Printf.sprintf "request %d status" i) 200 status;
-        Alcotest.(check bool)
-          (Printf.sprintf "request %d keep-alive" i)
-          true
-          (contains ~sub:"Connection: keep-alive" raw);
-        Alcotest.(check bool)
-          (Printf.sprintf "request %d body" i)
-          true
-          (contains ~sub:(Printf.sprintf "hello /r%d" i) raw)
-      done;
-      Unix.shutdown client Unix.SHUTDOWN_SEND;
-      Thread.join t);
-  Alcotest.(check bool) "reuses counted" true (Metrics.value reuse >= before + 4)
+  let req = "GET /drip HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n" in
+  let raw = machine_reply (List.init (String.length req) (fun i -> Send (String.make 1 req.[i]))) in
+  let status = status_of raw in
+  Alcotest.(check int) "200 despite fragmentation" 200 status;
+  Alcotest.(check bool) "body" true (contains ~sub:"hello /drip" raw)
 
 (* A silent client is closed after idle_timeout_ms without any bytes. *)
 let test_idle_timeout_closes_silently () =
   let idle_closed = Metrics.counter "bionav_serve_idle_closed_total" in
   let before = Metrics.value idle_closed in
   let config = { fast_config with Http.idle_timeout_ms = 60. } in
-  let reply =
-    with_socketpair (fun client server ->
-        Http.serve_connection ~config hello_handler server;
-        Unix.shutdown server Unix.SHUTDOWN_SEND;
-        read_all client)
-  in
+  let reply = machine_reply ~config [ Wait 61. ] in
   Alcotest.(check string) "no bytes sent" "" reply;
   Alcotest.(check int) "idle close counted" (before + 1) (Metrics.value idle_closed)
 
@@ -177,12 +159,8 @@ let test_idle_timeout_closes_silently () =
    never answered. *)
 let test_connection_close_honored () =
   let reply =
-    with_socketpair (fun client server ->
-        write_str client "GET /one HTTP/1.1\r\nConnection: close\r\n\r\nGET /two HTTP/1.1\r\n\r\n";
-        Unix.shutdown client Unix.SHUTDOWN_SEND;
-        Http.serve_connection ~config:fast_config hello_handler server;
-        Unix.shutdown server Unix.SHUTDOWN_SEND;
-        read_all client)
+    machine_reply
+      [ Send "GET /one HTTP/1.1\r\nConnection: close\r\n\r\nGET /two HTTP/1.1\r\n\r\n"; Hangup ]
   in
   Alcotest.(check int) "exactly one response" 1 (count_sub ~sub:"HTTP/1.1 200 OK" reply);
   Alcotest.(check bool) "close header" true (contains ~sub:"Connection: close" reply);
@@ -191,24 +169,10 @@ let test_connection_close_honored () =
 (* An HTTP/1.0 request defaults to close; keep_alive=false config forces
    close even on HTTP/1.1. *)
 let test_close_defaults () =
-  let reply =
-    with_socketpair (fun client server ->
-        write_str client "GET /old HTTP/1.0\r\n\r\n";
-        Unix.shutdown client Unix.SHUTDOWN_SEND;
-        Http.serve_connection ~config:fast_config hello_handler server;
-        Unix.shutdown server Unix.SHUTDOWN_SEND;
-        read_all client)
-  in
+  let reply = machine_reply [ Send "GET /old HTTP/1.0\r\n\r\n"; Hangup ] in
   Alcotest.(check bool) "1.0 closes" true (contains ~sub:"Connection: close" reply);
   let config = { fast_config with Http.keep_alive = false } in
-  let reply =
-    with_socketpair (fun client server ->
-        write_str client "GET /new HTTP/1.1\r\n\r\n";
-        Unix.shutdown client Unix.SHUTDOWN_SEND;
-        Http.serve_connection ~config hello_handler server;
-        Unix.shutdown server Unix.SHUTDOWN_SEND;
-        read_all client)
-  in
+  let reply = machine_reply ~config [ Send "GET /new HTTP/1.1\r\n\r\n"; Hangup ] in
   Alcotest.(check bool) "keep_alive=false closes" true (contains ~sub:"Connection: close" reply)
 
 (* Oversized header line is still a 400, even while incomplete. *)
@@ -217,12 +181,8 @@ let test_oversized_header_line () =
   let before = Metrics.value oversized in
   let config = { fast_config with Http.max_request_line = 64 } in
   let reply =
-    with_socketpair (fun client server ->
-        write_str client ("GET /x HTTP/1.1\r\nX-Pad: " ^ String.make 200 'p' ^ "\r\n\r\n");
-        Unix.shutdown client Unix.SHUTDOWN_SEND;
-        Http.serve_connection ~config hello_handler server;
-        Unix.shutdown server Unix.SHUTDOWN_SEND;
-        read_all client)
+    machine_reply ~config
+      [ Send ("GET /x HTTP/1.1\r\nX-Pad: " ^ String.make 200 'p' ^ "\r\n\r\n"); Hangup ]
   in
   Alcotest.(check bool) "400 over the wire" true (contains ~sub:"HTTP/1.1 400" reply);
   Alcotest.(check bool) "reason" true (contains ~sub:"request too long" reply);
@@ -234,27 +194,55 @@ let test_slow_loris_408 () =
   let timeouts = Metrics.counter "bionav_resilience_request_timeouts_total" in
   let before = Metrics.value timeouts in
   let config = { fast_config with Http.read_timeout_ms = 60. } in
-  let reply =
-    with_socketpair (fun client server ->
-        write_str client "GET /x HTT";
-        Http.serve_connection ~config hello_handler server;
-        Unix.shutdown server Unix.SHUTDOWN_SEND;
-        read_all client)
-  in
+  let reply = machine_reply ~config [ Send "GET /x HTT"; Wait 61. ] in
   Alcotest.(check bool) "408 over the wire" true (contains ~sub:"HTTP/1.1 408" reply);
   Alcotest.(check int) "timeout counted" (before + 1) (Metrics.value timeouts)
+
+(* A drip-fed request — one byte every read_timeout_ms / 2 — is timed
+   from its first byte: each byte does not restart the deadline. *)
+let test_drip_fed_408 () =
+  let timeouts = Metrics.counter "bionav_resilience_request_timeouts_total" in
+  let before = Metrics.value timeouts in
+  let config = { fast_config with Http.read_timeout_ms = 60. } in
+  let req = "GET /drip HTTP/1.1\r\n\r\n" in
+  let reply, closed =
+    run_machine ~config
+      (List.concat_map (fun i -> [ Send (String.make 1 req.[i]); Wait 30. ])
+         (List.init (String.length req) Fun.id))
+  in
+  Alcotest.(check int) "one 408, nothing else" 408 (status_of reply);
+  Alcotest.(check bool) "handler never ran" false (contains ~sub:"hello" reply);
+  Alcotest.(check bool) "closed" true closed;
+  Alcotest.(check int) "timeout counted" (before + 1) (Metrics.value timeouts)
+
+(* A peer that pipelines requests and never reads holds at most one
+   rendered response; once that write makes no progress for
+   idle_timeout_ms the connection is closed. *)
+let test_slow_reader_closed () =
+  let idle_closed = Metrics.counter "bionav_serve_idle_closed_total" in
+  let before = Metrics.value idle_closed in
+  let calls = ref 0 in
+  let big = String.make 65536 'b' in
+  let handler ~path:_ ~query:_ =
+    incr calls;
+    Http.ok big
+  in
+  let config = { fast_config with Http.idle_timeout_ms = 60. } in
+  let _, closed =
+    run_machine ~config ~handler ~reads:false
+      [ Send (String.concat "" (List.init 20 (fun _ -> "GET /big HTTP/1.1\r\n\r\n"))); Wait 61. ]
+  in
+  Alcotest.(check int) "one response buffered" 1 !calls;
+  Alcotest.(check bool) "closed" true closed;
+  Alcotest.(check int) "stall counted as idle close" (before + 1) (Metrics.value idle_closed)
 
 (* max_requests_per_conn: the budget-exhausting response carries
    Connection: close. *)
 let test_max_requests_per_conn () =
   let config = { fast_config with Http.max_requests_per_conn = 2 } in
   let reply =
-    with_socketpair (fun client server ->
-        write_str client "GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\nGET /c HTTP/1.1\r\n\r\n";
-        Unix.shutdown client Unix.SHUTDOWN_SEND;
-        Http.serve_connection ~config hello_handler server;
-        Unix.shutdown server Unix.SHUTDOWN_SEND;
-        read_all client)
+    machine_reply ~config
+      [ Send "GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\nGET /c HTTP/1.1\r\n\r\n"; Hangup ]
   in
   Alcotest.(check int) "two served" 2 (count_sub ~sub:"HTTP/1.1 200 OK" reply);
   Alcotest.(check int) "one keep-alive" 1 (count_sub ~sub:"Connection: keep-alive" reply);
@@ -321,7 +309,9 @@ let test_parser_bounds_on_incomplete () =
 (* --- fragmentation property ------------------------------------------- *)
 
 (* Drive the parser the way a connection does: accumulate, parse,
-   consume on Complete, repeat. *)
+   consume on Complete, repeat. The property also replays each split
+   through the connection machine, whose responses must match the
+   whole stream's. *)
 let parse_stream chunks =
   let buf = Bytes.create 65536 in
   let len = ref 0 in
@@ -375,7 +365,9 @@ let fragmentation_prop =
         | a :: (b :: _ as rest) -> String.sub stream a (b - a) :: chunks rest
         | _ -> []
       in
-      parse_stream (chunks bounds) = parse_stream [ stream ])
+      let chunks = chunks bounds in
+      let replay chunks = machine_reply (List.map (fun c -> Send c) chunks @ [ Hangup ]) in
+      parse_stream chunks = parse_stream [ stream ] && replay chunks = replay [ stream ])
 
 (* --- admission control on the simulated clock ------------------------- *)
 
@@ -463,6 +455,86 @@ let connect port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   fd
+
+(* Keep-alive reuse: five sequential request/response exchanges on one
+   connection, reuse counted. *)
+let test_keepalive_reuse () =
+  let reuse = Metrics.counter "bionav_serve_keepalive_reuses_total" in
+  let before = Metrics.value reuse in
+  let server, port = spawn_serve ~config:fast_config ~max_requests:5 hello_handler in
+  let fd = connect port in
+  let pending = Buffer.create 256 in
+  for i = 1 to 5 do
+    write_str fd (Printf.sprintf "GET /r%d HTTP/1.1\r\n\r\n" i);
+    let status, raw = read_response fd pending in
+    Alcotest.(check int) (Printf.sprintf "request %d status" i) 200 status;
+    Alcotest.(check bool)
+      (Printf.sprintf "request %d keep-alive" i)
+      true
+      (contains ~sub:"Connection: keep-alive" raw);
+    Alcotest.(check bool)
+      (Printf.sprintf "request %d body" i)
+      true
+      (contains ~sub:(Printf.sprintf "hello /r%d" i) raw)
+  done;
+  Unix.close fd;
+  Domain.join server;
+  Alcotest.(check bool) "reuses counted" true (Metrics.value reuse >= before + 4)
+
+(* Stop a server started with [~max_requests:1] whose test traffic never
+   reached the handler. *)
+let stop_server server port =
+  let fd = connect port in
+  write_str fd "GET /stop HTTP/1.1\r\nConnection: close\r\n\r\n";
+  ignore (read_all fd);
+  Unix.close fd;
+  Domain.join server
+
+(* A request cut short by the peer's EOF is answered 400, not dropped. *)
+let test_serve_truncated_400 () =
+  let parse_errors = Metrics.counter "bionav_serve_parse_errors_total" in
+  let before = Metrics.value parse_errors in
+  let server, port = spawn_serve ~config:fast_config ~max_requests:1 hello_handler in
+  let fd = connect port in
+  write_str fd "GET /x HT";
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  let reply = read_all fd in
+  Unix.close fd;
+  stop_server server port;
+  Alcotest.(check bool) "400 over TCP" true (contains ~sub:"HTTP/1.1 400" reply);
+  Alcotest.(check bool) "reason" true (contains ~sub:"truncated request" reply);
+  Alcotest.(check int) "parse error counted" (before + 1) (Metrics.value parse_errors)
+
+(* A peer that pipelines requests for large bodies and never reads: the
+   server renders one response, stalls on it, and closes the connection
+   once the write makes no progress for idle_timeout_ms. *)
+let test_serve_slow_reader () =
+  let idle_closed = Metrics.counter "bionav_serve_idle_closed_total" in
+  let before = Metrics.value idle_closed in
+  let calls = Atomic.make 0 in
+  let big = String.make (16 lsl 20) 'b' in
+  let handler ~path ~query =
+    if path = "/big" then begin
+      Atomic.incr calls;
+      Http.ok big
+    end
+    else hello_handler ~path ~query
+  in
+  let config = { fast_config with Http.idle_timeout_ms = 200. } in
+  let server, port = spawn_serve ~config ~max_requests:2 handler in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  write_str fd (String.concat "" (List.init 8 (fun _ -> "GET /big HTTP/1.1\r\n\r\n")));
+  let deadline = Unix.gettimeofday () +. 10. in
+  while Metrics.value idle_closed = before && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.02
+  done;
+  let buffered = Atomic.get calls in
+  Unix.close fd;
+  stop_server server port;
+  Alcotest.(check int) "one response rendered" 1 buffered;
+  Alcotest.(check int) "stalled connection closed" (before + 1) (Metrics.value idle_closed)
 
 (* --domains 1 with keep_alive=false: responses are byte-for-byte the
    output of render_response — the sequential pre-keep-alive contract. *)
@@ -556,6 +628,8 @@ let () =
           Alcotest.test_case "oversized header line still 400" `Quick
             test_oversized_header_line;
           Alcotest.test_case "slow loris still 408" `Quick test_slow_loris_408;
+          Alcotest.test_case "drip-fed request 408" `Quick test_drip_fed_408;
+          Alcotest.test_case "slow reader holds one response" `Quick test_slow_reader_closed;
           Alcotest.test_case "max_requests_per_conn forces close" `Quick
             test_max_requests_per_conn;
         ] );
@@ -582,5 +656,7 @@ let () =
           Alcotest.test_case "keep-alive over TCP (multicore)" `Quick
             test_serve_multicore_keepalive;
           Alcotest.test_case "per-peer rate limit sheds 503" `Quick test_serve_rate_limit_503;
+          Alcotest.test_case "truncated request 400" `Quick test_serve_truncated_400;
+          Alcotest.test_case "slow reader closed" `Quick test_serve_slow_reader;
         ] );
     ]

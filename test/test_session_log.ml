@@ -12,9 +12,11 @@ let nav () =
   in
   Nav_tree.build ~hierarchy:h ~attachments ~total_count:(fun _ -> 400)
 
+(* v1 is read-only, so its reader is checked on literal v1 text. *)
 let test_text_roundtrip () =
   let t = [ SL.Expand 3; SL.Show_results 7; SL.Backtrack; SL.Expand 1 ] in
-  Alcotest.(check bool) "roundtrip" true (SL.of_string (SL.to_string t) = t)
+  let text = "# bionav session transcript v1\nexpand 3\nshow 7\nbacktrack\nexpand 1\n" in
+  Alcotest.(check bool) "roundtrip" true (SL.of_string text = t)
 
 let test_parse_tolerates_comments () =
   let t = SL.of_string "# hello\n\nexpand 4\n  show 2  \n" in
@@ -81,7 +83,8 @@ let test_save_load () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      SL.save t path;
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc "# bionav session transcript v1\nexpand 1\nbacktrack\n");
       Alcotest.(check bool) "roundtrip" true (SL.load path = t))
 
 (* --- transcript v2 ------------------------------------------------------- *)
@@ -192,15 +195,6 @@ let test_space_events_roundtrip () =
     (SL.of_string text
     = [ SL.Expand 0; SL.Refine 4; SL.Facet; SL.Unrefine; SL.Unrefine; SL.Show_results 1 ])
 
-let test_v1_writer_refuses_space_actions () =
-  List.iter
-    (fun action ->
-      match SL.to_string [ SL.Expand 0; action ] with
-      | _ -> Alcotest.fail "v1 writer accepted a space-changing action"
-      | exception Invalid_argument msg ->
-          Alcotest.(check bool) "points at v2" true (has_sub msg "v2"))
-    [ SL.Refine 4; SL.Unrefine; SL.Facet ]
-
 let test_v1_reader_rejects_space_lines_loudly () =
   (* A refine line in a v1 (headerless) transcript is an unknown action;
      the error must name the v1-supported set so the reader knows the line
@@ -283,7 +277,6 @@ let () =
       ( "spaces",
         [
           Alcotest.test_case "space events roundtrip" `Quick test_space_events_roundtrip;
-          Alcotest.test_case "v1 writer refuses" `Quick test_v1_writer_refuses_space_actions;
           Alcotest.test_case "v1 reader fails loudly" `Quick
             test_v1_reader_rejects_space_lines_loudly;
           Alcotest.test_case "v2 unknown action names set" `Quick

@@ -94,12 +94,6 @@ let test_parse_target () =
     ("/a", [ ("flag", "") ])
     (Http.parse_target "/a?flag")
 
-let test_parse_request_line () =
-  Alcotest.(check (option (pair string string))) "get" (Some ("GET", "/x?y=1"))
-    (Http.parse_request_line "GET /x?y=1 HTTP/1.1\r");
-  Alcotest.(check (option (pair string string))) "garbage" None
-    (Http.parse_request_line "nonsense")
-
 let test_render_response () =
   let r = Http.render_response (Http.ok "hi") in
   Alcotest.(check bool) "status line" true (contains ~sub:"HTTP/1.1 200 OK" r);
@@ -334,16 +328,9 @@ let test_handler_never_raises () =
       Alcotest.fail (Printf.sprintf "unexpected status %d for %s" r.Http.status path)
   done
 
-(* --- Hardening: drive the full read/respond path over a socketpair --- *)
+(* --- Hardening: drive the full read/respond path of a real server --- *)
 
 let hello_handler ~path:_ ~query:_ = Http.ok "hello"
-
-let with_socketpair f =
-  let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ client; server ])
-    (fun () -> f client server)
 
 let read_all fd =
   let buf = Buffer.create 256 in
@@ -358,18 +345,46 @@ let read_all fd =
   loop ();
   Buffer.contents buf
 
-(* Send a complete request, let the server respond, close the server end,
-   then drain what the client sees. *)
-let exchange ?config request =
-  with_socketpair (fun client server ->
-      ignore (Unix.write_substring client request 0 (String.length request));
-      Unix.shutdown client Unix.SHUTDOWN_SEND;
-      Http.serve_connection ?config hello_handler server;
-      (* Shutdown, not close: closing with unread request bytes still in
-         the server's receive buffer resets the connection and can
-         discard the buffered response before the client reads it. *)
-      Unix.shutdown server Unix.SHUTDOWN_SEND;
-      read_all client)
+let http_get ~port path =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let req = Printf.sprintf "GET %s HTTP/1.1\r\n\r\n" path in
+      ignore (Unix.write_substring sock req 0 (String.length req));
+      Unix.shutdown sock Unix.SHUTDOWN_SEND;
+      read_all sock)
+
+(* Send [request] to [Http.serve] on an ephemeral port and read until the
+   server closes. With [half_close] the client shuts its sending side
+   first; without it the peer just goes silent. The server stops after
+   one handler-served request, so if [request] never reached the handler
+   a final GET stops it. *)
+let exchange ?(config = Http.default_server_config) ?(half_close = true) request =
+  let hits = Atomic.make 0 in
+  let handler ~path ~query =
+    Atomic.incr hits;
+    hello_handler ~path ~query
+  in
+  let port = Atomic.make 0 in
+  let server =
+    Domain.spawn (fun () ->
+        Http.serve ~config ~on_ready:(fun ~port:p -> Atomic.set port p) ~max_requests:1 ~port:0
+          handler)
+  in
+  while Atomic.get port = 0 do
+    Domain.cpu_relax ()
+  done;
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, Atomic.get port));
+  ignore (Unix.write_substring sock request 0 (String.length request));
+  if half_close then Unix.shutdown sock Unix.SHUTDOWN_SEND;
+  let reply = read_all sock in
+  Unix.close sock;
+  if Atomic.get hits = 0 then ignore (http_get ~port:(Atomic.get port) "/stop");
+  Domain.join server;
+  reply
 
 let test_socket_roundtrip () =
   let reply = exchange "GET /x HTTP/1.1\r\n\r\n" in
@@ -392,44 +407,24 @@ let test_truncated_request_times_out () =
   let timeouts = Metrics.counter "bionav_resilience_request_timeouts_total" in
   let before = Metrics.value timeouts in
   let config = { Http.default_server_config with Http.read_timeout_ms = 50. } in
-  let reply =
-    with_socketpair (fun client server ->
-        (* A peer that sends half a request line and then goes silent —
-           without shutting down, so a read would block forever were it
-           not for the socket deadline. *)
-        let partial = "GET /x HT" in
-        ignore (Unix.write_substring client partial 0 (String.length partial));
-        Http.serve_connection ~config hello_handler server;
-        Unix.shutdown server Unix.SHUTDOWN_SEND;
-        read_all client)
-  in
+  (* A peer that sends half a request line and then goes silent —
+     without shutting down, so only the read deadline ends the wait. *)
+  let reply = exchange ~config ~half_close:false "GET /x HT" in
   Alcotest.(check bool) "408 over the wire" true (contains ~sub:"HTTP/1.1 408" reply);
   Alcotest.(check int) "timeout counted" (before + 1) (Metrics.value timeouts)
 
 let test_shed_connection_sends_503 () =
   let shed = Metrics.counter "bionav_resilience_shed_connections_total" in
   let before = Metrics.value shed in
-  let reply =
-    with_socketpair (fun client server ->
-        Http.shed_connection server;
-        read_all client)
-  in
+  let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Http.shed_connection server;
+  let reply = read_all client in
+  Unix.close client;
   Alcotest.(check bool) "503 over the wire" true (contains ~sub:"HTTP/1.1 503" reply);
   Alcotest.(check bool) "reason given" true (contains ~sub:"Service Unavailable" reply);
   Alcotest.(check int) "shed counted" (before + 1) (Metrics.value shed)
 
 (* --- Worker-domain pool: end-to-end over real sockets --- *)
-
-let http_get ~port path =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let req = Printf.sprintf "GET %s HTTP/1.1\r\n\r\n" path in
-      ignore (Unix.write_substring sock req 0 (String.length req));
-      Unix.shutdown sock Unix.SHUTDOWN_SEND;
-      read_all sock)
 
 let test_multi_domain_serve () =
   let n = 6 in
@@ -475,7 +470,6 @@ let () =
           Alcotest.test_case "plus in path" `Quick test_plus_in_path;
           Alcotest.test_case "repeated keys" `Quick test_repeated_keys;
           Alcotest.test_case "parse target" `Quick test_parse_target;
-          Alcotest.test_case "parse request line" `Quick test_parse_request_line;
           Alcotest.test_case "render response" `Quick test_render_response;
           QCheck_alcotest.to_alcotest qcheck_url_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_url_decode_total;
