@@ -8,7 +8,15 @@
     full subtrees under the cut children as new (visible-rooted) lower
     components; the remainder stays with the upper root. The visualization
     (Definition 5) is the embedded tree of visible nodes with each node
-    showing the distinct citation count of its component. *)
+    showing the distinct citation count of its component.
+
+    Each visible node carries its component's state, fixed when the
+    component is formed: the members (an ascending array), the results
+    and their distinct count, the relevance weight and the visible
+    children. Only {!create}, {!apply_cut} and {!backtrack} change it, and
+    a cut recomputes only the components it splits: the accessors below
+    are O(1) reads, and a component with no visible descendant takes its
+    results from {!Nav_tree.subtree_results} without any union. *)
 
 type t
 
@@ -27,7 +35,11 @@ val component_root_of : t -> int -> int
 
 val component : t -> int -> int list
 (** Members (ascending navigation ids) of the component rooted at a visible
-    node. @raise Invalid_argument if the node is not visible. *)
+    node. @raise Invalid_argument if the node is not visible (as do all the
+    [component_*] accessors). *)
+
+val component_members : t -> int -> int array
+(** {!component} as the cached array itself: shared, never mutate it. *)
 
 val component_size : t -> int -> int
 val component_distinct : t -> int -> int
@@ -36,18 +48,25 @@ val component_distinct : t -> int -> int
     revealed). *)
 
 val component_results : t -> int -> Bionav_util.Docset.t
+(** The union of the members' results, in the navigation tree's arena. *)
+
+val component_weight : t -> int -> float
+(** The component's explore mass [Σ |L| / |LT|] over its members, summed
+    in ascending member order (see {!Relevance}). *)
 
 val component_set : t -> int -> Bionav_util.Docset.t
 (** The member {e navigation ids} as a set interned in the navigation
     tree's arena — plan caches use its O(1) {!Bionav_util.Docset.fingerprint}
-    as a key component. *)
+    as a key component. Interned on first use and kept until a cut or
+    backtrack changes the component. *)
 
 val is_expandable : t -> int -> bool
 (** Visible with a component of ≥ 2 nodes (the ">>>" affordance). *)
 
 val comp_tree : t -> int -> Comp_tree.t * int array
 (** The component as a {!Comp_tree.t} plus the index→navigation-node map
-    (equal to the tree's tags). *)
+    (equal to the tree's tags), extracted in one pass over the ascending
+    members. *)
 
 val apply_cut : t -> root:int -> cut_children:int list -> int list
 (** Perform the EdgeCut: [cut_children] are navigation nodes, members of the
@@ -67,7 +86,11 @@ val backtrack : t -> bool
 
 val visible_parent : t -> int -> int
 (** Parent in the visualization: nearest visible strict ancestor; -1 for
-    the root. *)
+    the root. O(1). *)
+
+val visible_children : t -> int -> int list
+(** Children of a visible node in the visualization, ascending.
+    @raise Invalid_argument if the node is not visible. *)
 
 val render : t -> string
 (** The Definition 5 visualization: indented visible tree, component

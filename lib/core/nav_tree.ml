@@ -146,34 +146,36 @@ let max_width t =
   Array.fold_left max 0 counts
 
 let in_subtree t ~root i = t.tin.(i) >= t.tin.(root) && t.tin.(i) <= t.tout.(root)
+let last_descendant t i = t.tout.(i)
 
-let comp_tree_of t ~root ~members =
-  let sorted = List.sort_uniq Int.compare members in
-  (match sorted with
-  | r :: _ when r = root -> ()
-  | _ -> invalid_arg "Nav_tree.comp_tree_of: members must contain the root as minimum");
-  let nodes = Array.of_list sorted in
+let comp_tree_of t ~root ~members:nodes =
   let k = Array.length nodes in
-  let index_of = Hashtbl.create k in
-  Array.iteri (fun idx nav -> Hashtbl.add index_of nav idx) nodes;
-  let parent =
-    Array.mapi
-      (fun idx nav ->
-        if idx = 0 then -1
-        else
-          match Hashtbl.find_opt index_of t.parent.(nav) with
-          | Some p -> p
-          | None ->
-              invalid_arg
-                (Printf.sprintf "Nav_tree.comp_tree_of: member %d disconnected from root %d" nav
-                   root))
-      nodes
-  in
+  if k = 0 || nodes.(0) <> root then
+    invalid_arg "Nav_tree.comp_tree_of: members must contain the root as minimum";
+  (* Ascending ids are a preorder of the component, so a member's parent
+     is the innermost still-open member on the stack of its ancestors. *)
+  let parent = Array.make k (-1) in
+  let stack = Array.make k 0 and top = ref 0 in
+  for idx = 1 to k - 1 do
+    let nav = nodes.(idx) in
+    if nav <= nodes.(idx - 1) then
+      invalid_arg "Nav_tree.comp_tree_of: members not strictly ascending";
+    while !top >= 0 && t.tout.(nodes.(stack.(!top))) < nav do
+      decr top
+    done;
+    if !top < 0 || nodes.(stack.(!top)) <> t.parent.(nav) then
+      invalid_arg
+        (Printf.sprintf "Nav_tree.comp_tree_of: member %d disconnected from root %d" nav root);
+    parent.(idx) <- stack.(!top);
+    incr top;
+    stack.(!top) <- idx
+  done;
   let results = Array.map (fun nav -> t.results.(nav)) nodes in
   let totals = Array.map (fun nav -> t.totals.(nav)) nodes in
   let labels = Array.map (fun nav -> t.labels.(nav)) nodes in
   let concepts = Array.map (fun nav -> t.concept_ids.(nav)) nodes in
-  (Comp_tree.make ~parent ~results ~totals ~labels ~tags:(Array.copy nodes) ~concepts (), nodes)
+  let tags = Array.copy nodes in
+  (Comp_tree.make ~parent ~results ~totals ~labels ~tags ~concepts (), tags)
 
 let pp ppf t =
   let rec go i =

@@ -71,11 +71,17 @@ val max_width : t -> int
 val in_subtree : t -> root:int -> int -> bool
 (** O(1) preorder-interval test, root-inclusive. *)
 
-val comp_tree_of : t -> root:int -> members:int list -> Comp_tree.t * int array
+val last_descendant : t -> int -> int
+(** The largest id in the node's subtree: the subtree is exactly the id
+    interval [\[n, last_descendant n\]]. O(1). *)
+
+val comp_tree_of : t -> root:int -> members:int array -> Comp_tree.t * int array
 (** Extracts a component tree from a connected member set containing
-    [root]: returns the component tree (tags = navigation node ids) and the
-    index-to-navigation-node mapping. [members] may be in any order.
-    @raise Invalid_argument if the set is not connected at [root]. *)
+    [root], given strictly ascending (so [root] first): returns the
+    component tree (tags = navigation node ids) and a fresh copy of the
+    index-to-navigation-node mapping. One pass over [members], no sort
+    and no hashing. @raise Invalid_argument if [members] is not strictly
+    ascending from [root] or not connected at [root]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Indented rendering with subtree-distinct counts (the Fig. 1 view). *)

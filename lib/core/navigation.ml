@@ -92,9 +92,11 @@ let nav_cut_children comp cut = List.map (Comp_tree.tag comp) cut
 let next_page t root page_size =
   let active = t.active in
   let nav = Active_tree.nav active in
-  let member_set = Hashtbl.create 64 in
-  List.iter (fun m -> Hashtbl.replace member_set m ()) (Active_tree.component active root);
-  let hidden_children = List.filter (Hashtbl.mem member_set) (Nav_tree.children nav root) in
+  let hidden_children =
+    List.filter
+      (fun c -> Active_tree.component_root_of active c = root)
+      (Nav_tree.children nav root)
+  in
   let by_count_desc =
     List.sort
       (fun a b -> Int.compare (Nav_tree.subtree_distinct nav b) (Nav_tree.subtree_distinct nav a))

@@ -1,11 +1,4 @@
-let component_weight active node =
-  let nav = Active_tree.nav active in
-  List.fold_left
-    (fun acc m ->
-      let l = Nav_tree.result_count nav m in
-      if l = 0 then acc else acc +. (float_of_int l /. float_of_int (Nav_tree.total nav m)))
-    0.
-    (Active_tree.component active node)
+let component_weight = Active_tree.component_weight
 
 let rank_visible active nodes =
   let weighted = List.map (fun n -> (n, component_weight active n)) nodes in
@@ -14,11 +7,7 @@ let rank_visible active nodes =
        (fun (na, a) (nb, b) -> if a = b then Int.compare na nb else Float.compare b a)
        weighted)
 
-let ranked_children active node =
-  let children =
-    List.filter (fun v -> Active_tree.visible_parent active v = node) (Active_tree.visible active)
-  in
-  rank_visible active children
+let ranked_children active node = rank_visible active (Active_tree.visible_children active node)
 
 let render_ranked active =
   let nav = Active_tree.nav active in

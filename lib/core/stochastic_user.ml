@@ -11,15 +11,13 @@ type outcome = {
 (* P_x of a visible node's component, per the §IV estimate. *)
 let p_expand params active node =
   let nav = Active_tree.nav active in
-  let members = Active_tree.component active node in
+  let members = Active_tree.component_members active node in
   let distinct = Active_tree.component_distinct active node in
-  if List.length members <= 1 then 0.
+  if Array.length members <= 1 then 0.
   else if distinct > params.Probability.upper_threshold then 1.0
   else if distinct < params.Probability.lower_threshold then 0.0
   else begin
-    let weights =
-      Array.of_list (List.map (fun m -> float_of_int (Nav_tree.result_count nav m)) members)
-    in
+    let weights = Array.map (fun m -> float_of_int (Nav_tree.result_count nav m)) members in
     (* Entropy with the distinct count as denominator, clamped (see
        Probability.expand; duplicated here over active-tree components). *)
     let h = ref 0. and positive = ref 0 in

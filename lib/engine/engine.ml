@@ -133,6 +133,17 @@ let refinements_counter = Metrics.counter "bionav_refinements_total"
 let refine_depth_gauge = Metrics.gauge "bionav_refine_depth"
 let lock_wait_hist = Metrics.histogram "bionav_shard_lock_wait_ms"
 let lock_hold_hist = Metrics.histogram "bionav_shard_lock_hold_ms"
+let publish_hist = Metrics.histogram "bionav_snapshot_publish_ms"
+
+(* Capture a frame's snapshot (under the shard lock), timing it into the
+   snapshot-publication histogram. *)
+let capture ~epoch ~query ~depth fr =
+  let snap, ms =
+    Timing.time (fun () ->
+        Nav_snapshot.capture ~epoch ~query ~space:fr.fid ~refine_depth:depth fr.fnavigation)
+  in
+  Metrics.observe publish_hist ms;
+  snap
 
 (* --- the shard lock ----------------------------------------------------- *)
 
@@ -575,9 +586,7 @@ let search t ?(strategy = Navigation.bionav ()) query =
                       frames = Atomic.make [ base ];
                       home = shard;
                       snapshot =
-                        Atomic.make
-                          (Nav_snapshot.capture ~epoch:0 ~query ~space:base.fid
-                             ~refine_depth:0 base.fnavigation);
+                        Atomic.make (capture ~epoch:0 ~query ~depth:0 base);
                       seen_concepts = Hashtbl.create 16;
                       epoch = 0;
                       tick = 0;
@@ -646,16 +655,14 @@ let sweep ?now_ms t =
 (* --- navigation actions ------------------------------------------------ *)
 
 (* Re-capture and publish the session's snapshot from its top frame. Runs
-   under the shard lock: capture reads the live active tree and interns
-   into its arena's memo tables; the Atomic.set is the RCU-style
+   under the shard lock: capture reads the live active tree's
+   per-component state; the Atomic.set is the RCU-style
    publication point. Epoch and space id advance together in the one
    atomic store, so a reader never observes a mixed-space view. *)
 let publish s =
   s.epoch <- s.epoch + 1;
   let fr = top_frame s in
-  Atomic.set s.snapshot
-    (Nav_snapshot.capture ~epoch:s.epoch ~query:s.query ~space:fr.fid
-       ~refine_depth:(refine_depth s) fr.fnavigation)
+  Atomic.set s.snapshot (capture ~epoch:s.epoch ~query:s.query ~depth:(refine_depth s) fr)
 
 let run_locked s f =
   with_shard s.home (fun () ->

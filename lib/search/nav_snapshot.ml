@@ -33,15 +33,12 @@ let capture ~epoch ~query ?(space = "descriptor") ?(refine_depth = 0) navigation
   let arena = Docset_arena.create () in
   let order = Active_tree.visible active in
   let index = Hashtbl.create (max 16 (List.length order)) in
+  (* Every field is read off the active tree's per-component state. The
+     results are imported into the snapshot arena, sharing their
+     immutable payload; the member arrays are immutable and shared too. *)
   List.iter
     (fun id ->
-      (* Component results come out of a sorted docset, so they intern
-         without a sort. *)
-      let members = Array.of_list (Active_tree.component active id) in
-      let results =
-        Docset.of_sorted_array_unchecked_in arena
-          (Docset.to_array (Active_tree.component_results active id))
-      in
+      let results = Docset.in_arena arena (Active_tree.component_results active id) in
       Hashtbl.replace index id
         {
           id;
@@ -50,7 +47,7 @@ let capture ~epoch ~query ?(space = "descriptor") ?(refine_depth = 0) navigation
           expandable = Active_tree.is_expandable active id;
           parent = Active_tree.visible_parent active id;
           children = Relevance.ranked_children active id;
-          members;
+          members = Active_tree.component_members active id;
           results;
         })
     order;

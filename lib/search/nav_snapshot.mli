@@ -22,7 +22,14 @@
     The snapshot also pins [nav], the underlying navigation tree, whose
     post-build state is immutable except for its arena's memo tables —
     pure reads on it (labels, counts, component-tree extraction) are
-    domain-safe. *)
+    domain-safe.
+
+    Capture does no set algebra: the active tree maintains every
+    component's members, results, weight and visible links across cuts,
+    so a capture imports the visible components' results into the fresh
+    arena (sharing their immutable payload), ranks each child list by
+    the cached weights and reads the rest — O(visible nodes) plus the
+    ranking. *)
 
 type vnode = {
   id : int;  (** Navigation node id (dense, preorder). *)
@@ -31,7 +38,9 @@ type vnode = {
   expandable : bool;  (** Component has ≥ 2 nodes (the ">>>" affordance). *)
   parent : int;  (** Visible parent in the embedding; -1 for the root. *)
   children : int list;  (** Visible children, relevance-ranked. *)
-  members : int array;  (** Component members, ascending navigation ids. *)
+  members : int array;
+      (** Component members, ascending navigation ids. Shared with the
+          active tree, which never mutates it; readers must not either. *)
   results : Bionav_util.Docset.t;
       (** Distinct citations of the component, in the snapshot arena. *)
 }
@@ -47,8 +56,8 @@ val capture :
   t
 (** Build a snapshot of the session's current visible tree. Must be
     called while holding whatever lock serializes mutation of the
-    session (the engine's shard lock): capture reads the active tree and
-    interns into the navigation arena's memo tables. The returned
+    session (the engine's shard lock): capture reads the live active
+    tree, which a concurrent cut would leave half-updated. The returned
     snapshot's private arena is frozen before return. [space] (default
     ["descriptor"]) is the identity of the navigation space the session's
     top frame was derived along; [refine_depth] (default 0) the depth of

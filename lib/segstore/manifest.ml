@@ -50,8 +50,14 @@ let write ~dir t =
   let oc = open_out_bin tmp in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents buf));
-  Sys.rename tmp (Filename.concat dir filename)
+    (fun () ->
+      output_string oc (Buffer.contents buf);
+      flush oc;
+      Unix.fsync (Unix.descr_of_out_channel oc));
+  Sys.rename tmp (Filename.concat dir filename);
+  (* The rename is durable only once the directory entry is. *)
+  let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
 
 let int_field what s =
   match int_of_string_opt s with

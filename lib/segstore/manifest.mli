@@ -2,7 +2,8 @@
     sealed segment with its key range, sizes and data checksum, plus the
     corpus-level counts.
 
-    Written atomically (tmp + rename) as the last step of {!Ingest.seal},
+    Written atomically (tmp + fsync + rename + directory fsync) as the
+    last step of {!Ingest.seal}, after every segment file is fsynced,
     so a crash mid-ingest leaves either no manifest (store unreadable,
     ingest retried) or a complete one over fully sealed segments — never
     a manifest pointing at a half-written segment. *)
@@ -31,7 +32,10 @@ val filename : string
 val entry_of_summary : Segment.summary -> entry
 
 val write : dir:string -> t -> unit
-(** Atomic: writes [MANIFEST.tmp], then renames over {!filename}. *)
+(** Atomic and durable: writes and fsyncs [MANIFEST.tmp], renames it over
+    {!filename}, then fsyncs [dir]. A crash before the rename leaves the
+    previous manifest in force (a stale or truncated [MANIFEST.tmp] is
+    never read). *)
 
 val read : dir:string -> t
 (** @raise Invalid_argument (prefixed ["Segstore.manifest: "]) on a

@@ -149,6 +149,8 @@ let seal w =
   output_string w.oc head;
   output_string w.oc body;
   output_string w.oc (Buffer.contents footer);
+  flush w.oc;
+  Unix.fsync (Unix.descr_of_out_channel w.oc);
   close_out w.oc;
   {
     path = w.w_path;

@@ -57,8 +57,8 @@ type summary = {
 }
 
 val seal : writer -> summary
-(** Write directory and footer, close the file. The writer is dead
-    afterwards. @raise Invalid_argument if no key was ever written. *)
+(** Write directory and footer, fsync and close the file. The writer is
+    dead afterwards. @raise Invalid_argument if no key was ever written. *)
 
 (* --- reading ------------------------------------------------------------ *)
 

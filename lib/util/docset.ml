@@ -46,7 +46,7 @@ let of_intset s = of_intset_in (A.create ()) s
 
 let in_arena arena s =
   if s.arena == arena then s
-  else { arena; id = A.intern_unchecked arena (A.to_array s.arena s.id) }
+  else { arena; id = A.import arena ~src:s.arena s.id }
 
 let consolidate sets =
   let n = Array.length sets in

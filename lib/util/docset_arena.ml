@@ -215,49 +215,64 @@ let freeze t = Ownership.freeze t.own
 
 let is_frozen t = Ownership.is_frozen t.own
 
-let intern_unchecked t a =
+(* Intern the set with fingerprint [fp]: [same] tests an existing slot's
+   representation for equality, [repr] builds the representation of a
+   new slot. *)
+let intern_with t fp ~same ~repr =
   Ownership.check t.own;
   t.intern_requests <- t.intern_requests + 1;
   Metrics.incr interned_counter;
-  if Array.length a = 0 then begin
-    t.dedup_hits <- t.dedup_hits + 1;
-    Metrics.incr dedup_counter;
-    empty_id
-  end
-  else begin
-    let fp = fingerprint_of_array a in
-    let bucket =
-      match Hashtbl.find_opt t.intern_tbl fp with
-      | Some b -> b
-      | None ->
-          let b = ref [] in
-          Hashtbl.add t.intern_tbl fp b;
-          b
-    in
-    match List.find_opt (fun id -> repr_equal_array (get_repr t id) a) !bucket with
-    | Some id ->
-        t.dedup_hits <- t.dedup_hits + 1;
-        Metrics.incr dedup_counter;
-        id
+  let bucket =
+    match Hashtbl.find_opt t.intern_tbl fp with
+    | Some b -> b
     | None ->
-        let id = Atomic.get t.n in
-        grow t id;
-        let r = pack a in
-        (* Fill the slot with plain stores, then publish it via [n]. *)
-        (Atomic.get t.reprs).(id) <- r;
-        (Atomic.get t.fps).(id) <- fp;
-        Atomic.set t.n (id + 1);
-        bucket := id :: !bucket;
-        t.bytes <- t.bytes + repr_bytes r;
-        (match r with
-        | Dense _ ->
-            t.dense_count <- t.dense_count + 1;
-            Metrics.incr dense_counter
-        | Sparse _ ->
-            t.sparse_count <- t.sparse_count + 1;
-            Metrics.incr sparse_counter);
-        id
-  end
+        let b = ref [] in
+        Hashtbl.add t.intern_tbl fp b;
+        b
+  in
+  match List.find_opt (fun id -> same (get_repr t id)) !bucket with
+  | Some id ->
+      t.dedup_hits <- t.dedup_hits + 1;
+      Metrics.incr dedup_counter;
+      id
+  | None ->
+      let id = Atomic.get t.n in
+      grow t id;
+      let r = repr () in
+      (* Fill the slot with plain stores, then publish it via [n]. *)
+      (Atomic.get t.reprs).(id) <- r;
+      (Atomic.get t.fps).(id) <- fp;
+      Atomic.set t.n (id + 1);
+      bucket := id :: !bucket;
+      t.bytes <- t.bytes + repr_bytes r;
+      (match r with
+      | Dense _ ->
+          t.dense_count <- t.dense_count + 1;
+          Metrics.incr dense_counter
+      | Sparse _ ->
+          t.sparse_count <- t.sparse_count + 1;
+          Metrics.incr sparse_counter);
+      id
+
+(* The empty set needs no special case: its pre-interned bucket answers. *)
+let intern_unchecked t a =
+  intern_with t (fingerprint_of_array a)
+    ~same:(fun r -> repr_equal_array r a)
+    ~repr:(fun () -> pack a)
+
+(* Packing is deterministic in the content, so equal sets have equal
+   representations. *)
+let repr_equal a b =
+  match (a, b) with
+  | Sparse x, Sparse y -> x == y || x = y
+  | Dense x, Dense y ->
+      x.base = y.base && x.card = y.card && (x.words == y.words || x.words = y.words)
+  | Sparse _, Dense _ | Dense _, Sparse _ -> false
+
+let import t ~src id =
+  check_id src id;
+  let r = get_repr src id in
+  intern_with t (get_fp src id) ~same:(repr_equal r) ~repr:(fun () -> r)
 
 let intern t a =
   for i = 1 to Array.length a - 1 do

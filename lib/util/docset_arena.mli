@@ -76,6 +76,12 @@ val intern_unchecked : t -> int array -> id
 (** [intern] without the sortedness check; the caller must guarantee it.
     The array must not be mutated afterwards (it may be adopted). *)
 
+val import : t -> src:t -> id -> id
+(** Intern [src]'s set [id] into this arena without copying it: interned
+    representations are immutable, so the two arenas share the payload.
+    O(1) plus, on a fingerprint match, one comparison. Only [src]'s
+    lock-free reads are used. *)
+
 val cardinal : t -> id -> int
 (** O(1). *)
 

@@ -135,6 +135,28 @@ let test_handle_rebase () =
   Alcotest.(check bool) "same content" true (Docset.equal a a');
   Alcotest.(check bool) "no-op when already there" true (Docset.in_arena arena a' == a')
 
+let test_import_dedups_across_arenas () =
+  let src1 = A.create () and src2 = A.create () and dst = A.create () in
+  let dense = Array.init 200 Fun.id in
+  let sparse = [| 3; 900; 40_000 |] in
+  List.iter
+    (fun a ->
+      let i1 = A.import dst ~src:src1 (A.intern src1 a) in
+      let i2 = A.import dst ~src:src2 (A.intern src2 a) in
+      Alcotest.(check int) "equal sets from two arenas share one id" i1 i2;
+      Alcotest.(check bool) "content" true (A.equal_array dst i1 a);
+      Alcotest.(check int) "fingerprint" (A.fingerprint src1 (A.intern src1 a)) (A.fingerprint dst i1))
+    [ dense; sparse ];
+  Alcotest.(check int) "empty stays id 0" A.empty_id (A.import dst ~src:src1 A.empty_id);
+  Alcotest.(check bool) "matches a set interned from an array" true
+    (A.intern dst sparse = A.import dst ~src:src1 (A.intern src1 sparse));
+  A.freeze dst;
+  Alcotest.(check bool) "frozen arenas refuse" true
+    (try
+       ignore (A.import dst ~src:src1 (A.intern src1 [| 7 |]));
+       false
+     with Ownership.Violation _ -> true)
+
 let test_handle_algebra_cross_arena () =
   let a = Docset.of_list [ 1; 2; 3 ] in
   let b = Docset.of_list [ 3; 4 ] in
@@ -196,6 +218,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_handle_basics;
           Alcotest.test_case "equal cross arena" `Quick test_handle_equal_cross_arena;
           Alcotest.test_case "rebase" `Quick test_handle_rebase;
+          Alcotest.test_case "import dedups across arenas" `Quick test_import_dedups_across_arenas;
           Alcotest.test_case "algebra cross arena" `Quick test_handle_algebra_cross_arena;
           Alcotest.test_case "union_many" `Quick test_handle_union_many;
           Alcotest.test_case "consolidate" `Quick test_consolidate;

@@ -39,7 +39,7 @@ let test_active_tree_dot () =
   Alcotest.(check bool) "expandable bold" true (contains ~sub:"style=bold" d)
 
 let test_component_dot () =
-  let comp, _ = Nav_tree.comp_tree_of (nav ()) ~root:0 ~members:[ 0; 1; 2; 3 ] in
+  let comp, _ = Nav_tree.comp_tree_of (nav ()) ~root:0 ~members:[| 0; 1; 2; 3 |] in
   let d = Dot.component comp in
   Alcotest.(check bool) "L/LT labels" true (contains ~sub:"L=2 LT=50" d);
   Alcotest.(check bool) "edges" true (contains ~sub:"n1 -> n2" d)

@@ -94,7 +94,7 @@ let test_in_subtree () =
 
 let test_comp_tree_of_full () =
   let t = build () in
-  let comp, map = Nav_tree.comp_tree_of t ~root:0 ~members:[ 0; 1; 2; 3 ] in
+  let comp, map = Nav_tree.comp_tree_of t ~root:0 ~members:[| 0; 1; 2; 3 |] in
   Alcotest.(check int) "size" 4 (Comp_tree.size comp);
   Alcotest.(check (array int)) "map" [| 0; 1; 2; 3 |] map;
   Alcotest.(check int) "tags are nav ids" 2 (Comp_tree.tag comp 2);
@@ -104,7 +104,7 @@ let test_comp_tree_of_partial () =
   let t = build () in
   let physiology = Option.get (Nav_tree.node_of_concept t 2) in
   let apoptosis = Option.get (Nav_tree.node_of_concept t 4) in
-  let comp, _ = Nav_tree.comp_tree_of t ~root:physiology ~members:[ physiology; apoptosis ] in
+  let comp, _ = Nav_tree.comp_tree_of t ~root:physiology ~members:[| physiology; apoptosis |] in
   Alcotest.(check int) "two nodes" 2 (Comp_tree.size comp);
   Alcotest.(check string) "root label" "Cell Physiology" (Comp_tree.label comp 0)
 
@@ -113,7 +113,7 @@ let test_comp_tree_of_rejects_disconnected () =
   let apoptosis = Option.get (Nav_tree.node_of_concept t 4) in
   Alcotest.(check bool) "disconnected" true
     (try
-       ignore (Nav_tree.comp_tree_of t ~root:0 ~members:[ 0; apoptosis ]);
+       ignore (Nav_tree.comp_tree_of t ~root:0 ~members:[| 0; apoptosis |]);
        false
      with Invalid_argument _ -> true)
 

@@ -351,6 +351,46 @@ let test_store_counts_match_corpus () =
       Alcotest.fail (Printf.sprintf "count mismatch at concept %d" concept)
   done
 
+(* A crash while writing the next manifest leaves MANIFEST.tmp behind,
+   truncated or complete but never renamed: the store must open as the
+   generation MANIFEST names, and the next write must replace the tmp. *)
+let test_stale_manifest_tmp_ignored () =
+  let dir, _ = Lazy.force ingested in
+  let m = Lazy.force medline in
+  let tmp = Filename.concat dir (Manifest.filename ^ ".tmp") in
+  let current = Manifest.read ~dir in
+  let newer = { current with Manifest.n_citations = current.Manifest.n_citations + 1 } in
+  let manifest_text t =
+    let scratch = fresh_dir "manifest-text" in
+    Unix.mkdir scratch 0o755;
+    Manifest.write ~dir:scratch t;
+    let ic = open_in_bin (Filename.concat scratch Manifest.filename) in
+    Fun.protect
+      ~finally:(fun () ->
+        close_in ic;
+        rm_rf scratch)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let text = manifest_text newer in
+  let leave contents =
+    let oc = open_out_bin tmp in
+    output_string oc contents;
+    close_out oc
+  in
+  List.iter
+    (fun (what, contents) ->
+      leave contents;
+      let store = Store.open_dir dir in
+      Alcotest.(check int) (what ^ ": previous generation") (M.size m) (Store.n_citations store);
+      Alcotest.(check bool) (what ^ ": manifest unchanged") true (Manifest.read ~dir = current))
+    (("complete tmp never renamed", text)
+    :: List.init 16 (fun i ->
+           let len = i * String.length text / 16 in
+           (Printf.sprintf "tmp truncated at %d bytes" len, String.sub text 0 len)));
+  Manifest.write ~dir current;
+  Alcotest.(check bool) "next write consumes the tmp" false (Sys.file_exists tmp);
+  Alcotest.(check bool) "and is in force" true (Manifest.read ~dir = current)
+
 let test_store_postings_match_corpus () =
   let store = Lazy.force opened in
   let m = Lazy.force medline in
@@ -523,6 +563,7 @@ let () =
         [
           Alcotest.test_case "spills and rolls" `Quick test_ingest_spills_and_rolls;
           Alcotest.test_case "counts match corpus" `Quick test_store_counts_match_corpus;
+          Alcotest.test_case "stale MANIFEST.tmp ignored" `Quick test_stale_manifest_tmp_ignored;
           Alcotest.test_case "postings match corpus" `Quick test_store_postings_match_corpus;
           Alcotest.test_case "forward matches corpus" `Quick test_store_forward_matches_corpus;
           Alcotest.test_case "cache stays bounded" `Quick test_cache_stays_bounded;
