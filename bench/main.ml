@@ -1052,7 +1052,7 @@ let docset_bench () =
   else say "  no %s — gates skipped" baseline_path
 
 (* ------------------------------------------------------------------ *)
-(* Multicore scaling: the Zipf workload across 1/2/4 worker domains    *)
+(* Parallel: the Zipf workload from 1 and 2 domains on one engine      *)
 (* ------------------------------------------------------------------ *)
 
 type parallel_run = {
@@ -1061,39 +1061,32 @@ type parallel_run = {
   pr_metric_count : int;  (** The expand-latency histogram's count. *)
   pr_elapsed_ms : float;
   pr_throughput : float;  (** EXPANDs per second, wall-clock. *)
-  pr_worst_p95 : float;  (** Worst per-domain p95 expand latency, ms. *)
   pr_crashes : int;
 }
 
-(* The docset bench's Zipf serving workload, replayed across a pool of
-   1, 2 and 4 domains against one sharded engine per pool size. The
-   session list is pre-drawn once and partitioned round-robin, so every
-   pool replays identical work: expand totals must agree run to run (and
-   with the committed baseline) to the last record — the "no expand lost
-   or duplicated" gate. The histogram-vs-local-count and crash gates
-   always apply; the scaling gates (>= 1.8x at 4 domains, monotone
-   throughput, per-domain p95 within 2x of single-domain) only where
-   there are >= 4 cores to scale onto — the JSON records which regime
-   produced it. *)
+(* The docset bench's Zipf serving workload, replayed from 1 and 2
+   domains against one engine each. The engine serializes mutation under
+   one lock, so this is a correctness bench, not a scaling one: the
+   session list is pre-drawn once and partitioned round-robin, so both
+   runs replay identical work and expand totals must agree run to run
+   (and with the committed baseline) to the last record — the "no
+   expand lost or duplicated" gate — while the histogram count must
+   match the locally counted EXPANDs and no domain may crash. *)
 let parallel_bench () =
-  say "%s" (Table.section "Parallel: Zipf workload across 1/2/4 worker domains");
+  say "%s" (Table.section "Parallel: Zipf workload from 1 and 2 domains on one engine");
   say "";
   let smoke = !smoke_mode in
   let w = Q.build ~config:Q.small_config ~seed:workload_seed () in
   let queries = Array.of_list w.Q.queries in
   let n_sessions = if smoke then 24 else 96 in
-  let shards = 16 in
   let zipf = Zipf.create ~exponent:1.0 (Array.length queries) in
   let rng = Rng.create 42 in
   let draws = Array.init n_sessions (fun _ -> Zipf.draw zipf rng) in
   let run_with pr_domains =
     Metrics.reset ();
-    let config = { Engine.default_config with Engine.shards } in
-    let engine = Engine.create ~config ~database:w.Q.database ~eutils:w.Q.eutils () in
-    (* Warm the tree cache before the clock starts, so the timed region
-       measures navigation work, not first-hit tree builds — those land
-       on whichever domain wins the race and would skew the scaling
-       comparison. *)
+    let engine = Engine.create ~database:w.Q.database ~eutils:w.Q.eutils () in
+    (* Warm the tree cache first, so the timed region measures
+       navigation work, not first-hit tree builds. *)
     ignore (Engine.warm engine (Array.to_list (Array.map (fun q -> q.Q.keyword) queries)));
     (* Warming records its own EXPAND latencies; the drift gate below
        compares against the histogram's growth from here. *)
@@ -1103,7 +1096,7 @@ let parallel_bench () =
        (Simulate + stats reads) runs under [Engine.run_locked], the same
        discipline the web handler uses. *)
     let worker d () =
-      let expands = ref 0 and lats = ref [] in
+      let expands = ref 0 in
       (try
          let i = ref d in
          while !i < n_sessions do
@@ -1113,11 +1106,7 @@ let parallel_bench () =
                Engine.run_locked s (fun () ->
                    let nav = Engine.navigation s in
                    ignore (Simulate.to_target nav ~target:q.Q.target_node);
-                   let st = Navigation.stats nav in
-                   expands := !expands + st.Navigation.expands;
-                   List.iter
-                     (fun r -> lats := r.Navigation.elapsed_ms :: !lats)
-                     st.Navigation.history);
+                   expands := !expands + (Navigation.stats nav).Navigation.expands);
                ignore (Engine.close engine (Engine.session_id s) : bool)
            | Ok Engine.No_results | Error _ -> ());
            i := !i + pr_domains
@@ -1125,7 +1114,7 @@ let parallel_bench () =
        with e ->
          say "  domain %d crashed: %s" d (Printexc.to_string e);
          Atomic.incr crashes);
-      (!expands, !lats)
+      !expands
     in
     let t0 = Timing.now_ms () in
     let per_domain =
@@ -1134,34 +1123,23 @@ let parallel_bench () =
         Array.map Domain.join (Array.init pr_domains (fun d -> Domain.spawn (worker d)))
     in
     let pr_elapsed_ms = Timing.now_ms () -. t0 in
-    let pr_expands = Array.fold_left (fun acc (e, _) -> acc + e) 0 per_domain in
+    let pr_expands = Array.fold_left ( + ) 0 per_domain in
     let pr_metric_count =
       Metrics.count (Metrics.histogram "bionav_expand_latency_ms") - warm_count
-    in
-    let pr_worst_p95 =
-      Array.fold_left
-        (fun acc (_, lats) ->
-          match lats with
-          | [] -> acc
-          | l -> Float.max acc (Stats.percentile (Array.of_list l) 95.))
-        0. per_domain
     in
     let pr_throughput =
       if pr_elapsed_ms > 0. then 1000. *. float_of_int pr_expands /. pr_elapsed_ms else 0.
     in
     { pr_domains; pr_expands; pr_metric_count; pr_elapsed_ms; pr_throughput;
-      pr_worst_p95; pr_crashes = Atomic.get crashes }
+      pr_crashes = Atomic.get crashes }
   in
-  let runs = List.map run_with [ 1; 2; 4 ] in
-  let r1 = List.nth runs 0 and r2 = List.nth runs 1 and r4 = List.nth runs 2 in
+  let runs = List.map run_with [ 1; 2 ] in
+  let r1 = List.nth runs 0 and r2 = List.nth runs 1 in
   let cores = Domain.recommended_domain_count () in
-  let gates_enforced = cores >= 2 in
-  let gates_4 = cores >= 4 in
-  let speedup r = if r1.pr_throughput > 0. then r.pr_throughput /. r1.pr_throughput else 0. in
   print_string
     (Table.render
-       ~header:[ "domains"; "EXPANDs"; "elapsed"; "EXPANDs/s"; "worst p95"; "speedup" ]
-       [ Table.Right; Right; Right; Right; Right; Right ]
+       ~header:[ "domains"; "EXPANDs"; "elapsed"; "EXPANDs/s" ]
+       [ Table.Right; Right; Right; Right ]
        (List.map
           (fun r ->
             [
@@ -1169,58 +1147,28 @@ let parallel_bench () =
               string_of_int r.pr_expands;
               Printf.sprintf "%.0f ms" r.pr_elapsed_ms;
               Printf.sprintf "%.0f" r.pr_throughput;
-              Printf.sprintf "%.3f ms" r.pr_worst_p95;
-              Printf.sprintf "%.2fx" (speedup r);
             ])
           runs));
   say "";
-  say "  cores: %d — scaling gates %s" cores
-    (if not gates_enforced then "recorded only (need >= 2 cores)"
-     else if gates_4 then "fully enforced"
-     else "enforced through 2 domains (need >= 4 cores for the rest)");
-  if not gates_enforced then
-    (* Loud and on stderr: a green exit on a 1-core box proves nothing
-       about scaling, and the JSON must not be mistaken for a baseline. *)
-    Printf.eprintf
-      "\n\
-       ================================================================\n\
-       WARNING: gates_enforced: false — only %d core(s) available.\n\
-       Scaling numbers below are NOT meaningful and the committed\n\
-       BENCH_parallel.json baseline will NOT be overwritten (results\n\
-       go to BENCH_parallel.local.json instead).\n\
-       ================================================================\n\n"
-      cores;
+  say "  cores: %d" cores;
   say "";
   let json =
     Printf.sprintf
       "{\n\
       \  \"sessions\": %d,\n\
-      \  \"shards\": %d,\n\
       \  \"smoke\": %b,\n\
       \  \"cores\": %d,\n\
-      \  \"gates_enforced\": %b,\n\
       \  \"expands\": %d,\n\
       \  \"crashes\": %d,\n\
       \  \"elapsed_ms_1\": %.2f,\n\
       \  \"elapsed_ms_2\": %.2f,\n\
-      \  \"elapsed_ms_4\": %.2f,\n\
       \  \"throughput_1\": %.2f,\n\
-      \  \"throughput_2\": %.2f,\n\
-      \  \"throughput_4\": %.2f,\n\
-      \  \"p95_ms_1\": %.4f,\n\
-      \  \"p95_ms_2\": %.4f,\n\
-      \  \"p95_ms_4\": %.4f,\n\
-      \  \"speedup_2x\": %.3f,\n\
-      \  \"speedup_4x\": %.3f\n\
+      \  \"throughput_2\": %.2f\n\
        }\n"
-      n_sessions shards smoke cores gates_enforced r1.pr_expands
-      (r1.pr_crashes + r2.pr_crashes + r4.pr_crashes)
-      r1.pr_elapsed_ms r2.pr_elapsed_ms r4.pr_elapsed_ms r1.pr_throughput r2.pr_throughput
-      r4.pr_throughput r1.pr_worst_p95 r2.pr_worst_p95 r4.pr_worst_p95 (speedup r2) (speedup r4)
+      n_sessions smoke cores r1.pr_expands (r1.pr_crashes + r2.pr_crashes) r1.pr_elapsed_ms
+      r2.pr_elapsed_ms r1.pr_throughput r2.pr_throughput
   in
-  (* A run that couldn't enforce the gates must not clobber a committed
-     baseline produced by one that could. *)
-  let path = if gates_enforced then "BENCH_parallel.json" else "BENCH_parallel.local.json" in
+  let path = "BENCH_parallel.json" in
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
   say "  wrote %s" path;
@@ -1232,7 +1180,6 @@ let parallel_bench () =
       fail := true
     end
   in
-  (* Correctness gates — always enforced, on every run. *)
   List.iter
     (fun r ->
       gate
@@ -1249,26 +1196,6 @@ let parallel_bench () =
         (r.pr_expands = r1.pr_expands)
         (Printf.sprintf "%d EXPANDs vs %d serial" r.pr_expands r1.pr_expands))
     runs;
-  (* Scaling gates — only meaningful with cores to scale onto. The 0.95
-     monotone tolerance absorbs scheduler noise without letting a real
-     regression through. Monotone 1->2 already engages on 2-core CI
-     runners; the 4-domain gates need 4 cores. *)
-  if gates_enforced then
-    gate "throughput not monotone 1->2"
-      (r2.pr_throughput >= 0.95 *. r1.pr_throughput)
-      (Printf.sprintf "%.0f/s vs %.0f/s" r2.pr_throughput r1.pr_throughput);
-  if gates_4 then begin
-    gate "4-domain speedup below 1.8x"
-      (speedup r4 >= 1.8)
-      (Printf.sprintf "%.2fx" (speedup r4));
-    gate "throughput not monotone 2->4"
-      (r4.pr_throughput >= 0.95 *. r2.pr_throughput)
-      (Printf.sprintf "%.0f/s vs %.0f/s" r4.pr_throughput r2.pr_throughput);
-    if r1.pr_worst_p95 > 0. then
-      gate "per-domain p95 blew past 2x single-domain"
-        (r4.pr_worst_p95 <= 2. *. r1.pr_worst_p95)
-        (Printf.sprintf "%.3f ms vs %.3f ms" r4.pr_worst_p95 r1.pr_worst_p95)
-  end;
   (* Structural gate against the committed baseline: the workload is
      deterministic, so the expand total must match exactly. *)
   let baseline_path = "bench/parallel_baseline.json" in
@@ -1284,277 +1211,6 @@ let parallel_bench () =
     if not !fail then say "  baseline gates passed (%s)" baseline_path
   end
   else say "  no %s — baseline gate skipped" baseline_path;
-  if !fail then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Contention: mixed read/write traffic on the epoch-snapshot read path *)
-(* ------------------------------------------------------------------ *)
-
-type contention_run = {
-  cn_domains : int;
-  cn_reads : int;  (** Snapshot walks completed in the mixed phase. *)
-  cn_writes : int;  (** EXPAND/BACKTRACK actions in the mixed phase. *)
-  cn_elapsed_ms : float;
-  cn_ops_s : float;
-  cn_acqs : int;  (** Shard-lock acquisitions over the whole pool run. *)
-  cn_read_acqs : int;  (** Acquisitions during the pure-read phase. *)
-  cn_wait_p50 : float;
-  cn_wait_p95 : float;
-  cn_hold_p50 : float;
-  cn_hold_p95 : float;
-  cn_crashes : int;
-  cn_inconsistent : int;  (** Snapshots that failed a structural check. *)
-}
-
-(* Walk a published snapshot from the root and verify it is one
-   consistent epoch: the children edges reach exactly the captured node
-   set, the visible components partition the navigation tree's nodes,
-   and each node's cached cardinal matches its result set. A torn mix
-   of epochs (a node listing a child the other epoch hid, a stale
-   member array) trips one of these. *)
-let consistent_snapshot snap =
-  try
-    let nav_size = Nav_tree.size (Bionav_search.Nav_snapshot.nav snap) in
-    let seen = ref 0 and members = ref 0 and ok = ref true in
-    let rec go id =
-      incr seen;
-      let v = Bionav_search.Nav_snapshot.get snap id in
-      members := !members + Array.length v.Bionav_search.Nav_snapshot.members;
-      if
-        v.Bionav_search.Nav_snapshot.distinct
-        <> Docset.cardinal v.Bionav_search.Nav_snapshot.results
-      then ok := false;
-      List.iter go v.Bionav_search.Nav_snapshot.children
-    in
-    go (Bionav_search.Nav_snapshot.root snap);
-    !ok
-    && !seen = Bionav_search.Nav_snapshot.node_count snap
-    && !members = nav_size
-  with _ -> false
-
-(* The tentpole's proof bench: one sharded engine, a pool of sessions
-   under mixed Zipf traffic — 70% lock-free snapshot walks, 20%
-   EXPANDs, 10% BACKTRACKs, with a /metrics-style scrape every 64th op
-   — replayed across 1/2/4 domains, then a pure-read phase. Because
-   reads never touch the shard mutex, the pure-read phase must add
-   {e zero} lock acquisitions (enforced on every box, any core count);
-   with >= 2 cores, mixed-phase throughput must also be monotone in the
-   pool size. Lock wait/hold histograms land in the JSON so a regression
-   that re-locks the read path is visible even before it costs. *)
-let contention_bench () =
-  say "%s" (Table.section "Contention: mixed read/write Zipf traffic, 1/2/4 domains");
-  say "";
-  let smoke = !smoke_mode in
-  let w = Q.build ~config:Q.small_config ~seed:workload_seed () in
-  let queries = Array.of_list w.Q.queries in
-  let n_sessions = 16 in
-  let shards = 8 in
-  let mixed_ops = if smoke then 1200 else 4800 in
-  let read_ops = if smoke then 400 else 1600 in
-  let run_with cn_domains =
-    Metrics.reset ();
-    let config = { Engine.default_config with Engine.shards } in
-    let engine = Engine.create ~config ~database:w.Q.database ~eutils:w.Q.eutils () in
-    let zipf = Zipf.create ~exponent:1.0 (Array.length queries) in
-    let setup_rng = Rng.create 7 in
-    let sessions =
-      Array.of_list
-        (List.filter_map
-           (fun _ ->
-             let q = queries.(Zipf.draw zipf setup_rng) in
-             match Engine.search engine q.Q.keyword with
-             | Ok (Engine.Session s) -> Some s
-             | Ok Engine.No_results | Error _ -> None)
-           (List.init n_sessions Fun.id))
-    in
-    let crashes = Atomic.make 0 in
-    let inconsistent = Atomic.make 0 in
-    let reads = Atomic.make 0 in
-    let writes = Atomic.make 0 in
-    let acq = Metrics.counter "bionav_shard_lock_acquisitions_total" in
-    let mixed_worker d () =
-      try
-        let rng = Rng.create (100 + d) in
-        for op = 1 to mixed_ops / cn_domains do
-          let s = Rng.choice rng sessions in
-          if op mod 64 = 0 then ignore (String.length (Engine.metrics_text engine));
-          let r = Rng.float rng 1.0 in
-          if r < 0.7 then begin
-            let snap = Engine.snapshot s in
-            if not (consistent_snapshot snap) then Atomic.incr inconsistent;
-            Atomic.incr reads
-          end
-          else if r < 0.9 then begin
-            let snap = Engine.snapshot s in
-            let expandable =
-              List.filter
-                (fun id ->
-                  (Bionav_search.Nav_snapshot.get snap id)
-                    .Bionav_search.Nav_snapshot.expandable)
-                (Bionav_search.Nav_snapshot.visible snap)
-            in
-            (match expandable with
-            | [] -> ignore (Engine.backtrack s : bool)
-            | l -> (
-                (* A concurrent expand/backtrack may have hidden the
-                   node since the snapshot; losing that race is part of
-                   the workload, not a crash. *)
-                try ignore (Engine.expand s (Rng.choice_list rng l) : int list)
-                with Invalid_argument _ -> ()));
-            Atomic.incr writes
-          end
-          else begin
-            ignore (Engine.backtrack s : bool);
-            Atomic.incr writes
-          end
-        done
-      with e ->
-        say "  mixed domain %d crashed: %s" d (Printexc.to_string e);
-        Atomic.incr crashes
-    in
-    let read_worker d () =
-      try
-        let rng = Rng.create (500 + d) in
-        for op = 1 to read_ops / cn_domains do
-          let s = Rng.choice rng sessions in
-          if op mod 64 = 0 then ignore (String.length (Engine.metrics_text engine));
-          let snap = Engine.snapshot s in
-          if not (consistent_snapshot snap) then Atomic.incr inconsistent
-        done
-      with e ->
-        say "  read domain %d crashed: %s" d (Printexc.to_string e);
-        Atomic.incr crashes
-    in
-    let run_pool worker =
-      if cn_domains = 1 then worker 0 ()
-      else
-        Array.iter Domain.join
-          (Array.init cn_domains (fun d -> Domain.spawn (worker d)))
-    in
-    let t0 = Timing.now_ms () in
-    run_pool mixed_worker;
-    let cn_elapsed_ms = Timing.now_ms () -. t0 in
-    (* Pure-read phase: every acquisition the lock counter picks up from
-       here on is a read path that regressed onto the mutex. *)
-    let acq_before_reads = Metrics.value acq in
-    run_pool read_worker;
-    let cn_read_acqs = Metrics.value acq - acq_before_reads in
-    let wait = Metrics.histogram "bionav_shard_lock_wait_ms" in
-    let hold = Metrics.histogram "bionav_shard_lock_hold_ms" in
-    let ops = Atomic.get reads + Atomic.get writes in
-    { cn_domains;
-      cn_reads = Atomic.get reads;
-      cn_writes = Atomic.get writes;
-      cn_elapsed_ms;
-      cn_ops_s =
-        (if cn_elapsed_ms > 0. then 1000. *. float_of_int ops /. cn_elapsed_ms else 0.);
-      cn_acqs = Metrics.value acq;
-      cn_read_acqs;
-      cn_wait_p50 = Metrics.percentile wait 50.;
-      cn_wait_p95 = Metrics.percentile wait 95.;
-      cn_hold_p50 = Metrics.percentile hold 50.;
-      cn_hold_p95 = Metrics.percentile hold 95.;
-      cn_crashes = Atomic.get crashes;
-      cn_inconsistent = Atomic.get inconsistent }
-  in
-  let runs = List.map run_with [ 1; 2; 4 ] in
-  let r1 = List.nth runs 0 and r2 = List.nth runs 1 and r4 = List.nth runs 2 in
-  let cores = Domain.recommended_domain_count () in
-  let gates_enforced = cores >= 2 in
-  print_string
-    (Table.render
-       ~header:
-         [ "domains"; "reads"; "writes"; "ops/s"; "lock acqs"; "read-phase acqs";
-           "wait p95"; "hold p95" ]
-       [ Table.Right; Right; Right; Right; Right; Right; Right; Right ]
-       (List.map
-          (fun r ->
-            [
-              string_of_int r.cn_domains;
-              string_of_int r.cn_reads;
-              string_of_int r.cn_writes;
-              Printf.sprintf "%.0f" r.cn_ops_s;
-              string_of_int r.cn_acqs;
-              string_of_int r.cn_read_acqs;
-              Printf.sprintf "%.4f ms" r.cn_wait_p95;
-              Printf.sprintf "%.4f ms" r.cn_hold_p95;
-            ])
-          runs));
-  say "";
-  say "  cores: %d — scaling gates %s; the zero-lock read gate always applies" cores
-    (if gates_enforced then "enforced" else "recorded only (need >= 2 cores)");
-  if not gates_enforced then
-    Printf.eprintf
-      "\nWARNING: gates_enforced: false — only %d core(s); contention scaling\n\
-       numbers are not meaningful (the read-path lock gate still applies).\n\n"
-      cores;
-  say "";
-  let pool_json r =
-    Printf.sprintf
-      "    { \"domains\": %d, \"reads\": %d, \"writes\": %d, \"elapsed_ms\": %.2f,\n\
-      \      \"ops_per_s\": %.2f, \"lock_acquisitions\": %d,\n\
-      \      \"read_phase_acquisitions\": %d,\n\
-      \      \"lock_wait_p50_ms\": %.5f, \"lock_wait_p95_ms\": %.5f,\n\
-      \      \"lock_hold_p50_ms\": %.5f, \"lock_hold_p95_ms\": %.5f,\n\
-      \      \"crashes\": %d, \"inconsistent_snapshots\": %d }"
-      r.cn_domains r.cn_reads r.cn_writes r.cn_elapsed_ms r.cn_ops_s r.cn_acqs
-      r.cn_read_acqs r.cn_wait_p50 r.cn_wait_p95 r.cn_hold_p50 r.cn_hold_p95 r.cn_crashes
-      r.cn_inconsistent
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"sessions\": %d,\n\
-      \  \"shards\": %d,\n\
-      \  \"smoke\": %b,\n\
-      \  \"cores\": %d,\n\
-      \  \"gates_enforced\": %b,\n\
-      \  \"mixed_ops\": %d,\n\
-      \  \"read_ops\": %d,\n\
-      \  \"pools\": [\n%s\n  ]\n\
-       }\n"
-      n_sessions shards smoke cores gates_enforced mixed_ops read_ops
-      (String.concat ",\n" (List.map pool_json runs))
-  in
-  let path = "BENCH_contention.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
-  say "  wrote %s" path;
-  say "";
-  let fail = ref false in
-  let gate name ok detail =
-    if not ok then begin
-      say "  *** FAIL: %s (%s) ***" name detail;
-      fail := true
-    end
-  in
-  (* Correctness gates — always enforced, on every box. *)
-  List.iter
-    (fun r ->
-      gate
-        (Printf.sprintf "crash at %d domains" r.cn_domains)
-        (r.cn_crashes = 0)
-        (Printf.sprintf "%d domain(s) died" r.cn_crashes);
-      gate
-        (Printf.sprintf "torn snapshot at %d domains" r.cn_domains)
-        (r.cn_inconsistent = 0)
-        (Printf.sprintf "%d inconsistent snapshot(s)" r.cn_inconsistent);
-      gate
-        (Printf.sprintf "read path took the shard lock at %d domains" r.cn_domains)
-        (r.cn_read_acqs = 0)
-        (Printf.sprintf "%d acquisition(s) during the pure-read phase" r.cn_read_acqs))
-    runs;
-  (* Scaling gates — mixed-phase throughput must not degrade as domains
-     are added, since reads never contend. *)
-  if gates_enforced then begin
-    gate "ops/s not monotone 1->2"
-      (r2.cn_ops_s >= 0.95 *. r1.cn_ops_s)
-      (Printf.sprintf "%.0f/s vs %.0f/s" r2.cn_ops_s r1.cn_ops_s);
-    if cores >= 4 then
-      gate "ops/s not monotone 2->4"
-        (r4.cn_ops_s >= 0.95 *. r2.cn_ops_s)
-        (Printf.sprintf "%.0f/s vs %.0f/s" r4.cn_ops_s r2.cn_ops_s)
-  end;
   if !fail then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -1963,11 +1619,7 @@ let serve_bench () =
   let smoke = !smoke_mode in
   let cores = Domain.recommended_domain_count () in
   let gates_enforced = cores >= 2 in
-  let app =
-    App.create
-      ~config:{ Engine.default_config with Engine.shards = 2; max_sessions = 256 }
-      ~database:w.Q.database ~eutils:w.Q.eutils ()
-  in
+  let app = App.create ~database:w.Q.database ~eutils:w.Q.eutils () in
   let handler = App.handle app in
   let engine = App.engine app in
   (* Pre-create one session per workload query; the open-loop phase
@@ -2009,11 +1661,9 @@ let serve_bench () =
   in
   let idle_config =
     { Http.default_server_config with
-      Http.domains = 1;
-      max_connections = idle_target + 64;
+      Http.max_connections = idle_target + 64;
       backlog = 1024;
       idle_timeout_ms = 120_000.;
-      max_inflight = idle_target + 64;
     }
   in
   let server, port =
@@ -2061,17 +1711,7 @@ let serve_bench () =
   let zipf = Zipf.create ~exponent:1.0 (Array.length sids) in
   let rng = Rng.create 77 in
   let draws = Array.init n_reqs (fun _ -> Zipf.draw zipf rng) in
-  let open_config =
-    { Http.default_server_config with
-      Http.domains = 2;
-      max_connections = 256;
-      queue_capacity = 1024;
-      (* No admission shedding in this phase: a shed request never
-         reaches a worker, so it would not count against the server's
-         request budget and the run would never terminate. *)
-      max_inflight = 1_000_000;
-    }
-  in
+  let open_config = { Http.default_server_config with Http.max_connections = 256 } in
   let server, port = spawn_serve_domain ~config:open_config ~max_requests:n_reqs handler in
   let latencies = Array.make n_reqs 0. in
   let errors = Atomic.make 0 in
@@ -2107,39 +1747,6 @@ let serve_bench () =
   let open_throughput = float_of_int n_reqs /. wall_s in
   say "  p50 %.3f ms  p99 %.3f ms  errors %d/%d  %.0f req/s" p50 p99 error_count n_reqs
     open_throughput;
-  (* --- phase C: saturation throughput, 1 vs 2 worker domains ---------- *)
-  let sat_reqs = if smoke then 400 else 4_000 in
-  let sat_threads = 4 in
-  say "  phase C: closed-loop saturation, %d requests, 1 vs 2 worker domains" sat_reqs;
-  let saturation domains =
-    let config =
-      { Http.default_server_config with
-        Http.domains;
-        max_connections = 64;
-        queue_capacity = 1024;
-        max_inflight = 1_000_000;
-      }
-    in
-    let server, port = spawn_serve_domain ~config ~max_requests:sat_reqs handler in
-    let per_thread = sat_reqs / sat_threads in
-    let t0 = Unix.gettimeofday () in
-    let client _ =
-      let c = client_connect port in
-      for _ = 1 to per_thread do
-        ignore (client_get c "/healthz")
-      done;
-      client_close c
-    in
-    let threads = List.init sat_threads (fun k -> Thread.create client k) in
-    List.iter Thread.join threads;
-    Domain.join server;
-    float_of_int sat_reqs /. (Unix.gettimeofday () -. t0)
-  in
-  let thr1 = saturation 1 in
-  let thr2 = saturation 2 in
-  say "  1 worker %.0f req/s   2 workers %.0f req/s   (%s)" thr1 thr2
-    (if gates_enforced then "monotone gate enforced"
-     else "recorded only (need >= 2 cores)");
   (* --- JSON + gates ---------------------------------------------------- *)
   let p99_ceiling_ms = 250. in
   let error_budget = 0.01 in
@@ -2171,17 +1778,11 @@ let serve_bench () =
        \    \"p99_ms\": %.3f,\n\
        \    \"p99_ceiling_ms\": %.0f,\n\
        \    \"throughput_rps\": %.1f\n\
-       \  },\n\
-       \  \"saturation\": {\n\
-       \    \"requests\": %d,\n\
-       \    \"workers_1_rps\": %.1f,\n\
-       \    \"workers_2_rps\": %.1f\n\
        \  }\n\
        }\n"
       smoke cores gates_enforced nofile idle_target (int_of_float open_conns)
       (int_of_float idle_conns) !probe_ok probe_worst rate duration_s n_reqs
       n_client_threads error_count error_rate p50 p99 p99_ceiling_ms open_throughput
-      sat_reqs thr1 thr2
   in
   let path = "BENCH_serve.json" in
   let oc = open_out path in
@@ -2204,18 +1805,15 @@ let serve_bench () =
   gate "error budget blown"
     (error_rate <= error_budget)
     (Printf.sprintf "%.4f vs %.4f budget" error_rate error_budget);
-  (* Latency/scaling gates — need real parallelism to be meaningful. *)
-  if gates_enforced then begin
+  (* The latency gate needs a second core: the client threads and the
+     server domain share the box with nothing to spare on one. *)
+  if gates_enforced then
     gate "open-loop p99 above ceiling" (p99 <= p99_ceiling_ms)
       (Printf.sprintf "%.3f ms vs %.0f ms" p99 p99_ceiling_ms);
-    gate "throughput not monotone 1->2 workers"
-      (thr2 >= 0.9 *. thr1)
-      (Printf.sprintf "%.0f/s vs %.0f/s" thr2 thr1)
-  end;
   if !fail then exit 1
   else
     say "  all serve gates green%s"
-      (if gates_enforced then "" else " (scaling gates recorded only)")
+      (if gates_enforced then "" else " (latency gate recorded only)")
 
 (* ------------------------------------------------------------------ *)
 (* CSV export of the headline artifacts                                 *)
@@ -2559,7 +2157,6 @@ let targets =
     ("chaos", chaos_bench);
     ("docset", docset_bench);
     ("parallel", parallel_bench);
-    ("contention", contention_bench);
     ("ingest", ingest_bench);
     ("coldexpand", coldexpand_bench);
     ("serve", serve_bench);
@@ -2568,8 +2165,9 @@ let targets =
     ("csv", csv);
   ]
 
-(* "csv", "prefetch", "chaos", "docset", "parallel", "contention",
-   "ingest" and "coldexpand" write files rather than (only) printing;
+(* "csv", "prefetch", "chaos", "docset", "parallel", "ingest",
+   "coldexpand", "serve", "adaptive" and "navspace" write files rather
+   than (only) printing;
    keep them out of the default everything-run so
    `bench/main.exe > bench_output.txt` stays pure. *)
 let default_targets =
@@ -2577,7 +2175,7 @@ let default_targets =
     (fun (n, _) ->
       not
         (List.mem n
-           [ "csv"; "prefetch"; "chaos"; "docset"; "parallel"; "contention"; "ingest";
+           [ "csv"; "prefetch"; "chaos"; "docset"; "parallel"; "ingest";
              "coldexpand"; "serve"; "adaptive"; "navspace" ]))
     targets
 

@@ -456,22 +456,11 @@ let serve_cmd =
     in
     Arg.(value & opt (some float) None & info [ "expand-budget-ms" ] ~docv:"MS" ~doc)
   in
-  let domains_arg =
-    let doc =
-      "Worker domains serving requests in parallel (the session store is sharded to \
-       match). 1 serves sequentially in the accept loop."
-    in
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
-  in
   let run scale seed port max_sessions prefetch snapshot backlog max_connections
-      expand_budget_ms domains segstore adaptive half_life_ms keep_alive idle_timeout_ms
+      expand_budget_ms segstore adaptive half_life_ms keep_alive idle_timeout_ms
       max_requests_per_conn rate_limit =
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Info);
-    if domains < 1 then begin
-      Printf.printf "error: --domains must be >= 1\n";
-      exit 1
-    end;
     let w = build_workload scale seed in
     let app =
       (* A corrupt, mismatched, or missing snapshot (or segment store) is
@@ -483,11 +472,7 @@ let serve_cmd =
             (with_adaptive ~adaptive ~half_life_ms
                (with_segstore segstore
                   (engine_config ~prefetch
-                     { Engine.default_config with
-                       Engine.max_sessions;
-                       expand_budget_ms;
-                       shards = domains;
-                     })))
+                     { Engine.default_config with Engine.max_sessions; expand_budget_ms })))
           ?snapshot ~database:w.Q.database ~eutils:w.Q.eutils ()
       with (Invalid_argument msg | Sys_error msg) ->
         Printf.printf "error: %s\n" msg;
@@ -495,8 +480,7 @@ let serve_cmd =
         Printf.printf " rebuild the segment store with: bionav ingest <DIR>)\n";
         exit 1
     in
-    Printf.printf "serving on http://127.0.0.1:%d with %d domain%s (Ctrl-C to stop)\n%!"
-      port domains (if domains = 1 then "" else "s");
+    Printf.printf "serving on http://127.0.0.1:%d (Ctrl-C to stop)\n%!" port;
     Printf.printf "metrics at http://127.0.0.1:%d/metrics\n%!" port;
     if prefetch then
       Printf.printf "prefetch status at http://127.0.0.1:%d/prefetch\n%!" port;
@@ -504,7 +488,7 @@ let serve_cmd =
       Printf.printf "adaptive-model status at http://127.0.0.1:%d/adaptive\n%!" port;
     let config =
       { Bionav_web.Http.default_server_config with Bionav_web.Http.backlog;
-        max_connections; domains; keep_alive; idle_timeout_ms; max_requests_per_conn;
+        max_connections; keep_alive; idle_timeout_ms; max_requests_per_conn;
         rate_limit }
     in
     Bionav_web.Http.serve ~config ~port (Bionav_web.App.handle app)
@@ -514,7 +498,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc)
     Term.(
       const run $ scale_arg $ seed_arg $ port_arg $ max_sessions_arg $ prefetch_arg
-      $ snapshot_arg $ backlog_arg $ max_connections_arg $ expand_budget_arg $ domains_arg
+      $ snapshot_arg $ backlog_arg $ max_connections_arg $ expand_budget_arg
       $ segstore_arg $ adaptive_arg $ half_life_arg $ keep_alive_arg $ idle_timeout_arg
       $ max_requests_per_conn_arg $ rate_limit_arg)
 
@@ -523,7 +507,9 @@ let serve_cmd =
 let ingest_cmd =
   let dir_arg =
     Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"DIR" ~doc:"Segment-store output directory (created if absent).")
+         & info [] ~docv:"DIR"
+             ~doc:"Segment-store output directory (created if absent; must not already hold \
+                   a store).")
   in
   let run_budget_arg =
     let doc = "In-memory run buffer capacity in (concept, citation) pairs — the ingest \
@@ -540,7 +526,14 @@ let ingest_cmd =
     let w = build_workload scale seed in
     let config = { Seg.Ingest.run_budget_pairs; segment_max_bytes } in
     let t0 = Unix.gettimeofday () in
-    let s = Seg.Ingest.ingest_medline ~config ~dir w.Q.medline in
+    let s =
+      (* A directory that already holds a store is refused rather than
+         overwritten in place. *)
+      try Seg.Ingest.ingest_medline ~config ~dir w.Q.medline
+      with Invalid_argument msg ->
+        Printf.printf "error: %s\n" msg;
+        exit 1
+    in
     let dt = Unix.gettimeofday () -. t0 in
     Printf.printf
       "ingested %d citations (%d associations) into %s in %.2fs\n"

@@ -12,7 +12,7 @@
 
     Concurrency: [observe_*] are O(1) amortized (an evidence-table-sized
     model rebuild every [refresh_every] observations) and thread-safe —
-    designed to be called from engine actions under the shard lock. The
+    designed to be called from engine actions under the engine lock. The
     current model is published through an [Atomic]; readers never block. *)
 
 type config = {
@@ -50,7 +50,7 @@ val model : t -> Bionav_core.Probability.model
 val observe_expand : t -> concept:int -> unit
 val observe_show : t -> concept:int -> unit
 val observe_ignore : t -> concept:int -> unit
-(** Online evidence: O(1) amortized, safe under the engine shard lock. *)
+(** Online evidence: O(1) amortized, safe under the engine lock. *)
 
 val learn : t -> Bionav_core.Session_log.event list -> unit
 (** Bulk-ingest one session transcript and refresh the model. A revealed

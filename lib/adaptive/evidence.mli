@@ -6,10 +6,10 @@
     Evolution": concept relevance drifts, so stale behaviour must stop
     steering cuts); decay is applied {e lazily} on touch, so every
     [observe_*] is O(1) no matter how much time passed — cheap
-    enough to call from engine actions under the shard lock. A count
+    enough to call from engine actions under the engine lock. A count
     decayed below [1e-9] snaps to exactly zero, making "fully decayed"
     indistinguishable from "never observed". All operations are
-    thread-safe behind an internal mutex (engine shards observe from
+    thread-safe behind an internal mutex (the engine may be driven from
     several domains). *)
 
 type counts = { expands : float; shows : float; ignores : float }

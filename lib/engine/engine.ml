@@ -21,7 +21,6 @@ type config = {
   clock : Clock.t;
   expand_budget_ms : float option;
   resilience : Guard.config option;
-  shards : int;
   segstore : Bionav_segstore.Store.spec option;
   adaptive : Adaptive.config option;
 }
@@ -35,7 +34,6 @@ let default_config =
     clock = Clock.real;
     expand_budget_ms = None;
     resilience = Some Guard.default_config;
-    shards = 1;
     segstore = None;
     adaptive = None;
   }
@@ -58,69 +56,59 @@ type frame = {
   fnavigation : Navigation.t;
 }
 
-(* A session is pinned to the shard that created it ([home]): its
-   navigation trees came out of that shard's cache and the active tree's
-   arena is mutated on every expand, so all mutation happens under
-   [home.lock]. Reads go through [snapshot]: an immutable epoch-versioned
-   view of the {e top} frame republished (RCU-style) after every
-   mutation, consumed with [Atomic.get] and no lock (DESIGN.md §12).
-   [frames] is an Atomic so the off-lock accessors ([navigation],
-   [space_id], [refine_depth]) read a consistent stack; it is only
-   written under the shard lock and is never empty. *)
+(* A session's navigation trees came out of the engine's cache and the
+   active tree's arena is mutated on every expand, so all mutation
+   happens under the engine lock. Reads go through [snapshot]: an
+   immutable epoch-versioned view of the {e top} frame republished
+   (RCU-style) after every mutation, consumed with [Atomic.get] and no
+   lock (DESIGN.md §12). [frames] is an Atomic so the off-lock accessors
+   ([navigation], [space_id], [refine_depth]) read a consistent stack; it
+   is only written under the lock and is never empty. *)
 type session = {
   sid : string;
   query : string;
   sstrategy : Navigation.strategy;
       (* the effective base strategy; per-frame strategies derive from it *)
   frames : frame list Atomic.t;  (* top frame first *)
-  home : shard;
+  owner : t;
   snapshot : Nav_snapshot.t Atomic.t;
   seen_concepts : (int, unit) Hashtbl.t;
       (* concepts revealed to this session but not (yet) engaged with;
-         mutated under the shard lock, flushed as IGNORE evidence when
-         the session ends *)
-  mutable epoch : int;  (* bumped under the shard lock at each publish *)
+         mutated under the lock, flushed as IGNORE evidence when the
+         session ends *)
+  mutable epoch : int;  (* bumped under the lock at each publish *)
   mutable tick : int;  (* recency clock value of the last touch *)
   mutable last_use_ms : float;  (* config.clock time of the last touch, for TTLs *)
 }
 
-and shard = {
-  snum : int;
+and t = {
+  config : config;
+  database : Bionav_store.Database.t;
+  store : Bionav_segstore.Store.t option;
+  eutils : Eutils.t;
   lock : Mutex.t;
   lock_owner : int Atomic.t;  (* domain id holding [lock]; -1 when free *)
-  swaiters : Metrics.gauge;  (* per-shard lock queue depth *)
   cache : Nav_cache.t;
-  sprefetch : Prefetch.t option;
-  sguard : Guard.t option;
-  sadaptive : Adaptive.t option;  (* engine-wide learned model, shared by all shards *)
-  sderiver : Nav_space.deriver;  (* derives refined/faceted spaces; used under the lock *)
-  sbudget : (unit -> unit -> bool) option;
+  prefetch : Prefetch.t option;
+  guard : Guard.t option;
+  adaptive : Adaptive.t option;
+      (* learned probability model; its own internal lock makes observes
+         safe from any domain *)
+  deriver : Nav_space.deriver;  (* derives refined/faceted spaces; used under the lock *)
+  budget : (unit -> unit -> bool) option;
       (* the EXPAND budget factory handed to Navigation.set_budget, when
          a guard or a budget is configured. The deadline starts first so
          an injected latency spike (the "expand" half of a fault plan)
          eats into it — exactly the overload signal that triggers
          degradation. *)
-  srun_search : string -> Docset.t;
+  run_search : string -> Docset.t;
   sessions : (string, session) Hashtbl.t;
-  shard_max : int;  (* per-shard session bound *)
-  sarena_stats : Docset_arena.stats Atomic.t;
-      (* aggregate over this shard's reachable arenas, refreshed on lock
+  arena_stats : Docset_arena.stats Atomic.t;
+      (* aggregate over the engine's reachable arenas, refreshed on lock
          release so the metrics scrape never takes the lock *)
-  mutable sclock : int;
-  mutable sevictions : int;
-}
-
-type t = {
-  config : config;
-  database : Bionav_store.Database.t;
-  store : Bionav_segstore.Store.t option;
-  eutils : Eutils.t;
-  search_lock : Mutex.t;  (* confines the inverted index's shared arena *)
-  shards : shard array;
   next_sid : int Atomic.t;
-  adaptive : Adaptive.t option;
-      (* engine-wide (cross-shard) learned probability model; its own
-         internal lock makes observes from any shard safe *)
+  mutable clock_tick : int;
+  mutable evictions : int;
 }
 
 let started_counter = Metrics.counter "bionav_sessions_started_total"
@@ -135,7 +123,7 @@ let lock_wait_hist = Metrics.histogram "bionav_shard_lock_wait_ms"
 let lock_hold_hist = Metrics.histogram "bionav_shard_lock_hold_ms"
 let publish_hist = Metrics.histogram "bionav_snapshot_publish_ms"
 
-(* Capture a frame's snapshot (under the shard lock), timing it into the
+(* Capture a frame's snapshot (under the lock), timing it into the
    snapshot-publication histogram. *)
 let capture ~epoch ~query ~depth fr =
   let snap, ms =
@@ -145,7 +133,7 @@ let capture ~epoch ~query ~depth fr =
   Metrics.observe publish_hist ms;
   snap
 
-(* --- the shard lock ----------------------------------------------------- *)
+(* --- the engine lock ---------------------------------------------------- *)
 
 let zero_arena_stats =
   Docset_arena.
@@ -171,44 +159,41 @@ let add_arena_stats acc (st : Docset_arena.stats) =
       memo_hits = acc.memo_hits + st.memo_hits;
     }
 
-(* Aggregate stats over the arenas this shard can reach (cached trees +
+(* Aggregate stats over the arenas the engine can reach (cached trees +
    every frame of every live session, physically deduplicated). Called
-   under the shard lock. *)
-let shard_arena_stats shard =
+   under the lock. *)
+let reachable_arena_stats t =
   let arenas = ref [] in
   let note a = if not (List.memq a !arenas) then arenas := a :: !arenas in
-  Nav_cache.fold_trees shard.cache (fun nav () -> note (Nav_tree.arena nav)) ();
+  Nav_cache.fold_trees t.cache (fun nav () -> note (Nav_tree.arena nav)) ();
   Hashtbl.iter
     (fun _ s -> List.iter (fun fr -> note (Nav_tree.arena fr.fnav)) (Atomic.get s.frames))
-    shard.sessions;
+    t.sessions;
   List.fold_left (fun acc a -> add_arena_stats acc (Docset_arena.stats a)) zero_arena_stats !arenas
 
-(* Every acquisition of a shard lock goes through here: it detects
-   same-domain re-entry (the mutexes are non-reentrant, so that would
-   deadlock), maintains the wait/hold histograms and the per-shard
-   queue-depth gauge, and refreshes the shard's published arena stats on
-   the way out. *)
-let with_shard shard f =
+(* Every acquisition of the engine lock goes through here: it detects
+   same-domain re-entry (the mutex is non-reentrant, so that would
+   deadlock), maintains the wait/hold histograms, and refreshes the
+   published arena stats on the way out. *)
+let with_lock t f =
   let me = Ownership.self_id () in
-  if Atomic.get shard.lock_owner = me then
+  if Atomic.get t.lock_owner = me then
     invalid_arg
       (Printf.sprintf
-         "Engine: reentrant use of shard %d's lock from domain %d (run_locked inside \
+         "Engine: reentrant use of the engine lock from domain %d (run_locked inside \
           run_locked?)"
-         shard.snum me);
-  Metrics.add shard.swaiters 1.;
+         me);
   let t0 = Timing.now_ms () in
-  Mutex.lock shard.lock;
+  Mutex.lock t.lock;
   let t1 = Timing.now_ms () in
-  Metrics.add shard.swaiters (-1.);
   Metrics.observe lock_wait_hist (t1 -. t0);
   Metrics.incr lock_acq_counter;
-  Atomic.set shard.lock_owner me;
+  Atomic.set t.lock_owner me;
   let release () =
-    Atomic.set shard.sarena_stats (shard_arena_stats shard);
-    Atomic.set shard.lock_owner (-1);
+    Atomic.set t.arena_stats (reachable_arena_stats t);
+    Atomic.set t.lock_owner (-1);
     Metrics.observe lock_hold_hist (Timing.now_ms () -. t1);
-    Mutex.unlock shard.lock
+    Mutex.unlock t.lock
   in
   match f () with
   | v ->
@@ -221,17 +206,8 @@ let with_shard shard f =
 
 let create ?(config = default_config) ?chaos ?snapshot ~database ~eutils () =
   if config.max_sessions < 1 then invalid_arg "Engine.create: max_sessions must be >= 1";
-  if config.shards < 1 then invalid_arg "Engine.create: shards must be >= 1";
   (match config.expand_budget_ms with
   | Some b when b < 0. -> invalid_arg "Engine.create: expand_budget_ms must be >= 0"
-  | Some _ | None -> ());
-  (* A chaos plan is one stateful fault stream: sharding the engine would
-     race the draws and silently skew the plan. Refuse instead of
-     silently confining it to shard 0 (which dropped it for every other
-     shard's traffic). *)
-  (match chaos with
-  | Some _ when config.shards > 1 ->
-      invalid_arg "Engine.create: a chaos plan requires shards = 1"
   | Some _ | None -> ());
   (* With a segment store configured, associations come off the mapped
      segments and the passed database contributes only its hierarchy. *)
@@ -254,69 +230,43 @@ let create ?(config = default_config) ?chaos ?snapshot ~database ~eutils () =
         ( Some st,
           Bionav_segstore.Bridge.database st (Bionav_store.Database.hierarchy database) )
   in
-  let search_lock = Mutex.create () in
   let index_arena = Bionav_search.Inverted_index.arena (Eutils.index eutils) in
   let adaptive =
     Option.map
       (fun cfg -> Adaptive.create ~config:cfg ~now_ms:(fun () -> Clock.now_ms config.clock) ())
       config.adaptive
   in
-  let make_shard snum =
-    let guard =
-      match (config.resilience, chaos) with
-      | None, None -> None
-      | cfg, chaos ->
-          let gconfig = Option.value cfg ~default:Guard.default_config in
-          Some (Guard.create ?chaos ~config:gconfig ~clock:config.clock ())
+  let guard =
+    match (config.resilience, chaos) with
+    | None, None -> None
+    | cfg, chaos ->
+        let gconfig = Option.value cfg ~default:Guard.default_config in
+        Some (Guard.create ?chaos ~config:gconfig ~clock:config.clock ())
+  in
+  let run_search query =
+    (* esearch interns into the process-wide index arena, adopted by
+       whichever domain holds the engine lock. Only tree-cache misses and
+       warm starts pay this. *)
+    let esearch () =
+      Docset_arena.adopt index_arena;
+      Eutils.esearch eutils query
     in
-    let run_search query =
-      (* esearch interns into the process-wide index arena: serialized
-         across shards, and the arena is adopted by whichever domain got
-         the lock. Only tree-cache misses pay this. *)
-      let locked () =
-        Mutex.protect search_lock (fun () ->
-            Docset_arena.adopt index_arena;
-            Eutils.esearch eutils query)
-      in
-      match guard with
-      | None -> locked ()
-      | Some g -> (
-          match Guard.call g ~op:"esearch" locked with
-          | Ok ids -> ids
-          | Error e -> raise (Backend_unavailable (Guard.error_message e)))
+    match guard with
+    | None -> esearch ()
+    | Some g -> (
+        match Guard.call g ~op:"esearch" esearch with
+        | Ok ids -> ids
+        | Error e -> raise (Backend_unavailable (Guard.error_message e)))
+  in
+  let build query = Nav_tree.of_database database (run_search query) in
+  let budget_factory () =
+    let deadline =
+      Option.map
+        (fun budget_ms -> Deadline.start ~clock:config.clock ~budget_ms)
+        config.expand_budget_ms
     in
-    let build query = Nav_tree.of_database database (run_search query) in
-    let budget_factory () =
-      let deadline =
-        Option.map
-          (fun budget_ms -> Deadline.start ~clock:config.clock ~budget_ms)
-          config.expand_budget_ms
-      in
-      (match guard with None -> () | Some g -> Guard.inject g ~op:"expand");
-      match deadline with None -> fun () -> false | Some d -> fun () -> Deadline.expired d
-    in
-    {
-      snum;
-      lock = Mutex.create ();
-      lock_owner = Atomic.make (-1);
-      swaiters = Metrics.gauge (Printf.sprintf "bionav_shard_lock_waiters_s%d" snum);
-      cache = Nav_cache.create ~capacity:config.cache_capacity ~build ();
-      sprefetch =
-        Option.map (fun pc -> Prefetch.create ~config:pc ()) config.prefetch;
-      sguard = guard;
-      sadaptive = adaptive;
-      sderiver = Nav_space.deriver ~medline:(Eutils.medline eutils) database;
-      sbudget =
-        (if Option.is_some guard || Option.is_some config.expand_budget_ms then
-           Some budget_factory
-         else None);
-      srun_search = run_search;
-      sessions = Hashtbl.create 64;
-      shard_max = max 1 (config.max_sessions / config.shards);
-      sarena_stats = Atomic.make zero_arena_stats;
-      sclock = 0;
-      sevictions = 0;
-    }
+    (match guard with None -> () | Some g -> Guard.inject g ~op:"expand");
+    match deadline with None -> fun () -> false | Some d -> fun () -> Deadline.expired d
   in
   let t =
     {
@@ -324,38 +274,45 @@ let create ?(config = default_config) ?chaos ?snapshot ~database ~eutils () =
       database;
       store;
       eutils;
-      search_lock;
-      shards = Array.init config.shards make_shard;
-      next_sid = Atomic.make 0;
+      lock = Mutex.create ();
+      lock_owner = Atomic.make (-1);
+      cache = Nav_cache.create ~capacity:config.cache_capacity ~build ();
+      prefetch = Option.map (fun pc -> Prefetch.create ~config:pc ()) config.prefetch;
+      guard;
       adaptive;
+      deriver = Nav_space.deriver ~medline:(Eutils.medline eutils) database;
+      budget =
+        (if Option.is_some guard || Option.is_some config.expand_budget_ms then
+           Some budget_factory
+         else None);
+      run_search;
+      sessions = Hashtbl.create 64;
+      arena_stats = Atomic.make zero_arena_stats;
+      next_sid = Atomic.make 0;
+      clock_tick = 0;
+      evictions = 0;
     }
   in
   (match snapshot with
   | None -> ()
   | Some path ->
       let entries = Snapshot.load ~db:database path in
-      let n = ref 0 in
-      Array.iter
-        (fun shard ->
-          n :=
-            Warmer.apply ~db:database ~trees:shard.cache
-              ?plans:(Option.map Prefetch.plans shard.sprefetch)
-              ?model:(Option.map Adaptive.model t.adaptive)
-              entries)
-        t.shards;
-      Logs.info (fun m -> m "engine: warm-started %d quer%s from %s" !n
-                     (if !n = 1 then "y" else "ies") path));
+      let n =
+        Warmer.apply ~db:database ~trees:t.cache
+          ?plans:(Option.map Prefetch.plans t.prefetch)
+          ?model:(Option.map Adaptive.model t.adaptive)
+          entries
+      in
+      Logs.info (fun m -> m "engine: warm-started %d quer%s from %s" n
+                     (if n = 1 then "y" else "ies") path));
   t
 
 let eutils t = t.eutils
 let config t = t.config
-let prefetch t = t.shards.(0).sprefetch
-let guard t = t.shards.(0).sguard
+let prefetch t = t.prefetch
+let guard t = t.guard
 let resilience_clock t = t.config.clock
-let shard_count t = Array.length t.shards
 let segstore t = t.store
-
-let shard_of_sid t sid = t.shards.(Hashtbl.hash sid mod Array.length t.shards)
 let adaptive t = t.adaptive
 
 let learn t events =
@@ -385,7 +342,7 @@ let descriptor_frame fr = fr.fdim = Nav_space.Descriptor
 (* The session engaged with [node] (expanded it or listed its results):
    record the evidence and stop counting the concept as merely seen. *)
 let note_engaged s observe node =
-  match s.home.sadaptive with
+  match s.owner.adaptive with
   | None -> ()
   | Some ad ->
       let fr = top_frame s in
@@ -398,7 +355,7 @@ let note_engaged s observe node =
       end
 
 let note_revealed s revealed =
-  match s.home.sadaptive with
+  match s.owner.adaptive with
   | None -> ()
   | Some _ ->
       let fr = top_frame s in
@@ -410,10 +367,10 @@ let note_revealed s revealed =
           revealed
 
 (* The session is over: whatever it was shown and never engaged with is
-   IGNORE evidence. Called under the shard lock on every exit path
+   IGNORE evidence. Called under the lock on every exit path
    (close, LRU eviction, TTL sweep). *)
 let flush_ignores s =
-  match s.home.sadaptive with
+  match s.owner.adaptive with
   | None -> ()
   | Some ad ->
       Hashtbl.iter (fun concept () -> Adaptive.observe_ignore ad ~concept) s.seen_concepts;
@@ -480,35 +437,33 @@ let session_nav s = (top_frame s).fnav
 let navigation s = (top_frame s).fnavigation
 let snapshot s = Atomic.get s.snapshot
 
-let session_count t =
-  Array.fold_left (fun acc shard -> acc + Hashtbl.length shard.sessions) 0 t.shards
+(* Reads the table size without the lock: an int-field read, tolerable
+   staleness for a gauge. *)
+let session_count t = Hashtbl.length t.sessions
 
-let eviction_count t = Array.fold_left (fun acc shard -> acc + shard.sevictions) 0 t.shards
+let eviction_count t = t.evictions
 
-(* Reads other shards' table sizes without their locks: an int-field read
-   per table, tolerable staleness for a gauge. *)
 let publish_live t = Metrics.set live_gauge (float_of_int (session_count t))
 
 let touch t s =
-  let shard = s.home in
-  shard.sclock <- shard.sclock + 1;
-  s.tick <- shard.sclock;
+  t.clock_tick <- t.clock_tick + 1;
+  s.tick <- t.clock_tick;
   s.last_use_ms <- Clock.now_ms t.config.clock
 
-let evict_lru shard =
+let evict_lru t =
   let victim =
     Hashtbl.fold
       (fun _ s acc ->
         match acc with Some best when best.tick <= s.tick -> acc | Some _ | None -> Some s)
-      shard.sessions None
+      t.sessions None
   in
   match victim with
   | Some s ->
       flush_ignores s;
-      Hashtbl.remove shard.sessions s.sid;
-      shard.sevictions <- shard.sevictions + 1;
+      Hashtbl.remove t.sessions s.sid;
+      t.evictions <- t.evictions + 1;
       Metrics.incr evicted_counter;
-      Logs.debug (fun m -> m "engine: evicted session %s (shard %d full)" s.sid shard.snum)
+      Logs.debug (fun m -> m "engine: evicted session %s (store full)" s.sid)
   | None -> ()
 
 type search_outcome = No_results | Session of session
@@ -516,22 +471,22 @@ type search_outcome = No_results | Session of session
 (* Wire a frame's navigation into the engine services: the EXPAND budget
    and the plan cache (keyed by the frame's space key). Shared by the base
    frame ([search]) and every derived frame ([refine]/[facet]). *)
-let wire_frame shard ~fkey navigation =
-  (match shard.sbudget with
+let wire_frame t ~fkey navigation =
+  (match t.budget with
   | None -> ()
   | Some factory -> Navigation.set_budget navigation (Some factory));
-  Option.iter (fun pf -> Prefetch.attach_plans pf ~query:fkey navigation) shard.sprefetch
+  Option.iter (fun pf -> Prefetch.attach_plans pf ~query:fkey navigation) t.prefetch
 
 (* Fetch or derive a navigation space for a derived frame, through the
-   shard's tree cache under the frame's composite key — so revisiting a
+   engine's tree cache under the frame's composite key — so revisiting a
    refinement path is a cache hit, not a re-derivation. Runs under the
-   shard lock. *)
-let derived_space shard ~fkey ~dim subset =
-  match Nav_cache.find shard.cache fkey with
+   lock. *)
+let derived_space t ~fkey ~dim subset =
+  match Nav_cache.find t.cache fkey with
   | Some nav -> nav
   | None ->
-      let nav = Nav_space.derive shard.sderiver dim subset in
-      Nav_cache.put shard.cache fkey nav;
+      let nav = Nav_space.derive t.deriver dim subset in
+      Nav_cache.put t.cache fkey nav;
       nav
 
 let frame_key query fid = Nav_cache.normalize query ^ "\x1f" ^ fid
@@ -543,20 +498,18 @@ let search t ?(strategy = Navigation.bionav ()) query =
       if String.trim query = "" then Error "empty query"
       else begin
         let strategy = effective_strategy t strategy in
-        (* The sid is allocated before the (fallible) tree build so the
-           shard — and therefore the lock and cache — can be chosen up
-           front; a failed search burns an id, which stays monotonic. *)
+        (* The sid is allocated before the (fallible) tree build; a failed
+           search burns an id, which stays monotonic. *)
         let sid = Printf.sprintf "s%d" (Atomic.fetch_and_add t.next_sid 1) in
-        let shard = shard_of_sid t sid in
-        with_shard shard (fun () ->
-            match Nav_cache.get shard.cache query with
+        with_lock t (fun () ->
+            match Nav_cache.get t.cache query with
             | exception Backend_unavailable msg -> Error msg
             | nav ->
                 Docset_arena.adopt (Nav_tree.arena nav);
                 if Nav_tree.distinct_results nav = 0 then Ok No_results
                 else begin
-                  while Hashtbl.length shard.sessions >= shard.shard_max do
-                    evict_lru shard
+                  while Hashtbl.length t.sessions >= t.config.max_sessions do
+                    evict_lru t
                   done;
                   (* A Faceted base strategy starts the session in the
                      qualifier-facet space of the full result set; the
@@ -569,7 +522,7 @@ let search t ?(strategy = Navigation.bionav ()) query =
                         let fkey = frame_key query fid in
                         let subset = Nav_tree.subtree_results nav (Nav_tree.root nav) in
                         let fnav =
-                          derived_space shard ~fkey ~dim:Nav_space.Qualifier_facet subset
+                          derived_space t ~fkey ~dim:Nav_space.Qualifier_facet subset
                         in
                         { fid; fdim = Nav_space.Qualifier_facet; fkey; fnav;
                           fnavigation = Navigation.start strategy fnav }
@@ -584,7 +537,7 @@ let search t ?(strategy = Navigation.bionav ()) query =
                       query;
                       sstrategy = strategy;
                       frames = Atomic.make [ base ];
-                      home = shard;
+                      owner = t;
                       snapshot =
                         Atomic.make (capture ~epoch:0 ~query ~depth:0 base);
                       seen_concepts = Hashtbl.create 16;
@@ -594,8 +547,8 @@ let search t ?(strategy = Navigation.bionav ()) query =
                     }
                   in
                   touch t s;
-                  Hashtbl.replace shard.sessions sid s;
-                  wire_frame shard ~fkey:base.fkey base.fnavigation;
+                  Hashtbl.replace t.sessions sid s;
+                  wire_frame t ~fkey:base.fkey base.fnavigation;
                   Metrics.incr started_counter;
                   publish_live t;
                   Ok (Session s)
@@ -603,21 +556,19 @@ let search t ?(strategy = Navigation.bionav ()) query =
       end
 
 let find_session t sid =
-  let shard = shard_of_sid t sid in
-  with_shard shard (fun () ->
-      match Hashtbl.find_opt shard.sessions sid with
+  with_lock t (fun () ->
+      match Hashtbl.find_opt t.sessions sid with
       | Some s ->
           touch t s;
           Some s
       | None -> None)
 
 let close t sid =
-  let shard = shard_of_sid t sid in
-  with_shard shard (fun () ->
-      match Hashtbl.find_opt shard.sessions sid with
+  with_lock t (fun () ->
+      match Hashtbl.find_opt t.sessions sid with
       | Some s ->
           flush_ignores s;
-          Hashtbl.remove shard.sessions sid;
+          Hashtbl.remove t.sessions sid;
           Metrics.incr closed_counter;
           publish_live t;
           true
@@ -628,23 +579,20 @@ let sweep ?now_ms t =
   | None -> 0
   | Some ttl ->
       let now = match now_ms with Some n -> n | None -> Clock.now_ms t.config.clock in
-      let total = ref 0 in
-      Array.iter
-        (fun shard ->
-          with_shard shard (fun () ->
-              let expired =
-                Hashtbl.fold
-                  (fun _ s acc -> if now -. s.last_use_ms > ttl then s :: acc else acc)
-                  shard.sessions []
-              in
-              List.iter
-                (fun s ->
-                  flush_ignores s;
-                  Hashtbl.remove shard.sessions s.sid)
-                expired;
-              total := !total + List.length expired))
-        t.shards;
-      let n = !total in
+      let n =
+        with_lock t (fun () ->
+            let expired =
+              Hashtbl.fold
+                (fun _ s acc -> if now -. s.last_use_ms > ttl then s :: acc else acc)
+                t.sessions []
+            in
+            List.iter
+              (fun s ->
+                flush_ignores s;
+                Hashtbl.remove t.sessions s.sid)
+              expired;
+            List.length expired)
+      in
       if n > 0 then begin
         Metrics.incr ~by:n expired_counter;
         publish_live t;
@@ -655,7 +603,7 @@ let sweep ?now_ms t =
 (* --- navigation actions ------------------------------------------------ *)
 
 (* Re-capture and publish the session's snapshot from its top frame. Runs
-   under the shard lock: capture reads the live active tree's
+   under the lock: capture reads the live active tree's
    per-component state; the Atomic.set is the RCU-style
    publication point. Epoch and space id advance together in the one
    atomic store, so a reader never observes a mixed-space view. *)
@@ -665,7 +613,7 @@ let publish s =
   Atomic.set s.snapshot (capture ~epoch:s.epoch ~query:s.query ~depth:(refine_depth s) fr)
 
 let run_locked s f =
-  with_shard s.home (fun () ->
+  with_lock s.owner (fun () ->
       Docset_arena.adopt (Nav_tree.arena (top_frame s).fnav);
       let r = f () in
       publish s;
@@ -693,13 +641,13 @@ let backtrack s = run_locked s (fun () -> Navigation.backtrack (navigation s))
    a navigation on it under the dimension-mapped strategy and wire it
    into the budget and the plan cache. [run_locked] then publishes. *)
 let push_frame s ~fid ~dim subset =
-  let shard = s.home in
+  let t = s.owner in
   let fkey = frame_key s.query fid in
-  let fnav = derived_space shard ~fkey ~dim subset in
+  let fnav = derived_space t ~fkey ~dim subset in
   Docset_arena.adopt (Nav_tree.arena fnav);
-  let fnavigation = Navigation.start (frame_strategy shard.sadaptive s.sstrategy dim) fnav in
+  let fnavigation = Navigation.start (frame_strategy t.adaptive s.sstrategy dim) fnav in
   let fr = { fid; fdim = dim; fkey; fnav; fnavigation } in
-  wire_frame shard ~fkey fnavigation;
+  wire_frame t ~fkey fnavigation;
   Atomic.set s.frames (fr :: Atomic.get s.frames);
   Metrics.incr refinements_counter;
   Metrics.set refine_depth_gauge (float_of_int (refine_depth s));
@@ -758,46 +706,30 @@ let start strategy nav =
 
 let warm t queries =
   let model = Option.map Adaptive.model t.adaptive in
-  let entries = Warmer.build ~db:t.database ~run:t.shards.(0).srun_search ?model queries in
-  Array.iter
-    (fun shard ->
-      with_shard shard (fun () ->
-          ignore
-            (Warmer.apply ~db:t.database ~trees:shard.cache
-               ?plans:(Option.map Prefetch.plans shard.sprefetch)
-               ?model entries
-              : int)))
-    t.shards;
-  entries
+  with_lock t (fun () ->
+      let entries = Warmer.build ~db:t.database ~run:t.run_search ?model queries in
+      ignore
+        (Warmer.apply ~db:t.database ~trees:t.cache
+           ?plans:(Option.map Prefetch.plans t.prefetch)
+           ?model entries
+          : int);
+      entries)
 
 let save_snapshot t entries path = Snapshot.save ~db:t.database entries path
 
 (* --- observability ------------------------------------------------------ *)
 
-let cache_hit_rate t =
-  let hits, lookups =
-    Array.fold_left
-      (fun (h, l) shard ->
-        let sh = Nav_cache.hits shard.cache and sm = Nav_cache.misses shard.cache in
-        (h + sh, l + sh + sm))
-      (0, 0) t.shards
-  in
-  if lookups = 0 then 0. else float_of_int hits /. float_of_int lookups
+let hit_rate hits misses =
+  if hits + misses = 0 then 0. else float_of_int hits /. float_of_int (hits + misses)
+
+let cache_hit_rate t = hit_rate (Nav_cache.hits t.cache) (Nav_cache.misses t.cache)
 
 let plan_cache_hit_rate t =
-  let hits, lookups =
-    Array.fold_left
-      (fun (h, l) shard ->
-        match shard.sprefetch with
-        | None -> (h, l)
-        | Some pf ->
-            let plans = Prefetch.plans pf in
-            let ph = Bionav_prefetch.Plan_cache.hits plans
-            and pm = Bionav_prefetch.Plan_cache.misses plans in
-            (h + ph, l + ph + pm))
-      (0, 0) t.shards
-  in
-  if lookups = 0 then 0. else float_of_int hits /. float_of_int lookups
+  match t.prefetch with
+  | None -> 0.
+  | Some pf ->
+      let plans = Prefetch.plans pf in
+      hit_rate (Bionav_prefetch.Plan_cache.hits plans) (Bionav_prefetch.Plan_cache.misses plans)
 
 let docset_sets_gauge = Metrics.gauge "bionav_docset_live_sets"
 let docset_bytes_gauge = Metrics.gauge "bionav_docset_resident_bytes"
@@ -805,19 +737,15 @@ let docset_dense_gauge = Metrics.gauge "bionav_docset_live_dense"
 let docset_sparse_gauge = Metrics.gauge "bionav_docset_live_sparse"
 let docset_dedup_gauge = Metrics.gauge "bionav_docset_dedup_hit_rate"
 
-(* Aggregate docset stats without any shard lock: the inverted index's
+(* Aggregate docset stats without the engine lock: the inverted index's
    arena is read directly (pure reads are domain-safe; its plain stat
-   fields may lag the writer by a beat — monitoring tolerance), and each
-   shard contributes the aggregate it published at its last lock
-   release. The scrape path therefore never contends with navigation. *)
+   fields may lag the writer by a beat — monitoring tolerance), plus the
+   aggregate published at the last lock release. The scrape path
+   therefore never contends with navigation. *)
 let docset_stats t =
-  let acc =
-    add_arena_stats zero_arena_stats
-      (Docset_arena.stats (Bionav_search.Inverted_index.arena (Eutils.index t.eutils)))
-  in
-  Array.fold_left
-    (fun acc shard -> add_arena_stats acc (Atomic.get shard.sarena_stats))
-    acc t.shards
+  add_arena_stats
+    (Docset_arena.stats (Bionav_search.Inverted_index.arena (Eutils.index t.eutils)))
+    (Atomic.get t.arena_stats)
 
 let publish_docset t =
   let st = docset_stats t in

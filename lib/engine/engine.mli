@@ -21,25 +21,25 @@
     This is the seam scaling work plugs into: entry points talk to the
     engine, never to [Navigation.start] directly.
 
-    {b Concurrency} (DESIGN.md §11–§12): the store is sharded
-    [config.shards] ways by session-id hash. Each shard owns a mutex, a
-    tree cache, plan cache and a backend guard; sessions — and the
-    navigation trees and docset arenas behind them — are confined to
-    their shard and only {e mutated} under its lock, with the arena
-    {!Bionav_util.Docset_arena.adopt}ed by the locking domain. The one
-    cross-shard structure, the inverted index's arena, is confined by an
-    internal search lock taken only on tree-cache misses.
+    {b Concurrency} (DESIGN.md §11–§12): one session store behind one
+    mutex, the engine lock. The store, the tree cache, the plan cache,
+    the backend guard and the inverted index's arena are only
+    {e mutated} under it, with the touched docset arena
+    {!Bionav_util.Docset_arena.adopt}ed by the locking domain, so the
+    engine is safe to call from several domains; mutations run one at a
+    time.
 
-    Reads never take the shard lock: every mutating action republishes
-    an immutable {!Bionav_search.Nav_snapshot} of the session (frozen
+    Reads never take the lock: every mutating action republishes an
+    immutable {!Bionav_search.Nav_snapshot} of the session (frozen
     arena, epoch-versioned), and {!snapshot} hands it out with one
-    [Atomic.get]. The shard mutex covers only session-table mutation,
-    tree/plan-cache writes and snapshot publication; rendering, result
-    paging and metrics scraping all run lock-free. Lock behaviour is
-    instrumented: [bionav_shard_lock_wait_ms] / [_hold_ms] histograms,
-    [bionav_shard_lock_acquisitions_total], and a
-    [bionav_shard_lock_waiters_s<N>] queue-depth gauge per shard. Shard
-    mutexes are non-reentrant; acquiring one twice from the same domain
+    [Atomic.get]. The mutex covers only session-table mutation,
+    tree/plan-cache writes, the mutating navigation actions and snapshot
+    publication; rendering, result paging and metrics scraping all run
+    lock-free. Lock behaviour is instrumented:
+    [bionav_shard_lock_wait_ms] / [_hold_ms] histograms and
+    [bionav_shard_lock_acquisitions_total] (the names predate the single
+    lock and are kept because benchmark tooling reads them). The mutex
+    is non-reentrant; acquiring it twice from the same domain
     ({!run_locked} inside {!run_locked}, or {!expand} inside
     {!run_locked}) raises [Invalid_argument] instead of deadlocking.
 
@@ -79,15 +79,6 @@ type config = {
       (** Retry/breaker policy for backend calls. Default
           [Some Guard.default_config]; [None] disables the guard (calls
           go straight to the backend) unless chaos is injected. *)
-  shards : int;
-      (** Session-store shards (>= 1, default 1). Sessions are hashed to
-          a shard by session id; each shard has its own mutex, tree
-          cache, plan cache and guard, so expands on sessions in
-          different shards proceed in parallel while every navigation
-          tree stays confined to the shard that built it (the same query
-          may therefore be built once per shard). The per-shard session
-          bound is [max 1 (max_sessions / shards)]. A chaos plan requires
-          [shards = 1] (see {!create}). *)
   segstore : Bionav_segstore.Store.spec option;
       (** Serve associations from an out-of-core segment store instead of
           the in-memory table: {!create} opens the store and rebinds the
@@ -122,39 +113,31 @@ val create :
     plan into the backend guard (forcing a guard into existence even
     when [config.resilience] is [None]): backend calls draw failures and
     latency spikes from it, EXPANDs draw latency spikes (op ["expand"]).
-    A chaos plan is one stateful fault stream, so it requires
-    [config.shards = 1] — sharding would race the draws and silently
-    skew the plan.
 
     With [config.segstore] set, the association backend is the opened
     segment store and [database] contributes only its hierarchy; the
     store must describe the same corpus (citation counts are checked).
     @raise Invalid_argument if [config.max_sessions < 1], a negative
-    [expand_budget_ms], [chaos] combined with [config.shards > 1], a
-    segment store that is corrupt or disagrees with [database], or
-    the snapshot is corrupt or from a different database; [Sys_error]
-    if unreadable. *)
+    [expand_budget_ms], a segment store that is corrupt or disagrees
+    with [database], or the snapshot is corrupt or from a different
+    database; [Sys_error] if unreadable. *)
 
 val eutils : t -> Bionav_search.Eutils.t
 val config : t -> config
 
 val prefetch : t -> Bionav_prefetch.Prefetch.t option
-(** Shard 0's prefetch facade, when enabled (prefetch state is
-    per-shard; shard 0 is the whole engine when [shards = 1]). *)
+(** The prefetch facade, when enabled. *)
 
 val guard : t -> Bionav_resilience.Guard.t option
-(** Shard 0's backend guard (for breaker/chaos introspection), when
+(** The backend guard (for breaker/chaos introspection), when
     enabled. *)
-
-val shard_count : t -> int
-(** [config.shards]. *)
 
 val segstore : t -> Bionav_segstore.Store.t option
 (** The opened segment store, when [config.segstore] was set. *)
 
 val adaptive : t -> Bionav_adaptive.Adaptive.t option
 (** The engine's learned-probability state, when [config.adaptive] was
-    set. Shared across shards; safe to inspect from any domain. *)
+    set. Safe to inspect from any domain. *)
 
 val learn : t -> Bionav_core.Session_log.event list -> bool
 (** Bulk-ingest one session transcript into the learned model and refresh
@@ -255,8 +238,8 @@ val eviction_count : t -> int
 val expand : session -> int -> int list
 val show_results : session -> int -> Bionav_util.Docset.t
 val backtrack : session -> bool
-(** Each action takes the session's shard lock, adopts the tree's docset
-    arena for the calling domain (so any worker domain may serve any
+(** Each action takes the engine lock, adopts the tree's docset
+    arena for the calling domain (so any domain may drive any
     session), and republishes the session {!snapshot} before releasing
     the lock. The docset returned by {!show_results} lives in the live
     arena but is safe to iterate after the lock is released (pure arena
@@ -265,7 +248,7 @@ val backtrack : session -> bool
 val refine : session -> int -> int
 (** Query-by-navigation: narrow the live result set to the full
     navigation subtree [L(n)] of the given visible node, derive the
-    descriptor space of that subset (through the shard's tree cache —
+    descriptor space of that subset (through the engine's tree cache —
     revisiting a refinement path is a cache hit, not a re-derivation),
     and push it as the session's new top frame. Returns the refined
     space's distinct result count. The snapshot republishes with the new
@@ -287,12 +270,12 @@ val unrefine : session -> bool
     snapshots are never reused across space changes. *)
 
 val run_locked : session -> (unit -> 'a) -> 'a
-(** Run [f] holding the session's shard lock with the tree's arena
+(** Run [f] holding the engine lock with the tree's arena
     adopted — for bulk drivers (simulation replay) that make many tree
     reads/expands as one atom — then republish the session {!snapshot}.
     Inside [f], use the raw {!Bionav_core.Navigation} operations,
     {b never} {!expand}/{!show_results}/{!backtrack} or a nested
-    [run_locked]: the shard mutex is not reentrant, and re-entry from
+    [run_locked]: the engine mutex is not reentrant, and re-entry from
     the owning domain raises [Invalid_argument]. For pure reads, prefer
     {!snapshot} — it needs no lock at all. *)
 
@@ -311,9 +294,10 @@ val start :
 val warm : t -> string list -> Bionav_store.Snapshot.entry list
 (** Run each query through the engine's own search path, build its
     navigation tree and root cut ({!Bionav_prefetch.Warmer.build}), and
-    seed the live caches. Returns the entries so the caller can persist
-    them with {!save_snapshot}. Works with prefetch disabled (trees are
-    still warmed; root cuts are only kept when the plan cache exists). *)
+    seed the live caches, all under the engine lock. Returns the entries
+    so the caller can persist them with {!save_snapshot}. Works with
+    prefetch disabled (trees are still warmed; root cuts are only kept
+    when the plan cache exists). *)
 
 val save_snapshot : t -> Bionav_store.Snapshot.entry list -> string -> unit
 (** Persist warm-start entries against this engine's database. *)
@@ -331,8 +315,8 @@ val docset_stats : t -> Bionav_util.Docset_arena.stats
     engine can reach: the inverted index's long-lived arena plus one per
     cached navigation tree (deduplicated physically — session trees come
     out of the cache). Lock-free: the index arena is read directly and
-    each shard contributes the aggregate it published at its last lock
-    release, so the figures may lag in-flight work by one lock cycle. *)
+    the rest is the aggregate published at the last lock release, so
+    the figures may lag in-flight work by one lock cycle. *)
 
 val metrics_text : t -> string
 (** Refresh the engine gauges — live session count plus the docset-arena

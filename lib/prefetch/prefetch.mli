@@ -1,7 +1,7 @@
 (** The prefetch facade: one shared {!Plan_cache} wired into navigation
     sessions.
 
-    The engine creates one [t] per shard and {!attach_plans} every new
+    The engine creates one [t] and {!attach_plans} every new
     Heuristic or Faceted session: the session then consults the plan
     cache before running Heuristic-ReducedOpt and feeds every foreground
     computation back in, so a repeat session of the same query (or a

@@ -3,10 +3,10 @@
     The lock-free read path of DESIGN.md §12: after every mutating
     navigation action (EXPAND, SHOWRESULTS, BACKTRACK) the engine
     {!capture}s the session's visible tree — while still holding the
-    shard lock — into a self-contained snapshot and publishes it through
+    engine lock — into a self-contained snapshot and publishes it through
     an [Atomic.t], RCU-style. Readers (HTML rendering, result paging,
     metrics) work entirely off the snapshot they
-    [Atomic.get] and never touch the shard lock; a reader holding epoch
+    [Atomic.get] and never touch the engine lock; a reader holding epoch
     [e] keeps a consistent view even as the session advances past it.
 
     Consistency guarantees of one snapshot:
@@ -56,7 +56,7 @@ val capture :
   t
 (** Build a snapshot of the session's current visible tree. Must be
     called while holding whatever lock serializes mutation of the
-    session (the engine's shard lock): capture reads the live active
+    session (the engine lock): capture reads the live active
     tree, which a concurrent cut would leave half-updated. The returned
     snapshot's private arena is frozen before return. [space] (default
     ["descriptor"]) is the identity of the navigation space the session's

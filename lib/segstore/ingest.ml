@@ -226,11 +226,28 @@ let ensure_dir dir =
   try Unix.mkdir dir 0o755
   with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
 
+(* Segment and run file names are fixed ([fwd-0000.seg], [run-0000.tmp],
+   ...), so ingesting over an existing store would truncate the live
+   generation's segments before the new manifest exists, and a re-ingest
+   that fails partway would leave a store that no longer opens. *)
+let store_file f =
+  f = Manifest.filename
+  || f = Manifest.filename ^ ".tmp"
+  || Filename.check_suffix f ".seg"
+  || (String.starts_with ~prefix:"run-" f && Filename.check_suffix f ".tmp")
+
 let create ?(config = default_config) ~n_concepts dir =
   if n_concepts < 0 || n_concepts >= max_component then
     invalid_arg "Segstore.Ingest: concept space exceeds 31 bits";
   if config.run_budget_pairs < 1 then
     invalid_arg "Segstore.Ingest: run budget must be positive";
+  if Sys.file_exists dir && Sys.is_directory dir && Array.exists store_file (Sys.readdir dir)
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Segstore.Ingest: %s already holds a segment store (or a partial one); ingest into a \
+          new or empty directory"
+         dir);
   ensure_dir dir;
   {
     dir;

@@ -31,7 +31,10 @@ type t
 val create : ?config:config -> n_concepts:int -> string -> t
 (** [create ~n_concepts dir] — [dir] is created if absent.
     @raise Invalid_argument if [n_concepts] is out of the packable
-    range. *)
+    range, or if [dir] already holds a store or the leftovers of one
+    ([MANIFEST], [MANIFEST.tmp], [*.seg] or [run-*.tmp]): segment file
+    names repeat across generations, so writing there would truncate the
+    live store's segments before the new manifest exists. *)
 
 val add_citation : t -> id:int -> ((int -> unit) -> unit) -> unit
 (** [add_citation t ~id iter_concepts] — [iter_concepts f] must visit the

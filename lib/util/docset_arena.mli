@@ -17,7 +17,7 @@
     time: the arena carries an {!Ownership} stamp, mutating operations
     (interning, set algebra, live memoizing "reads" like
     {!inter_cardinal}) check it, and the engine {!adopt}s an arena
-    under the shard lock before touching it from a worker domain. With
+    under the engine lock before touching it from another domain. With
     [BIONAV_OWNERSHIP=1] a cross-domain mutation raises
     {!Ownership.Violation} instead of corrupting the tables.
 

@@ -4,7 +4,7 @@
     unsynchronized: interning, op memos and count memos are plain
     hashtables mutated on the expand hot path. Rather than lock them,
     the concurrency model confines each arena to one domain at a time —
-    the engine transfers an arena to the domain that holds its shard
+    the engine transfers an arena to the domain that holds the engine
     lock. An [Ownership.t] stamp makes that protocol checkable: the
     structure records its owning domain id, mutators call {!check}, and
     a lock-protected handover calls {!adopt}.
@@ -48,7 +48,7 @@ val state : t -> state
 val adopt : t -> unit
 (** Transfer ownership to the calling domain. Correct only while the
     caller holds whatever lock serializes access to the structure (the
-    engine's shard lock); adoption itself is just a stamp update, not a
+    engine lock); adoption itself is just a stamp update, not a
     synchronization. @raise Violation if the stamp is frozen. *)
 
 val freeze : t -> unit

@@ -2,16 +2,15 @@ module Clock = Bionav_resilience.Clock
 module Metrics = Bionav_util.Metrics
 
 let shed_rate_limited_total = "bionav_serve_shed_rate_limited_total"
-let shed_overload_total = "bionav_serve_shed_overload_total"
+let shed_counter = Metrics.counter shed_rate_limited_total
 
-type config = { rate : float; burst : int; max_inflight : int }
+type config = { rate : float; burst : int }
 
-let default_config = { rate = 0.; burst = 64; max_inflight = 1024 }
+let default_config = { rate = 0.; burst = 64 }
 
 let validate_config c =
   if c.rate < 0. then invalid_arg "Admission: rate must be >= 0";
-  if c.burst < 1 then invalid_arg "Admission: burst must be >= 1";
-  if c.max_inflight < 1 then invalid_arg "Admission: max_inflight must be >= 1"
+  if c.burst < 1 then invalid_arg "Admission: burst must be >= 1"
 
 type bucket = { mutable tokens : float; mutable last_ms : float }
 
@@ -19,15 +18,14 @@ type t = {
   clock : Clock.t;
   config : config;
   buckets : (string, bucket) Hashtbl.t;
-  mutable inflight : int;
   mu : Mutex.t;
 }
 
-type decision = Admit | Shed_rate_limited | Shed_overload
+type decision = Admit | Shed_rate_limited
 
 let create ?(clock = Clock.real) config =
   validate_config config;
-  { clock; config; buckets = Hashtbl.create 64; inflight = 0; mu = Mutex.create () }
+  { clock; config; buckets = Hashtbl.create 64; mu = Mutex.create () }
 
 (* The bucket table is peer-keyed and unauthenticated input names the
    keys, so bound it: once it outgrows the cap, drop every bucket that
@@ -63,32 +61,19 @@ let bucket_for t peer ~now =
 
 let admit t ~peer =
   Mutex.protect t.mu (fun () ->
-      if t.inflight >= t.config.max_inflight then begin
-        Metrics.incr (Metrics.counter shed_overload_total);
-        Shed_overload
-      end
-      else if t.config.rate <= 0. then begin
-        t.inflight <- t.inflight + 1;
-        Admit
-      end
+      if t.config.rate <= 0. then Admit
       else begin
         let now = Clock.now_ms t.clock in
         let b = bucket_for t peer ~now in
         if b.tokens >= 1. then begin
           b.tokens <- b.tokens -. 1.;
-          t.inflight <- t.inflight + 1;
           Admit
         end
         else begin
-          Metrics.incr (Metrics.counter shed_rate_limited_total);
+          Metrics.incr shed_counter;
           Shed_rate_limited
         end
       end)
-
-let release t =
-  Mutex.protect t.mu (fun () -> t.inflight <- max 0 (t.inflight - 1))
-
-let inflight t = Mutex.protect t.mu (fun () -> t.inflight)
 
 let peek_tokens t ~peer =
   Mutex.protect t.mu (fun () ->

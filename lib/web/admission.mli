@@ -1,51 +1,37 @@
 (** Per-peer admission control for the serving tier.
 
-    Two independent policies gate every parsed request before it is
-    handed to a worker:
-
-    - a token bucket per remote peer ([rate] tokens/second, capacity
-      [burst]) so one greedy client cannot starve polite ones; and
-    - a global in-flight cap ([max_inflight]) so total concurrency
-      stays bounded no matter how many peers show up.
+    A token bucket per remote peer ([rate] tokens/second, capacity
+    [burst]) gates every parsed request before its handler runs, so one
+    greedy client cannot starve polite ones.
 
     Decisions are pure bucket arithmetic on the injected
     {!Bionav_resilience.Clock}, so tests drive refill deterministically
-    with a simulated clock. Shed decisions increment the
-    [bionav_serve_shed_rate_limited_total] /
-    [bionav_serve_shed_overload_total] counters as a side effect; the
+    with a simulated clock. A shed decision increments the
+    [bionav_serve_shed_rate_limited_total] counter as a side effect; the
     caller renders the 503. *)
 
 type config = {
   rate : float;  (** Per-peer refill, tokens/second. [0.] disables the bucket. *)
   burst : int;  (** Bucket capacity (initial tokens for a new peer). *)
-  max_inflight : int;  (** Global cap on admitted-but-unreleased requests. *)
 }
 
 val default_config : config
-(** [{ rate = 0.; burst = 64; max_inflight = 1024 }] — bucket off,
-    overload cap on. *)
+(** [{ rate = 0.; burst = 64 }] — bucket off. *)
 
 type t
 
 type decision =
-  | Admit  (** Request admitted; caller must {!release} when done. *)
+  | Admit  (** Request admitted. *)
   | Shed_rate_limited  (** Peer's bucket is empty — respond 503. *)
-  | Shed_overload  (** Global in-flight cap reached — respond 503. *)
 
 val create : ?clock:Bionav_resilience.Clock.t -> config -> t
-(** Raises [Invalid_argument] on [rate < 0.], [burst < 1], or
-    [max_inflight < 1]. The clock defaults to {!Clock.real}. *)
+(** Raises [Invalid_argument] on [rate < 0.] or [burst < 1]. The clock
+    defaults to {!Clock.real}. *)
 
 val admit : t -> peer:string -> decision
-(** Charge one token to [peer]'s bucket and claim one in-flight slot.
-    Only [Admit] consumes either; a shed decision leaves all state
-    untouched except the shed counter. Thread-safe. *)
-
-val release : t -> unit
-(** Return the in-flight slot claimed by a successful {!admit}. *)
-
-val inflight : t -> int
-(** Currently admitted-but-unreleased requests. *)
+(** Charge one token to [peer]'s bucket. Only [Admit] consumes one; a
+    shed decision leaves all state untouched except the shed counter.
+    Thread-safe. *)
 
 val peek_tokens : t -> peer:string -> float
 (** [peer]'s token balance after refill at the clock's current time —
@@ -53,6 +39,3 @@ val peek_tokens : t -> peer:string -> float
 
 val shed_rate_limited_total : string
 (** Metric name incremented on [Shed_rate_limited]. *)
-
-val shed_overload_total : string
-(** Metric name incremented on [Shed_overload]. *)

@@ -43,7 +43,7 @@ let home t =
           <button type=\"submit\">Search</button></form>"
        ^ suggestions))
 
-(* Render entirely from a published snapshot: no shard lock is held, and
+(* Render entirely from a published snapshot: no engine lock is held, and
    the page is a consistent view of one epoch even while other domains
    advance the session. *)
 let render_tree ~sid snap =
@@ -119,7 +119,7 @@ let session_page s =
 
 let param query name = List.assoc_opt name query
 
-(* Look the session up (a narrow lock on its shard's table, which also
+(* Look the session up (a narrow lock on the session table, which also
    refreshes recency) and hand it to [f] with no lock held: read routes
    work off the published snapshot, mutating routes go through the
    [Engine] actions which take the lock themselves. *)
@@ -321,9 +321,7 @@ let adaptive_status t =
    perturbing the engine. *)
 let healthz t =
   Http.ok ~content_type:"text/plain; charset=utf-8"
-    (Printf.sprintf "ok shards=%d sessions=%d\n"
-       (Engine.shard_count t.engine)
-       (Engine.session_count t.engine))
+    (Printf.sprintf "ok sessions=%d\n" (Engine.session_count t.engine))
 
 let handle t ~path ~query =
   match path with

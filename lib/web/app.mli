@@ -19,8 +19,8 @@
       (expand latency percentiles, cache, session and prefetch counters);
     - [/prefetch] — plaintext plan-cache status: size, hits, misses and
       hit rate (or ["prefetch: disabled"]);
-    - [/healthz] — constant-work liveness probe (shard and session
-      counts), cheap enough for load balancers and the serve bench to
+    - [/healthz] — constant-work liveness probe (the live session
+      count), cheap enough for load balancers and the serve bench to
       poll without perturbing the engine. *)
 
 type t

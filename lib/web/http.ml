@@ -1,5 +1,4 @@
 module Metrics = Bionav_util.Metrics
-module Bounded_queue = Bionav_util.Bounded_queue
 module Clock = Bionav_resilience.Clock
 
 type response = { status : int; content_type : string; body : string }
@@ -18,13 +17,11 @@ type server_config = {
   max_request_line : int;
   max_connections : int;
   domains : int;
-  queue_capacity : int;
   keep_alive : bool;
   idle_timeout_ms : float;
   max_requests_per_conn : int;
   rate_limit : float;
   rate_burst : int;
-  max_inflight : int;
   clock : Clock.t;
 }
 
@@ -35,13 +32,11 @@ let default_server_config =
     max_request_line = 8192;
     max_connections = 1024;
     domains = 1;
-    queue_capacity = 64;
     keep_alive = true;
     idle_timeout_ms = 30_000.;
     max_requests_per_conn = 1000;
     rate_limit = 0.;
     rate_burst = 64;
-    max_inflight = 1024;
     clock = Clock.real;
   }
 
@@ -50,13 +45,11 @@ let validate_server_config c =
   if c.read_timeout_ms < 0. then invalid_arg "Http: read_timeout_ms must be >= 0";
   if c.max_request_line < 1 then invalid_arg "Http: max_request_line must be >= 1";
   if c.max_connections < 1 then invalid_arg "Http: max_connections must be >= 1";
-  if c.domains < 1 then invalid_arg "Http: domains must be >= 1";
-  if c.queue_capacity < 1 then invalid_arg "Http: queue_capacity must be >= 1";
+  if c.domains <> 1 then invalid_arg "Http: domains must be 1";
   if c.idle_timeout_ms < 0. then invalid_arg "Http: idle_timeout_ms must be >= 0";
   if c.max_requests_per_conn < 1 then invalid_arg "Http: max_requests_per_conn must be >= 1";
   if c.rate_limit < 0. then invalid_arg "Http: rate_limit must be >= 0";
-  if c.rate_burst < 1 then invalid_arg "Http: rate_burst must be >= 1";
-  if c.max_inflight < 1 then invalid_arg "Http: max_inflight must be >= 1"
+  if c.rate_burst < 1 then invalid_arg "Http: rate_burst must be >= 1"
 
 let hex_value c =
   match c with
@@ -229,14 +222,12 @@ end
 let timeouts_counter = Metrics.counter "bionav_resilience_request_timeouts_total"
 let oversized_counter = Metrics.counter "bionav_resilience_oversized_requests_total"
 let shed_counter = Metrics.counter "bionav_resilience_shed_connections_total"
-let queue_gauge = Metrics.gauge "bionav_web_queue_depth"
 let open_conns_gauge = Metrics.gauge "bionav_serve_open_connections"
 let idle_conns_gauge = Metrics.gauge "bionav_serve_idle_connections"
 let serve_requests_counter = Metrics.counter "bionav_serve_requests_total"
 let keepalive_reuse_counter = Metrics.counter "bionav_serve_keepalive_reuses_total"
 let parse_errors_counter = Metrics.counter "bionav_serve_parse_errors_total"
 let idle_closed_counter = Metrics.counter "bionav_serve_idle_closed_total"
-let queue_wait_hist = Metrics.histogram "bionav_serve_queue_wait_ms"
 
 (* --- connection I/O ------------------------------------------------------ *)
 
@@ -401,9 +392,9 @@ end
 
 (* --- readiness loop over the machines ------------------------------------ *)
 
-(* The listener's view of one connection: the socket and the bytes of
-   the one response the machine may have pending. An idle connection is
-   this record plus the machine's drained 256-byte read buffer. *)
+(* The loop's view of one connection: the socket and the bytes of the
+   one response the machine may have pending. An idle connection is this
+   record plus the machine's drained 256-byte read buffer. *)
 type conn = {
   fd : Unix.file_descr;
   peer : string;
@@ -412,8 +403,6 @@ type conn = {
   mutable out_off : int;
   mutable closed : bool;
 }
-
-type pending = { p_conn : conn; p_req : Parser.request; p_enqueued_ms : float }
 
 let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max_requests
     ~port handler =
@@ -432,31 +421,15 @@ let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max
     match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | Unix.ADDR_UNIX _ -> port
   in
   Logs.app (fun m ->
-      m "bionav listening on http://%s:%d (%d domain%s, keep-alive %s)" host port
-        config.domains
-        (if config.domains = 1 then "" else "s")
+      m "bionav listening on http://%s:%d (keep-alive %s)" host port
         (if config.keep_alive then "on" else "off"));
   (match on_ready with Some f -> f ~port | None -> ());
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 1024 in
   let adm =
-    Admission.create ~clock
-      { Admission.rate = config.rate_limit;
-        burst = config.rate_burst;
-        max_inflight = config.max_inflight }
-  in
-  let inline = config.domains = 1 in
-  let queue : pending Bounded_queue.t = Bounded_queue.create ~capacity:config.queue_capacity in
-  let completions_mu = Mutex.create () in
-  let completions : (conn * response) list ref = ref [] in
-  let wake_r, wake_w = Unix.pipe () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
-  let wake () =
-    try ignore (Unix.write_substring wake_w "w" 0 1) with Unix.Unix_error _ -> ()
+    Admission.create ~clock { Admission.rate = config.rate_limit; burst = config.rate_burst }
   in
   let completed = ref 0 in
   let running = ref true in
-  let budget_ok () = match max_requests with None -> true | Some n -> !completed < n in
   let close_conn c =
     if not c.closed then begin
       c.closed <- true;
@@ -476,19 +449,13 @@ let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max
     | Conn.Run req -> (
         match Admission.admit adm ~peer:c.peer with
         | Admission.Shed_rate_limited -> feed c (Conn.Response rate_limited_response)
-        | Admission.Shed_overload ->
-            Metrics.incr shed_counter;
-            feed c (Conn.Response overload_response)
         | Admission.Admit ->
-            if inline then complete (c, run_handler handler req)
-            else if Bounded_queue.try_push queue { p_conn = c; p_req = req; p_enqueued_ms = now () }
-            then Metrics.set queue_gauge (float_of_int (Bounded_queue.length queue))
-            else begin
-              Admission.release adm;
-              Metrics.incr shed_counter;
-              Metrics.incr (Metrics.counter Admission.shed_overload_total);
-              feed c (Conn.Response overload_response)
-            end)
+            let resp = run_handler handler req in
+            incr completed;
+            (match max_requests with
+            | Some n when !completed >= n -> running := false
+            | Some _ | None -> ());
+            feed c (Conn.Response resp))
   and flush c =
     let remaining = String.length c.out - c.out_off in
     if (not c.closed) && remaining > 0 then
@@ -502,27 +469,6 @@ let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max
           feed c Conn.Progress
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
       | exception Unix.Unix_error (_, _, _) -> close_conn c
-  and complete (c, resp) =
-    Admission.release adm;
-    incr completed;
-    if not (budget_ok ()) then running := false;
-    feed c (Conn.Response resp)
-  in
-  let worker () =
-    let rec loop () =
-      match Bounded_queue.pop_opt queue with
-      | None -> ()
-      | Some p ->
-          Metrics.observe queue_wait_hist (Float.max 0. (now () -. p.p_enqueued_ms));
-          let resp = run_handler handler p.p_req in
-          Mutex.protect completions_mu (fun () -> completions := (p.p_conn, resp) :: !completions);
-          wake ();
-          loop ()
-    in
-    loop ()
-  in
-  let workers =
-    if inline then [||] else Array.init config.domains (fun _ -> Domain.spawn worker)
   in
   let scratch = Bytes.create (recv_capacity config) in
   let rec handle_readable c =
@@ -560,25 +506,6 @@ let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max
       | exception Unix.Unix_error ((ECONNABORTED | EINTR), _, _) -> ()
     done
   in
-  let wake_buf = Bytes.create 256 in
-  let drain_wake () =
-    let rec go () =
-      match Unix.read wake_r wake_buf 0 256 with
-      | 0 -> ()
-      | _ -> go ()
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-    in
-    go ()
-  in
-  let drain_completions () =
-    let comps =
-      Mutex.protect completions_mu (fun () ->
-          let l = !completions in
-          completions := [];
-          List.rev l)
-    in
-    List.iter complete comps
-  in
   let sweep () =
     let idle_count = ref 0 in
     let all = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
@@ -607,8 +534,6 @@ let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max
     reg_n := 0;
     Poll.add pset sock Poll.pollin;
     reg_push None;
-    Poll.add pset wake_r Poll.pollin;
-    reg_push None;
     Hashtbl.iter
       (fun _ c ->
         let ev =
@@ -625,7 +550,7 @@ let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max
         let _fd, re = Poll.ready pset i in
         if re <> 0 then
           match !reg.(i) with
-          | None -> if i = 0 then accept_ready () else drain_wake ()
+          | None -> accept_ready ()
           | Some c ->
               if not c.closed then begin
                 if re land Poll.pollout <> 0 then flush c;
@@ -635,18 +560,12 @@ let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max
               end
       end
     done;
-    drain_completions ();
     if now () -. !last_sweep >= 100. then begin
       last_sweep := now ();
       sweep ()
     end
   done;
   (try Unix.close sock with Unix.Unix_error _ -> ());
-  if not inline then begin
-    Bounded_queue.close queue;
-    Array.iter Domain.join workers;
-    drain_completions ()
-  end;
   let remaining = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
   List.iter
     (fun c ->
@@ -655,6 +574,4 @@ let serve ?(host = "127.0.0.1") ?(config = default_server_config) ?on_ready ?max
          write_all c.fd (String.sub c.out c.out_off (String.length c.out - c.out_off))
        with Unix.Unix_error _ -> ());
       close_conn c)
-    remaining;
-  (try Unix.close wake_r with Unix.Unix_error _ -> ());
-  try Unix.close wake_w with Unix.Unix_error _ -> ()
+    remaining

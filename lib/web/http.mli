@@ -6,18 +6,13 @@
     in; writes, handler runs and closes out) and the only implementation
     of the protocol: parsing, pipelining, keep-alive, the 400/405/408
     answers and the deadlines. {!serve} runs one per socket and owns
-    everything touching the outside world: one listener domain accepts,
-    reads, writes partial output and runs {!Admission}, so an idle
-    keep-alive connection costs a few hundred bytes of state instead of
-    a parked domain. With [domains = 1] admitted requests run inline on
-    the listener (sequential handler semantics, byte-for-byte the
-    responses of the pre-keep-alive server when [keep_alive = false]);
-    with [domains > 1] they go to a fixed pool of worker domains over a
-    bounded queue and the responses come back to the listener — the
-    handler must then be safe to call from multiple domains concurrently
-    (the engine's sharded sessions and domain-safe metrics are). No
-    external dependencies beyond [Unix] and a small poll(2) stub
-    ({!Poll}).
+    everything touching the outside world: one poll loop accepts, reads,
+    writes partial output, runs {!Admission} and runs each admitted
+    request's handler inline, so an idle keep-alive connection costs a
+    few hundred bytes of state and at most one request is in flight.
+    With [keep_alive = false] the responses are byte-for-byte those of
+    the pre-keep-alive server. No external dependencies beyond [Unix]
+    and a small poll(2) stub ({!Poll}).
 
     Hardened against misbehaving peers: request lines and header lines
     are length-bounded even while incomplete (400 past the bound); a
@@ -28,19 +23,18 @@
     [idle_timeout_ms]; a connection holds at most one rendered response
     however many requests it pipelines; connections beyond
     [max_connections] are shed with an immediate 503; and {!Admission}
-    sheds rate-limited or over-capacity requests with a 503 before they
-    reach a worker.
+    sheds rate-limited requests with a 503 before their handler runs.
 
     Metrics: the hardening counters
     ([bionav_resilience_request_timeouts_total],
     [bionav_resilience_oversized_requests_total],
-    [bionav_resilience_shed_connections_total],
-    [bionav_web_queue_depth]) plus the serving-tier family —
-    [bionav_serve_open_connections], [bionav_serve_idle_connections],
-    [bionav_serve_requests_total] (every complete request head,
-    including shed ones), [bionav_serve_keepalive_reuses_total],
-    [bionav_serve_parse_errors_total], [bionav_serve_idle_closed_total],
-    [bionav_serve_queue_wait_ms] and the {!Admission} shed counters. *)
+    [bionav_resilience_shed_connections_total]) plus the serving-tier
+    family — [bionav_serve_open_connections],
+    [bionav_serve_idle_connections], [bionav_serve_requests_total] (every
+    complete request head, including shed ones),
+    [bionav_serve_keepalive_reuses_total],
+    [bionav_serve_parse_errors_total], [bionav_serve_idle_closed_total]
+    and the {!Admission} shed counter. *)
 
 type response = { status : int; content_type : string; body : string }
 
@@ -65,14 +59,11 @@ type server_config = {
       (** Cap on concurrently open connections (>= 1); accepts beyond
           it are shed with an immediate 503. Default 1024. *)
   domains : int;
-      (** Worker domains (>= 1). 1 (the default) runs handlers inline
-          on the listener; N > 1 spawns N workers fed parsed requests
-          by the listener. *)
-  queue_capacity : int;
-      (** Bound on the listener→worker request queue (>= 1, default
-          64); parsed requests beyond it are shed with a 503, the queue
-          depth is published as [bionav_web_queue_depth]. Unused when
-          [domains = 1]. *)
+      (** Must be 1 (the default): handlers run inline in the poll loop.
+          A worker-domain pool served requests slower than one domain on
+          two cores and was removed; the field stays only because the
+          benchmark's serve workload sets it, and any other value is
+          rejected. *)
   keep_alive : bool;
       (** Allow connection reuse (default [true]). [false] forces
           [Connection: close] on every response regardless of what the
@@ -90,9 +81,6 @@ type server_config = {
           bucket). 0 disables the bucket. Default 0. *)
   rate_burst : int;
       (** Token-bucket capacity per peer (>= 1). Default 64. *)
-  max_inflight : int;
-      (** Global cap on requests admitted but not yet answered (>= 1).
-          Default 1024. *)
   clock : Bionav_resilience.Clock.t;
       (** Time source for idle/read deadlines and admission refill;
           inject a simulated clock to test timeout policy
@@ -232,17 +220,17 @@ val serve :
   port:int ->
   handler ->
   unit
-(** The readiness-loop server. One listener domain owns the listening
-    socket and every connection: poll(2) readiness drives non-blocking
-    accepts, reads and writes, each fed to the connection's {!Conn}
-    machine; the requests it emits pass {!Admission} and run either
-    inline ([domains = 1]) or on the worker pool, whose responses return
-    to the listener. Exceptions from the handler produce a 500 and
-    are logged; socket errors on one connection do not kill the server.
-    [on_ready] fires once the socket is listening, with the actual
-    bound port (pass [port:0] to let the kernel pick — the way tests
-    avoid port races). With [max_requests:n] the server stops after [n]
-    handler-served requests, drains the workers, flushes and closes all
-    connections and returns — without it, the loop never returns
-    normally. @raise Invalid_argument on a malformed [config] or
-    [max_requests < 1]; [Unix.Unix_error] if binding fails. *)
+(** The readiness-loop server. One poll loop, on the calling domain,
+    owns the listening socket and every connection: poll(2) readiness
+    drives non-blocking accepts, reads and writes, each fed to the
+    connection's {!Conn} machine; the requests it emits pass
+    {!Admission} and their handler runs inline. Exceptions from the
+    handler produce a 500 and are logged; socket errors on one
+    connection do not kill the server. [on_ready] fires once the socket
+    is listening, with the actual bound port (pass [port:0] to let the
+    kernel pick — the way tests avoid port races). With [max_requests:n]
+    the server stops after [n] handler-served requests, flushes and
+    closes all connections and returns — without it, the loop never
+    returns normally. @raise Invalid_argument on a malformed [config]
+    (including [domains <> 1]) or [max_requests < 1];
+    [Unix.Unix_error] if binding fails. *)

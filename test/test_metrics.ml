@@ -178,16 +178,14 @@ let test_histogram_cross_domain_exact () =
 
 (* --- navigation-space metrics: exactness through the engine ------------- *)
 
-(* The refinement counter, depth gauge and per-dimension derivation
-   histograms must count exactly: one increment per frame push, the gauge
-   tracking the live stack depth, one derivation observation per {e cold}
-   derive (revisits come from the nav cache and must not observe). *)
-let test_navigation_space_metrics_exact () =
-  Metrics.reset ();
+module Engine = Bionav_engine.Engine
+module Nav_tree = Bionav_core.Nav_tree
+
+(* A small synthetic corpus whose seeded "glioma" query reaches concepts
+   at depth >= 3, so a root EXPAND reveals something to refine on. *)
+let glioma_corpus () =
   let module S = Bionav_mesh.Synthetic in
   let module G = Bionav_corpus.Generator in
-  let module Engine = Bionav_engine.Engine in
-  let module Nav_tree = Bionav_core.Nav_tree in
   let h = S.generate ~params:S.small_params ~seed:411 () in
   let deep =
     List.filter (fun c -> Bionav_mesh.Hierarchy.depth h c >= 3)
@@ -208,7 +206,15 @@ let test_navigation_space_metrics_exact () =
         ];
     }
   in
-  let m = G.generate ~params ~seed:412 h in
+  G.generate ~params ~seed:412 h
+
+(* The refinement counter, depth gauge and per-dimension derivation
+   histograms must count exactly: one increment per frame push, the gauge
+   tracking the live stack depth, one derivation observation per {e cold}
+   derive (revisits come from the nav cache and must not observe). *)
+let test_navigation_space_metrics_exact () =
+  Metrics.reset ();
+  let m = glioma_corpus () in
   let engine =
     Engine.create ~database:(Bionav_store.Database.of_medline m)
       ~eutils:(Bionav_search.Eutils.create m) ()
@@ -258,6 +264,92 @@ let test_navigation_space_metrics_exact () =
           "bionav_space_derivation_ms_qualifier_count 1";
         ]
 
+(* --- the metric-name table ------------------------------------------------ *)
+
+(* The [bionav_*] names a /metrics body carries: a histogram renders as
+   [name_count], [name_sum] and [name{quantile=...}] lines and counts once
+   under [name]. *)
+let names_of_dump text =
+  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' text) in
+  let token l =
+    let stop c = match String.index_opt l c with Some i -> i | None -> String.length l in
+    String.sub l 0 (min (stop ' ') (stop '{'))
+  in
+  let histograms =
+    List.filter_map (fun l -> if String.contains l '{' then Some (token l) else None) lines
+  in
+  let derived = List.concat_map (fun h -> [ h ^ "_count"; h ^ "_sum" ]) histograms in
+  List.map token lines
+  |> List.filter (fun n -> not (List.mem n derived))
+  |> List.filter (String.starts_with ~prefix:"bionav_")
+  |> List.sort_uniq compare
+
+(* The metric names listed in DESIGN.md §6: every table row whose first
+   cell is a backquoted [bionav_*] name. *)
+let documented_names () =
+  let path = if Sys.file_exists "../DESIGN.md" then "../DESIGN.md" else "DESIGN.md" in
+  let lines = String.split_on_char '\n' (In_channel.with_open_text path In_channel.input_all) in
+  let rec section inside = function
+    | [] -> []
+    | l :: rest when String.starts_with ~prefix:"## " l ->
+        section (String.starts_with ~prefix:"## 6." l) rest
+    | l :: rest when inside && String.starts_with ~prefix:"| `bionav_" l ->
+        let name = List.nth (String.split_on_char '`' l) 1 in
+        name :: section inside rest
+    | _ :: rest -> section inside rest
+  in
+  List.sort_uniq compare (section false lines)
+
+(* Drive every engine surface a metric hangs off — a segment-store
+   backend, the plan cache, the adaptive model, search, expand, show,
+   refine, facet — then render /metrics through the web app: the
+   registered names must be exactly DESIGN.md §6's table. *)
+let test_metric_names_match_table () =
+  let module Seg = Bionav_segstore in
+  let module App = Bionav_web.App in
+  let m = glioma_corpus () in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "bionav-metrics-%d" (Unix.getpid ()))
+  in
+  let remove_dir () =
+    if Sys.file_exists dir then begin
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir
+    end
+  in
+  remove_dir ();
+  ignore (Seg.Ingest.ingest_medline ~dir m : Seg.Ingest.summary);
+  let config =
+    { Engine.default_config with
+      Engine.segstore = Some (Seg.Store.spec dir);
+      prefetch = Some Bionav_prefetch.Prefetch.default_config;
+      adaptive = Some Bionav_adaptive.Adaptive.default_config }
+  in
+  let app =
+    App.create ~config ~database:(Bionav_store.Database.of_medline m)
+      ~eutils:(Bionav_search.Eutils.create m) ()
+  in
+  (match Engine.search (App.engine app) "glioma" with
+  | Ok (Engine.Session s) ->
+      let root = Nav_tree.root (Engine.session_nav s) in
+      let node =
+        match Engine.expand s root with
+        | n :: _ -> n
+        | [] -> Alcotest.fail "root expand revealed nothing"
+      in
+      ignore (Engine.show_results s node : Docset.t);
+      ignore (Engine.refine s node : int);
+      ignore (Engine.facet s : int)
+  | Ok Engine.No_results | Error _ -> Alcotest.fail "seeded query found nothing");
+  let body = (App.handle app ~path:"/metrics" ~query:[]).Bionav_web.Http.body in
+  remove_dir ();
+  let registered = names_of_dump body and documented = documented_names () in
+  let missing = List.filter (fun n -> not (List.mem n documented)) registered in
+  let stale = List.filter (fun n -> not (List.mem n registered)) documented in
+  Alcotest.(check (list string)) "registered but not in DESIGN.md §6" [] missing;
+  Alcotest.(check (list string)) "in DESIGN.md §6 but never registered" [] stale
+
 let () =
   Alcotest.run "metrics"
     [
@@ -297,4 +389,7 @@ let () =
           Alcotest.test_case "navigation-space instruments exact" `Quick
             test_navigation_space_metrics_exact;
         ] );
+      ( "names",
+        [ Alcotest.test_case "registered names equal the DESIGN table" `Quick
+            test_metric_names_match_table ] );
     ]

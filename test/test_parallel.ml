@@ -1,9 +1,9 @@
-(* Multi-domain stress for the sharded engine and its supporting
+(* Multi-domain stress for the one-lock engine and its supporting
    concurrency primitives (DESIGN.md §11): parallel replay must agree
    with a serial replay expand-for-expand, the domain-safe metrics must
-   account for every record exactly, ownership violations must be
-   caught when enforcement is on, and the listener/worker queue must
-   deliver every accepted item across domains. *)
+   account for every record exactly, snapshot reads must stay consistent
+   and lock-free while writers race, and ownership violations must be
+   caught when enforcement is on. *)
 
 open Bionav_util
 open Bionav_core
@@ -14,11 +14,9 @@ let workload = lazy (Q.build ~config:Q.small_config ~seed:5 ())
 
 let engine () =
   let w = Lazy.force workload in
-  Engine.create
-    ~config:{ Engine.default_config with Engine.shards = 4 }
-    ~database:w.Q.database ~eutils:w.Q.eutils ()
+  Engine.create ~database:w.Q.database ~eutils:w.Q.eutils ()
 
-(* Run one session to its target under the shard lock (the same bulk
+(* Run one session to its target under the engine lock (the same bulk
    discipline the web handler and bench use) and return its EXPAND
    count. *)
 let drive_session eng q =
@@ -77,7 +75,7 @@ let test_multi_domain_stress () =
 (* --- lock discipline --------------------------------------------------- *)
 
 (* Regression: a nested [run_locked] (or an engine action inside one)
-   used to deadlock on the non-reentrant shard mutex; the engine now
+   used to deadlock on the non-reentrant engine mutex; the engine now
    detects re-entry from the owning domain and raises. *)
 let test_reentrant_run_locked () =
   let w = Lazy.force workload in
@@ -99,32 +97,6 @@ let test_reentrant_run_locked () =
         (Engine.run_locked s (fun () -> true))
   | Ok Engine.No_results -> Alcotest.fail "query unexpectedly empty"
   | Error e -> Alcotest.fail ("search failed: " ^ e)
-
-let test_chaos_requires_single_shard () =
-  let w = Lazy.force workload in
-  let chaos =
-    Bionav_resilience.Chaos.create
-      { Bionav_resilience.Chaos.seed = 1;
-        error_rate = 0.;
-        delay_rate = 0.;
-        delay_ms = (0., 0.);
-        fail_ops = [] }
-  in
-  Alcotest.(check bool) "chaos plan with shards > 1 is rejected" true
-    (match
-       Engine.create
-         ~config:{ Engine.default_config with Engine.shards = 2 }
-         ~chaos ~database:w.Q.database ~eutils:w.Q.eutils ()
-     with
-    | (_ : Engine.t) -> false
-    | exception Invalid_argument _ -> true);
-  (* shards = 1 still accepts a plan — the supported chaos regime. *)
-  let eng =
-    Engine.create
-      ~config:{ Engine.default_config with Engine.shards = 1 }
-      ~chaos ~database:w.Q.database ~eutils:w.Q.eutils ()
-  in
-  Alcotest.(check int) "single-shard chaos engine works" 0 (Engine.session_count eng)
 
 (* --- snapshot isolation ------------------------------------------------ *)
 
@@ -159,7 +131,9 @@ let assert_consistent snap =
    domains loop expand-to-exhaustion-then-backtrack while two reader
    domains hammer [Engine.snapshot], asserting every observed snapshot
    is internally consistent and that epochs never go backwards within
-   one reader's stream of a session. *)
+   one reader's stream of a session. A pure-read phase follows — reader
+   domains taking snapshots and scraping [Engine.metrics_text] — and must
+   not acquire the engine lock once: reads never touch the mutex. *)
 let test_snapshot_isolation_stress () =
   let module Snap = Bionav_search.Nav_snapshot in
   let w = Lazy.force workload in
@@ -215,7 +189,19 @@ let test_snapshot_isolation_stress () =
   Alcotest.(check bool) "readers observed snapshots" true (checks > 0);
   (* Quiesced: the published epoch equals the session's mutation count
      and one more consistency pass over the final snapshots holds. *)
-  Array.iter (fun s -> assert_consistent (Engine.snapshot s)) sessions
+  Array.iter (fun s -> assert_consistent (Engine.snapshot s)) sessions;
+  let acq = Metrics.counter "bionav_shard_lock_acquisitions_total" in
+  let before = Metrics.value acq in
+  let pure_reader d () =
+    let rng = Rng.create (120 + d) in
+    for op = 1 to 200 do
+      if op mod 64 = 0 then ignore (String.length (Engine.metrics_text eng) : int);
+      assert_consistent (Engine.snapshot (Rng.choice rng sessions))
+    done
+  in
+  Array.iter Domain.join (Array.init 2 (fun d -> Domain.spawn (pure_reader d)));
+  Alcotest.(check int) "pure-read phase takes the engine lock zero times" 0
+    (Metrics.value acq - before)
 
 (* --- ownership --------------------------------------------------------- *)
 
@@ -237,7 +223,7 @@ let test_ownership_violation () =
                | exception Ownership.Violation _ -> true))
       in
       Alcotest.(check bool) "cross-domain mutation raises Violation" true raised;
-      (* An adopting domain (as under the shard lock) may mutate. *)
+      (* An adopting domain (as under the engine lock) may mutate. *)
       let ok =
         Domain.join
           (Domain.spawn (fun () ->
@@ -248,55 +234,6 @@ let test_ownership_violation () =
       in
       Alcotest.(check bool) "adoption transfers mutation rights" true ok)
 
-(* --- bounded queue ----------------------------------------------------- *)
-
-let test_queue_capacity_and_close () =
-  let q = Bounded_queue.create ~capacity:2 in
-  Alcotest.(check bool) "push 1" true (Bounded_queue.try_push q 1);
-  Alcotest.(check bool) "push 2" true (Bounded_queue.try_push q 2);
-  Alcotest.(check bool) "push on full sheds" false (Bounded_queue.try_push q 3);
-  Alcotest.(check int) "length" 2 (Bounded_queue.length q);
-  Alcotest.(check (option int)) "fifo pop" (Some 1) (Bounded_queue.pop_opt q);
-  Bounded_queue.close q;
-  Alcotest.(check bool) "push after close sheds" false (Bounded_queue.try_push q 4);
-  Alcotest.(check (option int)) "drains after close" (Some 2) (Bounded_queue.pop_opt q);
-  Alcotest.(check (option int)) "None once drained" None (Bounded_queue.pop_opt q);
-  Alcotest.(check bool) "create rejects capacity 0" true
-    (match Bounded_queue.create ~capacity:0 with
-    | (_ : int Bounded_queue.t) -> false
-    | exception Invalid_argument _ -> true)
-
-let test_queue_cross_domain_delivery () =
-  let q = Bounded_queue.create ~capacity:8 in
-  let n = 200 in
-  let consumer () =
-    let sum = ref 0 and count = ref 0 in
-    let rec loop () =
-      match Bounded_queue.pop_opt q with
-      | None -> ()
-      | Some v ->
-          sum := !sum + v;
-          incr count;
-          loop ()
-    in
-    loop ();
-    (!sum, !count)
-  in
-  let c1 = Domain.spawn consumer and c2 = Domain.spawn consumer in
-  let pushed = ref 0 in
-  for i = 1 to n do
-    (* The producer retries on a full queue — the web listener sheds
-       instead, but here we want every item delivered exactly once. *)
-    while not (Bounded_queue.try_push q i) do
-      Domain.cpu_relax ()
-    done;
-    pushed := !pushed + i
-  done;
-  Bounded_queue.close q;
-  let s1, k1 = Domain.join c1 and s2, k2 = Domain.join c2 in
-  Alcotest.(check int) "every item delivered exactly once" !pushed (s1 + s2);
-  Alcotest.(check int) "item count" n (k1 + k2)
-
 let () =
   Alcotest.run "parallel"
     [
@@ -304,15 +241,9 @@ let () =
         [
           Alcotest.test_case "multi-domain stress vs serial replay" `Quick test_multi_domain_stress;
           Alcotest.test_case "reentrant run_locked raises" `Quick test_reentrant_run_locked;
-          Alcotest.test_case "chaos requires single shard" `Quick test_chaos_requires_single_shard;
         ] );
       ( "snapshots",
         [ Alcotest.test_case "isolation under 4 domains" `Quick test_snapshot_isolation_stress ] );
       ( "ownership",
         [ Alcotest.test_case "violation + adoption" `Quick test_ownership_violation ] );
-      ( "bounded_queue",
-        [
-          Alcotest.test_case "capacity and close" `Quick test_queue_capacity_and_close;
-          Alcotest.test_case "cross-domain delivery" `Quick test_queue_cross_domain_delivery;
-        ] );
     ]

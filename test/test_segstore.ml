@@ -391,6 +391,45 @@ let test_stale_manifest_tmp_ignored () =
   Alcotest.(check bool) "next write consumes the tmp" false (Sys.file_exists tmp);
   Alcotest.(check bool) "and is in force" true (Manifest.read ~dir = current)
 
+(* Segment and run file names repeat across generations, so ingesting
+   over a live store would truncate its segments before the new manifest
+   exists, and a re-ingest failing partway would leave nothing that opens.
+   Ingest refuses any directory holding a store or its leftovers; the
+   refused store still opens whole. *)
+let test_reingest_refused () =
+  let dir, _ = Lazy.force ingested in
+  let m = Lazy.force medline in
+  let refused dir =
+    match Ingest.ingest_medline ~config:tiny_config ~dir m with
+    | (_ : Ingest.summary) -> false
+    | exception Invalid_argument msg ->
+        let n = String.length dir in
+        let rec names i =
+          i + n <= String.length msg && (String.sub msg i n = dir || names (i + 1))
+        in
+        names 0
+  in
+  Alcotest.(check bool) "ingest into the live store refused, naming it" true (refused dir);
+  let store =
+    Store.open_dir ~config:{ Store.default_config with Store.verify_data = true } dir
+  in
+  Alcotest.(check int) "still opens: n_citations" (M.size m) (Store.n_citations store);
+  Alcotest.(check int) "still opens: n_concepts" (H.size (Lazy.force hierarchy))
+    (Store.n_concepts store);
+  for concept = 0 to Store.n_concepts store - 1 do
+    if Store.concept_count store concept <> M.concept_count m concept then
+      Alcotest.failf "count mismatch at concept %d after refused re-ingest" concept
+  done;
+  List.iter
+    (fun leftover ->
+      let scratch = fresh_dir "leftover" in
+      Unix.mkdir scratch 0o755;
+      close_out (open_out (Filename.concat scratch leftover));
+      Fun.protect
+        ~finally:(fun () -> rm_rf scratch)
+        (fun () -> Alcotest.(check bool) (leftover ^ " refused") true (refused scratch)))
+    [ Manifest.filename; Manifest.filename ^ ".tmp"; "inv-0003.seg"; "run-0000.tmp" ]
+
 let test_store_postings_match_corpus () =
   let store = Lazy.force opened in
   let m = Lazy.force medline in
@@ -564,6 +603,7 @@ let () =
           Alcotest.test_case "spills and rolls" `Quick test_ingest_spills_and_rolls;
           Alcotest.test_case "counts match corpus" `Quick test_store_counts_match_corpus;
           Alcotest.test_case "stale MANIFEST.tmp ignored" `Quick test_stale_manifest_tmp_ignored;
+          Alcotest.test_case "re-ingest over a store refused" `Quick test_reingest_refused;
           Alcotest.test_case "postings match corpus" `Quick test_store_postings_match_corpus;
           Alcotest.test_case "forward matches corpus" `Quick test_store_forward_matches_corpus;
           Alcotest.test_case "cache stays bounded" `Quick test_cache_stays_bounded;

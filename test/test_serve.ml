@@ -1,8 +1,7 @@
 (* The serving tier: keep-alive protocol semantics on the connection
    state machine (simulated clock, no sockets), the incremental parser
    (including the fragmentation property), the admission controller on
-   a simulated clock, and the readiness-loop server end to end over TCP
-   — under both --domains 1 and multicore. *)
+   a simulated clock, and the readiness-loop server end to end over TCP. *)
 
 module Http = Bionav_web.Http
 module Admission = Bionav_web.Admission
@@ -373,14 +372,8 @@ let fragmentation_prop =
 
 let test_token_bucket_refill () =
   let clock = Clock.simulated ~start_ms:0. () in
-  let adm = Admission.create ~clock { Admission.rate = 2.; burst = 4; max_inflight = 100 } in
-  let admit () =
-    match Admission.admit adm ~peer:"a" with
-    | Admission.Admit ->
-        Admission.release adm;
-        true
-    | Admission.Shed_rate_limited | Admission.Shed_overload -> false
-  in
+  let adm = Admission.create ~clock { Admission.rate = 2.; burst = 4 } in
+  let admit () = Admission.admit adm ~peer:"a" = Admission.Admit in
   for i = 1 to 4 do
     Alcotest.(check bool) (Printf.sprintf "burst admit %d" i) true (admit ())
   done;
@@ -399,14 +392,13 @@ let test_token_bucket_refill () =
    arriving at its fair rate. *)
 let test_greedy_cannot_starve_polite () =
   let clock = Clock.simulated ~start_ms:0. () in
-  let adm = Admission.create ~clock { Admission.rate = 10.; burst = 5; max_inflight = 1000 } in
+  let adm = Admission.create ~clock { Admission.rate = 10.; burst = 5 } in
   let served = Hashtbl.create 4 in
   let attempt peer =
     match Admission.admit adm ~peer with
     | Admission.Admit ->
-        Admission.release adm;
         Hashtbl.replace served peer (1 + Option.value ~default:0 (Hashtbl.find_opt served peer))
-    | Admission.Shed_rate_limited | Admission.Shed_overload -> ()
+    | Admission.Shed_rate_limited -> ()
   in
   let polite_attempts = ref 0 in
   for tick = 1 to 1000 do
@@ -422,20 +414,6 @@ let test_greedy_cannot_starve_polite () =
   Alcotest.(check int) "polite fully served" !polite_attempts (count "polite");
   Alcotest.(check bool) "greedy bounded by its bucket" true (count "greedy" <= 5 + 101);
   Alcotest.(check bool) "greedy not starved either" true (count "greedy" >= 90)
-
-let test_global_limit_sheds () =
-  let clock = Clock.simulated ~start_ms:0. () in
-  let shed = Metrics.counter Admission.shed_overload_total in
-  let before = Metrics.value shed in
-  let adm = Admission.create ~clock { Admission.rate = 0.; burst = 1; max_inflight = 2 } in
-  Alcotest.(check bool) "slot 1" true (Admission.admit adm ~peer:"x" = Admission.Admit);
-  Alcotest.(check bool) "slot 2" true (Admission.admit adm ~peer:"y" = Admission.Admit);
-  Alcotest.(check bool) "over cap sheds" true
-    (Admission.admit adm ~peer:"z" = Admission.Shed_overload);
-  Alcotest.(check int) "policy counter incremented" (before + 1) (Metrics.value shed);
-  Alcotest.(check int) "inflight tracks admits" 2 (Admission.inflight adm);
-  Admission.release adm;
-  Alcotest.(check bool) "slot freed" true (Admission.admit adm ~peer:"z" = Admission.Admit)
 
 (* --- end-to-end over TCP (readiness loop) ----------------------------- *)
 
@@ -536,12 +514,10 @@ let test_serve_slow_reader () =
   Alcotest.(check int) "one response rendered" 1 buffered;
   Alcotest.(check int) "stalled connection closed" (before + 1) (Metrics.value idle_closed)
 
-(* --domains 1 with keep_alive=false: responses are byte-for-byte the
-   output of render_response — the sequential pre-keep-alive contract. *)
+(* keep_alive=false: responses are byte-for-byte the output of
+   render_response — the sequential pre-keep-alive contract. *)
 let test_domains1_bytes_preserved () =
-  let config =
-    { Http.default_server_config with Http.domains = 1; keep_alive = false }
-  in
+  let config = { Http.default_server_config with Http.keep_alive = false } in
   let server, port = spawn_serve ~config ~max_requests:1 hello_handler in
   let fd = connect port in
   write_str fd "GET /legacy HTTP/1.1\r\n\r\n";
@@ -554,8 +530,9 @@ let test_domains1_bytes_preserved () =
     reply
 
 let test_serve_keepalive_e2e () =
-  let config = { Http.default_server_config with Http.domains = 1 } in
-  let server, port = spawn_serve ~config ~max_requests:3 hello_handler in
+  let server, port =
+    spawn_serve ~config:Http.default_server_config ~max_requests:3 hello_handler
+  in
   let fd = connect port in
   let pending = Buffer.create 256 in
   for i = 1 to 3 do
@@ -570,34 +547,29 @@ let test_serve_keepalive_e2e () =
   Unix.close fd;
   Domain.join server
 
-let test_serve_multicore_keepalive () =
-  let config = { Http.default_server_config with Http.domains = 2 } in
-  let server, port = spawn_serve ~config ~max_requests:4 hello_handler in
-  let run_conn tag =
-    let fd = connect port in
-    let pending = Buffer.create 256 in
-    for i = 1 to 2 do
-      write_str fd (Printf.sprintf "GET /%s%d HTTP/1.1\r\n\r\n" tag i);
-      let status, raw = read_response fd pending in
-      Alcotest.(check int) (Printf.sprintf "%s%d status" tag i) 200 status;
+(* Handlers run inline in the one poll loop; [domains] survives only as a
+   field that must be 1. *)
+let test_serve_rejects_domains () =
+  List.iter
+    (fun domains ->
       Alcotest.(check bool)
-        (Printf.sprintf "%s%d body" tag i)
+        (Printf.sprintf "domains = %d rejected" domains)
         true
-        (contains ~sub:(Printf.sprintf "hello /%s%d" tag i) raw)
-    done;
-    Unix.close fd
-  in
-  run_conn "ma";
-  run_conn "mb";
-  Domain.join server
+        (match
+           Http.serve ~config:{ Http.default_server_config with Http.domains } ~port:0
+             hello_handler
+         with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    [ 0; 2 ]
 
 (* Per-peer rate limiting through the full server: burst of 2, third
-   pipelined request answered 503 without reaching a worker. *)
+   pipelined request answered 503 without reaching the handler. *)
 let test_serve_rate_limit_503 () =
   let shed = Metrics.counter Admission.shed_rate_limited_total in
   let before = Metrics.value shed in
   let config =
-    { Http.default_server_config with Http.domains = 1; rate_limit = 1.; rate_burst = 2 }
+    { Http.default_server_config with Http.rate_limit = 1.; rate_burst = 2 }
   in
   let server, port = spawn_serve ~config ~max_requests:2 hello_handler in
   let fd = connect port in
@@ -647,14 +619,12 @@ let () =
           Alcotest.test_case "token-bucket refill math" `Quick test_token_bucket_refill;
           Alcotest.test_case "greedy cannot starve polite" `Quick
             test_greedy_cannot_starve_polite;
-          Alcotest.test_case "global limit sheds with counter" `Quick test_global_limit_sheds;
         ] );
       ( "end-to-end",
         [
           Alcotest.test_case "domains=1 bytes preserved" `Quick test_domains1_bytes_preserved;
           Alcotest.test_case "keep-alive over TCP (domains=1)" `Quick test_serve_keepalive_e2e;
-          Alcotest.test_case "keep-alive over TCP (multicore)" `Quick
-            test_serve_multicore_keepalive;
+          Alcotest.test_case "domains other than 1 rejected" `Quick test_serve_rejects_domains;
           Alcotest.test_case "per-peer rate limit sheds 503" `Quick test_serve_rate_limit_503;
           Alcotest.test_case "truncated request 400" `Quick test_serve_truncated_400;
           Alcotest.test_case "slow reader closed" `Quick test_serve_slow_reader;

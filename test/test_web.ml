@@ -424,35 +424,6 @@ let test_shed_connection_sends_503 () =
   Alcotest.(check bool) "reason given" true (contains ~sub:"Service Unavailable" reply);
   Alcotest.(check int) "shed counted" (before + 1) (Metrics.value shed)
 
-(* --- Worker-domain pool: end-to-end over real sockets --- *)
-
-let test_multi_domain_serve () =
-  let n = 6 in
-  let port = Atomic.make 0 in
-  let hits = Atomic.make 0 in
-  let handler ~path:_ ~query:_ =
-    Atomic.incr hits;
-    Http.ok "pooled"
-  in
-  let config = { Http.default_server_config with Http.domains = 2 } in
-  let server =
-    Domain.spawn (fun () ->
-        Http.serve ~config
-          ~on_ready:(fun ~port:p -> Atomic.set port p)
-          ~max_requests:n ~port:0 handler)
-  in
-  while Atomic.get port = 0 do
-    Domain.cpu_relax ()
-  done;
-  let p = Atomic.get port in
-  for i = 1 to n do
-    let reply = http_get ~port:p (Printf.sprintf "/r%d" i) in
-    Alcotest.(check bool) "200 over the wire" true (contains ~sub:"HTTP/1.1 200 OK" reply);
-    Alcotest.(check bool) "body served" true (contains ~sub:"pooled" reply)
-  done;
-  Domain.join server;
-  Alcotest.(check int) "every request reached the handler" n (Atomic.get hits)
-
 let () =
   Alcotest.run "web"
     [
@@ -497,6 +468,4 @@ let () =
           Alcotest.test_case "truncated request times out" `Quick test_truncated_request_times_out;
           Alcotest.test_case "shed connection" `Quick test_shed_connection_sends_503;
         ] );
-      ( "pool",
-        [ Alcotest.test_case "multi-domain serve end-to-end" `Quick test_multi_domain_serve ] );
     ]
