@@ -21,12 +21,12 @@ type t = {
 (* Intermediate rose tree used while computing the maximum embedding. *)
 type rose = Rose of int * rose list
 
-let build ~hierarchy ~attachments ~total_count =
+(* Every set the tree retains is interned into [arena], fresh per tree:
+   nodes sharing a citation list share one physical copy, and the
+   bottom-up subtree unions below seed the arena's op memo for the cost
+   model. Attachments already in [arena] are kept as they are. *)
+let build_in arena ~hierarchy ~attachments ~total_count =
   let n_concepts = Hierarchy.size hierarchy in
-  (* Every set the tree retains is interned into one fresh arena: nodes
-     sharing a citation list share one physical copy, and the bottom-up
-     subtree unions below seed the arena's op memo for the cost model. *)
-  let arena = Docset_arena.create () in
   let attached = Array.make n_concepts (Docset.in_arena arena Docset.empty) in
   List.iter
     (fun (c, set) ->
@@ -116,9 +116,14 @@ let build ~hierarchy ~attachments ~total_count =
     node_of_concept;
   }
 
+let build ~hierarchy ~attachments ~total_count =
+  build_in (Docset_arena.create ()) ~hierarchy ~attachments ~total_count
+
 let of_database db result =
-  let attachments = Database.concepts_of_result_ds db result in
-  build ~hierarchy:(Database.hierarchy db) ~attachments ~total_count:(Database.total_count db)
+  let arena = Docset_arena.create () in
+  let attachments = Database.concepts_of_result_ds db ~arena result in
+  build_in arena ~hierarchy:(Database.hierarchy db) ~attachments
+    ~total_count:(Database.total_count db)
 
 let arena t = t.arena
 let size t = Array.length t.parent

@@ -12,7 +12,13 @@
 type t
 
 val build : Comp_tree.t -> Partition.result -> t
-(** @raise Invalid_argument if the partition does not belong to the tree. *)
+(** Supernode unions are OR-ed into one bitmap covering the component's
+    citation-id span (32 ids per word), allocated once per call.
+    Precondition: citation ids are dense, as the corpus generator and
+    [Nbib] assign them (0..n-1 in record order), so the bitmap is at
+    most corpus/32 words. Scattered ids would need a bitmap as wide as
+    their span.
+    @raise Invalid_argument if the partition does not belong to the tree. *)
 
 val tree : t -> Comp_tree.t
 (** The reduced component tree; node 0 is the partition containing the

@@ -109,7 +109,7 @@ let concepts_of_result t result =
     (fun (c, arr) -> (c, Intset.of_sorted_array_unchecked arr))
     (bucket_result t (fun f -> Intset.iter f result))
 
-let concepts_of_result_ds t result =
+let concepts_of_result_ds t ~arena result =
   List.map
-    (fun (c, arr) -> (c, Docset.of_sorted_array_unchecked arr))
+    (fun (c, arr) -> (c, Docset.of_sorted_array_unchecked_in arena arr))
     (bucket_result t (fun f -> Docset.iter f result))

@@ -85,7 +85,9 @@ val concepts_of_result : t -> Bionav_util.Intset.t -> (int * Bionav_util.Intset.
     subset of [result] attached to it. Implemented through the denormalized
     orientation, one lookup per result citation, as in the paper. *)
 
-val concepts_of_result_ds : t -> Bionav_util.Docset.t -> (int * Bionav_util.Docset.t) list
+val concepts_of_result_ds :
+  t -> arena:Bionav_util.Docset_arena.t -> Bionav_util.Docset.t -> (int * Bionav_util.Docset.t) list
 (** {!concepts_of_result} without the [Intset] round-trip: the result
-    arrives and the attachments leave as {!Bionav_util.Docset} handles,
-    which is what {!Bionav_core.Nav_tree} actually consumes. *)
+    arrives and the attachments leave as {!Bionav_util.Docset} handles
+    interned straight into [arena], which is what {!Bionav_core.Nav_tree}
+    consumes (it passes the new tree's arena). *)

@@ -67,6 +67,7 @@ let cardinal s = A.cardinal s.arena s.id
 let fingerprint s = A.fingerprint s.arena s.id
 let mem x s = A.mem s.arena s.id x
 let choose s = A.choose s.arena s.id
+let max_elt s = A.max_elt s.arena s.id
 let to_array s = A.to_array s.arena s.id
 let to_intset s = Intset.of_sorted_array_unchecked (to_array s)
 let iter f s = A.iter s.arena s.id f

@@ -66,6 +66,9 @@ val mem : int -> t -> bool
 val choose : t -> int
 (** Smallest element. @raise Not_found if empty. *)
 
+val max_elt : t -> int
+(** Largest element. @raise Not_found if empty. *)
+
 val equal : t -> t -> bool
 (** O(1) within an arena; cross-arena compares fingerprints then content. *)
 

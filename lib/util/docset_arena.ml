@@ -322,6 +322,20 @@ let choose t id =
       in
       first 0
 
+let max_elt t id =
+  check_id t id;
+  match get_repr t id with
+  | Sparse [||] -> raise Not_found
+  | Sparse a -> a.(Array.length a - 1)
+  | Dense { base; words; _ } ->
+      (* Packing ends the bitset at the word holding the largest element. *)
+      let last = Array.length words - 1 in
+      let w = words.(last) and top = ref 0 in
+      while w lsr (!top + 1) <> 0 do
+        incr top
+      done;
+      base + (word_bits * last) + !top
+
 let equal_array t id a =
   check_id t id;
   repr_equal_array (get_repr t id) a

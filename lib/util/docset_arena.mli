@@ -93,6 +93,10 @@ val mem : t -> id -> int -> bool
 val choose : t -> id -> int
 (** Smallest element. @raise Not_found on the empty set. *)
 
+val max_elt : t -> id -> int
+(** Largest element, O(1) up to one word scan. @raise Not_found on the
+    empty set. *)
+
 val to_array : t -> id -> int array
 (** Fresh sorted array; safe to mutate. *)
 

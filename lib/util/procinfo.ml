@@ -28,14 +28,22 @@ let read_proc_status () =
 let gc_peak_bytes () = Gc.((quick_stat ()).top_heap_words) * (Sys.word_size / 8)
 
 (* Decided once: if /proc/self/status yields a VmHWM at first call, it
-   will keep doing so for the process lifetime. *)
-let chosen_source =
-  lazy (match read_proc_status () with Some _ -> `Proc_status | None -> `Gc_heap)
+   will keep doing so for the process lifetime. An Atomic, not a lazy:
+   metrics scrapes call this from several domains at once, and forcing
+   one lazy from two domains raises CamlinternalLazy.Undefined. Racing
+   first calls compute the same answer. *)
+let chosen_source = Atomic.make None
 
-let source () = Lazy.force chosen_source
+let source () =
+  match Atomic.get chosen_source with
+  | Some s -> s
+  | None ->
+      let s = match read_proc_status () with Some _ -> `Proc_status | None -> `Gc_heap in
+      Atomic.set chosen_source (Some s);
+      s
 
 let peak_rss_bytes () =
-  match Lazy.force chosen_source with
+  match source () with
   | `Gc_heap -> gc_peak_bytes ()
   | `Proc_status -> (
       match read_proc_status () with Some v -> v | None -> gc_peak_bytes ())

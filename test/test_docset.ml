@@ -50,6 +50,10 @@ let test_representations () =
     (Array.to_list (A.to_array a sparse));
   Alcotest.(check (list int)) "negative roundtrip" [ -5; 0; 3 ]
     (Array.to_list (A.to_array a negative));
+  (* max_elt reads the last word of a bitset, including its top bit. *)
+  let full_words = A.intern a (Array.init 64 (fun i -> 32 + i)) in
+  Alcotest.(check (list int)) "max_elt" [ 99; 95; 50000; 3 ]
+    (List.map (A.max_elt a) [ dense; full_words; sparse; negative ]);
   Alcotest.(check bool) "bytes accounted" true (st.A.bytes > 0)
 
 let test_queries () =
@@ -61,7 +65,8 @@ let test_queries () =
   Alcotest.(check int) "fold sum" 14 (A.fold a id ( + ) 0);
   Alcotest.(check bool) "equal_array" true (A.equal_array a id [| 2; 4; 8 |]);
   Alcotest.(check bool) "equal_array no" false (A.equal_array a id [| 2; 4 |]);
-  Alcotest.check_raises "choose empty" Not_found (fun () -> ignore (A.choose a A.empty_id))
+  Alcotest.check_raises "choose empty" Not_found (fun () -> ignore (A.choose a A.empty_id));
+  Alcotest.check_raises "max_elt empty" Not_found (fun () -> ignore (A.max_elt a A.empty_id))
 
 let test_algebra_memoized () =
   let a = A.create () in

@@ -187,6 +187,41 @@ let test_of_database_distinct_monotone () =
       <= Nav_tree.subtree_distinct t (Nav_tree.parent t node))
   done
 
+(* of_database interns each concept's bucket straight into the new tree's
+   arena; building from private-arena sets over the Intset buckets is the
+   reference. Trees and arena economics must agree node for node. *)
+let test_of_database_matches_reference () =
+  let h = S.generate ~params:S.small_params ~seed:65 () in
+  let m = G.generate ~params:{ G.small_params with G.n_citations = 400 } ~seed:66 h in
+  let db = DB.of_medline m in
+  List.iter
+    (fun ids ->
+      let result = Docset.of_list ids in
+      let t = Nav_tree.of_database db result in
+      let attachments =
+        List.map
+          (fun (c, s) -> (c, Docset.of_intset s))
+          (DB.concepts_of_result db (Docset.to_intset result))
+      in
+      let r =
+        Nav_tree.build ~hierarchy:(DB.hierarchy db) ~attachments ~total_count:(DB.total_count db)
+      in
+      Alcotest.(check int) "size" (Nav_tree.size r) (Nav_tree.size t);
+      for v = 0 to Nav_tree.size t - 1 do
+        Alcotest.(check int) "concept" (Nav_tree.concept_id r v) (Nav_tree.concept_id t v);
+        Alcotest.(check int) "parent" (Nav_tree.parent r v) (Nav_tree.parent t v);
+        Alcotest.(check int) "total" (Nav_tree.total r v) (Nav_tree.total t v);
+        Alcotest.(check string) "label" (Nav_tree.label r v) (Nav_tree.label t v);
+        Alcotest.(check bool) "results" true
+          (Docset.equal (Nav_tree.results r v) (Nav_tree.results t v));
+        Alcotest.(check int) "subtree distinct" (Nav_tree.subtree_distinct r v)
+          (Nav_tree.subtree_distinct t v)
+      done;
+      let st = Docset_arena.stats (Nav_tree.arena t)
+      and sr = Docset_arena.stats (Nav_tree.arena r) in
+      Alcotest.(check bool) "arena stats" true (st = sr))
+    [ List.init 60 (fun i -> i * 5); List.init 400 Fun.id; [ 7 ]; [] ]
+
 let () =
   Alcotest.run "nav_tree"
     [
@@ -212,5 +247,6 @@ let () =
         [
           Alcotest.test_case "of_database consistency" `Quick test_of_database_consistency;
           Alcotest.test_case "distinct monotone" `Quick test_of_database_distinct_monotone;
+          Alcotest.test_case "matches reference build" `Quick test_of_database_matches_reference;
         ] );
     ]

@@ -181,6 +181,31 @@ let qcheck_partitions_cover =
         res.Partition.assignment;
       !ok)
 
+(* Differential: the array-based pass against the list-based oracle,
+   bit for bit, across k, growth and random thresholds. *)
+module Oracle = Partition_oracle
+
+let same (a : Partition.result) (b : Partition.result) =
+  a.assignment = b.assignment && a.roots = b.roots && Float.equal a.threshold b.threshold
+
+let qcheck_run_k_matches_oracle =
+  QCheck.Test.make ~name:"run_k = oracle for k 2..12, four growths" ~count:300 Comp_tree_gen.gen
+    (fun spec ->
+      let tree = Comp_tree_gen.tree spec in
+      List.for_all
+        (fun growth ->
+          List.for_all
+            (fun k -> same (Partition.run_k ~growth tree ~k) (Oracle.run_k ~growth tree ~k))
+            (List.init 11 (fun i -> i + 2)))
+        [ 1.05; 1.3; 2.0; 7.5 ])
+
+let qcheck_run_matches_oracle =
+  QCheck.Test.make ~name:"run = oracle at any threshold" ~count:300
+    (QCheck.pair Comp_tree_gen.gen (QCheck.float_range 0.01 200.))
+    (fun (spec, threshold) ->
+      let tree = Comp_tree_gen.tree spec in
+      same (Partition.run tree ~threshold) (Oracle.run tree ~threshold))
+
 let () =
   Alcotest.run "partition"
     [
@@ -199,4 +224,9 @@ let () =
           Alcotest.test_case "weight functions" `Quick test_weight_functions;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest qcheck_partitions_cover ]);
+      ( "oracle",
+        [
+          QCheck_alcotest.to_alcotest qcheck_run_k_matches_oracle;
+          QCheck_alcotest.to_alcotest qcheck_run_matches_oracle;
+        ] );
     ]

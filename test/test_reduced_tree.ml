@@ -153,6 +153,55 @@ let qcheck_mapped_cuts_valid =
              mapped
       end)
 
+(* Differential: the one-pass bitmap builder against the union_many
+   oracle, field by field, and Heuristic-ReducedOpt over both. *)
+module Oracle = Reduced_tree_oracle
+
+let same_tree a b =
+  let n = Comp_tree.size a in
+  n = Comp_tree.size b
+  && List.for_all
+       (fun s ->
+         Comp_tree.parent a s = Comp_tree.parent b s
+         && Docset.equal (Comp_tree.results a s) (Comp_tree.results b s)
+         && Comp_tree.total a s = Comp_tree.total b s
+         && Comp_tree.label a s = Comp_tree.label b s
+         && Comp_tree.tag a s = Comp_tree.tag b s
+         && Comp_tree.concept a s = Comp_tree.concept b s
+         && Comp_tree.multiplicity a s = Comp_tree.multiplicity b s
+         && Array.for_all2 Float.equal (Comp_tree.sub_weights a s) (Comp_tree.sub_weights b s)
+         && Comp_tree.sub_concepts a s = Comp_tree.sub_concepts b s)
+       (List.init n Fun.id)
+
+let qcheck_build_matches_oracle =
+  QCheck.Test.make ~name:"build = oracle in every field" ~count:300
+    (QCheck.pair Comp_tree_gen.gen (QCheck.int_range 1 12))
+    (fun (spec, k) ->
+      let tree = Comp_tree_gen.tree spec in
+      let part = Partition.run_k tree ~k in
+      let red = Reduced_tree.build tree part and expected = Oracle.build tree part in
+      let n = Reduced_tree.size red in
+      n = Oracle.size expected
+      && same_tree (Reduced_tree.tree red) (Oracle.tree expected)
+      && List.for_all
+           (fun s ->
+             Reduced_tree.members red s = Oracle.members expected s
+             && Reduced_tree.partition_root red s = Oracle.partition_root expected s)
+           (List.init n Fun.id)
+      && Reduced_tree.original red == tree)
+
+let qcheck_best_cut_matches_oracle =
+  QCheck.Test.make ~name:"best_cut = oracle pipeline" ~count:200
+    (QCheck.pair Comp_tree_gen.gen (QCheck.int_range 2 8))
+    (fun (spec, k) ->
+      let tree = Comp_tree_gen.tree spec in
+      QCheck.assume (Comp_tree.size tree >= 2);
+      let r = Heuristic.best_cut ~k tree in
+      let cut, size, cost = Oracle.best_cut ~k tree in
+      r.Heuristic.cut_children = cut
+      && r.Heuristic.reduced_size = size
+      && Float.equal r.Heuristic.reduced_cost cost)
+
 let () =
   Alcotest.run "reduced_tree"
     [
@@ -170,4 +219,9 @@ let () =
           Alcotest.test_case "rejects mismatch" `Quick test_build_rejects_mismatched_partition;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest qcheck_mapped_cuts_valid ]);
+      ( "oracle",
+        [
+          QCheck_alcotest.to_alcotest qcheck_build_matches_oracle;
+          QCheck_alcotest.to_alcotest qcheck_best_cut_matches_oracle;
+        ] );
     ]
