@@ -7,8 +7,8 @@
      bench/main.exe                 run everything
      bench/main.exe <target> ...    run selected targets:
        table1 fig8 fig9 fig10 fig11 ablation-opt ablation-k
-       ablation-expandcost theorem1 micro parallel ...
-     bench/main.exe parallel --smoke    reduced session count (CI) *)
+       ablation-expandcost theorem1 micro ...
+     bench/main.exe serve --smoke    reduced CI size for file-writing targets *)
 
 open Bionav_util
 open Bionav_core
@@ -630,22 +630,38 @@ let micro () =
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:None () in
+  (* One OLS estimate (ms per run) of one test. *)
+  let estimate test =
+    let results = Benchmark.all cfg instances test in
+    let analysis = Analyze.all ols (List.hd instances) results in
+    (* One OLS result per sub-test; these tests have exactly one. *)
+    Hashtbl.fold
+      (fun _ v acc -> match Analyze.OLS.estimates v with Some (e :: _) -> e | _ -> acc)
+      analysis 0.
+    /. 1e6
+  in
+  (* A single estimate swings up to 2x between runs on a shared box, so
+     every test runs [repeats] times, in interleaved rounds, and the table
+     reports the median and interquartile range of the estimates. *)
+  let repeats = 5 in
+  let rounds = Array.init repeats (fun _ -> Array.of_list (List.map estimate tests)) in
   let rows =
-    List.map
-      (fun test ->
-        let results = Benchmark.all cfg instances test in
-        let analysis = Analyze.all ols (List.hd instances) results in
-        (* One OLS result per sub-test; these tests have exactly one. *)
-        let ns =
-          Hashtbl.fold
-            (fun _ v acc ->
-              match Analyze.OLS.estimates v with Some (e :: _) -> e | _ -> acc)
-            analysis 0.
-        in
-        [ Test.name test; Printf.sprintf "%.3f ms" (ns /. 1e6) ])
+    List.mapi
+      (fun i test ->
+        let ms = Array.map (fun round -> round.(i)) rounds in
+        [
+          Test.name test;
+          Printf.sprintf "%.3f ms" (Stats.median ms);
+          Printf.sprintf "%.3f ms" (Stats.percentile ms 75. -. Stats.percentile ms 25.);
+          string_of_int repeats;
+        ])
       tests
   in
-  print_string (Table.render ~header:[ "operation"; "time/run" ] [ Table.Left; Right ] rows);
+  print_string
+    (Table.render
+       ~header:[ "operation"; "median/run"; "IQR"; "n" ]
+       [ Table.Left; Right; Right; Right ]
+       rows);
   say ""
 
 (* ------------------------------------------------------------------ *)
@@ -1075,168 +1091,6 @@ let docset_bench () =
     say "  baseline gates passed (%s)" baseline_path
   end
   else say "  no %s — gates skipped" baseline_path
-
-(* ------------------------------------------------------------------ *)
-(* Parallel: the Zipf workload from 1 and 2 domains on one engine      *)
-(* ------------------------------------------------------------------ *)
-
-type parallel_run = {
-  pr_domains : int;
-  pr_expands : int;  (** Summed from each domain's session stats. *)
-  pr_metric_count : int;  (** The expand-latency histogram's count. *)
-  pr_elapsed_ms : float;
-  pr_throughput : float;  (** EXPANDs per second, wall-clock. *)
-  pr_crashes : int;
-}
-
-(* The docset bench's Zipf serving workload, replayed from 1 and 2
-   domains against one engine each. The engine serializes mutation under
-   one lock, so this is a correctness bench, not a scaling one: the
-   session list is pre-drawn once and partitioned round-robin, so both
-   runs replay identical work and expand totals must agree run to run
-   (and with the committed baseline) to the last record — the "no
-   expand lost or duplicated" gate — while the histogram count must
-   match the locally counted EXPANDs and no domain may crash. *)
-let parallel_bench () =
-  say "%s" (Table.section "Parallel: Zipf workload from 1 and 2 domains on one engine");
-  say "";
-  let smoke = !smoke_mode in
-  let w = Q.build ~config:Q.small_config ~seed:workload_seed () in
-  let queries = Array.of_list w.Q.queries in
-  let n_sessions = if smoke then 24 else 96 in
-  let zipf = Zipf.create ~exponent:1.0 (Array.length queries) in
-  let rng = Rng.create 42 in
-  let draws = Array.init n_sessions (fun _ -> Zipf.draw zipf rng) in
-  let run_with pr_domains =
-    Metrics.reset ();
-    let engine = Engine.create ~database:w.Q.database ~eutils:w.Q.eutils () in
-    (* Warm the tree cache first, so the timed region measures
-       navigation work, not first-hit tree builds. *)
-    ignore (Engine.warm engine (Array.to_list (Array.map (fun q -> q.Q.keyword) queries)));
-    (* Warming records its own EXPAND latencies; the drift gate below
-       compares against the histogram's growth from here. *)
-    let warm_count = Metrics.count (Metrics.histogram "bionav_expand_latency_ms") in
-    let crashes = Atomic.make 0 in
-    (* Domain [d] serves sessions d, d+pool, d+2*pool, ... Bulk driving
-       (Simulate + stats reads) runs under [Engine.run_locked], the same
-       discipline the web handler uses. *)
-    let worker d () =
-      let expands = ref 0 in
-      (try
-         let i = ref d in
-         while !i < n_sessions do
-           let q = queries.(draws.(!i)) in
-           (match Engine.search engine q.Q.keyword with
-           | Ok (Engine.Session s) ->
-               Engine.run_locked s (fun () ->
-                   let nav = Engine.navigation s in
-                   ignore (Simulate.to_target nav ~target:q.Q.target_node);
-                   expands := !expands + (Navigation.stats nav).Navigation.expands);
-               ignore (Engine.close engine (Engine.session_id s) : bool)
-           | Ok Engine.No_results | Error _ -> ());
-           i := !i + pr_domains
-         done
-       with e ->
-         say "  domain %d crashed: %s" d (Printexc.to_string e);
-         Atomic.incr crashes);
-      !expands
-    in
-    let t0 = Timing.now_ms () in
-    let per_domain =
-      if pr_domains = 1 then [| worker 0 () |]
-      else
-        Array.map Domain.join (Array.init pr_domains (fun d -> Domain.spawn (worker d)))
-    in
-    let pr_elapsed_ms = Timing.now_ms () -. t0 in
-    let pr_expands = Array.fold_left ( + ) 0 per_domain in
-    let pr_metric_count =
-      Metrics.count (Metrics.histogram "bionav_expand_latency_ms") - warm_count
-    in
-    let pr_throughput =
-      if pr_elapsed_ms > 0. then 1000. *. float_of_int pr_expands /. pr_elapsed_ms else 0.
-    in
-    { pr_domains; pr_expands; pr_metric_count; pr_elapsed_ms; pr_throughput;
-      pr_crashes = Atomic.get crashes }
-  in
-  let runs = List.map run_with [ 1; 2 ] in
-  let r1 = List.nth runs 0 and r2 = List.nth runs 1 in
-  let cores = Domain.recommended_domain_count () in
-  print_string
-    (Table.render
-       ~header:[ "domains"; "EXPANDs"; "elapsed"; "EXPANDs/s" ]
-       [ Table.Right; Right; Right; Right ]
-       (List.map
-          (fun r ->
-            [
-              string_of_int r.pr_domains;
-              string_of_int r.pr_expands;
-              Printf.sprintf "%.0f ms" r.pr_elapsed_ms;
-              Printf.sprintf "%.0f" r.pr_throughput;
-            ])
-          runs));
-  say "";
-  say "  cores: %d" cores;
-  say "";
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"sessions\": %d,\n\
-      \  \"smoke\": %b,\n\
-      \  \"cores\": %d,\n\
-      \  \"expands\": %d,\n\
-      \  \"crashes\": %d,\n\
-      \  \"elapsed_ms_1\": %.2f,\n\
-      \  \"elapsed_ms_2\": %.2f,\n\
-      \  \"throughput_1\": %.2f,\n\
-      \  \"throughput_2\": %.2f\n\
-       }\n"
-      n_sessions smoke cores r1.pr_expands (r1.pr_crashes + r2.pr_crashes) r1.pr_elapsed_ms
-      r2.pr_elapsed_ms r1.pr_throughput r2.pr_throughput
-  in
-  let path = "BENCH_parallel.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
-  say "  wrote %s" path;
-  say "";
-  let fail = ref false in
-  let gate name ok detail =
-    if not ok then begin
-      say "  *** FAIL: %s (%s) ***" name detail;
-      fail := true
-    end
-  in
-  List.iter
-    (fun r ->
-      gate
-        (Printf.sprintf "crash at %d domains" r.pr_domains)
-        (r.pr_crashes = 0)
-        (Printf.sprintf "%d domain(s) died" r.pr_crashes);
-      gate
-        (Printf.sprintf "metrics drift at %d domains" r.pr_domains)
-        (r.pr_metric_count = r.pr_expands)
-        (Printf.sprintf "histogram count %d vs %d locally-counted EXPANDs" r.pr_metric_count
-           r.pr_expands);
-      gate
-        (Printf.sprintf "expand record lost/duplicated at %d domains" r.pr_domains)
-        (r.pr_expands = r1.pr_expands)
-        (Printf.sprintf "%d EXPANDs vs %d serial" r.pr_expands r1.pr_expands))
-    runs;
-  (* Structural gate against the committed baseline: the workload is
-     deterministic, so the expand total must match exactly. *)
-  let baseline_path = "bench/parallel_baseline.json" in
-  if Sys.file_exists baseline_path then begin
-    let baseline = read_file baseline_path in
-    let key = if smoke then "smoke_expands" else "expands" in
-    (match scan_json_number baseline key with
-    | Some b ->
-        gate "expand total diverged from baseline"
-          (float_of_int r1.pr_expands = b)
-          (Printf.sprintf "%d vs baseline %.0f (%s)" r1.pr_expands b key)
-    | None -> say "  no %S in %s — baseline gate skipped" key baseline_path);
-    if not !fail then say "  baseline gates passed (%s)" baseline_path
-  end
-  else say "  no %s — baseline gate skipped" baseline_path;
-  if !fail then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Segment store: streaming bulk ingest + cold-cache serving           *)
@@ -2181,7 +2035,6 @@ let targets =
     ("prefetch", prefetch_bench);
     ("chaos", chaos_bench);
     ("docset", docset_bench);
-    ("parallel", parallel_bench);
     ("ingest", ingest_bench);
     ("coldexpand", coldexpand_bench);
     ("serve", serve_bench);
@@ -2190,9 +2043,9 @@ let targets =
     ("csv", csv);
   ]
 
-(* "csv", "prefetch", "chaos", "docset", "parallel", "ingest",
-   "coldexpand", "serve", "adaptive" and "navspace" write files rather
-   than (only) printing;
+(* "csv", "prefetch", "chaos", "docset", "ingest", "coldexpand",
+   "serve", "adaptive" and "navspace" write files rather than (only)
+   printing;
    keep them out of the default everything-run so
    `bench/main.exe > bench_output.txt` stays pure. *)
 let default_targets =
@@ -2200,8 +2053,8 @@ let default_targets =
     (fun (n, _) ->
       not
         (List.mem n
-           [ "csv"; "prefetch"; "chaos"; "docset"; "parallel"; "ingest";
-             "coldexpand"; "serve"; "adaptive"; "navspace" ]))
+           [ "csv"; "prefetch"; "chaos"; "docset"; "ingest"; "coldexpand"; "serve";
+             "adaptive"; "navspace" ]))
     targets
 
 let () =

@@ -21,10 +21,9 @@ type t = {
   config : config;
   evidence : Evidence.t;
   now_ms : unit -> float;
-  model : Probability.model Atomic.t;
-  pending : int Atomic.t;  (* observations since the last model refresh *)
-  epoch : int Atomic.t;  (* bumped per refresh; part of the fingerprint *)
-  refresh_lock : Mutex.t;
+  mutable model : Probability.model;
+  mutable pending : int;  (* observations since the last model refresh *)
+  mutable epoch : int;  (* bumped per refresh; part of the fingerprint *)
 }
 
 let observe_counter = Bionav_util.Metrics.counter "bionav_adaptive_observations_total"
@@ -35,9 +34,9 @@ let epsilon = 1e-12
 
 (* The learned model, materialized. Evidence is frozen into an immutable
    per-concept table at build time (decayed to the build instant), so the
-   closures handed to Cost_model are pure — domain-safe to evaluate under
-   no lock, deterministic for plan caching, and unaffected by concurrent
-   observes until the next refresh swaps the whole model.
+   closures handed to Cost_model are pure — deterministic for plan
+   caching, and unaffected by later observes until the next refresh
+   swaps the whole model.
 
    - EXPLORE: each node's IDF-like weight |L|/|LT| is multiplied by the
      concept's engagement lift
@@ -127,30 +126,29 @@ let create ?(config = default_config) ?(now_ms = Bionav_util.Timing.now_ms) () =
     config;
     evidence;
     now_ms;
-    model = Atomic.make (build_model config evidence ~now_ms:(now_ms ()) ~epoch:0);
-    pending = Atomic.make 0;
-    epoch = Atomic.make 0;
-    refresh_lock = Mutex.create ();
+    model = build_model config evidence ~now_ms:(now_ms ()) ~epoch:0;
+    pending = 0;
+    epoch = 0;
   }
 
 let config t = t.config
 let evidence t = t.evidence
-let model t = Atomic.get t.model
+let model t = t.model
 let observations t = Evidence.observations t.evidence
 
 let refresh t =
-  Mutex.protect t.refresh_lock (fun () ->
-      let epoch = Atomic.fetch_and_add t.epoch 1 + 1 in
-      Atomic.set t.pending 0;
-      Atomic.set t.model (build_model t.config t.evidence ~now_ms:(t.now_ms ()) ~epoch);
-      Bionav_util.Metrics.incr refresh_counter)
+  t.epoch <- t.epoch + 1;
+  t.pending <- 0;
+  t.model <- build_model t.config t.evidence ~now_ms:(t.now_ms ()) ~epoch:t.epoch;
+  Bionav_util.Metrics.incr refresh_counter
 
 (* The amortization that keeps [observe_*] off the hot path's back: the
    O(evidence) model rebuild runs every [refresh_every] observations; each
    observation itself is an O(1) counter bump. *)
 let bump t =
   Bionav_util.Metrics.incr observe_counter;
-  if Atomic.fetch_and_add t.pending 1 + 1 >= t.config.refresh_every then refresh t
+  t.pending <- t.pending + 1;
+  if t.pending >= t.config.refresh_every then refresh t
 
 let observe_expand t ~concept =
   Evidence.observe_expand t.evidence ~now_ms:(t.now_ms ()) ~concept;

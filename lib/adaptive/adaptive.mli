@@ -10,10 +10,10 @@
     fingerprint-keyed plan cache invalidates stale cuts instead of serving
     them.
 
-    Concurrency: [observe_*] are O(1) amortized (an evidence-table-sized
-    model rebuild every [refresh_every] observations) and thread-safe —
-    designed to be called from engine actions under the engine lock. The
-    current model is published through an [Atomic]; readers never block. *)
+    Cost: [observe_*] are O(1) amortized (an evidence-table-sized model
+    rebuild every [refresh_every] observations), called from engine
+    actions. Like the engine that owns it, an [Adaptive.t] is not
+    synchronized: one caller at a time. *)
 
 type config = {
   params : Bionav_core.Probability.params;  (** The prior (static) model. *)
@@ -60,10 +60,6 @@ val refresh : t -> unit
 (** Force a model rebuild/publication now (bumps the epoch). *)
 
 val observations : t -> int
-
-val top_concepts : t -> int -> (int * Evidence.counts * float) list
-(** The [n] most-engaged concepts with their evidence and EXPLORE lift —
-    diagnostics for [bionav learn] and the web status page. *)
 
 val status_text : t -> string
 (** Human-readable status (fingerprint, observation/concept counts,

@@ -12,7 +12,6 @@ type cell = {
 type t = {
   half_life_ms : float option;
   cells : (int, cell) Hashtbl.t;
-  lock : Mutex.t;
   mutable observations : int;
 }
 
@@ -27,7 +26,7 @@ let create ?half_life_ms () =
   | Some hl when not (hl > 0.) ->
       invalid_arg (Printf.sprintf "Evidence.create: half_life_ms must be > 0 (got %g)" hl)
   | Some _ | None -> ());
-  { half_life_ms; cells = Hashtbl.create 256; lock = Mutex.create (); observations = 0 }
+  { half_life_ms; cells = Hashtbl.create 256; observations = 0 }
 
 let half_life_ms t = t.half_life_ms
 
@@ -58,9 +57,8 @@ let cell_of t ~now_ms concept =
       c
 
 let observe_with t ~now_ms ~concept f =
-  Mutex.protect t.lock (fun () ->
-      f (cell_of t ~now_ms concept);
-      t.observations <- t.observations + 1)
+  f (cell_of t ~now_ms concept);
+  t.observations <- t.observations + 1
 
 let observe_expand t ~now_ms ~concept =
   observe_with t ~now_ms ~concept (fun c -> c.expands <- c.expands +. 1.)
@@ -72,27 +70,24 @@ let observe_ignore t ~now_ms ~concept =
   observe_with t ~now_ms ~concept (fun c -> c.ignores <- c.ignores +. 1.)
 
 let counts t ~now_ms ~concept =
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.cells concept with
-      | None -> zero
-      | Some c ->
-          decay_cell t c ~now_ms;
-          { expands = c.expands; shows = c.shows; ignores = c.ignores })
+  match Hashtbl.find_opt t.cells concept with
+  | None -> zero
+  | Some c ->
+      decay_cell t c ~now_ms;
+      { expands = c.expands; shows = c.shows; ignores = c.ignores }
 
 let fold t ~now_ms f acc =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.fold
-        (fun concept c acc ->
-          decay_cell t c ~now_ms;
-          if c.expands = 0. && c.shows = 0. && c.ignores = 0. then acc
-          else f concept { expands = c.expands; shows = c.shows; ignores = c.ignores } acc)
-        t.cells acc)
+  Hashtbl.fold
+    (fun concept c acc ->
+      decay_cell t c ~now_ms;
+      if c.expands = 0. && c.shows = 0. && c.ignores = 0. then acc
+      else f concept { expands = c.expands; shows = c.shows; ignores = c.ignores } acc)
+    t.cells acc
 
-let observations t = Mutex.protect t.lock (fun () -> t.observations)
+let observations t = t.observations
 
 let concept_count t ~now_ms = fold t ~now_ms (fun _ _ acc -> acc + 1) 0
 
 let clear t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.reset t.cells;
-      t.observations <- 0)
+  Hashtbl.reset t.cells;
+  t.observations <- 0

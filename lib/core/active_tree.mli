@@ -41,7 +41,6 @@ val component : t -> int -> int list
 val component_members : t -> int -> int array
 (** {!component} as the cached array itself: shared, never mutate it. *)
 
-val component_size : t -> int -> int
 val component_distinct : t -> int -> int
 (** Distinct citations attached to the component — the count displayed next
     to the visible node (paper Fig. 2 shows it shrinking as concepts are

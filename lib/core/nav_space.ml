@@ -72,8 +72,6 @@ let facet_of t =
       invalid_arg
         "Nav_space: the qualifier facet dimension needs the corpus citations (deriver ~medline)"
 
-let facet_hierarchy t = (facet_of t).fh
-
 let derive_facet t result =
   let f = facet_of t in
   (* Bucket the result citations by primary-qualifier page. Each citation

@@ -25,10 +25,6 @@
 
 type dimension = Descriptor | Qualifier_facet
 
-val dimension_name : dimension -> string
-(** Stable lowercase identifier (["descriptor"], ["qualifier"]) — used in
-    space ids, metric names and wire formats. *)
-
 type deriver
 (** Everything needed to derive a space along any dimension for one
     corpus: the database (descriptor dimension) plus the corpus citations
@@ -58,7 +54,3 @@ val page_concept : Bionav_mesh.Qualifiers.t option -> int
 (** Facet-hierarchy concept id of a qualifier page: qualifier [q] maps to
     [q + 1] (node 0 is the root), [None] (unqualified) to
     [Qualifiers.count + 1]. *)
-
-val facet_hierarchy : deriver -> Bionav_mesh.Hierarchy.t
-(** The synthetic facet hierarchy: root, one child per qualifier, one
-    "(unqualified)" child. @raise Invalid_argument without [medline]. *)

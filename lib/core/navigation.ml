@@ -21,10 +21,6 @@ let faceted ?(k = Heuristic.default_k) ?params ?model ?(reuse = false) () =
 
 let optimal ?params ?model () = Optimal { model = Probability.model_of ?params ?model () }
 
-let strategy_model = function
-  | Heuristic { model; _ } | Faceted { model; _ } | Optimal { model } -> Some model
-  | Static | Static_paged _ -> None
-
 let model_fingerprint = function
   | Heuristic { model; _ } | Optimal { model } -> model.Probability.fingerprint
   | Faceted { model; _ } -> "faceted/" ^ model.Probability.fingerprint

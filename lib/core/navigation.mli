@@ -55,10 +55,6 @@ val optimal :
   ?params:Probability.params -> ?model:Probability.model -> unit -> strategy
 (** [Optimal] with the same [params]/[model] resolution as {!bionav}. *)
 
-val strategy_model : strategy -> Probability.model option
-(** The probability model driving a strategy's cuts; [None] for the
-    model-free [Static]/[Static_paged] interfaces. *)
-
 val model_fingerprint : strategy -> string
 (** Stable cache identity of the strategy's probability assumptions:
     [model.fingerprint] for model-driven strategies, distinct sentinels

@@ -121,13 +121,10 @@ val static : ?params:params -> unit -> model
 val default_model : model
 (** [static ()] — the model every strategy uses unless told otherwise. *)
 
-val facet_params : params
-(** Cost-model terms tuned for qualifier facet pages (wide, flat, cheap to
-    re-cut): higher thresholds, lower expand cost, fanout = the qualifier
-    table width. *)
-
 val facet_model : model
-(** [static ~params:facet_params ()] — the default model for the
+(** The static model over cost-model terms tuned for qualifier facet
+    pages (wide, flat, cheap to re-cut): higher thresholds, lower expand
+    cost, fanout = the qualifier table width — the default model for the
     (descriptor × qualifier) facet dimension. *)
 
 val model_of : ?params:params -> ?model:model -> unit -> model

@@ -40,7 +40,6 @@ let size t = Array.length t.citations
 let citation t i = t.citations.(i)
 let citations t = t.citations
 let postings t concept = t.postings.(concept)
-let postings_in arena t concept = Docset.of_intset_in arena t.postings.(concept)
 let iter_postings t concept f = Intset.iter f t.postings.(concept)
 let iter_citation_concepts t id f = Intset.iter f (Citation.concepts t.citations.(id))
 let concept_count t concept = Intset.cardinal t.postings.(concept)

@@ -20,10 +20,6 @@ val citations : t -> Citation.t array
 val postings : t -> int -> Bionav_util.Intset.t
 (** [postings t concept] = set of citation ids associated with [concept]. *)
 
-val postings_in : Bionav_util.Docset_arena.t -> t -> int -> Bionav_util.Docset.t
-(** {!postings} interned into a caller-supplied arena — the
-    {!Bionav_util.Docset} face of the corpus boundary. *)
-
 val iter_postings : t -> int -> (int -> unit) -> unit
 (** Visit the concept's citations in increasing id order without handing
     out the underlying set. *)

@@ -59,12 +59,3 @@ val fold_file :
     in record order) is folded into [f] and then dropped, so memory is
     bounded by the largest single record — the parser the segment-store
     bulk ingest drives. @raise Invalid_argument on malformed records. *)
-
-val fold_channel :
-  ?on_unknown_mh:[ `Skip | `Fail ] ->
-  hierarchy:Bionav_mesh.Hierarchy.t ->
-  in_channel ->
-  init:'a ->
-  f:('a -> Citation.t -> 'a) ->
-  'a
-(** {!fold_file} over an already-open channel (reads to EOF). *)

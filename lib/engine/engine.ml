@@ -57,26 +57,22 @@ type frame = {
 }
 
 (* A session's navigation trees came out of the engine's cache and the
-   active tree's arena is mutated on every expand, so all mutation
-   happens under the engine lock. Reads go through [snapshot]: an
-   immutable epoch-versioned view of the {e top} frame republished
-   (RCU-style) after every mutation, consumed with [Atomic.get] and no
-   lock (DESIGN.md §12). [frames] is an Atomic so the off-lock accessors
-   ([navigation], [space_id], [refine_depth]) read a consistent stack; it
-   is only written under the lock and is never empty. *)
+   active tree's arena is mutated on every expand; every mutation runs
+   inside one engine operation ([enter]). Readers render from [snapshot]:
+   an immutable epoch-versioned view of the {e top} frame, replaced after
+   every mutating action (DESIGN.md §12). [frames] is never empty. *)
 type session = {
   sid : string;
   query : string;
   sstrategy : Navigation.strategy;
       (* the effective base strategy; per-frame strategies derive from it *)
-  frames : frame list Atomic.t;  (* top frame first *)
+  mutable frames : frame list;  (* top frame first *)
   owner : t;
-  snapshot : Nav_snapshot.t Atomic.t;
+  mutable snapshot : Nav_snapshot.t;
   seen_concepts : (int, unit) Hashtbl.t;
       (* concepts revealed to this session but not (yet) engaged with;
-         mutated under the lock, flushed as IGNORE evidence when the
-         session ends *)
-  mutable epoch : int;  (* bumped under the lock at each publish *)
+         flushed as IGNORE evidence when the session ends *)
+  mutable epoch : int;  (* bumped at each publish *)
   mutable tick : int;  (* recency clock value of the last touch *)
   mutable last_use_ms : float;  (* config.clock time of the last touch, for TTLs *)
 }
@@ -86,15 +82,12 @@ and t = {
   database : Bionav_store.Database.t;
   store : Bionav_segstore.Store.t option;
   eutils : Eutils.t;
-  lock : Mutex.t;
-  lock_owner : int Atomic.t;  (* domain id holding [lock]; -1 when free *)
+  in_use : bool Atomic.t;  (* the entry guard: set while an operation runs *)
   cache : Nav_cache.t;
   prefetch : Prefetch.t option;
   guard : Guard.t option;
-  adaptive : Adaptive.t option;
-      (* learned probability model; its own internal lock makes observes
-         safe from any domain *)
-  deriver : Nav_space.deriver;  (* derives refined/faceted spaces; used under the lock *)
+  adaptive : Adaptive.t option;  (* learned probability model *)
+  deriver : Nav_space.deriver;  (* derives refined/faceted spaces *)
   budget : (unit -> unit -> bool) option;
       (* the EXPAND budget factory handed to Navigation.set_budget, when
          a guard or a budget is configured. The deadline starts first so
@@ -103,10 +96,7 @@ and t = {
          degradation. *)
   run_search : string -> Docset.t;
   sessions : (string, session) Hashtbl.t;
-  arena_stats : Docset_arena.stats Atomic.t;
-      (* aggregate over the engine's reachable arenas, refreshed on lock
-         release so the metrics scrape never takes the lock *)
-  next_sid : int Atomic.t;
+  mutable next_sid : int;
   mutable clock_tick : int;
   mutable evictions : int;
 }
@@ -116,15 +106,12 @@ let evicted_counter = Metrics.counter "bionav_sessions_evicted_total"
 let closed_counter = Metrics.counter "bionav_sessions_closed_total"
 let expired_counter = Metrics.counter "bionav_sessions_expired_total"
 let live_gauge = Metrics.gauge "bionav_sessions_live"
-let lock_acq_counter = Metrics.counter "bionav_shard_lock_acquisitions_total"
 let refinements_counter = Metrics.counter "bionav_refinements_total"
 let refine_depth_gauge = Metrics.gauge "bionav_refine_depth"
-let lock_wait_hist = Metrics.histogram "bionav_shard_lock_wait_ms"
-let lock_hold_hist = Metrics.histogram "bionav_shard_lock_hold_ms"
 let publish_hist = Metrics.histogram "bionav_snapshot_publish_ms"
 
-(* Capture a frame's snapshot (under the lock), timing it into the
-   snapshot-publication histogram. *)
+(* Capture a frame's snapshot, timing it into the snapshot-publication
+   histogram. *)
 let capture ~epoch ~query ~depth fr =
   let snap, ms =
     Timing.time (fun () ->
@@ -133,76 +120,20 @@ let capture ~epoch ~query ~depth fr =
   Metrics.observe publish_hist ms;
   snap
 
-(* --- the engine lock ---------------------------------------------------- *)
+(* --- the entry guard ------------------------------------------------------- *)
 
-let zero_arena_stats =
-  Docset_arena.
-    {
-      sets = 0;
-      bytes = 0;
-      dense = 0;
-      sparse = 0;
-      intern_requests = 0;
-      dedup_hits = 0;
-      memo_hits = 0;
-    }
-
-let add_arena_stats acc (st : Docset_arena.stats) =
-  Docset_arena.
-    {
-      sets = acc.sets + st.sets;
-      bytes = acc.bytes + st.bytes;
-      dense = acc.dense + st.dense;
-      sparse = acc.sparse + st.sparse;
-      intern_requests = acc.intern_requests + st.intern_requests;
-      dedup_hits = acc.dedup_hits + st.dedup_hits;
-      memo_hits = acc.memo_hits + st.memo_hits;
-    }
-
-(* Aggregate stats over the arenas the engine can reach (cached trees +
-   every frame of every live session, physically deduplicated). Called
-   under the lock. *)
-let reachable_arena_stats t =
-  let arenas = ref [] in
-  let note a = if not (List.memq a !arenas) then arenas := a :: !arenas in
-  Nav_cache.fold_trees t.cache (fun nav () -> note (Nav_tree.arena nav)) ();
-  Hashtbl.iter
-    (fun _ s -> List.iter (fun fr -> note (Nav_tree.arena fr.fnav)) (Atomic.get s.frames))
-    t.sessions;
-  List.fold_left (fun acc a -> add_arena_stats acc (Docset_arena.stats a)) zero_arena_stats !arenas
-
-(* Every acquisition of the engine lock goes through here: it detects
-   same-domain re-entry (the mutex is non-reentrant, so that would
-   deadlock), maintains the wait/hold histograms, and refreshes the
-   published arena stats on the way out. *)
-let with_lock t f =
-  let me = Ownership.self_id () in
-  if Atomic.get t.lock_owner = me then
+(* Every engine operation runs inside [enter]: one compare-and-set on the
+   in-use flag. The engine has one owner at a time (DESIGN.md §11), so a
+   second entry — a nested operation, or another domain entering while
+   one is inside — raises instead of racing on the unsynchronized session
+   store, caches and arenas. Once the operation leaves, any domain may
+   enter next. *)
+let enter t f =
+  if not (Atomic.compare_and_set t.in_use false true) then
     invalid_arg
-      (Printf.sprintf
-         "Engine: reentrant use of the engine lock from domain %d (run_locked inside \
-          run_locked?)"
-         me);
-  let t0 = Timing.now_ms () in
-  Mutex.lock t.lock;
-  let t1 = Timing.now_ms () in
-  Metrics.observe lock_wait_hist (t1 -. t0);
-  Metrics.incr lock_acq_counter;
-  Atomic.set t.lock_owner me;
-  let release () =
-    Atomic.set t.arena_stats (reachable_arena_stats t);
-    Atomic.set t.lock_owner (-1);
-    Metrics.observe lock_hold_hist (Timing.now_ms () -. t1);
-    Mutex.unlock t.lock
-  in
-  match f () with
-  | v ->
-      release ();
-      v
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      release ();
-      Printexc.raise_with_backtrace e bt
+      "Engine: entered while another engine operation is running (a nested call, or a \
+       second domain)";
+  Fun.protect ~finally:(fun () -> Atomic.set t.in_use false) f
 
 let create ?(config = default_config) ?chaos ?snapshot ~database ~eutils () =
   if config.max_sessions < 1 then invalid_arg "Engine.create: max_sessions must be >= 1";
@@ -230,7 +161,6 @@ let create ?(config = default_config) ?chaos ?snapshot ~database ~eutils () =
         ( Some st,
           Bionav_segstore.Bridge.database st (Bionav_store.Database.hierarchy database) )
   in
-  let index_arena = Bionav_search.Inverted_index.arena (Eutils.index eutils) in
   let adaptive =
     Option.map
       (fun cfg -> Adaptive.create ~config:cfg ~now_ms:(fun () -> Clock.now_ms config.clock) ())
@@ -244,13 +174,8 @@ let create ?(config = default_config) ?chaos ?snapshot ~database ~eutils () =
         Some (Guard.create ?chaos ~config:gconfig ~clock:config.clock ())
   in
   let run_search query =
-    (* esearch interns into the process-wide index arena, adopted by
-       whichever domain holds the engine lock. Only tree-cache misses and
-       warm starts pay this. *)
-    let esearch () =
-      Docset_arena.adopt index_arena;
-      Eutils.esearch eutils query
-    in
+    (* Only tree-cache misses and warm starts pay this. *)
+    let esearch () = Eutils.esearch eutils query in
     match guard with
     | None -> esearch ()
     | Some g -> (
@@ -274,8 +199,7 @@ let create ?(config = default_config) ?chaos ?snapshot ~database ~eutils () =
       database;
       store;
       eutils;
-      lock = Mutex.create ();
-      lock_owner = Atomic.make (-1);
+      in_use = Atomic.make false;
       cache = Nav_cache.create ~capacity:config.cache_capacity ~build ();
       prefetch = Option.map (fun pc -> Prefetch.create ~config:pc ()) config.prefetch;
       guard;
@@ -287,8 +211,7 @@ let create ?(config = default_config) ?chaos ?snapshot ~database ~eutils () =
          else None);
       run_search;
       sessions = Hashtbl.create 64;
-      arena_stats = Atomic.make zero_arena_stats;
-      next_sid = Atomic.make 0;
+      next_sid = 0;
       clock_tick = 0;
       evictions = 0;
     }
@@ -311,25 +234,25 @@ let eutils t = t.eutils
 let config t = t.config
 let prefetch t = t.prefetch
 let guard t = t.guard
-let resilience_clock t = t.config.clock
 let segstore t = t.store
 let adaptive t = t.adaptive
 
 let learn t events =
-  match t.adaptive with
-  | None -> false
-  | Some ad ->
-      Adaptive.learn ad events;
-      true
+  enter t (fun () ->
+      match t.adaptive with
+      | None -> false
+      | Some ad ->
+          Adaptive.learn ad events;
+          true)
 
 (* --- frames -------------------------------------------------------------- *)
 
 let top_frame s =
-  match Atomic.get s.frames with
+  match s.frames with
   | fr :: _ -> fr
   | [] -> assert false (* the frame stack is never empty *)
 
-let refine_depth s = List.length (Atomic.get s.frames) - 1
+let refine_depth s = List.length s.frames - 1
 let space_id s = (top_frame s).fid
 
 (* --- adaptive evidence -------------------------------------------------- *)
@@ -367,7 +290,7 @@ let note_revealed s revealed =
           revealed
 
 (* The session is over: whatever it was shown and never engaged with is
-   IGNORE evidence. Called under the lock on every exit path
+   IGNORE evidence. Called on every exit path
    (close, LRU eviction, TTL sweep). *)
 let flush_ignores s =
   match s.owner.adaptive with
@@ -432,13 +355,9 @@ let frame_strategy adaptive base = function
 (* --- session store ----------------------------------------------------- *)
 
 let session_id s = s.sid
-let session_query s = s.query
 let session_nav s = (top_frame s).fnav
 let navigation s = (top_frame s).fnavigation
-let snapshot s = Atomic.get s.snapshot
-
-(* Reads the table size without the lock: an int-field read, tolerable
-   staleness for a gauge. *)
+let snapshot s = s.snapshot
 let session_count t = Hashtbl.length t.sessions
 
 let eviction_count t = t.evictions
@@ -479,8 +398,7 @@ let wire_frame t ~fkey navigation =
 
 (* Fetch or derive a navigation space for a derived frame, through the
    engine's tree cache under the frame's composite key — so revisiting a
-   refinement path is a cache hit, not a re-derivation. Runs under the
-   lock. *)
+   refinement path is a cache hit, not a re-derivation. *)
 let derived_space t ~fkey ~dim subset =
   match Nav_cache.find t.cache fkey with
   | Some nav -> nav
@@ -498,14 +416,14 @@ let search t ?(strategy = Navigation.bionav ()) query =
       if String.trim query = "" then Error "empty query"
       else begin
         let strategy = effective_strategy t strategy in
-        (* The sid is allocated before the (fallible) tree build; a failed
-           search burns an id, which stays monotonic. *)
-        let sid = Printf.sprintf "s%d" (Atomic.fetch_and_add t.next_sid 1) in
-        with_lock t (fun () ->
+        enter t (fun () ->
+            (* The sid is allocated before the (fallible) tree build; a
+               failed search burns an id, which stays monotonic. *)
+            let sid = Printf.sprintf "s%d" t.next_sid in
+            t.next_sid <- t.next_sid + 1;
             match Nav_cache.get t.cache query with
             | exception Backend_unavailable msg -> Error msg
             | nav ->
-                Docset_arena.adopt (Nav_tree.arena nav);
                 if Nav_tree.distinct_results nav = 0 then Ok No_results
                 else begin
                   while Hashtbl.length t.sessions >= t.config.max_sessions do
@@ -530,16 +448,14 @@ let search t ?(strategy = Navigation.bionav ()) query =
                         { fid = "descriptor"; fdim = Nav_space.Descriptor; fkey = query;
                           fnav = nav; fnavigation = Navigation.start strategy nav }
                   in
-                  Docset_arena.adopt (Nav_tree.arena base.fnav);
                   let s =
                     {
                       sid;
                       query;
                       sstrategy = strategy;
-                      frames = Atomic.make [ base ];
+                      frames = [ base ];
                       owner = t;
-                      snapshot =
-                        Atomic.make (capture ~epoch:0 ~query ~depth:0 base);
+                      snapshot = capture ~epoch:0 ~query ~depth:0 base;
                       seen_concepts = Hashtbl.create 16;
                       epoch = 0;
                       tick = 0;
@@ -556,7 +472,7 @@ let search t ?(strategy = Navigation.bionav ()) query =
       end
 
 let find_session t sid =
-  with_lock t (fun () ->
+  enter t (fun () ->
       match Hashtbl.find_opt t.sessions sid with
       | Some s ->
           touch t s;
@@ -564,7 +480,7 @@ let find_session t sid =
       | None -> None)
 
 let close t sid =
-  with_lock t (fun () ->
+  enter t (fun () ->
       match Hashtbl.find_opt t.sessions sid with
       | Some s ->
           flush_ignores s;
@@ -575,46 +491,41 @@ let close t sid =
       | None -> false)
 
 let sweep ?now_ms t =
-  match t.config.session_ttl_ms with
-  | None -> 0
-  | Some ttl ->
-      let now = match now_ms with Some n -> n | None -> Clock.now_ms t.config.clock in
-      let n =
-        with_lock t (fun () ->
-            let expired =
-              Hashtbl.fold
-                (fun _ s acc -> if now -. s.last_use_ms > ttl then s :: acc else acc)
-                t.sessions []
-            in
-            List.iter
-              (fun s ->
-                flush_ignores s;
-                Hashtbl.remove t.sessions s.sid)
-              expired;
-            List.length expired)
-      in
-      if n > 0 then begin
-        Metrics.incr ~by:n expired_counter;
-        publish_live t;
-        Logs.debug (fun m -> m "engine: expired %d idle session(s)" n)
-      end;
-      n
+  enter t (fun () ->
+      match t.config.session_ttl_ms with
+      | None -> 0
+      | Some ttl ->
+          let now = match now_ms with Some n -> n | None -> Clock.now_ms t.config.clock in
+          let expired =
+            Hashtbl.fold
+              (fun _ s acc -> if now -. s.last_use_ms > ttl then s :: acc else acc)
+              t.sessions []
+          in
+          List.iter
+            (fun s ->
+              flush_ignores s;
+              Hashtbl.remove t.sessions s.sid)
+            expired;
+          let n = List.length expired in
+          if n > 0 then begin
+            Metrics.incr ~by:n expired_counter;
+            publish_live t;
+            Logs.debug (fun m -> m "engine: expired %d idle session(s)" n)
+          end;
+          n)
 
 (* --- navigation actions ------------------------------------------------ *)
 
-(* Re-capture and publish the session's snapshot from its top frame. Runs
-   under the lock: capture reads the live active tree's
-   per-component state; the Atomic.set is the RCU-style
-   publication point. Epoch and space id advance together in the one
-   atomic store, so a reader never observes a mixed-space view. *)
+(* Re-capture the session's snapshot from its top frame. Epoch and space
+   id advance together in one new snapshot value, so a reader never sees
+   a mixed-space view. *)
 let publish s =
   s.epoch <- s.epoch + 1;
   let fr = top_frame s in
-  Atomic.set s.snapshot (capture ~epoch:s.epoch ~query:s.query ~depth:(refine_depth s) fr)
+  s.snapshot <- capture ~epoch:s.epoch ~query:s.query ~depth:(refine_depth s) fr
 
 let run_locked s f =
-  with_lock s.owner (fun () ->
-      Docset_arena.adopt (Nav_tree.arena (top_frame s).fnav);
+  enter s.owner (fun () ->
       let r = f () in
       publish s;
       r)
@@ -644,11 +555,10 @@ let push_frame s ~fid ~dim subset =
   let t = s.owner in
   let fkey = frame_key s.query fid in
   let fnav = derived_space t ~fkey ~dim subset in
-  Docset_arena.adopt (Nav_tree.arena fnav);
   let fnavigation = Navigation.start (frame_strategy t.adaptive s.sstrategy dim) fnav in
   let fr = { fid; fdim = dim; fkey; fnav; fnavigation } in
   wire_frame t ~fkey fnavigation;
-  Atomic.set s.frames (fr :: Atomic.get s.frames);
+  s.frames <- fr :: s.frames;
   Metrics.incr refinements_counter;
   Metrics.set refine_depth_gauge (float_of_int (refine_depth s));
   fr
@@ -686,10 +596,10 @@ let facet s =
 
 let unrefine s =
   run_locked s (fun () ->
-      match Atomic.get s.frames with
+      match s.frames with
       | [] | [ _ ] -> false
       | _ :: rest ->
-          Atomic.set s.frames rest;
+          s.frames <- rest;
           Metrics.set refine_depth_gauge (float_of_int (refine_depth s));
           true)
 
@@ -705,8 +615,8 @@ let start strategy nav =
 (* --- prefetch & warm start ---------------------------------------------- *)
 
 let warm t queries =
-  let model = Option.map Adaptive.model t.adaptive in
-  with_lock t (fun () ->
+  enter t (fun () ->
+      let model = Option.map Adaptive.model t.adaptive in
       let entries = Warmer.build ~db:t.database ~run:t.run_search ?model queries in
       ignore
         (Warmer.apply ~db:t.database ~trees:t.cache
@@ -737,18 +647,38 @@ let docset_dense_gauge = Metrics.gauge "bionav_docset_live_dense"
 let docset_sparse_gauge = Metrics.gauge "bionav_docset_live_sparse"
 let docset_dedup_gauge = Metrics.gauge "bionav_docset_dedup_hit_rate"
 
-(* Aggregate docset stats without the engine lock: the inverted index's
-   arena is read directly (pure reads are domain-safe; its plain stat
-   fields may lag the writer by a beat — monitoring tolerance), plus the
-   aggregate published at the last lock release. The scrape path
-   therefore never contends with navigation. *)
-let docset_stats t =
-  add_arena_stats
-    (Docset_arena.stats (Bionav_search.Inverted_index.arena (Eutils.index t.eutils)))
-    (Atomic.get t.arena_stats)
+(* Aggregate docset stats, computed when asked: the inverted index's arena
+   plus every arena the engine can reach (cached trees and every frame of
+   every live session, physically deduplicated). *)
+let reachable_arena_stats t =
+  let arenas = ref [ Bionav_search.Inverted_index.arena (Eutils.index t.eutils) ] in
+  let note a = if not (List.memq a !arenas) then arenas := a :: !arenas in
+  Nav_cache.fold_trees t.cache (fun nav () -> note (Nav_tree.arena nav)) ();
+  Hashtbl.iter (fun _ s -> List.iter (fun fr -> note (Nav_tree.arena fr.fnav)) s.frames) t.sessions;
+  let zero =
+    Docset_arena.
+      { sets = 0; bytes = 0; dense = 0; sparse = 0; intern_requests = 0; dedup_hits = 0;
+        memo_hits = 0 }
+  in
+  List.fold_left
+    (fun (acc : Docset_arena.stats) a ->
+      let st = Docset_arena.stats a in
+      Docset_arena.
+        {
+          sets = acc.sets + st.sets;
+          bytes = acc.bytes + st.bytes;
+          dense = acc.dense + st.dense;
+          sparse = acc.sparse + st.sparse;
+          intern_requests = acc.intern_requests + st.intern_requests;
+          dedup_hits = acc.dedup_hits + st.dedup_hits;
+          memo_hits = acc.memo_hits + st.memo_hits;
+        })
+    zero !arenas
+
+let docset_stats t = enter t (fun () -> reachable_arena_stats t)
 
 let publish_docset t =
-  let st = docset_stats t in
+  let st = reachable_arena_stats t in
   Metrics.set docset_sets_gauge (float_of_int st.Docset_arena.sets);
   Metrics.set docset_bytes_gauge (float_of_int st.Docset_arena.bytes);
   Metrics.set docset_dense_gauge (float_of_int st.Docset_arena.dense);
@@ -758,8 +688,9 @@ let publish_docset t =
      else float_of_int st.Docset_arena.dedup_hits /. float_of_int st.Docset_arena.intern_requests)
 
 let metrics_text t =
-  publish_live t;
-  publish_docset t;
-  Option.iter Bionav_segstore.Store.publish_metrics t.store;
-  Procinfo.publish ();
-  Metrics.dump ()
+  enter t (fun () ->
+      publish_live t;
+      publish_docset t;
+      Option.iter Bionav_segstore.Store.publish_metrics t.store;
+      Procinfo.publish ();
+      Metrics.dump ())

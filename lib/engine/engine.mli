@@ -21,27 +21,22 @@
     This is the seam scaling work plugs into: entry points talk to the
     engine, never to [Navigation.start] directly.
 
-    {b Concurrency} (DESIGN.md §11–§12): one session store behind one
-    mutex, the engine lock. The store, the tree cache, the plan cache,
-    the backend guard and the inverted index's arena are only
-    {e mutated} under it, with the touched docset arena
-    {!Bionav_util.Docset_arena.adopt}ed by the locking domain, so the
-    engine is safe to call from several domains; mutations run one at a
-    time.
-
-    Reads never take the lock: every mutating action republishes an
-    immutable {!Bionav_search.Nav_snapshot} of the session (frozen
-    arena, epoch-versioned), and {!snapshot} hands it out with one
-    [Atomic.get]. The mutex covers only session-table mutation,
-    tree/plan-cache writes, the mutating navigation actions and snapshot
-    publication; rendering, result paging and metrics scraping all run
-    lock-free. Lock behaviour is instrumented:
-    [bionav_shard_lock_wait_ms] / [_hold_ms] histograms and
-    [bionav_shard_lock_acquisitions_total] (the names predate the single
-    lock and are kept because benchmark tooling reads them). The mutex
-    is non-reentrant; acquiring it twice from the same domain
-    ({!run_locked} inside {!run_locked}, or {!expand} inside
-    {!run_locked}) raises [Invalid_argument] instead of deadlocking.
+    {b One owner} (DESIGN.md §11–§12): the session store, the tree
+    cache, the plan cache, the backend guard and every docset arena are
+    unsynchronized, and the engine serves one caller at a time. Every
+    operation ({!search}, the navigation actions, {!run_locked},
+    {!find_session}, {!close}, {!sweep}, {!learn}, {!warm},
+    {!docset_stats}, {!metrics_text}) takes one entry guard, an
+    [Atomic] compare-and-set, and raises [Invalid_argument] if another
+    operation is still inside: a nested call ({!expand} or
+    {!run_locked} inside {!run_locked}) or a second domain entering
+    concurrently. A later domain may take the engine over once the
+    first has left — a server domain started after set-up does this.
+    Accessors that read one field ({!snapshot}, {!session_count},
+    {!navigation}, ...) take no guard. Every mutating action replaces
+    the session's immutable {!Bionav_search.Nav_snapshot} (frozen
+    arena, epoch-versioned), which rendering and result paging read
+    after the action returns.
 
     {b Resilience} ({!Bionav_resilience}): every backend call (the
     ESearch keyword lookup) runs under a {!Bionav_resilience.Guard} —
@@ -137,7 +132,7 @@ val segstore : t -> Bionav_segstore.Store.t option
 
 val adaptive : t -> Bionav_adaptive.Adaptive.t option
 (** The engine's learned-probability state, when [config.adaptive] was
-    set. Safe to inspect from any domain. *)
+    set. *)
 
 val learn : t -> Bionav_core.Session_log.event list -> bool
 (** Bulk-ingest one session transcript into the learned model and refresh
@@ -146,9 +141,6 @@ val learn : t -> Bionav_core.Session_log.event list -> bool
     refreshed model; running sessions keep the model they started with
     (their plan-cache keys carry its fingerprint, so no stale plan is
     ever served to a refreshed session). *)
-
-val resilience_clock : t -> Bionav_resilience.Clock.t
-(** [config.clock] — the clock every engine timing decision reads. *)
 
 (* --- strategies ------------------------------------------------------- *)
 
@@ -176,7 +168,6 @@ type session
     pops. *)
 
 val session_id : session -> string
-val session_query : session -> string
 
 val session_nav : session -> Bionav_core.Nav_tree.t
 (** The {e top} frame's navigation tree. *)
@@ -197,11 +188,10 @@ val refine_depth : session -> int
 (** Frames above the base space (0 = unrefined). *)
 
 val snapshot : session -> Bionav_search.Nav_snapshot.t
-(** The session's latest published snapshot — one [Atomic.get], no lock.
-    Safe from any domain; the view is internally consistent as of the
-    epoch it carries, and stays valid (immutable) even as the session
-    advances. This is the read path: render, page results and rank from
-    it instead of locking. *)
+(** The session's latest snapshot, replaced by every mutating action.
+    The view is internally consistent as of the epoch it carries and
+    stays valid (immutable) even as the session advances. This is the
+    read path: render, page results and rank from it. *)
 
 type search_outcome =
   | No_results  (** The query matched no citations; no session created. *)
@@ -238,12 +228,10 @@ val eviction_count : t -> int
 val expand : session -> int -> int list
 val show_results : session -> int -> Bionav_util.Docset.t
 val backtrack : session -> bool
-(** Each action takes the engine lock, adopts the tree's docset
-    arena for the calling domain (so any domain may drive any
-    session), and republishes the session {!snapshot} before releasing
-    the lock. The docset returned by {!show_results} lives in the live
-    arena but is safe to iterate after the lock is released (pure arena
-    reads are domain-safe). *)
+(** Each action takes the entry guard and replaces the session
+    {!snapshot} before it returns. The docset returned by
+    {!show_results} lives in the live arena; iterate it before the next
+    engine operation. *)
 
 val refine : session -> int -> int
 (** Query-by-navigation: narrow the live result set to the full
@@ -252,7 +240,7 @@ val refine : session -> int -> int
     revisiting a refinement path is a cache hit, not a re-derivation),
     and push it as the session's new top frame. Returns the refined
     space's distinct result count. The snapshot republishes with the new
-    space id and an advanced epoch in one atomic store.
+    space id and an advanced epoch together.
     @raise Invalid_argument if the node is not visible or is the root. *)
 
 val facet : session -> int
@@ -270,14 +258,13 @@ val unrefine : session -> bool
     snapshots are never reused across space changes. *)
 
 val run_locked : session -> (unit -> 'a) -> 'a
-(** Run [f] holding the engine lock with the tree's arena
-    adopted — for bulk drivers (simulation replay) that make many tree
-    reads/expands as one atom — then republish the session {!snapshot}.
-    Inside [f], use the raw {!Bionav_core.Navigation} operations,
-    {b never} {!expand}/{!show_results}/{!backtrack} or a nested
-    [run_locked]: the engine mutex is not reentrant, and re-entry from
-    the owning domain raises [Invalid_argument]. For pure reads, prefer
-    {!snapshot} — it needs no lock at all. *)
+(** Run [f] inside one engine operation — for bulk drivers (simulation
+    replay) that make many tree reads/expands as one atom — then
+    replace the session {!snapshot}. Inside [f], use the raw
+    {!Bionav_core.Navigation} operations, {b never}
+    {!expand}/{!show_results}/{!backtrack} or a nested [run_locked]:
+    any engine operation inside [f] raises [Invalid_argument]. For pure
+    reads, prefer {!snapshot}. *)
 
 (* --- detached sessions ------------------------------------------------ *)
 
@@ -294,7 +281,7 @@ val start :
 val warm : t -> string list -> Bionav_store.Snapshot.entry list
 (** Run each query through the engine's own search path, build its
     navigation tree and root cut ({!Bionav_prefetch.Warmer.build}), and
-    seed the live caches, all under the engine lock. Returns the entries
+    seed the live caches, as one engine operation. Returns the entries
     so the caller can persist them with {!save_snapshot}. Works with
     prefetch disabled (trees are still warmed; root cuts are only kept
     when the plan cache exists). *)
@@ -313,10 +300,9 @@ val plan_cache_hit_rate : t -> float
 val docset_stats : t -> Bionav_util.Docset_arena.stats
 (** Aggregate {!Bionav_util.Docset_arena.stats} over every arena the
     engine can reach: the inverted index's long-lived arena plus one per
-    cached navigation tree (deduplicated physically — session trees come
-    out of the cache). Lock-free: the index arena is read directly and
-    the rest is the aggregate published at the last lock release, so
-    the figures may lag in-flight work by one lock cycle. *)
+    cached navigation tree and one per frame of every live session
+    (deduplicated physically — session trees come out of the cache),
+    walked when called. *)
 
 val metrics_text : t -> string
 (** Refresh the engine gauges — live session count plus the docset-arena

@@ -142,7 +142,3 @@ let nodes_at_depth t d =
     if t.depth.(i) = d then acc := i :: !acc
   done;
   !acc
-
-let pp_stats ppf t =
-  Format.fprintf ppf "hierarchy: %d nodes, height %d, max width %d" (size t) (height t)
-    (max_width t)

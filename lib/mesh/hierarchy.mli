@@ -63,6 +63,3 @@ val find_by_label : t -> string -> int option
 val find_by_tree_number : t -> Tree_number.t -> int option
 
 val nodes_at_depth : t -> int -> int list
-
-val pp_stats : Format.formatter -> t -> unit
-(** One-line summary: size, height, max width. *)

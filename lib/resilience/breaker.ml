@@ -67,5 +67,3 @@ let record_failure t =
       t.streak <- t.streak + 1;
       if t.streak >= t.config.failure_threshold then trip t
   | Open -> ()
-
-let failure_streak t = t.streak

@@ -46,6 +46,3 @@ val record_success : t -> unit
 val record_failure : t -> unit
 (** Report a failed call: extends the failure streak and trips or
     re-opens the circuit as described above. *)
-
-val failure_streak : t -> int
-(** Current consecutive-failure count (diagnostics). *)

@@ -36,8 +36,6 @@ let build medline =
 
 let arena t = t.arena
 
-let n_terms t = Hashtbl.length t.table
-
 let postings t term =
   let tok = String.lowercase_ascii (String.trim term) in
   match Hashtbl.find_opt t.table tok with

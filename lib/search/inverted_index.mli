@@ -15,8 +15,6 @@ val build : Bionav_corpus.Medline.t -> t
 val arena : t -> Bionav_util.Docset_arena.t
 (** The index's arena, for observability ({!Bionav_util.Docset_arena.stats}). *)
 
-val n_terms : t -> int
-
 val postings : t -> string -> Bionav_util.Docset.t
 (** Citations containing the (normalized) term; empty for unknown terms. *)
 

@@ -1,13 +1,12 @@
 (** Immutable, epoch-versioned views of a navigation session.
 
-    The lock-free read path of DESIGN.md §12: after every mutating
-    navigation action (EXPAND, SHOWRESULTS, BACKTRACK) the engine
-    {!capture}s the session's visible tree — while still holding the
-    engine lock — into a self-contained snapshot and publishes it through
-    an [Atomic.t], RCU-style. Readers (HTML rendering, result paging,
-    metrics) work entirely off the snapshot they
-    [Atomic.get] and never touch the engine lock; a reader holding epoch
-    [e] keeps a consistent view even as the session advances past it.
+    The read path of DESIGN.md §12: at the end of every mutating
+    navigation action (EXPAND, SHOWRESULTS, BACKTRACK, and the space
+    changes) the engine {!capture}s the session's visible tree into a
+    self-contained snapshot and keeps it as the session's current view.
+    Readers (HTML rendering, result paging) work entirely off a snapshot;
+    a reader holding epoch [e] keeps a consistent view even as the
+    session advances past it.
 
     Consistency guarantees of one snapshot:
     - every visible node has a {!vnode}, and the {!vnode.members} of all
@@ -16,13 +15,11 @@
     - {!vnode.parent} / {!vnode.children} describe one coherent
       Definition-5 embedding (children are relevance-ranked);
     - all docsets live in a single private {e frozen} arena
-      ({!Bionav_util.Docset_arena.freeze}), so reading them from any
-      number of domains is safe and any attempted mutation raises.
+      ({!Bionav_util.Docset_arena.freeze}), so any attempted mutation
+      raises {!Bionav_util.Docset_arena.Frozen}.
 
     The snapshot also pins [nav], the underlying navigation tree, whose
-    post-build state is immutable except for its arena's memo tables —
-    pure reads on it (labels, counts, component-tree extraction) are
-    domain-safe.
+    post-build state is immutable except for its arena's memo tables.
 
     Capture does no set algebra: the active tree maintains every
     component's members, results, weight and visible links across cuts,
@@ -55,9 +52,9 @@ val capture :
   Bionav_core.Navigation.t ->
   t
 (** Build a snapshot of the session's current visible tree. Must be
-    called while holding whatever lock serializes mutation of the
-    session (the engine lock): capture reads the live active
-    tree, which a concurrent cut would leave half-updated. The returned
+    called between mutations of the session (the engine captures at the
+    end of each mutating operation): capture reads the live active
+    tree, which an unfinished cut would leave half-updated. The returned
     snapshot's private arena is frozen before return. [space] (default
     ["descriptor"]) is the identity of the navigation space the session's
     top frame was derived along; [refine_depth] (default 0) the depth of
@@ -70,7 +67,7 @@ val space : t -> string
 (** Identity of the navigation space this snapshot was captured from
     (e.g. ["descriptor"], ["descriptor>refine:42"]). A reader holding a
     snapshot never observes a mixed-space tree: epoch {e and} space
-    advance together atomically. *)
+    advance together. *)
 
 val refine_depth : t -> int
 (** Depth of the session's refinement stack at capture (0 = base space). *)

@@ -5,8 +5,9 @@
     mini-arena so that LRU eviction actually releases the decoded memory
     to the GC (a shared arena would grow forever under churn).
 
-    Not domain-safe by itself — {!Store} serializes access behind its
-    mutex; the streaming [iter_*] paths bypass the cache entirely. *)
+    Not synchronized: the engine that owns the {!Store} serves one
+    caller at a time. The streaming [iter_*] paths bypass the cache
+    entirely. *)
 
 type t
 

@@ -15,7 +15,6 @@ type t = {
   inverted : Segment.t array;  (* sorted by first_key, disjoint ranges *)
   forward : Segment.t array;
   cache : Block_cache.t;
-  lock : Mutex.t;
 }
 
 let segments_g = Metrics.gauge "bionav_segstore_segments"
@@ -78,7 +77,6 @@ let open_dir ?(config = default_config) dir =
     inverted;
     forward;
     cache = Block_cache.create ~budget_bytes:config.cache_budget_bytes;
-    lock = Mutex.create ();
   }
 
 let dir t = t.t_dir
@@ -147,22 +145,21 @@ let materialize t segs key =
   match locate segs key with
   | None -> Docset.empty
   | Some (seg, kidx) ->
-      Mutex.protect t.lock (fun () ->
-          if Segment.n_blocks_at seg kidx = 1 then Block_cache.block t.cache seg kidx 0
-          else begin
-            let total = Segment.count_at seg kidx in
-            let dst = Array.make total 0 in
-            let off = ref 0 in
-            for bidx = 0 to Segment.n_blocks_at seg kidx - 1 do
-              let ds = Block_cache.block t.cache seg kidx bidx in
-              Docset.iter
-                (fun v ->
-                  dst.(!off) <- v;
-                  incr off)
-                ds
-            done;
-            Docset.of_sorted_array_unchecked dst
-          end)
+      if Segment.n_blocks_at seg kidx = 1 then Block_cache.block t.cache seg kidx 0
+      else begin
+        let total = Segment.count_at seg kidx in
+        let dst = Array.make total 0 in
+        let off = ref 0 in
+        for bidx = 0 to Segment.n_blocks_at seg kidx - 1 do
+          let ds = Block_cache.block t.cache seg kidx bidx in
+          Docset.iter
+            (fun v ->
+              dst.(!off) <- v;
+              incr off)
+            ds
+        done;
+        Docset.of_sorted_array_unchecked dst
+      end
 
 let postings t concept =
   check_concept t concept;
@@ -173,6 +170,6 @@ let concepts_of_citation t cit =
   materialize t t.forward cit
 
 let publish_metrics t =
-  Mutex.protect t.lock (fun () -> Block_cache.publish t.cache);
+  Block_cache.publish t.cache;
   Metrics.set segments_g (float_of_int (n_segments t));
   Metrics.set file_bytes_g (float_of_int (file_bytes t))

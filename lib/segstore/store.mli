@@ -4,11 +4,11 @@
     segments ({!Segment}); this module routes a key to its segment and
     materializes posting lists on demand through a bounded {!Block_cache}.
 
-    Concurrency: metadata reads ([concept_count], [n_*]) and the streaming
-    [iter_*] accessors decode straight off the immutable mapping and are
-    safe from any domain with no locking; the {!Docset}-returning
-    accessors go through the shared block cache and are serialized by an
-    internal mutex. *)
+    Metadata reads ([concept_count], [n_*]) and the streaming [iter_*]
+    accessors decode straight off the immutable mapping; the
+    {!Docset}-returning accessors go through the block cache, which is
+    not synchronized — the engine that owns the store serves one caller
+    at a time. *)
 
 type config = {
   cache_budget_bytes : int;
@@ -51,7 +51,7 @@ val concept_count : t -> int -> int
 
 val iter_postings : t -> int -> (int -> unit) -> unit
 (** Stream a concept's citations in increasing order, bypassing the
-    cache. Lock-free. *)
+    cache. *)
 
 val iter_concepts_of_citation : t -> int -> (int -> unit) -> unit
 

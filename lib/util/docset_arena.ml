@@ -13,24 +13,16 @@ type repr =
       (* bit [i] of [words.(w)] set <=> [base + 32*w + i] is a member;
          [base] is a multiple of 32 and elements are non-negative *)
 
-(* Storage uses the OCaml 5 publication idiom so that pure reads need no
-   lock even while a (serialized) writer interns new sets: a writer that
-   needs room first publishes a grown copy of [reprs]/[fps] via
-   Atomic.set, then fills the new slot with plain stores, and only then
-   publishes the slot via [Atomic.set n]. A reader that loads [n] first
-   and the arrays second therefore always sees fully-initialized slots
-   for every id below the [n] it read. Ids at or above that [n] simply
-   don't exist yet from the reader's point of view.
-
-   The memo/intern hashtables are NOT covered by this protocol: they are
-   plain tables serialized by ownership while the arena is live, and
-   become safely readable by everyone once the arena is {!freeze}d
-   (frozen arenas never insert — see [inter_cardinal]). *)
+(* Interned slots live in [reprs]/[fps] below [n]; the arrays grow by
+   doubling. The arena belongs to one engine, which serves one caller at
+   a time, so nothing here is synchronized. A frozen arena (a published
+   snapshot's) rejects every mutation, which is what keeps a snapshot's
+   docsets immutable. *)
 type t = {
-  own : Ownership.t;
-  reprs : repr array Atomic.t;
-  fps : int array Atomic.t;
-  n : int Atomic.t;
+  mutable reprs : repr array;
+  mutable fps : int array;
+  mutable n : int;
+  mutable frozen : bool;
   intern_tbl : (int, id list ref) Hashtbl.t;  (* fingerprint -> candidate ids *)
   op_memo : (int * id * id, id) Hashtbl.t;
   count_memo : (id * id, int) Hashtbl.t;  (* normalized pair -> |a inter b| *)
@@ -41,6 +33,8 @@ type t = {
   mutable dedup_hits : int;
   mutable memo_hits : int;
 }
+
+exception Frozen
 
 let empty_id = 0
 
@@ -68,10 +62,10 @@ let create () =
   fps.(0) <- fingerprint_of_array [||];
   let t =
     {
-      own = Ownership.create ~name:"Docset_arena" ();
-      reprs = Atomic.make reprs;
-      fps = Atomic.make fps;
-      n = Atomic.make 1;
+      reprs;
+      fps;
+      n = 1;
+      frozen = false;
       intern_tbl = Hashtbl.create 64;
       op_memo = Hashtbl.create 128;
       count_memo = Hashtbl.create 128;
@@ -181,45 +175,39 @@ let pack a =
     end
   end
 
-(* --- read-side access (lock-free) -------------------------------------- *)
+(* --- read-side access ---------------------------------------------------- *)
 
-(* Load [n] before the arrays: the writer publishes grown arrays before
-   bumping [n], so any id that passes this bound check has a valid slot
-   in the arrays fetched afterwards. *)
 let check_id t id =
-  if id < 0 || id >= Atomic.get t.n then
-    invalid_arg (Printf.sprintf "Docset_arena: unknown id %d" id)
+  if id < 0 || id >= t.n then invalid_arg (Printf.sprintf "Docset_arena: unknown id %d" id)
 
-let get_repr t id = (Atomic.get t.reprs).(id)
+let get_repr t id = t.reprs.(id)
 
-let get_fp t id = (Atomic.get t.fps).(id)
+let get_fp t id = t.fps.(id)
 
 (* --- interning --------------------------------------------------------- *)
 
 let grow t n =
-  if n = Array.length (Atomic.get t.reprs) then begin
+  if n = Array.length t.reprs then begin
     let cap = 2 * n in
     let reprs = Array.make cap (Sparse [||]) in
-    Array.blit (Atomic.get t.reprs) 0 reprs 0 n;
-    Atomic.set t.reprs reprs;
+    Array.blit t.reprs 0 reprs 0 n;
+    t.reprs <- reprs;
     let fps = Array.make cap 0 in
-    Array.blit (Atomic.get t.fps) 0 fps 0 n;
-    Atomic.set t.fps fps
+    Array.blit t.fps 0 fps 0 n;
+    t.fps <- fps
   end
 
-let adopt t = Ownership.adopt t.own
+let freeze t = t.frozen <- true
 
-let owner_domain t = Ownership.owner t.own
+let is_frozen t = t.frozen
 
-let freeze t = Ownership.freeze t.own
-
-let is_frozen t = Ownership.is_frozen t.own
+let check_live t = if t.frozen then raise Frozen
 
 (* Intern the set with fingerprint [fp]: [same] tests an existing slot's
    representation for equality, [repr] builds the representation of a
    new slot. *)
 let intern_with t fp ~same ~repr =
-  Ownership.check t.own;
+  check_live t;
   t.intern_requests <- t.intern_requests + 1;
   Metrics.incr interned_counter;
   let bucket =
@@ -236,13 +224,12 @@ let intern_with t fp ~same ~repr =
       Metrics.incr dedup_counter;
       id
   | None ->
-      let id = Atomic.get t.n in
+      let id = t.n in
       grow t id;
       let r = repr () in
-      (* Fill the slot with plain stores, then publish it via [n]. *)
-      (Atomic.get t.reprs).(id) <- r;
-      (Atomic.get t.fps).(id) <- fp;
-      Atomic.set t.n (id + 1);
+      t.reprs.(id) <- r;
+      t.fps.(id) <- fp;
+      t.n <- id + 1;
       bucket := id :: !bucket;
       t.bytes <- t.bytes + repr_bytes r;
       (match r with
@@ -385,7 +372,7 @@ let op_inter = 1
 let op_diff = 2
 
 let binop t op a b =
-  Ownership.check t.own;
+  check_live t;
   check_id t a;
   check_id t b;
   (* Union and intersection are commutative: normalize the key. *)
@@ -469,18 +456,15 @@ let inter_cardinal t a b =
   check_id t b;
   if a = empty_id || b = empty_id then 0
   else if a = b then repr_cardinal (get_repr t a)
-  else if Ownership.is_frozen t.own then begin
-    (* Frozen arena: nobody inserts into [count_memo] anymore, so a
-       lookup is race-free from any domain. Misses recompute without
-       memoizing — correctness over a cold counter. *)
+  else if t.frozen then begin
+    (* Frozen arena: the memo is read, never written; misses recompute. *)
     let ka, kb = if a > b then (b, a) else (a, b) in
     match Hashtbl.find_opt t.count_memo (ka, kb) with
     | Some c -> c
     | None -> inter_cardinal_raw t a b
   end
   else begin
-    (* Even the live "read" path mutates: memo insertion and hit stats. *)
-    Ownership.check t.own;
+    (* The live "read" path mutates: memo insertion and hit stats. *)
     let ka, kb = if a > b then (b, a) else (a, b) in
     match Hashtbl.find_opt t.count_memo (ka, kb) with
     | Some c ->
@@ -511,7 +495,7 @@ type stats = {
 
 let stats t =
   {
-    sets = Atomic.get t.n;
+    sets = t.n;
     bytes = t.bytes;
     dense = t.dense_count;
     sparse = t.sparse_count;

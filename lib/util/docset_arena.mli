@@ -13,29 +13,12 @@
     Ids are only meaningful within their arena. {!Docset} wraps (arena, id)
     pairs into self-contained handles; this module is the storage layer.
 
-    {b Concurrency model.} Writers are confined to one domain at a
-    time: the arena carries an {!Ownership} stamp, mutating operations
-    (interning, set algebra, live memoizing "reads" like
-    {!inter_cardinal}) check it, and the engine {!adopt}s an arena
-    under the engine lock before touching it from another domain. With
-    [BIONAV_OWNERSHIP=1] a cross-domain mutation raises
-    {!Ownership.Violation} instead of corrupting the tables.
-
-    Pure reads ({!cardinal}, {!mem}, {!iter}, {!to_array},
-    {!fingerprint}, …) are safe from {e any} domain {e concurrently
-    with the single writer}: interned sets are immutable once published,
-    and the backing arrays are grown copy-then-publish through
-    [Atomic]s (slot stores happen before the set count is advanced, so
-    a reader never observes a half-initialized slot). Only the memo
-    tables remain writer-private — which is why {!inter_cardinal} is a
-    mutating call on a live arena.
-
-    A {!freeze}d arena rejects all further mutation (unconditionally,
-    not just under [BIONAV_OWNERSHIP]) and in exchange every operation
-    that doesn't intern — including {!inter_cardinal}, which switches
-    to lookup-only memo reads — becomes safe from any number of domains
-    with no lock. The engine freezes each published navigation
-    snapshot's arena (DESIGN.md §12). *)
+    {b Ownership.} An arena belongs to the one engine (or test, or
+    bench) that builds it and is never synchronized: the engine serves
+    one caller at a time (DESIGN.md §11). A {!freeze}d arena rejects
+    every mutation with {!Frozen}; the engine freezes each published
+    navigation snapshot's arena (DESIGN.md §12), so a snapshot's
+    docsets cannot change under a reader. *)
 
 type t
 
@@ -43,23 +26,16 @@ type id = int
 (** Dense arena-local set identifier. Equal ids denote the same physical
     (and therefore structurally equal) set. *)
 
+exception Frozen
+(** Raised by every mutating operation (interning, set algebra) on a
+    {!freeze}d arena. *)
+
 val create : unit -> t
-(** A fresh arena owned by the calling domain. *)
-
-val adopt : t -> unit
-(** Transfer ownership to the calling domain. Call only while holding
-    the lock that serializes access to this arena (see {!Ownership.adopt}). *)
-
-val owner_domain : t -> int
-(** Id of the domain currently owning this arena. *)
 
 val freeze : t -> unit
-(** Irreversibly seal the arena: every mutating operation (interning,
-    set algebra, {!adopt}) raises {!Ownership.Violation} from then on,
-    and all remaining operations — including {!inter_cardinal} — become
-    safe to call from any domain without synchronization. Call while
-    still holding exclusive access; freezing is the arena's last
-    mutation. *)
+(** Irreversibly seal the arena: every mutating operation raises
+    {!Frozen} from then on, and {!inter_cardinal} reads its memo
+    without writing it. Freezing is the arena's last mutation. *)
 
 val is_frozen : t -> bool
 
@@ -79,8 +55,8 @@ val intern_unchecked : t -> int array -> id
 val import : t -> src:t -> id -> id
 (** Intern [src]'s set [id] into this arena without copying it: interned
     representations are immutable, so the two arenas share the payload.
-    O(1) plus, on a fingerprint match, one comparison. Only [src]'s
-    lock-free reads are used. *)
+    O(1) plus, on a fingerprint match, one comparison. [src] is only
+    read. *)
 
 val cardinal : t -> id -> int
 (** O(1). *)
@@ -123,8 +99,8 @@ val union_many : t -> id list -> id
 val inter_cardinal : t -> id -> id -> int
 (** [cardinal (inter a b)] without materializing the intersection:
     SWAR popcount over word pairs for bitset operands, merge-count for
-    sorted ones. Memoized on live arenas (a mutating call); on frozen
-    arenas the memo is consulted read-only and misses recompute. *)
+    sorted ones. Memoized on live arenas; on frozen arenas the memo is
+    consulted read-only and misses recompute. *)
 
 val union_cardinal : t -> id -> id -> int
 (** [cardinal a + cardinal b - inter_cardinal a b], allocation-free. *)

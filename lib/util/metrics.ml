@@ -1,39 +1,22 @@
-(* Domain-safety model (see the interface): counters and gauges are
-   lock-free atomics; histograms shard their buckets per domain and
-   aggregate at scrape time, so the record path never takes a lock and
-   never contends with other domains. The registry itself is guarded by
-   one mutex, but registration happens at module initialization, not on
-   the hot path. *)
+(* Counters and gauges are atomics: a reader on another domain (a bench
+   sampling gauges while its server domain runs) sees whole values.
+   Histograms are plain single-writer records — every recorder is the
+   one domain serving the engine (DESIGN.md §11). The registry itself is
+   guarded by one mutex; registration happens at module initialization,
+   not on the hot path. *)
 
 type counter = { count : int Atomic.t }
 
 type gauge = { cell : float Atomic.t }
 
-(* One histogram shard, written by exactly one domain. [acc] is
-   [| sum; min; max |], flat so updating never allocates a boxed float. *)
-type shard = {
+(* [acc] is [| sum; min; max |], flat so updating never allocates a boxed
+   float. *)
+type histogram = {
+  bounds : float array;  (* strictly increasing upper bounds *)
   counts : int array;  (* length bounds + 1; the last is the overflow bucket *)
   mutable total : int;
   acc : float array;
 }
-
-type histogram = {
-  bounds : float array;  (* strictly increasing upper bounds *)
-  mutable shards : shard array;  (* indexed by the domain's slot *)
-  hlock : Mutex.t;  (* guards shard-array growth and reset, never recording *)
-}
-
-(* Every domain gets a small dense slot the first time it records into any
-   histogram; slots are never reused, so a shard has a single writer for
-   the whole process lifetime and its plain mutable fields are race-free.
-   Aggregation reads may observe a shard mid-update (a total without its
-   bucket, say) — acceptable for monitoring; joining a domain publishes
-   all its writes, so post-join totals are exact. *)
-let next_slot = Atomic.make 0
-
-let slot_key = Domain.DLS.new_key (fun () -> Atomic.fetch_and_add next_slot 1)
-
-let my_slot () = Domain.DLS.get slot_key
 
 type metric = Counter of counter | Gauge of gauge | Histogram of histogram
 
@@ -81,15 +64,18 @@ let check_buckets bounds =
       invalid_arg "Metrics.histogram: buckets must be strictly increasing"
   done
 
-let new_shard n_bounds =
-  { counts = Array.make (n_bounds + 1) 0; total = 0; acc = [| 0.; infinity; neg_infinity |] }
-
 let histogram ?(buckets = default_latency_buckets) name =
   check_name name;
   match
     find_or_register name (fun () ->
         check_buckets buckets;
-        Histogram { bounds = Array.copy buckets; shards = [||]; hlock = Mutex.create () })
+        Histogram
+          {
+            bounds = Array.copy buckets;
+            counts = Array.make (Array.length buckets + 1) 0;
+            total = 0;
+            acc = [| 0.; infinity; neg_infinity |];
+          })
   with
   | Histogram h -> h
   | Counter _ | Gauge _ -> kind_error name
@@ -108,58 +94,25 @@ let rec add g delta =
 
 let gauge_value g = Atomic.get g.cell
 
-(* The caller's own shard; grows the shard array under the lock on first
-   use. Growth copies shard {e references}, so a domain that raced us and
-   read the old array still records into shards the aggregate walk sees. *)
-let own_shard h =
-  let slot = my_slot () in
-  let shards = h.shards in
-  if slot < Array.length shards then shards.(slot)
-  else
-    Mutex.protect h.hlock (fun () ->
-        if slot < Array.length h.shards then h.shards.(slot)
-        else begin
-          let grown = Array.init (slot + 1) (fun i ->
-              if i < Array.length h.shards then h.shards.(i)
-              else new_shard (Array.length h.bounds))
-          in
-          h.shards <- grown;
-          grown.(slot)
-        end)
-
 let observe h v =
-  let s = own_shard h in
   let n = Array.length h.bounds in
   let rec bucket i = if i >= n || v <= h.bounds.(i) then i else bucket (i + 1) in
   let i = bucket 0 in
-  s.counts.(i) <- s.counts.(i) + 1;
-  s.total <- s.total + 1;
-  s.acc.(0) <- s.acc.(0) +. v;
-  if v < s.acc.(1) then s.acc.(1) <- v;
-  if v > s.acc.(2) then s.acc.(2) <- v
+  h.counts.(i) <- h.counts.(i) + 1;
+  h.total <- h.total + 1;
+  h.acc.(0) <- h.acc.(0) +. v;
+  if v < h.acc.(1) then h.acc.(1) <- v;
+  if v > h.acc.(2) then h.acc.(2) <- v
 
-(* --- scrape-time aggregation ------------------------------------------- *)
+let count h = h.total
 
-let fold_shards h f init = Array.fold_left f init h.shards
-
-let count h = fold_shards h (fun acc s -> acc + s.total) 0
-
-let sum h = if count h = 0 then 0. else fold_shards h (fun acc s -> acc +. s.acc.(0)) 0.
-
-let agg_counts h =
-  let out = Array.make (Array.length h.bounds + 1) 0 in
-  Array.iter
-    (fun s -> Array.iteri (fun i c -> out.(i) <- out.(i) + c) s.counts)
-    h.shards;
-  out
-
-let agg_max h = fold_shards h (fun acc s -> Float.max acc s.acc.(2)) neg_infinity
+let sum h = h.acc.(0)
 
 let percentile h p =
   let total = count h in
   if total = 0 then 0.
   else begin
-    let counts = agg_counts h in
+    let counts = h.counts in
     let p = Float.max 0. (Float.min 100. p) in
     let rank = p /. 100. *. float_of_int total in
     let n = Array.length h.bounds in
@@ -170,7 +123,7 @@ let percentile h p =
     in
     let i, cum_before = find 0 0 in
     let lo = if i = 0 then 0. else h.bounds.(i - 1) in
-    let hi = if i < n then h.bounds.(i) else Float.max lo (agg_max h) in
+    let hi = if i < n then h.bounds.(i) else Float.max lo h.acc.(2) in
     if counts.(i) = 0 then lo
     else begin
       let frac = (rank -. float_of_int cum_before) /. float_of_int counts.(i) in
@@ -211,13 +164,9 @@ let reset () =
       | Counter c -> Atomic.set c.count 0
       | Gauge g -> Atomic.set g.cell 0.
       | Histogram h ->
-          Mutex.protect h.hlock (fun () ->
-              Array.iter
-                (fun s ->
-                  Array.fill s.counts 0 (Array.length s.counts) 0;
-                  s.total <- 0;
-                  s.acc.(0) <- 0.;
-                  s.acc.(1) <- infinity;
-                  s.acc.(2) <- neg_infinity)
-                h.shards))
+          Array.fill h.counts 0 (Array.length h.counts) 0;
+          h.total <- 0;
+          h.acc.(0) <- 0.;
+          h.acc.(1) <- infinity;
+          h.acc.(2) <- neg_infinity)
     metrics

@@ -20,15 +20,12 @@
       fixed, sorted bound array (default: log-spaced 0.01 ms - 10 s), so
       recording is O(buckets) worst case with no stored samples;
       percentiles are linearly interpolated within the winning bucket.
-    - {b Domain-safe, lock-free recording.} Counters and gauges are
-      atomics ([add] is a CAS loop). Each histogram keeps one bucket
-      shard per recording domain (assigned via domain-local storage the
-      first time a domain observes), so [observe] touches only
-      single-writer state and never contends; [count]/[sum]/
-      [percentile]/[dump] aggregate the shards at scrape time. A scrape
-      racing live recorders may read a shard mid-update (monitoring
-      tolerance); once a recording domain has been joined, totals read
-      from the joining domain are exact. *)
+    - {b One recording domain.} Histograms are plain single-writer
+      records: every recorder is the one domain that serves the engine
+      (DESIGN.md §11), so [observe] takes no lock and no atomic.
+      Counters and gauges are atomics ([add] is a CAS loop), because a
+      bench samples gauges from its own domain while its server domain
+      runs. *)
 
 type counter
 type gauge

@@ -29,9 +29,10 @@ let gc_peak_bytes () = Gc.((quick_stat ()).top_heap_words) * (Sys.word_size / 8)
 
 (* Decided once: if /proc/self/status yields a VmHWM at first call, it
    will keep doing so for the process lifetime. An Atomic, not a lazy:
-   metrics scrapes call this from several domains at once, and forcing
-   one lazy from two domains raises CamlinternalLazy.Undefined. Racing
-   first calls compute the same answer. *)
+   this is process-wide state that any domain may read (benches call it
+   outside the engine), and forcing one lazy from two domains raises
+   CamlinternalLazy.Undefined. Racing first calls compute the same
+   answer. *)
 let chosen_source = Atomic.make None
 
 let source () =

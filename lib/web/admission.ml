@@ -18,14 +18,13 @@ type t = {
   clock : Clock.t;
   config : config;
   buckets : (string, bucket) Hashtbl.t;
-  mu : Mutex.t;
 }
 
 type decision = Admit | Shed_rate_limited
 
 let create ?(clock = Clock.real) config =
   validate_config config;
-  { clock; config; buckets = Hashtbl.create 64; mu = Mutex.create () }
+  { clock; config; buckets = Hashtbl.create 64 }
 
 (* The bucket table is peer-keyed and unauthenticated input names the
    keys, so bound it: once it outgrows the cap, drop every bucket that
@@ -60,26 +59,24 @@ let bucket_for t peer ~now =
       b
 
 let admit t ~peer =
-  Mutex.protect t.mu (fun () ->
-      if t.config.rate <= 0. then Admit
-      else begin
-        let now = Clock.now_ms t.clock in
-        let b = bucket_for t peer ~now in
-        if b.tokens >= 1. then begin
-          b.tokens <- b.tokens -. 1.;
-          Admit
-        end
-        else begin
-          Metrics.incr shed_counter;
-          Shed_rate_limited
-        end
-      end)
+  if t.config.rate <= 0. then Admit
+  else begin
+    let now = Clock.now_ms t.clock in
+    let b = bucket_for t peer ~now in
+    if b.tokens >= 1. then begin
+      b.tokens <- b.tokens -. 1.;
+      Admit
+    end
+    else begin
+      Metrics.incr shed_counter;
+      Shed_rate_limited
+    end
+  end
 
 let peek_tokens t ~peer =
-  Mutex.protect t.mu (fun () ->
-      if t.config.rate <= 0. then float_of_int t.config.burst
-      else begin
-        let now = Clock.now_ms t.clock in
-        let b = bucket_for t peer ~now in
-        b.tokens
-      end)
+  if t.config.rate <= 0. then float_of_int t.config.burst
+  else begin
+    let now = Clock.now_ms t.clock in
+    let b = bucket_for t peer ~now in
+    b.tokens
+  end

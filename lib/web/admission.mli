@@ -31,7 +31,7 @@ val create : ?clock:Bionav_resilience.Clock.t -> config -> t
 val admit : t -> peer:string -> decision
 (** Charge one token to [peer]'s bucket. Only [Admit] consumes one; a
     shed decision leaves all state untouched except the shed counter.
-    Thread-safe. *)
+    Called only from the poll loop; not synchronized. *)
 
 val peek_tokens : t -> peer:string -> float
 (** [peer]'s token balance after refill at the clock's current time —

@@ -43,9 +43,8 @@ let home t =
           <button type=\"submit\">Search</button></form>"
        ^ suggestions))
 
-(* Render entirely from a published snapshot: no engine lock is held, and
-   the page is a consistent view of one epoch even while other domains
-   advance the session. *)
+(* Render entirely from the session's snapshot: no engine operation runs,
+   and the page is a consistent view of one epoch. *)
 let render_tree ~sid snap =
   let rec render_node (v : Nav_snapshot.vnode) =
     let expand_link =
@@ -119,10 +118,9 @@ let session_page s =
 
 let param query name = List.assoc_opt name query
 
-(* Look the session up (a narrow lock on the session table, which also
-   refreshes recency) and hand it to [f] with no lock held: read routes
-   work off the published snapshot, mutating routes go through the
-   [Engine] actions which take the lock themselves. *)
+(* Look the session up (which also refreshes recency) and hand it to
+   [f]: read routes work off the snapshot, mutating routes go through
+   the [Engine] actions. *)
 let with_session t query f =
   match param query "sid" with
   | None -> Http.bad_request "missing sid"
@@ -131,9 +129,9 @@ let with_session t query f =
       | None -> Http.not_found "no such session"
       | Some s -> f s)
 
-(* Validate the node against the snapshot the route will act on. A
-   mutation racing us between validation and action is caught by the
-   action itself (Navigation raises on a no-longer-visible node). *)
+(* Validate the node against the snapshot the route will act on. A stale
+   snapshot is caught by the action itself (Navigation raises on a
+   no-longer-visible node). *)
 let with_visible_node snap query f =
   match Option.bind (param query "node") int_of_string_opt with
   | None -> Http.bad_request "missing or malformed node"
@@ -181,8 +179,8 @@ let back t query =
 
 (* Query-by-navigation: narrow the session to the node's subtree results
    and re-derive the tree inside the same session. The engine validates
-   visibility again under its lock, so a racing mutation degrades to a
-   clean 400 rather than a torn refinement. *)
+   visibility again, so a stale node degrades to a clean 400 rather than
+   a torn refinement. *)
 let refine t query =
   with_session t query (fun s ->
       with_visible_node (Engine.snapshot s) query (fun node _v ->
@@ -223,10 +221,10 @@ let show_page_links ~sid ~node ~page ~pages =
     @ (if page + 1 < pages then [ link (page + 1) "[next]" ] else []))
 
 (* SHOWRESULTS. Without [page]: the paper's action — charge the cost,
-   list every citation (a mutation, so it goes through the engine lock
-   and republishes). With [page=N] (0-based): a lock-free paged read of
-   the already-published component results — browsing pages costs
-   neither lock acquisitions nor SHOWRESULTS charges. *)
+   list every citation (a mutation, so it goes through the engine and
+   replaces the snapshot). With [page=N] (0-based): a paged read of the
+   snapshot's component results — browsing pages costs neither an
+   engine operation nor SHOWRESULTS charges. *)
 let show t query =
   with_session t query (fun s ->
       let snap = Engine.snapshot s in
@@ -266,8 +264,8 @@ let show t query =
                 | exception Invalid_argument _ -> Http.bad_request "node not visible"
                 | citations ->
                     (* The docset lives in the live arena; iterating it
-                       after the lock was released is a pure, domain-safe
-                       read. *)
+                       is a pure read, done before the next engine
+                       operation. *)
                     let items = citation_items t citations in
                     Http.ok
                       (Html.page

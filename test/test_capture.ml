@@ -2,7 +2,9 @@
    random EXPAND / BACKTRACK / SHOWRESULTS sequences under every
    strategy, checking after each step that the published snapshot equals
    the oracle's vnode by vnode and that the active tree's per-component
-   state still partitions the tree with the right counts. *)
+   state still partitions the tree with the right counts. A seeded walk
+   through the engine adds the space-changing actions and checks every
+   snapshot the engine keeps, and its epoch. *)
 
 open Bionav_util
 open Bionav_core
@@ -279,6 +281,103 @@ let test_whole_tree_results_shared () =
   Alcotest.(check bool) "the tree's own subtree set" true
     (Active_tree.component_results active 0 == Nav_tree.subtree_results nav 0)
 
+(* --- engine snapshots ---------------------------------------------------------- *)
+
+(* One snapshot is a single, internally consistent epoch: walking the
+   children edges from the root reaches exactly the captured node set,
+   the visible components partition the navigation tree's nodes, and
+   every cached cardinal matches its frozen docset. *)
+let assert_consistent snap =
+  let module Snap = Nav_snapshot in
+  let nav_size = Nav_tree.size (Snap.nav snap) in
+  let seen = ref 0 and members = ref 0 in
+  let rec go id =
+    incr seen;
+    let v = Snap.get snap id in
+    members := !members + Array.length v.Snap.members;
+    if v.Snap.distinct <> Docset.cardinal v.Snap.results then
+      Alcotest.failf "epoch %d: node %d cardinal %d <> |results| %d" (Snap.epoch snap) id
+        v.Snap.distinct
+        (Docset.cardinal v.Snap.results);
+    List.iter go v.Snap.children
+  in
+  go (Snap.root snap);
+  if !seen <> Snap.node_count snap then
+    Alcotest.failf "epoch %d: %d nodes reachable, %d captured" (Snap.epoch snap) !seen
+      (Snap.node_count snap);
+  if !members <> nav_size then
+    Alcotest.failf "epoch %d: members cover %d of %d tree nodes" (Snap.epoch snap) !members
+      nav_size
+
+let workload =
+  lazy (Bionav_workload.Queries.(build ~config:small_config ~seed:5 ()))
+
+(* A seeded serial walk over expand, backtrack, refine, facet and
+   unrefine on engine sessions. After every step the session's snapshot
+   must be consistent and describe the session's current space, and its
+   epoch must have gone up by exactly one if the action completed and not
+   at all if it was refused (refining the root, faceting a facet space,
+   an expand with nothing to expand). *)
+let test_engine_walk_snapshots () =
+  let module Engine = Bionav_engine.Engine in
+  let module Q = Bionav_workload.Queries in
+  let w = Lazy.force workload in
+  let t = Engine.create ~database:w.Q.database ~eutils:w.Q.eutils () in
+  let rng = Rng.create 17 in
+  let completed = Hashtbl.create 8 and refused = ref 0 in
+  List.iter
+    (fun q ->
+      match Engine.search t q.Q.keyword with
+      | Ok Engine.No_results -> ()
+      | Error e -> Alcotest.fail ("search failed: " ^ e)
+      | Ok (Engine.Session s) ->
+          assert_consistent (Engine.snapshot s);
+          for step = 1 to 40 do
+            let before = Nav_snapshot.epoch (Engine.snapshot s) in
+            let visible = Active_tree.visible (Navigation.active (Engine.navigation s)) in
+            let action, run =
+              match Rng.int rng 6 with
+              | 0 | 1 ->
+                  let expandable =
+                    List.filter
+                      (Active_tree.is_expandable (Navigation.active (Engine.navigation s)))
+                      visible
+                  in
+                  ( "expand",
+                    fun () ->
+                      match expandable with
+                      | [] -> invalid_arg "nothing to expand"
+                      | l -> ignore (Engine.expand s (Rng.choice_list rng l) : int list) )
+              | 2 -> ("backtrack", fun () -> ignore (Engine.backtrack s : bool))
+              | 3 -> ("refine", fun () -> ignore (Engine.refine s (Rng.choice_list rng visible) : int))
+              | 4 -> ("facet", fun () -> ignore (Engine.facet s : int))
+              | _ -> ("unrefine", fun () -> ignore (Engine.unrefine s : bool))
+            in
+            let expected =
+              match run () with
+              | () ->
+                  Hashtbl.replace completed action ();
+                  before + 1
+              | exception Invalid_argument _ ->
+                  incr refused;
+                  before
+            in
+            let snap = Engine.snapshot s in
+            if Nav_snapshot.epoch snap <> expected then
+              Alcotest.failf "%s step %d (%s): epoch %d, expected %d" q.Q.keyword step action
+                (Nav_snapshot.epoch snap) expected;
+            if Nav_snapshot.space snap <> Engine.space_id s then
+              Alcotest.failf "%s step %d (%s): snapshot space %s, session space %s" q.Q.keyword
+                step action (Nav_snapshot.space snap) (Engine.space_id s);
+            assert_consistent snap
+          done;
+          ignore (Engine.close t (Engine.session_id s) : bool))
+    (List.filteri (fun i _ -> i < 3) w.Q.queries);
+  List.iter
+    (fun a -> Alcotest.(check bool) ("walk completed " ^ a) true (Hashtbl.mem completed a))
+    [ "expand"; "backtrack"; "refine"; "facet"; "unrefine" ];
+  Alcotest.(check bool) "walk hit refused actions" true (!refused > 0)
+
 let () =
   Alcotest.run "capture"
     [
@@ -290,4 +389,5 @@ let () =
           Alcotest.test_case "whole tree needs no union" `Quick test_whole_tree_results_shared;
         ] );
       ("differential", [ QCheck_alcotest.to_alcotest qcheck_capture_matches_oracle ]);
+      ("engine", [ Alcotest.test_case "walk snapshots consistent" `Quick test_engine_walk_snapshots ]);
     ]

@@ -155,12 +155,19 @@ let test_import_dedups_across_arenas () =
   Alcotest.(check int) "empty stays id 0" A.empty_id (A.import dst ~src:src1 A.empty_id);
   Alcotest.(check bool) "matches a set interned from an array" true
     (A.intern dst sparse = A.import dst ~src:src1 (A.intern src1 sparse));
+  let d = A.intern dst dense and sp = A.intern dst sparse in
   A.freeze dst;
   Alcotest.(check bool) "frozen arenas refuse" true
     (try
        ignore (A.import dst ~src:src1 (A.intern src1 [| 7 |]));
        false
-     with Ownership.Violation _ -> true)
+     with A.Frozen -> true);
+  Alcotest.(check bool) "frozen arenas refuse algebra" true
+    (try
+       ignore (A.union dst d sp);
+       false
+     with A.Frozen -> true);
+  Alcotest.(check int) "frozen arenas still count" 1 (A.inter_cardinal dst d sp)
 
 let test_handle_algebra_cross_arena () =
   let a = Docset.of_list [ 1; 2; 3 ] in

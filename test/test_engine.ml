@@ -234,6 +234,112 @@ let test_show_results_returns_citations () =
   let citations = Engine.show_results s (Nav_tree.root nav) in
   Alcotest.(check bool) "nonempty" true (not (Docset.is_empty citations))
 
+(* --- the entry guard and ownership handoff --------------------------------- *)
+
+let expandable_root s =
+  let root = Nav_tree.root (Engine.session_nav s) in
+  Alcotest.(check bool) "root expandable" true
+    (Active_tree.is_expandable (Navigation.active (Engine.navigation s)) root);
+  root
+
+(* A nested operation must fail loudly rather than run against a store
+   the outer operation is still mutating; the outer operation must still
+   release the guard, so the session keeps working. *)
+let test_reentrant_run_locked () =
+  let t = engine () in
+  let s = must_session (Engine.search t "cancer") in
+  let raised =
+    Engine.run_locked s (fun () ->
+        match Engine.run_locked s (fun () -> ()) with
+        | () -> false
+        | exception Invalid_argument _ -> true)
+  in
+  Alcotest.(check bool) "nested run_locked raises Invalid_argument" true raised;
+  ignore (Engine.expand s (expandable_root s) : int list);
+  Alcotest.(check bool) "session usable after failed re-entry" true (Engine.backtrack s);
+  Alcotest.(check bool) "run_locked usable again" true (Engine.run_locked s (fun () -> true))
+
+(* Another domain entering while an operation is inside is the race the
+   guard exists for: it must be refused, not serialized or let through. *)
+let test_second_domain_refused () =
+  let t = engine () in
+  let s = must_session (Engine.search t "cancer") in
+  let root = expandable_root s in
+  let refused =
+    Engine.run_locked s (fun () ->
+        Domain.join
+          (Domain.spawn (fun () ->
+               match Engine.expand s root with
+               | (_ : int list) -> false
+               | exception Invalid_argument _ -> true)))
+  in
+  Alcotest.(check bool) "expand from a second domain raises Invalid_argument" true refused;
+  Alcotest.(check int) "the refused expand changed nothing" 0
+    (Navigation.stats (Engine.navigation s)).Navigation.expands
+
+(* Ownership is not tied to a domain: once an operation has left, any
+   domain may enter next, as a server domain started after set-up does. *)
+let test_sequential_handoff () =
+  let t = engine () in
+  let sid =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let s = must_session (Engine.search t "cancer") in
+           ignore (Engine.expand s (expandable_root s) : int list);
+           Engine.session_id s))
+  in
+  let s =
+    match Engine.find_session t sid with
+    | Some s -> s
+    | None -> Alcotest.fail "session created on the other domain is gone"
+  in
+  Alcotest.(check int) "expand from the other domain counted" 1
+    (Navigation.stats (Engine.navigation s)).Navigation.expands;
+  Alcotest.(check bool) "backtrack on the first domain" true (Engine.backtrack s);
+  let s' = must_session (Engine.search t "cancer") in
+  ignore (Engine.expand s' (expandable_root s') : int list);
+  Alcotest.(check int) "both sessions live" 2 (Engine.session_count t)
+
+(* A Zipf serving workload: small corpus (seed 11), 24 sessions drawn
+   Zipf(1.0) from [Rng.create 42], each an oracle navigation to its
+   target under [run_locked], after the tree cache is warmed. The EXPAND
+   total is deterministic, and the expand-latency histogram must account
+   for every one of them — no EXPAND lost or recorded twice. *)
+let test_zipf_replay_conserves_expands () =
+  let module Q = Bionav_workload.Queries in
+  let w = Q.build ~config:Q.small_config ~seed:11 () in
+  let queries = Array.of_list w.Q.queries in
+  let zipf = Zipf.create ~exponent:1.0 (Array.length queries) in
+  let rng = Rng.create 42 in
+  let draws = Array.init 24 (fun _ -> Zipf.draw zipf rng) in
+  let t = Engine.create ~database:w.Q.database ~eutils:w.Q.eutils () in
+  ignore
+    (Engine.warm t (Array.to_list (Array.map (fun q -> q.Q.keyword) queries))
+      : Bionav_store.Snapshot.entry list);
+  let hist = Metrics.histogram "bionav_expand_latency_ms" in
+  let before = Metrics.count hist in
+  let expands =
+    Array.fold_left
+      (fun acc d ->
+        let q = queries.(d) in
+        match Engine.search t q.Q.keyword with
+        | Ok (Engine.Session s) ->
+            let n =
+              Engine.run_locked s (fun () ->
+                  let nav = Engine.navigation s in
+                  ignore (Simulate.to_target nav ~target:q.Q.target_node);
+                  (Navigation.stats nav).Navigation.expands)
+            in
+            ignore (Engine.close t (Engine.session_id s) : bool);
+            acc + n
+        | Ok Engine.No_results -> acc
+        | Error e -> Alcotest.fail ("search failed: " ^ e))
+      0 draws
+  in
+  Alcotest.(check int) "EXPAND total of the 24-session workload" 57 expands;
+  Alcotest.(check int) "histogram grew by every EXPAND" expands (Metrics.count hist - before);
+  Alcotest.(check int) "all sessions closed" 0 (Engine.session_count t)
+
 let () =
   Alcotest.run "engine"
     [
@@ -264,5 +370,13 @@ let () =
         [
           Alcotest.test_case "metrics populated" `Quick test_navigation_populates_metrics;
           Alcotest.test_case "show results" `Quick test_show_results_returns_citations;
+        ] );
+      ( "engine",
+        [
+          Alcotest.test_case "reentrant run_locked raises" `Quick test_reentrant_run_locked;
+          Alcotest.test_case "second domain refused" `Quick test_second_domain_refused;
+          Alcotest.test_case "handoff across domains" `Quick test_sequential_handoff;
+          Alcotest.test_case "zipf replay conserves expands" `Quick
+            test_zipf_replay_conserves_expands;
         ] );
     ]

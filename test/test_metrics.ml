@@ -139,8 +139,9 @@ let test_reset () =
   Alcotest.(check int) "still usable" 1 (Metrics.value c)
 
 (* --- multi-domain exactness ------------------------------------------- *)
-(* Joining a domain is a happens-before edge, so after every writer is
-   joined the aggregated values must be exact, not approximate. *)
+(* Counters stay atomic (a bench samples them from its own domain while a
+   server domain records). Joining a domain is a happens-before edge, so
+   after every writer is joined the value must be exact. *)
 
 let test_counter_cross_domain_exact () =
   let c = Metrics.counter "test_domains_counter" in
@@ -154,27 +155,6 @@ let test_counter_cross_domain_exact () =
   in
   Array.iter Domain.join workers;
   Alcotest.(check int) "no lost increment" (domains * per_domain) (Metrics.value c)
-
-let test_histogram_cross_domain_exact () =
-  let h =
-    Metrics.histogram ~buckets:(Array.init 10 (fun i -> float_of_int ((i + 1) * 10)))
-      "test_domains_hist"
-  in
-  let domains = 4 and per_domain = 2_500 in
-  let workers =
-    Array.init domains (fun d ->
-        Domain.spawn (fun () ->
-            for v = 1 to per_domain do
-              Metrics.observe h (float_of_int (((d + v) mod 100) + 1))
-            done))
-  in
-  Array.iter Domain.join workers;
-  Alcotest.(check int) "every observation counted" (domains * per_domain) (Metrics.count h);
-  Alcotest.(check bool) "percentiles aggregate across shards" true
-    (let p = Metrics.percentile h 50. in
-     p > 0. && p <= 100.);
-  Metrics.reset ();
-  Alcotest.(check int) "reset clears every domain's shard" 0 (Metrics.count h)
 
 (* --- navigation-space metrics: exactness through the engine ------------- *)
 
@@ -381,8 +361,6 @@ let () =
         [
           Alcotest.test_case "counter exact across domains" `Quick
             test_counter_cross_domain_exact;
-          Alcotest.test_case "histogram exact across domains" `Quick
-            test_histogram_cross_domain_exact;
         ] );
       ( "spaces",
         [
