@@ -2,26 +2,93 @@ type t = {
   tree : Comp_tree.t;
   model : Probability.model;
   norm : float;
-  distinct_memo : (int, int) Hashtbl.t;
-  expand_memo : (int, float) Hashtbl.t;
+  full : int;
+  covered : int;  (* |R|: the distinct results of the whole tree *)
+  within : int array;
+      (* within.(s): results of R held by no node outside mask [s] *)
+  expand_memo : float array;  (* P_x by mask, NaN until computed *)
 }
 
-let max_size = 30
+let max_size = 16
+
+(* The signature table. Each result in R, the union of the node sets, has
+   a signature: the mask of the nodes whose set holds it. Counting results
+   per signature and then summing over subsets (the zeta transform, m·2^m
+   additions) gives [within.(s)], the results whose signature lies inside
+   [s]. The signatures come from an m-way merge of the sorted node sets,
+   so the build costs O(m·|R|) whatever the span of the ids. *)
+let signature_table tree =
+  let m = Comp_tree.size tree in
+  let sets = Array.init m (fun i -> Bionav_util.Docset.to_array (Comp_tree.results tree i)) in
+  let pos = Array.make m 0 in
+  let within = Array.make (1 lsl m) 0 in
+  (* [live.(0 .. !n_live - 1)]: the nodes with unmerged results. *)
+  let live = Array.of_list (List.filter (fun i -> sets.(i) <> [||]) (List.init m Fun.id)) in
+  let n_live = ref (Array.length live) in
+  let covered = ref 0 in
+  while !n_live > 1 do
+    let least = ref sets.(live.(0)).(pos.(live.(0))) in
+    for j = 1 to !n_live - 1 do
+      let i = live.(j) in
+      let x = sets.(i).(pos.(i)) in
+      if x < !least then least := x
+    done;
+    let signature = ref 0 and j = ref 0 in
+    while !j < !n_live do
+      let i = live.(!j) in
+      let p = pos.(i) in
+      if sets.(i).(p) = !least then begin
+        signature := !signature lor (1 lsl i);
+        pos.(i) <- p + 1;
+        if p + 1 = Array.length sets.(i) then begin
+          decr n_live;
+          live.(!j) <- live.(!n_live)
+        end
+        else incr j
+      end
+      else incr j
+    done;
+    within.(!signature) <- within.(!signature) + 1;
+    incr covered
+  done;
+  (* One node left: the rest of its set has its bit alone as signature. *)
+  if !n_live = 1 then begin
+    let i = live.(0) in
+    let rest = Array.length sets.(i) - pos.(i) in
+    within.(1 lsl i) <- within.(1 lsl i) + rest;
+    covered := !covered + rest
+  end;
+  for b = 0 to m - 1 do
+    let bit = 1 lsl b in
+    for s = 0 to (1 lsl m) - 1 do
+      if s land bit <> 0 then within.(s) <- within.(s) + within.(s lxor bit)
+    done
+  done;
+  (!covered, within)
 
 let create ?(model = Probability.default_model) ?norm tree =
-  if Comp_tree.size tree > max_size then
+  let size = Comp_tree.size tree in
+  if size > max_size then
     invalid_arg
-      (Printf.sprintf "Cost_model.create: tree has %d nodes (max %d)" (Comp_tree.size tree)
-         max_size);
+      (Printf.sprintf "Cost_model.create: tree has %d nodes (max %d)" size max_size);
   let norm = match norm with Some n -> n | None -> model.Probability.normalizer tree in
-  { tree; model; norm; distinct_memo = Hashtbl.create 256; expand_memo = Hashtbl.create 256 }
+  let covered, within = signature_table tree in
+  {
+    tree;
+    model;
+    norm;
+    full = (1 lsl size) - 1;
+    covered;
+    within;
+    expand_memo = Array.make (1 lsl size) Float.nan;
+  }
 
 let tree t = t.tree
 let model t = t.model
 let params t = t.model.Probability.params
 let norm t = t.norm
 
-let full_mask t = (1 lsl Comp_tree.size t.tree) - 1
+let full_mask t = t.full
 
 let members t mask =
   let n = Comp_tree.size t.tree in
@@ -56,27 +123,24 @@ let subtree_mask t ~mask v =
   in
   go v 0
 
-let distinct t mask =
-  match Hashtbl.find_opt t.distinct_memo mask with
-  | Some d -> d
-  | None ->
-      let d =
-        Bionav_util.Docset.cardinal (Comp_tree.distinct_of_nodes t.tree (members t mask))
-      in
-      Hashtbl.add t.distinct_memo mask d;
-      d
+(* A result of R is outside [mask]'s union exactly when every node holding
+   it lies outside [mask]. Bits beyond the tree are ignored, as [members]
+   ignores them. *)
+let distinct t mask = t.covered - t.within.(t.full land lnot mask)
 
 let p_explore t mask = t.model.Probability.explore ~norm:t.norm t.tree (members t mask)
 
 let p_expand t mask =
-  match Hashtbl.find_opt t.expand_memo mask with
-  | Some p -> p
-  | None ->
-      let p =
-        t.model.Probability.expand t.tree ~members:(members t mask) ~distinct:(distinct t mask)
-      in
-      Hashtbl.add t.expand_memo mask p;
-      p
+  let mask = mask land t.full in
+  let p = t.expand_memo.(mask) in
+  if Float.is_nan p then begin
+    let p =
+      t.model.Probability.expand t.tree ~members:(members t mask) ~distinct:(distinct t mask)
+    in
+    t.expand_memo.(mask) <- p;
+    p
+  end
+  else p
 
 let underlying t mask =
   List.fold_left (fun acc i -> acc + Comp_tree.multiplicity t.tree i) 0 (members t mask)

@@ -3,7 +3,7 @@
 
     During EdgeCut optimization, the algorithm reasons about components that
     are not full subtrees: a subtree minus the full subtrees removed by
-    earlier cuts. With component trees capped at a few dozen nodes (the
+    earlier cuts. With component trees capped at {!max_size} nodes (the
     optimal algorithm is exponential; the heuristic feeds it reduced trees
     of ≤ k supernodes), a component is represented as a bitmask over node
     indices. This module owns that representation and the probability /
@@ -38,7 +38,16 @@ type t
 val create : ?model:Probability.model -> ?norm:float -> Comp_tree.t -> t
 (** [model] defaults to {!Probability.default_model} (the paper's static
     estimates); [norm] defaults to the model's [normalizer] of the tree —
-    appropriate when the tree is the whole structure being expanded. *)
+    appropriate when the tree is the whole structure being expanded.
+
+    [create] builds the table behind {!distinct}: each result in R, the
+    union of the m node sets, gets as signature the mask of the nodes
+    whose set holds it, found by an m-way merge of the sorted sets; the
+    per-signature counts are then summed over subsets. That costs
+    O(m·|R| + m·2^m) time and two [2^m]-entry arrays, independent of the
+    span of the result ids.
+    @raise Invalid_argument when the tree has more than {!max_size}
+    nodes. *)
 
 val tree : t -> Comp_tree.t
 
@@ -53,7 +62,8 @@ val full_mask : t -> int
 (** All nodes of the tree. The tree size must be ≤ {!max_size}. *)
 
 val max_size : int
-(** Bitmask width guard (30). [create] rejects bigger trees. *)
+(** 16, the same bound as {!Opt_edgecut.max_size}: [create] rejects
+    bigger trees, whose [2^m]-entry tables would not fit. *)
 
 val members : t -> int -> int list
 (** Node indices of a mask, ascending. *)
@@ -71,7 +81,9 @@ val subtree_mask : t -> mask:int -> int -> int
     walking only children that are themselves in [mask]. *)
 
 val distinct : t -> int -> int
-(** Distinct result count of a mask's members (memoized). *)
+(** [|L(C)|]: the distinct result count of a mask's members. O(1), one
+    read of the table {!create} built: [|R|] minus the results held
+    only by nodes outside the mask. *)
 
 val p_explore : t -> int -> float
 val p_expand : t -> int -> float

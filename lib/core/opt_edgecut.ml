@@ -1,6 +1,6 @@
 type solution = { cost : float; cut_children : int list }
 
-let max_size = 16
+let max_size = Cost_model.max_size
 
 let popcount = Bionav_util.Bits.popcount
 let lowest_bit = Bionav_util.Bits.lowest_bit

@@ -17,7 +17,8 @@ type solution = {
 }
 
 val max_size : int
-(** 16: practical bound for exhaustive cut enumeration. *)
+(** 16, the same bound as {!Cost_model.max_size}: practical for
+    exhaustive cut enumeration. *)
 
 val solve :
   ?model:Probability.model -> ?norm:float -> Comp_tree.t -> solution

@@ -89,27 +89,68 @@ let citations_of_concept t concept =
 
 (* The shared core of the on-line tree input: bucket the result's
    citations under each concept that annotates them, through whichever
-   backend orientation is live. [iter] must visit citations in
-   increasing id order so each bucket comes out sorted (descending,
-   reversed once at the end). *)
-let bucket_result t iter =
-  let buckets = Hashtbl.create 256 in
+   backend orientation is live, as a counting sort. One pass records each
+   citation's concepts (a run per citation) and counts them per concept;
+   prefix sums of the counts place every concept's bucket in one flat
+   array, which a second pass over the record fills and each concept's
+   slice is copied out of. [iter] must visit the result's [n] citations
+   in increasing id order so each bucket comes out sorted. *)
+let bucket_result t ~n iter =
+  let n_concepts = Hierarchy.size t.hierarchy in
+  let counts = Array.make n_concepts 0 in
+  let cits = Array.make n 0 and ends = Array.make n 0 in
+  (* Sized for the corpus-wide mean of concepts per citation, rounded up;
+     a result above it grows the record by doubling. *)
+  let per_citation =
+    if n_citations t = 0 then 1 else (n_associations t + n_citations t - 1) / n_citations t
+  in
+  let concepts = ref (Array.make (max 1 (n * per_citation)) 0) in
+  let len = ref 0 and i = ref 0 in
   iter (fun cit ->
-      iter_concepts_of_citation t cit (fun concept ->
-          let prev = match Hashtbl.find_opt buckets concept with Some l -> l | None -> [] in
-          Hashtbl.replace buckets concept (cit :: prev)));
-  Hashtbl.fold
-    (fun concept cits acc ->
-      (concept, Array.of_list (List.rev cits)) :: acc)
-    buckets []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      cits.(!i) <- cit;
+      iter_concepts_of_citation t cit (fun c ->
+          if !len = Array.length !concepts then begin
+            let bigger = Array.make (2 * !len) 0 in
+            Array.blit !concepts 0 bigger 0 !len;
+            concepts := bigger
+          end;
+          !concepts.(!len) <- c;
+          incr len;
+          counts.(c) <- counts.(c) + 1);
+      ends.(!i) <- !len;
+      incr i);
+  let concepts = !concepts in
+  (* [counts.(c)] becomes the start of c's bucket in [flat], and the fill
+     moves it to the bucket's end, which is where c + 1's starts. *)
+  let start = ref 0 in
+  for c = 0 to n_concepts - 1 do
+    let k = counts.(c) in
+    counts.(c) <- !start;
+    start := !start + k
+  done;
+  let flat = Array.make !len 0 in
+  let p = ref 0 in
+  for j = 0 to n - 1 do
+    while !p < ends.(j) do
+      let c = concepts.(!p) in
+      flat.(counts.(c)) <- cits.(j);
+      counts.(c) <- counts.(c) + 1;
+      incr p
+    done
+  done;
+  let acc = ref [] in
+  for c = n_concepts - 1 downto 0 do
+    let first = if c = 0 then 0 else counts.(c - 1) in
+    if counts.(c) > first then acc := (c, Array.sub flat first (counts.(c) - first)) :: !acc
+  done;
+  !acc
 
 let concepts_of_result t result =
   List.map
     (fun (c, arr) -> (c, Intset.of_sorted_array_unchecked arr))
-    (bucket_result t (fun f -> Intset.iter f result))
+    (bucket_result t ~n:(Intset.cardinal result) (fun f -> Intset.iter f result))
 
 let concepts_of_result_ds t ~arena result =
   List.map
     (fun (c, arr) -> (c, Docset.of_sorted_array_unchecked_in arena arr))
-    (bucket_result t (fun f -> Docset.iter f result))
+    (bucket_result t ~n:(Docset.cardinal result) (fun f -> Docset.iter f result))

@@ -1,7 +1,7 @@
 (** Bit-twiddling helpers shared by the mask-based solvers.
 
     Component and reduced trees are addressed as bitmasks of node indices
-    (at most [Cost_model.max_size] = 30 bits in practice, but every
+    (at most [Cost_model.max_size] = 16 bits in practice, but every
     function here is correct for the full 63-bit OCaml integer range). *)
 
 val popcount : int -> int

@@ -1,14 +1,18 @@
 (** Per-query arenas of interned integer sets.
 
     Navigation passes the same citation sets up and down the stack: the
-    [I(n)] sets of ancestor chains overlap massively, component trees copy
-    node result lists out of the navigation tree, and the cost model's hot
-    loop re-unions the same subtrees for every candidate cut. An arena
-    stores each {e distinct} set exactly once (structural interning), picks
-    a density-appropriate physical representation per set — sorted array
+    [I(n)] sets of ancestor chains overlap massively, and component trees
+    copy node result lists out of the navigation tree. An arena stores
+    each {e distinct} set exactly once (structural interning), picks a
+    density-appropriate physical representation per set — sorted array
     for sparse sets, packed bitset for dense ones — and memoizes set
-    algebra on interned ids, so repeated unions, intersections and
-    distinct-count queries are O(1) table hits after first computation.
+    algebra on interned ids, so repeated unions and intersections are
+    O(1) table hits after first computation. The solver's hot loop does
+    not come here: the cost model counts a component's distinct results
+    from its own signature table ({!Bionav_core.Cost_model.distinct}),
+    and reduced trees build each supernode's set in one bitmap pass. The
+    memo serves navigation-tree subtree unions, component unions and
+    rendering's intersection counts.
 
     Ids are only meaningful within their arena. {!Docset} wraps (arena, id)
     pairs into self-contained handles; this module is the storage layer.

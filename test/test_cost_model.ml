@@ -42,8 +42,11 @@ let test_distinct () =
   let c = ctx () in
   Alcotest.(check int) "full distinct" 6 (Cost_model.distinct c 0b1111);
   Alcotest.(check int) "overlap collapses" 3 (Cost_model.distinct c 0b0011);
-  (* Memoized second call agrees. *)
-  Alcotest.(check int) "memo stable" 3 (Cost_model.distinct c 0b0011)
+  (* A second read of the table agrees. *)
+  Alcotest.(check int) "repeat stable" 3 (Cost_model.distinct c 0b0011);
+  Alcotest.(check int) "empty mask" 0 (Cost_model.distinct c 0);
+  Alcotest.(check int) "bits beyond the tree ignored" 3
+    (Cost_model.distinct c (0b0011 lor (1 lsl 20)))
 
 let test_p_explore_conservation () =
   let c = ctx () in
@@ -138,6 +141,20 @@ let test_mask_of_rejects_out_of_range () =
   Alcotest.(check bool) "index = max_size" true (rejects [ Cost_model.max_size ]);
   Alcotest.(check bool) "index > max_size" true (rejects [ 0; 1; 62 ])
 
+(* The signature table against the union-based oracle on every mask of
+   trees of 1-16 nodes: empty nodes, identical, nested and disjoint sets. *)
+let qcheck_distinct_matches_oracle =
+  QCheck.Test.make ~name:"distinct = union oracle on every mask" ~count:300
+    Comp_tree_gen.small_gen (fun spec ->
+      let tree = Comp_tree_gen.small_tree spec in
+      let c = Cost_model.create tree in
+      let ok = ref true and mask = ref 0 in
+      while !ok && !mask <= Cost_model.full_mask c do
+        ok := Cost_model.distinct c !mask = Cost_model_oracle.distinct tree !mask;
+        incr mask
+      done;
+      !ok)
+
 let () =
   Alcotest.run "cost_model"
     [
@@ -159,4 +176,5 @@ let () =
           Alcotest.test_case "root_of empty" `Quick test_root_of_rejects_empty;
           Alcotest.test_case "mask_of range guard" `Quick test_mask_of_rejects_out_of_range;
         ] );
+      ("property", [ QCheck_alcotest.to_alcotest qcheck_distinct_matches_oracle ]);
     ]

@@ -119,6 +119,39 @@ let test_original_tree_accessor () =
   Alcotest.(check int) "original preserved" (Comp_tree.size t)
     (Comp_tree.size (Heuristic.original_tree plan))
 
+(* The paper's Fig. 11 session: the oracle drill-down to prothymosin's
+   target on the full-size seed-11 workload that `bench fig11` runs. Every
+   EXPAND's revealed nodes (navigation-tree ids, in cut order) are pinned,
+   so a change to the solver's inputs that moves any cut fails here. *)
+let test_fig11_prothymosin_pinned () =
+  let module Q = Bionav_workload.Queries in
+  let w = Q.build ~seed:11 () in
+  let q = List.find (fun q -> q.Q.spec.Q.name = "prothymosin") w.Q.queries in
+  let session = Bionav_engine.Engine.start (Navigation.bionav ()) q.Q.nav in
+  let active = Navigation.active session in
+  let rec drill acc =
+    if Active_tree.is_visible active q.Q.target_node then List.rev acc
+    else
+      let root = Active_tree.component_root_of active q.Q.target_node in
+      drill (Navigation.expand session root :: acc)
+  in
+  let cuts = drill [] in
+  Alcotest.(check (list int)) "revealed counts" [ 9; 4; 4; 4; 3; 1; 1; 1 ]
+    (List.map List.length cuts);
+  Alcotest.(check (list (list int)))
+    "cut lists"
+    [
+      [ 152; 609; 1212; 1733; 1979; 2092; 2697; 3600; 4095 ];
+      [ 1744; 1850; 1896; 1938 ];
+      [ 1752; 1807; 1820; 1833 ];
+      [ 1800; 1815; 1830; 1843 ];
+      [ 1751; 1799; 1802 ];
+      [ 1803 ];
+      [ 1804 ];
+      [ 1750 ];
+    ]
+    cuts
+
 let qcheck_valid_cuts =
   QCheck.Test.make ~name:"heuristic cuts are always valid" ~count:100
     QCheck.(pair (int_range 2 150) (int_range 0 10_000))
@@ -143,6 +176,7 @@ let () =
           Alcotest.test_case "rejects bad input" `Quick test_rejects_bad_input;
           Alcotest.test_case "plan lifecycle" `Quick test_plan_lifecycle;
           Alcotest.test_case "original tree accessor" `Quick test_original_tree_accessor;
+          Alcotest.test_case "fig11 prothymosin cuts pinned" `Slow test_fig11_prothymosin_pinned;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest qcheck_valid_cuts ]);
     ]

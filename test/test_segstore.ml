@@ -578,6 +578,37 @@ let test_procinfo_sane () =
   Alcotest.(check bool) "monotone" true (b >= a);
   match Procinfo.source () with `Proc_status | `Gc_heap -> ()
 
+(* The counting-sort buckets against the old Hashtbl bucketing, through
+   both entry points, on both backends: empty, one-citation, random and
+   whole-corpus results. *)
+let test_buckets_match_oracle () =
+  let store = Lazy.force opened in
+  let mem_db = Lazy.force database in
+  let ext_db = Bridge.database store (Lazy.force hierarchy) in
+  let n_cit = M.size (Lazy.force medline) in
+  let rng = Rng.create 91 in
+  let results =
+    [ Docset.empty; Docset.singleton 0; Docset.singleton (n_cit - 1);
+      Docset.of_list (List.init n_cit Fun.id) ]
+    @ List.init 8 (fun _ ->
+          Docset.of_list (List.init (1 + Rng.int rng 200) (fun _ -> Rng.int rng n_cit)))
+  in
+  List.iter
+    (fun result ->
+      let expected = Bucket_oracle.concepts_of_result mem_db result in
+      List.iter
+        (fun (name, db) ->
+          Alcotest.(check bool) (name ^ " oracle") true
+            (Bucket_oracle.concepts_of_result db result = expected);
+          let ds = DB.concepts_of_result_ds db ~arena:(Docset_arena.create ()) result in
+          Alcotest.(check bool) (name ^ " docsets") true
+            (List.map (fun (c, d) -> (c, Docset.to_array d)) ds = expected);
+          let is = DB.concepts_of_result db (Docset.to_intset result) in
+          Alcotest.(check bool) (name ^ " intsets") true
+            (List.map (fun (c, s) -> (c, Intset.to_array s)) is = expected))
+        [ ("memory", mem_db); ("external", ext_db) ])
+    results
+
 let () =
   Alcotest.run "segstore"
     [
@@ -611,7 +642,10 @@ let () =
             test_database_assoc_raises_on_external;
         ] );
       ( "metamorphic",
-        [ Alcotest.test_case "backends identical" `Quick test_nav_trees_identical ] );
+        [
+          Alcotest.test_case "backends identical" `Quick test_nav_trees_identical;
+          Alcotest.test_case "buckets = oracle" `Quick test_buckets_match_oracle;
+        ] );
       ( "streaming parsers",
         [
           Alcotest.test_case "nbib fold = of_string" `Quick test_nbib_fold_matches_of_string;
