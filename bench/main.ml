@@ -579,20 +579,6 @@ let micro () =
     fst (Active_tree.comp_tree (Active_tree.create q.Q.nav) 0)
   in
   let large_part = Partition.run_k large ~k:10 in
-  let n_large = Comp_tree.size large in
-  let large_parent = Array.init n_large (Comp_tree.parent large) in
-  let large_totals = Array.init n_large (Comp_tree.total large) in
-  (* A freshly derived space's first EXPAND sees its sets in a new arena
-     with an empty op memo; rebasing the component into a fresh arena
-     every run (part of the timed work) keeps the memo from hiding it. *)
-  let cold_build () =
-    let arena = Docset_arena.create () in
-    let results =
-      Array.init n_large (fun v -> Docset.in_arena arena (Comp_tree.results large v))
-    in
-    let comp = Comp_tree.make ~parent:large_parent ~results ~totals:large_totals () in
-    Reduced_tree.build comp large_part
-  in
   let tests =
     [
       (* Table I path: building the navigation tree from the database. *)
@@ -617,8 +603,9 @@ let micro () =
         (Staged.stage (fun () -> ignore (Partition.run_k comp ~k:10)));
       Test.make ~name:"fig10/k-partition-large"
         (Staged.stage (fun () -> ignore (Partition.run_k large ~k:10)));
+      (* Nothing is memoized across builds, so every run is cold. *)
       Test.make ~name:"fig10/reduced-tree-build-cold"
-        (Staged.stage (fun () -> ignore (cold_build ())));
+        (Staged.stage (fun () -> ignore (Reduced_tree.build large large_part)));
       Test.make ~name:"fig11/opt-edgecut-10"
         (Staged.stage (fun () -> ignore (Opt_edgecut.solve opt_tree)));
       Test.make ~name:"core/intset-union-many"
@@ -908,7 +895,7 @@ let chaos_bench () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Docset: arena interning + memoized set algebra                       *)
+(* Docset: result sets as plain values                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* Minimal scanner for the flat ["key": number] baseline files this bench
@@ -946,12 +933,12 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* The Zipf serving workload with prefetch off — every EXPAND derives
-   its components and pays the full Heuristic-ReducedOpt cut over
-   arena-backed sets — plus Intset-vs-Docset micro comparisons on the
-   workload's own result sets, and the arena's interning economics.
-   Gated against bench/docset_baseline.json when present. *)
+   its components and pays the full Heuristic-ReducedOpt cut over docset
+   values — plus Intset-vs-Docset micro comparisons on attachment-shaped
+   sets, and the docset bytes the engine keeps resident. Gated against
+   bench/docset_baseline.json when present. *)
 let docset_bench () =
-  say "%s" (Table.section "Docset: arena interning + memoized set algebra");
+  say "%s" (Table.section "Docset: result sets as plain values");
   say "";
   let w = Q.build ~config:Q.small_config ~seed:workload_seed () in
   let queries = Array.of_list w.Q.queries in
@@ -972,27 +959,14 @@ let docset_bench () =
   let expand_p50 = Metrics.percentile hist 50. in
   let expand_p95 = Metrics.percentile hist 95. in
   let expands = Metrics.count hist in
-  let st = Engine.docset_stats engine in
-  let dedup_rate =
-    if st.Docset_arena.intern_requests = 0 then 0.
-    else float_of_int st.Docset_arena.dedup_hits /. float_of_int st.Docset_arena.intern_requests
-  in
-  (* Set-op micro: the same attachment-shaped sets through both layers.
-     Docset's second pass over identical operands is the memoized regime
-     the navigation stack actually runs in. *)
+  let resident_bytes = (Engine.docset_stats engine).Docset_arena.bytes in
+  (* Set-op micro: the same attachment-shaped sets through both layers. *)
   let reps = 200 in
   let lists = List.init 32 (fun i -> List.init 100 (fun j -> (i * 37) + j)) in
   let isets = List.map Intset.of_list lists in
-  (* One shared arena, as Nav_tree/Comp_tree hold their sets in practice:
-     the steady state is memo hits, not first computations. *)
-  let micro_arena = Docset_arena.create () in
-  let dsets = List.map (Docset.of_list_in micro_arena) lists in
-  let dsets_shared = Docset.union_many dsets :: dsets in
-  ignore (Docset.union_many dsets_shared : Docset.t);
+  let dsets = List.map Docset.of_list lists in
   let intset_union_ms = Timing.repeat_ms reps (fun () -> ignore (Intset.union_many isets)) in
-  let docset_union_ms =
-    Timing.repeat_ms reps (fun () -> ignore (Docset.union_many dsets_shared))
-  in
+  let docset_union_ms = Timing.repeat_ms reps (fun () -> ignore (Docset.union_many dsets)) in
   let ipairs = Array.of_list isets and dpairs = Array.of_list dsets in
   let n = Array.length ipairs in
   let intset_inter_ms =
@@ -1016,16 +990,12 @@ let docset_bench () =
          [ "EXPANDs (prefetch off)"; string_of_int expands ];
          [ "expand p50"; Printf.sprintf "%.3f ms" expand_p50 ];
          [ "expand p95"; Printf.sprintf "%.3f ms" expand_p95 ];
-         [ "interned sets (live arenas)"; string_of_int st.Docset_arena.sets ];
-         [ "resident bytes"; string_of_int st.Docset_arena.bytes ];
-         [ "dense / sparse"; Printf.sprintf "%d / %d" st.Docset_arena.dense st.Docset_arena.sparse ];
-         [ "dedup hit rate"; Printf.sprintf "%.0f%%" (100. *. dedup_rate) ];
-         [ "op-memo hits"; string_of_int st.Docset_arena.memo_hits ];
+         [ "resident bytes"; string_of_int resident_bytes ];
          [ "union_many intset"; Printf.sprintf "%.4f ms" intset_union_ms ];
-         [ "union_many docset (memoized)"; Printf.sprintf "%.4f ms" docset_union_ms ];
+         [ "union_many docset"; Printf.sprintf "%.4f ms" docset_union_ms ];
          [ "union_many speedup"; Printf.sprintf "%.1fx" (speedup intset_union_ms docset_union_ms) ];
          [ "inter_cardinal intset"; Printf.sprintf "%.4f ms" intset_inter_ms ];
-         [ "inter_cardinal docset (memoized)"; Printf.sprintf "%.4f ms" docset_inter_ms ];
+         [ "inter_cardinal docset"; Printf.sprintf "%.4f ms" docset_inter_ms ];
          [ "inter_cardinal speedup";
            Printf.sprintf "%.1fx" (speedup intset_inter_ms docset_inter_ms) ];
        ]);
@@ -1037,20 +1007,14 @@ let docset_bench () =
       \  \"expands\": %d,\n\
       \  \"expand_p50_ms\": %.4f,\n\
       \  \"expand_p95_ms\": %.4f,\n\
-      \  \"interned_sets\": %d,\n\
       \  \"resident_bytes\": %d,\n\
-      \  \"dense_sets\": %d,\n\
-      \  \"sparse_sets\": %d,\n\
-      \  \"dedup_hit_rate\": %.4f,\n\
-      \  \"memo_hits\": %d,\n\
       \  \"union_many_intset_ms\": %.5f,\n\
       \  \"union_many_docset_ms\": %.5f,\n\
       \  \"inter_cardinal_intset_ms\": %.5f,\n\
       \  \"inter_cardinal_docset_ms\": %.5f\n\
        }\n"
-      n_sessions expands expand_p50 expand_p95 st.Docset_arena.sets st.Docset_arena.bytes
-      st.Docset_arena.dense st.Docset_arena.sparse dedup_rate st.Docset_arena.memo_hits
-      intset_union_ms docset_union_ms intset_inter_ms docset_inter_ms
+      n_sessions expands expand_p50 expand_p95 resident_bytes intset_union_ms docset_union_ms
+      intset_inter_ms docset_inter_ms
   in
   let path = "BENCH_docset.json" in
   let oc = open_out path in
@@ -1059,8 +1023,7 @@ let docset_bench () =
   say "";
   (* Regression gates against the committed baseline, on outcomes: expand
      latency (p50 and p95) gets a wide multiplier (CI machines vary); the
-     dedup rate and the arenas' resident bytes are tight. Op-memo hits are
-     reported but not gated: they count the memo's use, not a result. *)
+     resident bytes are tight. *)
   let baseline_path = "bench/docset_baseline.json" in
   if Sys.file_exists baseline_path then begin
     let baseline = read_file baseline_path in
@@ -1077,12 +1040,6 @@ let docset_bench () =
           (expand_p50 <= 2.5 *. b)
           (Printf.sprintf "%.3f ms vs baseline %.3f ms (2.5x budget)" expand_p50 b)
     | Some _ | None -> ());
-    (match scan_json_number baseline "dedup_hit_rate" with
-    | Some b ->
-        gate "dedup hit rate regressed"
-          (dedup_rate >= b -. 0.15)
-          (Printf.sprintf "%.2f vs baseline %.2f (-0.15 budget)" dedup_rate b)
-    | None -> ());
     (match scan_json_number baseline "expand_p95_ms" with
     | Some b when b > 0. ->
         gate "expand p95 regressed"
@@ -1092,8 +1049,8 @@ let docset_bench () =
     (match scan_json_number baseline "resident_bytes" with
     | Some b when b > 0. ->
         gate "resident bytes grew"
-          (float_of_int st.Docset_arena.bytes <= 1.25 *. b)
-          (Printf.sprintf "%d vs baseline %.0f (1.25x budget)" st.Docset_arena.bytes b)
+          (float_of_int resident_bytes <= 1.25 *. b)
+          (Printf.sprintf "%d vs baseline %.0f (1.25x budget)" resident_bytes b)
     | Some _ | None -> ());
     if !fail then exit 1;
     say "  baseline gates passed (%s)" baseline_path

@@ -84,7 +84,7 @@ let with_segstore segstore base =
 let dump_metrics flag = if flag then print_string (Bionav_util.Metrics.dump ())
 
 (* When an engine exists, dump through it so the engine-owned gauges (live
-   sessions, docset arenas) are refreshed first. *)
+   sessions, docset resident bytes) are refreshed first. *)
 let dump_engine_metrics flag engine =
   if flag then print_string (Engine.metrics_text engine)
 

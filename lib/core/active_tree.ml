@@ -2,10 +2,10 @@ open Bionav_util
 
 (* What a component carries while its visible root stays visible. Every
    field is fixed when the component is formed (create or a cut) except
-   [key], the member set interned on first use by a plan-cache lookup. *)
+   [key], the member set built on first use by a plan-cache lookup. *)
 type comp = {
   members : int array;  (* ascending navigation ids; members.(0) is the root *)
-  results : Docset.t;  (* in the navigation tree's arena *)
+  results : Docset.t;
   weight : float;  (* explore mass: Σ |L| / |LT| over members *)
   mutable key : Docset.t option;
 }
@@ -93,7 +93,7 @@ let component_set t r =
   match c.key with
   | Some s -> s
   | None ->
-      let s = Docset.of_sorted_array_unchecked_in (Nav_tree.arena t.nav) c.members in
+      let s = Docset.of_sorted_array_unchecked c.members in
       c.key <- Some s;
       s
 

@@ -47,17 +47,16 @@ val component_distinct : t -> int -> int
     revealed). *)
 
 val component_results : t -> int -> Bionav_util.Docset.t
-(** The union of the members' results, in the navigation tree's arena. *)
+(** The union of the members' results. *)
 
 val component_weight : t -> int -> float
 (** The component's explore mass [Σ |L| / |LT|] over its members, summed
     in ascending member order (see {!Relevance}). *)
 
 val component_set : t -> int -> Bionav_util.Docset.t
-(** The member {e navigation ids} as a set interned in the navigation
-    tree's arena — plan caches use its O(1) {!Bionav_util.Docset.fingerprint}
-    as a key component. Interned on first use and kept until a cut or
-    backtrack changes the component. *)
+(** The member {e navigation ids} as a set — plan caches use its
+    {!Bionav_util.Docset.fingerprint} as a key component. Built on first
+    use and kept until a cut or backtrack changes the component. *)
 
 val is_expandable : t -> int -> bool
 (** Visible with a component of ≥ 2 nodes (the ">>>" affordance). *)

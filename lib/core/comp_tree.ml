@@ -96,11 +96,7 @@ let make ~parent ~results ~totals ?labels ?tags ?concepts ?multiplicity ?sub_wei
     parent = Array.copy parent;
     children;
     depth;
-    (* One shared arena across the component's node sets: distinct-count
-       queries over node subsets then memoize in a single place. Results
-       extracted from a navigation tree already share its arena, so this
-       is a no-op copy on the hot construction path. *)
-    results = Docset.consolidate (Array.copy results);
+    results = Array.copy results;
     totals = Array.copy totals;
     labels = Array.copy labels;
     tags = Array.copy tags;

@@ -34,7 +34,7 @@ val find : t -> string -> Nav_tree.t option
 val fold_trees : t -> (Nav_tree.t -> 'a -> 'a) -> 'a -> 'a
 (** Fold over the cached trees in unspecified order without touching
     recency or hit/miss statistics — for observability walks such as the
-    engine's docset-arena gauges. *)
+    engine's docset resident-bytes gauge. *)
 
 val hit_rate : t -> float
 (** Hits / lookups since creation or the last {!clear}; 0 before the

@@ -3,7 +3,6 @@ module Hierarchy = Bionav_mesh.Hierarchy
 module Database = Bionav_store.Database
 
 type t = {
-  arena : Docset_arena.t;  (* owns every set this tree hands out *)
   concept_ids : int array;
   parent : int array;
   children : int list array;
@@ -21,20 +20,16 @@ type t = {
 (* Intermediate rose tree used while computing the maximum embedding. *)
 type rose = Rose of int * rose list
 
-(* Every set the tree retains is interned into [arena], fresh per tree:
-   nodes sharing a citation list share one physical copy, and the
-   bottom-up subtree unions below seed the arena's op memo for the cost
-   model. Attachments already in [arena] are kept as they are. *)
-let build_in arena ~hierarchy ~attachments ~total_count =
+let build ~hierarchy ~attachments ~total_count =
   let n_concepts = Hierarchy.size hierarchy in
-  let attached = Array.make n_concepts (Docset.in_arena arena Docset.empty) in
+  let attached = Array.make n_concepts Docset.empty in
   List.iter
     (fun (c, set) ->
       if c < 0 || c >= n_concepts then
         invalid_arg (Printf.sprintf "Nav_tree.build: unknown concept %d" c);
       if not (Docset.is_empty attached.(c)) then
         invalid_arg (Printf.sprintf "Nav_tree.build: duplicate attachment for concept %d" c);
-      attached.(c) <- Docset.in_arena arena set)
+      attached.(c) <- set)
     attachments;
   (* Maximum embedding (Definition 2), one depth-first pass: an empty
      internal node is replaced by its kept children, an empty leaf vanishes,
@@ -82,10 +77,10 @@ let build_in arena ~hierarchy ~attachments ~total_count =
         max tc lc)
     in
   let labels = Array.init count (fun i -> Hierarchy.label hierarchy concept_ids.(i)) in
-  (* Bottom-up union for subtree-distinct counts. The intermediate unions
-     are interned, not dropped: later distinct-of-subtree queries from the
-     cost model hit the arena memo instead of recomputing. *)
-  let subtree_sets = Array.make count (Docset.in_arena arena Docset.empty) in
+  (* Bottom-up union for subtree-distinct counts, kept as sets: refinement
+     narrows to a node's subtree results and component unions reuse whole
+     subtrees. A union equal to one operand shares it. *)
+  let subtree_sets = Array.make count Docset.empty in
   for i = count - 1 downto 0 do
     let union =
       Docset.union_many (results.(i) :: List.map (fun c -> subtree_sets.(c)) children.(i))
@@ -101,7 +96,6 @@ let build_in arena ~hierarchy ~attachments ~total_count =
   let node_of_concept = Hashtbl.create count in
   Array.iteri (fun i c -> Hashtbl.replace node_of_concept c i) concept_ids;
   {
-    arena;
     concept_ids;
     parent;
     children;
@@ -116,16 +110,11 @@ let build_in arena ~hierarchy ~attachments ~total_count =
     node_of_concept;
   }
 
-let build ~hierarchy ~attachments ~total_count =
-  build_in (Docset_arena.create ()) ~hierarchy ~attachments ~total_count
-
 let of_database db result =
-  let arena = Docset_arena.create () in
-  let attachments = Database.concepts_of_result_ds db ~arena result in
-  build_in arena ~hierarchy:(Database.hierarchy db) ~attachments
+  build ~hierarchy:(Database.hierarchy db)
+    ~attachments:(Database.concepts_of_result_ds db result)
     ~total_count:(Database.total_count db)
 
-let arena t = t.arena
 let size t = Array.length t.parent
 let root _ = 0
 let parent t i = t.parent.(i)

@@ -23,10 +23,6 @@ val of_database : Bionav_store.Database.t -> Bionav_util.Docset.t -> t
 (** The on-line construction path: look up the concepts of every result
     citation in the BioNav database and embed. *)
 
-val arena : t -> Bionav_util.Docset_arena.t
-(** The arena owning every set this tree (and component trees extracted
-    from it) hands out; observability reads its {!Bionav_util.Docset_arena.stats}. *)
-
 val size : t -> int
 val root : t -> int
 val parent : t -> int -> int
@@ -54,7 +50,7 @@ val subtree_distinct : t -> int -> int
 val subtree_results : t -> int -> Bionav_util.Docset.t
 (** The distinct citations of the subtree rooted at the node, as a set —
     the result universe a query-by-navigation refinement on the node
-    narrows to. Already computed (and interned) by [build]; O(1). *)
+    narrows to. Already computed by [build]; O(1). *)
 
 val node_of_concept : t -> int -> int option
 (** Navigation node carrying the given hierarchy concept, if any. *)

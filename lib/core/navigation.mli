@@ -98,9 +98,9 @@ val stats : t -> stats
 type plan_source = {
   find_plan : root:int -> members:Bionav_util.Docset.t -> int list option;
       (** Memoized EdgeCut for the component of [root] whose members (the
-          current [I(n)] navigation ids, as a set interned in the
-          navigation arena — key on its O(1) fingerprint) are exactly
-          [members]; [None] (or [Some []]) to fall through to computation.
+          current [I(n)] navigation ids, as a set — key on its
+          fingerprint) are exactly [members]; [None] (or [Some []]) to
+          fall through to computation.
           The returned cut children must be a valid EdgeCut of that
           component — sources built on exact-key memoization of previously
           computed cuts satisfy this by construction. *)

@@ -7,42 +7,6 @@ type t = {
   members : int array array;  (* supernode -> original nodes, ascending *)
 }
 
-let word_bits = 32
-
-(* The union of [sets] (at least two, non-empty, sharing [arena])
-   interned once into [arena]. [bitmap] holds 32 bits per word for ids
-   from [base] up and is all-zero on entry: every element is OR-ed in,
-   then the words the sets span are read back in ascending order and
-   cleared as they are read, so [bitmap] is all-zero again on return. *)
-let union_in bitmap base arena sets =
-  let lo = List.fold_left (fun m s -> min m (Docset.choose s)) max_int sets in
-  let hi = List.fold_left (fun m s -> max m (Docset.max_elt s)) min_int sets in
-  List.iter
-    (fun s ->
-      Docset.iter
-        (fun x ->
-          let i = x - base in
-          let w = i / word_bits in
-          bitmap.(w) <- bitmap.(w) lor (1 lsl (i land (word_bits - 1))))
-        s)
-    sets;
-  let w_lo = (lo - base) / word_bits and w_hi = (hi - base) / word_bits in
-  let card = ref 0 in
-  for w = w_lo to w_hi do
-    card := !card + Bits.popcount bitmap.(w)
-  done;
-  let out = Array.make !card 0 and k = ref 0 in
-  for w = w_lo to w_hi do
-    let bits = ref bitmap.(w) in
-    while !bits <> 0 do
-      out.(!k) <- base + (w * word_bits) + Bits.lowest_bit !bits;
-      incr k;
-      bits := !bits land (!bits - 1)
-    done;
-    bitmap.(w) <- 0
-  done;
-  Docset.of_sorted_array_unchecked_in arena out
-
 let build orig (partition : Partition.result) =
   let n = Comp_tree.size orig in
   if Array.length partition.assignment <> n then
@@ -79,40 +43,13 @@ let build orig (partition : Partition.result) =
   let parent =
     Array.mapi (fun s r -> if s = 0 then -1 else super.(Comp_tree.parent orig r)) roots
   in
-  (* Comp_tree.make keeps a component's sets in one arena; supernode
-     unions are interned there, one set per supernode. They share one
-     bitmap over the id span of the supernodes that need a union. *)
-  let member_sets =
-    Array.map
-      (fun ms ->
-        Array.fold_right
-          (fun v acc ->
-            let s = Comp_tree.results orig v in
-            if Docset.is_empty s then acc else s :: acc)
-          ms [])
-      members
-  in
-  let base = ref max_int and top = ref min_int in
-  Array.iter
-    (function
-      | [] | [ _ ] -> ()
-      | sets ->
-          List.iter
-            (fun s ->
-              base := min !base (Docset.choose s);
-              top := max !top (Docset.max_elt s))
-            sets)
-    member_sets;
-  let bitmap =
-    if !top < !base then [||] else Array.make (((!top - !base) / word_bits) + 1) 0
-  in
+  (* One union per supernode; a supernode with one non-empty member
+     shares that member's set. *)
   let results =
     Array.map
-      (function
-        | [] -> Docset.empty
-        | [ s ] -> s
-        | s :: _ as sets -> union_in bitmap !base (Docset.arena s) sets)
-      member_sets
+      (fun ms ->
+        Docset.union_many (Array.fold_right (fun v acc -> Comp_tree.results orig v :: acc) ms []))
+      members
   in
   let totals =
     Array.map (Array.fold_left (fun acc v -> acc + Comp_tree.total orig v) 0) members

@@ -12,12 +12,10 @@
 type t
 
 val build : Comp_tree.t -> Partition.result -> t
-(** Supernode unions are OR-ed into one bitmap covering the component's
-    citation-id span (32 ids per word), allocated once per call.
-    Precondition: citation ids are dense, as the corpus generator and
-    [Nbib] assign them (0..n-1 in record order), so the bitmap is at
-    most corpus/32 words. Scattered ids would need a bitmap as wide as
-    their span.
+(** Each supernode's results are one {!Bionav_util.Docset.union_many}
+    over its members' sets: a bitmap over their span when that is no
+    larger than the operands, otherwise a k-way merge, so scattered ids
+    cost no more than their number.
     @raise Invalid_argument if the partition does not belong to the tree. *)
 
 val tree : t -> Comp_tree.t

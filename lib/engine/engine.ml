@@ -56,8 +56,8 @@ type frame = {
   fnavigation : Navigation.t;
 }
 
-(* A session's navigation trees came out of the engine's cache and the
-   active tree's arena is mutated on every expand; every mutation runs
+(* A session's navigation trees came out of the engine's cache and its
+   active tree is mutated on every expand; every mutation runs
    inside one engine operation ([enter]). Readers render from [snapshot]:
    an immutable epoch-versioned view of the {e top} frame, replaced after
    every mutating action (DESIGN.md §12). [frames] is never empty. *)
@@ -126,7 +126,7 @@ let capture ~epoch ~query ~depth fr =
    in-use flag. The engine has one owner at a time (DESIGN.md §11), so a
    second entry — a nested operation, or another domain entering while
    one is inside — raises instead of racing on the unsynchronized session
-   store, caches and arenas. Once the operation leaves, any domain may
+   store and caches. Once the operation leaves, any domain may
    enter next. *)
 let enter t f =
   if not (Atomic.compare_and_set t.in_use false true) then
@@ -641,56 +641,58 @@ let plan_cache_hit_rate t =
       let plans = Prefetch.plans pf in
       hit_rate (Bionav_prefetch.Plan_cache.hits plans) (Bionav_prefetch.Plan_cache.misses plans)
 
-let docset_sets_gauge = Metrics.gauge "bionav_docset_live_sets"
 let docset_bytes_gauge = Metrics.gauge "bionav_docset_resident_bytes"
-let docset_dense_gauge = Metrics.gauge "bionav_docset_live_dense"
-let docset_sparse_gauge = Metrics.gauge "bionav_docset_live_sparse"
-let docset_dedup_gauge = Metrics.gauge "bionav_docset_dedup_hit_rate"
 
-(* Aggregate docset stats, computed when asked: the inverted index's arena
-   plus every arena the engine can reach (cached trees and every frame of
-   every live session, physically deduplicated). *)
-let reachable_arena_stats t =
-  let arenas = ref [ Bionav_search.Inverted_index.arena (Eutils.index t.eutils) ] in
-  let note a = if not (List.memq a !arenas) then arenas := a :: !arenas in
-  Nav_cache.fold_trees t.cache (fun nav () -> note (Nav_tree.arena nav)) ();
-  Hashtbl.iter (fun _ s -> List.iter (fun fr -> note (Nav_tree.arena fr.fnav)) s.frames) t.sessions;
-  let zero =
-    Docset_arena.
-      { sets = 0; bytes = 0; dense = 0; sparse = 0; intern_requests = 0; dedup_hits = 0;
-        memo_hits = 0 }
-  in
-  List.fold_left
-    (fun (acc : Docset_arena.stats) a ->
-      let st = Docset_arena.stats a in
-      Docset_arena.
-        {
-          sets = acc.sets + st.sets;
-          bytes = acc.bytes + st.bytes;
-          dense = acc.dense + st.dense;
-          sparse = acc.sparse + st.sparse;
-          intern_requests = acc.intern_requests + st.intern_requests;
-          dedup_hits = acc.dedup_hits + st.dedup_hits;
-          memo_hits = acc.memo_hits + st.memo_hits;
-        })
-    zero !arenas
+(* Resident docset payload, computed when asked: the index's posting
+   lists plus the sets of every tree the engine can reach (cached trees
+   and every frame of every live session, deduplicated physically since
+   session trees come out of the cache) and each frame's visible
+   component results. A union equal to one of its operands is that
+   operand, so a subtree set may be the node's own results or a child's
+   subtree set, and a component's results may be a member's set; such
+   shared values are counted once. No hashing: a scrape stays linear. *)
+let docset_bytes t =
+  let trees = ref [] in
+  let note nav = if not (List.memq nav !trees) then trees := nav :: !trees in
+  Nav_cache.fold_trees t.cache (fun nav () -> note nav) ();
+  Hashtbl.iter (fun _ s -> List.iter (fun fr -> note fr.fnav) s.frames) t.sessions;
+  let bytes = ref (Bionav_search.Inverted_index.resident_bytes (Eutils.index t.eutils)) in
+  let add set = bytes := !bytes + Docset.bytes set in
+  List.iter
+    (fun nav ->
+      for i = 0 to Nav_tree.size nav - 1 do
+        let own = Nav_tree.results nav i and sub = Nav_tree.subtree_results nav i in
+        let is_child_set c = sub == Nav_tree.subtree_results nav c in
+        add own;
+        if sub != own && not (List.exists is_child_set (Nav_tree.children nav i)) then add sub
+      done)
+    !trees;
+  Hashtbl.iter
+    (fun _ s ->
+      List.iter
+        (fun fr ->
+          let active = Navigation.active fr.fnavigation in
+          let is_member_set set m =
+            set == Nav_tree.results fr.fnav m || set == Nav_tree.subtree_results fr.fnav m
+          in
+          List.iter
+            (fun r ->
+              let set = Active_tree.component_results active r in
+              if not (Array.exists (is_member_set set) (Active_tree.component_members active r))
+              then add set)
+            (Active_tree.visible active))
+        s.frames)
+    t.sessions;
+  !bytes
 
-let docset_stats t = enter t (fun () -> reachable_arena_stats t)
-
-let publish_docset t =
-  let st = reachable_arena_stats t in
-  Metrics.set docset_sets_gauge (float_of_int st.Docset_arena.sets);
-  Metrics.set docset_bytes_gauge (float_of_int st.Docset_arena.bytes);
-  Metrics.set docset_dense_gauge (float_of_int st.Docset_arena.dense);
-  Metrics.set docset_sparse_gauge (float_of_int st.Docset_arena.sparse);
-  Metrics.set docset_dedup_gauge
-    (if st.Docset_arena.intern_requests = 0 then 0.
-     else float_of_int st.Docset_arena.dedup_hits /. float_of_int st.Docset_arena.intern_requests)
+let docset_stats t =
+  enter t (fun () ->
+      { Docset_arena.bytes = docset_bytes t; intern_requests = 0; dedup_hits = 0; memo_hits = 0 })
 
 let metrics_text t =
   enter t (fun () ->
       publish_live t;
-      publish_docset t;
+      Metrics.set docset_bytes_gauge (float_of_int (docset_bytes t));
       Option.iter Bionav_segstore.Store.publish_metrics t.store;
       Procinfo.publish ();
       Metrics.dump ())

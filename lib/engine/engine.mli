@@ -22,11 +22,11 @@
     engine, never to [Navigation.start] directly.
 
     {b One owner} (DESIGN.md §11–§12): the session store, the tree
-    cache, the plan cache, the backend guard and every docset arena are
-    unsynchronized, and the engine serves one caller at a time. Every
-    operation ({!search}, the navigation actions, {!run_locked},
-    {!find_session}, {!close}, {!sweep}, {!learn}, {!warm},
-    {!docset_stats}, {!metrics_text}) takes one entry guard, an
+    cache, the plan cache and the backend guard are unsynchronized, and
+    the engine serves one caller at a time. Every operation ({!search},
+    the navigation actions, {!run_locked}, {!find_session}, {!close},
+    {!sweep}, {!learn}, {!warm}, {!docset_stats}, {!metrics_text})
+    takes one entry guard, an
     [Atomic] compare-and-set, and raises [Invalid_argument] if another
     operation is still inside: a nested call ({!expand} or
     {!run_locked} inside {!run_locked}) or a second domain entering
@@ -34,8 +34,8 @@
     first has left — a server domain started after set-up does this.
     Accessors that read one field ({!snapshot}, {!session_count},
     {!navigation}, ...) take no guard. Every mutating action replaces
-    the session's immutable {!Bionav_search.Nav_snapshot} (frozen
-    arena, epoch-versioned), which rendering and result paging read
+    the session's immutable, epoch-versioned
+    {!Bionav_search.Nav_snapshot}, which rendering and result paging read
     after the action returns.
 
     {b Resilience} ({!Bionav_resilience}): every backend call (the
@@ -230,8 +230,7 @@ val show_results : session -> int -> Bionav_util.Docset.t
 val backtrack : session -> bool
 (** Each action takes the entry guard and replaces the session
     {!snapshot} before it returns. The docset returned by
-    {!show_results} lives in the live arena; iterate it before the next
-    engine operation. *)
+    {!show_results} is an immutable value. *)
 
 val refine : session -> int -> int
 (** Query-by-navigation: narrow the live result set to the full
@@ -298,17 +297,16 @@ val plan_cache_hit_rate : t -> float
     first lookup. *)
 
 val docset_stats : t -> Bionav_util.Docset_arena.stats
-(** Aggregate {!Bionav_util.Docset_arena.stats} over every arena the
-    engine can reach: the inverted index's long-lived arena plus one per
-    cached navigation tree and one per frame of every live session
-    (deduplicated physically — session trees come out of the cache),
-    walked when called. *)
+(** Docset memory the engine can reach, walked when called: [bytes] is
+    the {!Bionav_util.Docset.bytes} payload of the inverted index's
+    posting lists, of every node and subtree set of each cached tree and
+    each live frame's tree, and of each live frame's visible component
+    results, counting a physically shared value once. Result sets are
+    not interned, so the other three fields are always 0. *)
 
 val metrics_text : t -> string
-(** Refresh the engine gauges — live session count plus the docset-arena
-    gauges ([bionav_docset_live_sets], [bionav_docset_resident_bytes],
-    [bionav_docset_live_dense]/[_sparse], [bionav_docset_dedup_hit_rate],
-    aggregated as in {!docset_stats}), the segment-store cache gauges
-    when one is open, and the process peak-RSS gauge
+(** Refresh the engine gauges — live session count plus
+    [bionav_docset_resident_bytes] ({!docset_stats}), the segment-store
+    cache gauges when one is open, and the process peak-RSS gauge
     ([bionav_process_peak_rss_bytes]) — and render the whole process
     metrics registry ({!Bionav_util.Metrics.dump}). *)

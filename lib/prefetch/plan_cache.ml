@@ -13,10 +13,9 @@ let default_capacity = 512
 
 let create ?(capacity = default_capacity) () = { cache = Lru.create ~capacity }
 
-(* The member set arrives as an interned {!Docset.t}, so the key reuses its
-   O(1) content fingerprint instead of re-folding the member list on every
-   lookup. Collisions are harmless: [find] verifies the stored member
-   array before serving a cut. *)
+(* The key carries the member set's content fingerprint. Collisions are
+   harmless: [find] verifies the stored member array before serving a
+   cut. *)
 let key query fingerprint root members =
   Printf.sprintf "%s\x00%s\x00%d\x00%x" (Nav_cache.normalize query) fingerprint root
     (Docset.fingerprint members)

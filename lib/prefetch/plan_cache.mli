@@ -13,10 +13,9 @@
     is a {e stale} plan for today's learned model, and a changed
     fingerprint makes it unreachable instead of served.
 
-    The member set is keyed by its arena fingerprint (O(1), computed at
-    intern time) but {e verified} on lookup
-    against the stored member list, so hash collisions can only miss,
-    never serve a wrong plan — the served cut is always byte-identical to
+    The member set is keyed by its content fingerprint but {e verified}
+    on lookup against the stored member list, so hash collisions can only
+    miss, never serve a wrong plan — the served cut is always byte-identical to
     what a fresh computation over the same component would feed the active
     tree. Backed by {!Bionav_util.Lru}; instrumented with the
     [bionav_prefetch_plan_*] metrics. *)

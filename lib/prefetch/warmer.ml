@@ -45,12 +45,9 @@ let apply ~db ~trees ?plans ?(model = Probability.default_model) entries =
       Metrics.incr warmed_counter;
       match plans with
       | Some plans when e.root_cut <> [] ->
-          (* The full-tree member set, interned in this tree's arena: the
-             content fingerprint matches what serving sessions key on. *)
-          let members =
-            Docset.of_sorted_array_unchecked_in (Nav_tree.arena nav)
-              (Array.init (Nav_tree.size nav) Fun.id)
-          in
+          (* The full-tree member set: its content fingerprint matches
+             what serving sessions key on. *)
+          let members = Docset.of_sorted_array_unchecked (Array.init (Nav_tree.size nav) Fun.id) in
           Plan_cache.store plans ~query:e.query ~fingerprint:model.Probability.fingerprint
             ~root:(Nav_tree.root nav) ~members ~cut:e.root_cut
       | Some _ | None -> ())

@@ -36,21 +36,18 @@ let esearch_paged ?(retstart = 0) ?(retmax = 20) ?(sort = `Id) t query =
 let esearch_count t query = Docset.cardinal (esearch t query)
 
 let esearch_mh ?qualifier t label =
-  (* Corpus postings are plain Intsets; results are interned in the index
-     arena like every other search answer. *)
-  let intern s = Docset.of_intset_in (Inverted_index.arena t.index) s in
   let hierarchy = Medline.hierarchy t.medline in
   match Bionav_mesh.Hierarchy.find_by_label hierarchy (String.trim label) with
-  | None -> intern Intset.empty
+  | None -> Docset.empty
   | Some concept -> (
       let annotated = Medline.postings t.medline concept in
       match qualifier with
-      | None -> intern annotated
+      | None -> Docset.of_intset annotated
       | Some qname -> (
           match Bionav_mesh.Qualifiers.find_by_name qname with
           | None -> invalid_arg (Printf.sprintf "Eutils.esearch_mh: unknown qualifier %S" qname)
           | Some q ->
-              intern
+              Docset.of_intset
                 (Intset.of_list
                    (Intset.fold
                       (fun id acc ->
@@ -72,8 +69,7 @@ let esummary t ids = List.map (fun id -> Citation.summary (citation t id)) ids
 
 let concepts_of t id =
   check_id t id;
-  Docset.of_intset_in (Inverted_index.arena t.index)
-    (Citation.concepts (Medline.citation t.medline id))
+  Docset.of_intset (Citation.concepts (Medline.citation t.medline id))
 
 let medline t = t.medline
 let index t = t.index

@@ -44,5 +44,5 @@ val concepts_of : t -> int -> Bionav_util.Docset.t
 val medline : t -> Bionav_corpus.Medline.t
 
 val index : t -> Inverted_index.t
-(** The underlying inverted index — its {!Inverted_index.arena} carries
-    the search-side docset statistics. *)
+(** The underlying inverted index — its {!Inverted_index.resident_bytes}
+    is the search side of the engine's docset statistics. *)

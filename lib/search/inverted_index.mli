@@ -3,17 +3,16 @@
     The PubMed-query stand-in: each citation's title and abstract are
     tokenized and indexed; queries are conjunctions (PubMed's default AND
     semantics) with an OR mode for completeness. Posting lists are
-    {!Bionav_util.Docset.t} handles interned in one long-lived index
-    arena: structurally equal lists share storage, and query evaluation
-    is memoized there, so repeated queries are O(1) table hits. *)
+    {!Bionav_util.Docset.t} values. Query answers are fresh values the
+    index does not retain, so its resident size is fixed at build. *)
 
 type t
 
 val build : Bionav_corpus.Medline.t -> t
 (** Index every citation's title and abstract. *)
 
-val arena : t -> Bionav_util.Docset_arena.t
-(** The index's arena, for observability ({!Bionav_util.Docset_arena.stats}). *)
+val resident_bytes : t -> int
+(** Payload bytes of the posting lists ({!Bionav_util.Docset.bytes}). *)
 
 val postings : t -> string -> Bionav_util.Docset.t
 (** Citations containing the (normalized) term; empty for unknown terms. *)

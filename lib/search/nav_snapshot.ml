@@ -23,22 +23,19 @@ type t = {
   root : int;
   order : int list;
   index : (int, vnode) Hashtbl.t;
-  arena : Docset_arena.t;
   nav : Nav_tree.t;
 }
 
 let capture ~epoch ~query ?(space = "descriptor") ?(refine_depth = 0) navigation =
   let active = Navigation.active navigation in
   let nav = Active_tree.nav active in
-  let arena = Docset_arena.create () in
   let order = Active_tree.visible active in
   let index = Hashtbl.create (max 16 (List.length order)) in
-  (* Every field is read off the active tree's per-component state. The
-     results are imported into the snapshot arena, sharing their
-     immutable payload; the member arrays are immutable and shared too. *)
+  (* Every field is read off the active tree's per-component state; the
+     results docsets and member arrays are immutable and shared. *)
   List.iter
     (fun id ->
-      let results = Docset.in_arena arena (Active_tree.component_results active id) in
+      let results = Active_tree.component_results active id in
       Hashtbl.replace index id
         {
           id;
@@ -51,7 +48,6 @@ let capture ~epoch ~query ?(space = "descriptor") ?(refine_depth = 0) navigation
           results;
         })
     order;
-  Docset_arena.freeze arena;
   {
     epoch;
     query;
@@ -63,7 +59,6 @@ let capture ~epoch ~query ?(space = "descriptor") ?(refine_depth = 0) navigation
     root = Nav_tree.root nav;
     order;
     index;
-    arena;
     nav;
   }
 
@@ -76,7 +71,6 @@ let stats t = t.stats
 let distinct_results t = t.distinct_results
 let root t = t.root
 let visible t = t.order
-let arena t = t.arena
 let nav t = t.nav
 let find t id = Hashtbl.find_opt t.index id
 

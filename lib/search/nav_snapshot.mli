@@ -14,19 +14,17 @@
     - {!vnode.distinct} equals the cardinality of {!vnode.results};
     - {!vnode.parent} / {!vnode.children} describe one coherent
       Definition-5 embedding (children are relevance-ranked);
-    - all docsets live in a single private {e frozen} arena
-      ({!Bionav_util.Docset_arena.freeze}), so any attempted mutation
-      raises {!Bionav_util.Docset_arena.Frozen}.
+    - every docset is an immutable {!Bionav_util.Docset.t} value, so
+      nothing a reader holds can change under it.
 
     The snapshot also pins [nav], the underlying navigation tree, whose
-    post-build state is immutable except for its arena's memo tables.
+    post-build state is immutable.
 
     Capture does no set algebra: the active tree maintains every
     component's members, results, weight and visible links across cuts,
-    so a capture imports the visible components' results into the fresh
-    arena (sharing their immutable payload), ranks each child list by
-    the cached weights and reads the rest — O(visible nodes) plus the
-    ranking. *)
+    so a capture shares the visible components' results, ranks each
+    child list by the cached weights and reads the rest — O(visible
+    nodes) plus the ranking. *)
 
 type vnode = {
   id : int;  (** Navigation node id (dense, preorder). *)
@@ -39,7 +37,7 @@ type vnode = {
       (** Component members, ascending navigation ids. Shared with the
           active tree, which never mutates it; readers must not either. *)
   results : Bionav_util.Docset.t;
-      (** Distinct citations of the component, in the snapshot arena. *)
+      (** Distinct citations of the component. *)
 }
 
 type t
@@ -54,8 +52,7 @@ val capture :
 (** Build a snapshot of the session's current visible tree. Must be
     called between mutations of the session (the engine captures at the
     end of each mutating operation): capture reads the live active
-    tree, which an unfinished cut would leave half-updated. The returned
-    snapshot's private arena is frozen before return. [space] (default
+    tree, which an unfinished cut would leave half-updated. [space] (default
     ["descriptor"]) is the identity of the navigation space the session's
     top frame was derived along; [refine_depth] (default 0) the depth of
     its refinement stack. *)
@@ -95,9 +92,6 @@ val get : t -> int -> vnode
 val mem : t -> int -> bool
 val iter : t -> (vnode -> unit) -> unit
 val node_count : t -> int
-
-val arena : t -> Bionav_util.Docset_arena.t
-(** The snapshot's private arena; always frozen. *)
 
 val nav : t -> Bionav_core.Nav_tree.t
 (** The underlying navigation tree (shared with the live session). *)

@@ -1,9 +1,8 @@
 (** Bounded LRU cache of decoded posting blocks.
 
     Keys are (segment uid, key index, block index); values are
-    {!Bionav_util.Docset} handles, each interned in its own private
-    mini-arena so that LRU eviction actually releases the decoded memory
-    to the GC (a shared arena would grow forever under churn).
+    {!Bionav_util.Docset} values, so LRU eviction releases the decoded
+    memory to the GC.
 
     Not synchronized: the engine that owns the {!Store} serves one
     caller at a time. The streaming [iter_*] paths bypass the cache

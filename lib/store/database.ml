@@ -17,6 +17,7 @@ type t = {
   hierarchy : Hierarchy.t;
   backend : backend;
   total_counts : int array;
+  counts : int array;  (* [bucket_result]'s per-concept counts, all zero between calls *)
 }
 
 let make ~hierarchy ~assoc =
@@ -28,7 +29,8 @@ let make ~hierarchy ~assoc =
     Array.init (Hierarchy.size hierarchy) (fun c ->
         Intset.cardinal (Assoc_table.citations_of_concept assoc c))
   in
-  { hierarchy; backend = Memory assoc; total_counts }
+  let counts = Array.make (Hierarchy.size hierarchy) 0 in
+  { hierarchy; backend = Memory assoc; total_counts; counts }
 
 let make_external ~hierarchy backend =
   if backend.x_n_concepts <> Hierarchy.size hierarchy then
@@ -39,7 +41,8 @@ let make_external ~hierarchy backend =
      segment directories) — precomputing the array keeps [total_count]
      an O(1) array read on both backends without decoding anything. *)
   let total_counts = Array.init backend.x_n_concepts backend.x_total_count in
-  { hierarchy; backend = External backend; total_counts }
+  { hierarchy; backend = External backend; total_counts;
+    counts = Array.make backend.x_n_concepts 0 }
 
 let of_medline medline =
   let hierarchy = Medline.hierarchy medline in
@@ -94,10 +97,13 @@ let citations_of_concept t concept =
    prefix sums of the counts place every concept's bucket in one flat
    array, which a second pass over the record fills and each concept's
    slice is copied out of. [iter] must visit the result's [n] citations
-   in increasing id order so each bucket comes out sorted. *)
+   in increasing id order so each bucket comes out sorted. The counts
+   live in [t.counts], reused by every call: the slicing pass zeroes each
+   entry once it has read it, and a failing backend zeroes the whole
+   array before the exception leaves. *)
 let bucket_result t ~n iter =
   let n_concepts = Hierarchy.size t.hierarchy in
-  let counts = Array.make n_concepts 0 in
+  let counts = t.counts in
   let cits = Array.make n 0 and ends = Array.make n 0 in
   (* Sized for the corpus-wide mean of concepts per citation, rounded up;
      a result above it grows the record by doubling. *)
@@ -106,19 +112,23 @@ let bucket_result t ~n iter =
   in
   let concepts = ref (Array.make (max 1 (n * per_citation)) 0) in
   let len = ref 0 and i = ref 0 in
-  iter (fun cit ->
-      cits.(!i) <- cit;
-      iter_concepts_of_citation t cit (fun c ->
-          if !len = Array.length !concepts then begin
-            let bigger = Array.make (2 * !len) 0 in
-            Array.blit !concepts 0 bigger 0 !len;
-            concepts := bigger
-          end;
-          !concepts.(!len) <- c;
-          incr len;
-          counts.(c) <- counts.(c) + 1);
-      ends.(!i) <- !len;
-      incr i);
+  (try
+     iter (fun cit ->
+         cits.(!i) <- cit;
+         iter_concepts_of_citation t cit (fun c ->
+             if !len = Array.length !concepts then begin
+               let bigger = Array.make (2 * !len) 0 in
+               Array.blit !concepts 0 bigger 0 !len;
+               concepts := bigger
+             end;
+             !concepts.(!len) <- c;
+             incr len;
+             counts.(c) <- counts.(c) + 1);
+         ends.(!i) <- !len;
+         incr i)
+   with e ->
+     Array.fill counts 0 n_concepts 0;
+     raise e);
   let concepts = !concepts in
   (* [counts.(c)] becomes the start of c's bucket in [flat], and the fill
      moves it to the bucket's end, which is where c + 1's starts. *)
@@ -141,7 +151,8 @@ let bucket_result t ~n iter =
   let acc = ref [] in
   for c = n_concepts - 1 downto 0 do
     let first = if c = 0 then 0 else counts.(c - 1) in
-    if counts.(c) > first then acc := (c, Array.sub flat first (counts.(c) - first)) :: !acc
+    if counts.(c) > first then acc := (c, Array.sub flat first (counts.(c) - first)) :: !acc;
+    counts.(c) <- 0
   done;
   !acc
 
@@ -150,7 +161,7 @@ let concepts_of_result t result =
     (fun (c, arr) -> (c, Intset.of_sorted_array_unchecked arr))
     (bucket_result t ~n:(Intset.cardinal result) (fun f -> Intset.iter f result))
 
-let concepts_of_result_ds t ~arena result =
+let concepts_of_result_ds t result =
   List.map
-    (fun (c, arr) -> (c, Docset.of_sorted_array_unchecked_in arena arr))
+    (fun (c, arr) -> (c, Docset.of_sorted_array_unchecked arr))
     (bucket_result t ~n:(Docset.cardinal result) (fun f -> Docset.iter f result))

@@ -83,11 +83,16 @@ val concepts_of_result : t -> Bionav_util.Intset.t -> (int * Bionav_util.Intset.
 (** [concepts_of_result t result] is the on-line navigation-tree input: for
     each concept associated with at least one citation of [result], the
     subset of [result] attached to it. Implemented through the denormalized
-    orientation, one lookup per result citation, as in the paper. *)
+    orientation, one lookup per result citation, as in the paper.
+
+    Single owner: both bucketing calls reuse one per-concept count array
+    held with the database (zero between calls), so calls on one
+    database must not overlap — from two domains, or from inside the
+    iteration of another. The database belongs to one engine, which
+    serves one caller at a time (DESIGN.md §11). *)
 
 val concepts_of_result_ds :
-  t -> arena:Bionav_util.Docset_arena.t -> Bionav_util.Docset.t -> (int * Bionav_util.Docset.t) list
+  t -> Bionav_util.Docset.t -> (int * Bionav_util.Docset.t) list
 (** {!concepts_of_result} without the [Intset] round-trip: the result
-    arrives and the attachments leave as {!Bionav_util.Docset} handles
-    interned straight into [arena], which is what {!Bionav_core.Nav_tree}
-    consumes (it passes the new tree's arena). *)
+    arrives and the attachments leave as {!Bionav_util.Docset} values,
+    which is what {!Bionav_core.Nav_tree} consumes. *)

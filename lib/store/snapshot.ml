@@ -5,9 +5,9 @@ let magic = "BIONAVSNAP"
 
 (* Version history:
    1 — each entry carried its own inline result array.
-   2 — results are a deduplicated set table (the interned-arena layout):
-       structurally equal result sets are written once and entries
-       reference them by index. v1 snapshots still decode. *)
+   2 — results are a deduplicated set table: structurally equal result
+       sets are written once and entries reference them by index. v1
+       snapshots still decode. *)
 let version = 2
 
 let supported_versions = [ 1; 2 ]
@@ -18,17 +18,28 @@ let encode ~db entries =
   let body = Buffer.create (1 lsl 16) in
   write_i32 body (Bionav_mesh.Hierarchy.size (Database.hierarchy db));
   write_i32 body (Database.n_citations db);
-  (* Set table: one interning arena over the entries' result sets. *)
-  let arena = Docset_arena.create () in
+  (* Set table: the empty set first, then each distinct result set in
+     the order entries first reach it. *)
+  let index = Hashtbl.create 16 and table = ref [ Intset.empty ] in
+  Hashtbl.add index Intset.empty 0;
   let set_ids =
-    List.map (fun e -> Docset_arena.intern arena (Intset.to_array e.results)) entries
+    List.map
+      (fun e ->
+        match Hashtbl.find_opt index e.results with
+        | Some id -> id
+        | None ->
+            let id = Hashtbl.length index in
+            Hashtbl.add index e.results id;
+            table := e.results :: !table;
+            id)
+      entries
   in
-  let n_sets = (Docset_arena.stats arena).Docset_arena.sets in
-  write_i32 body n_sets;
-  for id = 0 to n_sets - 1 do
-    write_i32 body (Docset_arena.cardinal arena id);
-    Docset_arena.iter arena id (fun cit -> write_i32 body cit)
-  done;
+  write_i32 body (Hashtbl.length index);
+  List.iter
+    (fun set ->
+      write_i32 body (Intset.cardinal set);
+      Intset.iter (fun cit -> write_i32 body cit) set)
+    (List.rev !table);
   write_i32 body (List.length entries);
   List.iter2
     (fun e set_id ->

@@ -10,8 +10,9 @@
     source database's dimensions so a snapshot is never applied against a
     hierarchy or corpus other than the one it was built from.
 
-    Version 2 writes a deduplicated set table — structurally equal result
-    sets (interned arena-style) are stored once and referenced by index —
+    Version 2 writes a deduplicated set table — the empty set, then each
+    structurally distinct result set once, in first-use order, referenced
+    by index —
     while version-1 snapshots (inline per-entry result arrays) still
     decode. Unknown versions fail with an error naming the supported
     ones. *)

@@ -1,28 +1,19 @@
-(** Immutable set handles over {!Docset_arena} storage.
+(** Immutable integer sets: the result-set type of the navigation stack.
 
-    A [Docset.t] is an (arena, id) pair: the universal result-set type of
-    the navigation stack. Two handles in the same arena are equal iff
-    their ids are equal (O(1)); handles from different arenas compare by
-    content fingerprint first, full scan only on fingerprint collision.
-
-    Arena discipline: {!of_list} and friends intern into a private
-    per-value arena (convenient for construction and tests); the [_in]
-    variants intern into a caller-supplied arena so that sets built for
-    one navigation tree share storage and memo tables. Binary operations
-    between handles from different arenas rebase the right operand into
-    the left operand's arena. *)
+    A [Docset.t] is a self-contained value. Each set is stored in the
+    denser of two representations, chosen deterministically from its
+    content: a sorted array ({!Intset}) for sparse sets, or a packed
+    bitset of 32 bits per word over the set's own span for dense ones.
+    Equal sets therefore always have equal representations, {!equal} is
+    structural, and every operation returns a fresh or shared immutable
+    value; nothing is interned or memoized. *)
 
 type t
 
-val arena : t -> Docset_arena.t
-val id : t -> Docset_arena.id
-
 val empty : t
-(** The empty set, in a process-wide shared arena. *)
-
 val is_empty : t -> bool
 
-(* --- construction (private mini-arena per value) ----------------------- *)
+(* --- construction -------------------------------------------------------- *)
 
 val singleton : int -> t
 
@@ -33,34 +24,20 @@ val of_array : int array -> t
 (** Sorts and deduplicates; does not mutate its argument. *)
 
 val of_sorted_array_unchecked : int array -> t
-(** The caller guarantees sorted strictly increasing; the array may be
-    adopted and must not be mutated afterwards. *)
+(** The caller guarantees sorted strictly increasing (checked only by
+    {!Intset.of_sorted_array_unchecked}'s debug assertion); the array may
+    be adopted and must not be mutated afterwards. *)
 
 val of_intset : Intset.t -> t
+(** Shares the intset's storage when the set stays sparse. *)
 
-(* --- construction into a shared arena ---------------------------------- *)
-
-val of_list_in : Docset_arena.t -> int list -> t
-val of_array_in : Docset_arena.t -> int array -> t
-val of_sorted_array_unchecked_in : Docset_arena.t -> int array -> t
-val of_intset_in : Docset_arena.t -> Intset.t -> t
-val singleton_in : Docset_arena.t -> int -> t
-
-val in_arena : Docset_arena.t -> t -> t
-(** Rebase a handle into [arena] (no-op if it already lives there). *)
-
-val consolidate : t array -> t array
-(** Rebase every handle into one shared arena (the first non-empty
-    handle's arena) so subsequent cross-element set algebra is memoized
-    in one place. Used by constructors that accept per-node set arrays. *)
-
-(* --- queries ------------------------------------------------------------ *)
+(* --- queries ------------------------------------------------------------- *)
 
 val cardinal : t -> int
 (** O(1). *)
 
 val fingerprint : t -> int
-(** Content hash; equal sets have equal fingerprints in any arena. O(1). *)
+(** Content hash, O(n): equal sets have equal fingerprints. *)
 
 val mem : int -> t -> bool
 val choose : t -> int
@@ -70,11 +47,11 @@ val max_elt : t -> int
 (** Largest element. @raise Not_found if empty. *)
 
 val equal : t -> t -> bool
-(** O(1) within an arena; cross-arena compares fingerprints then content. *)
+(** Structural. *)
 
 val compare : t -> t -> int
-(** Total order consistent with {!equal} (fingerprint-major; content order
-    on collision). Not the subset order. *)
+(** Total order consistent with {!equal} (cardinality first, then
+    ascending content). Not the subset order. *)
 
 val equal_array : t -> int array -> bool
 (** Contains exactly the elements of this sorted array; allocation-free. *)
@@ -84,20 +61,31 @@ val to_array : t -> int array
 (** Fresh copy; safe to mutate. *)
 
 val to_intset : t -> Intset.t
-val iter : (int -> unit) -> t -> unit
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
+(** Shares the storage of a sparse set. *)
 
-(* --- set algebra (memoized in the left operand's arena) ----------------- *)
+val iter : (int -> unit) -> t -> unit
+(** Ascending. *)
+
+val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
+(** Ascending. *)
+
+val bytes : t -> int
+(** Payload bytes of the representation, for resident-memory accounting. *)
+
+(* --- set algebra --------------------------------------------------------- *)
 
 val union : t -> t -> t
 val inter : t -> t -> t
 val diff : t -> t -> t
 
 val union_many : t list -> t
-(** Folds memoized unions in the first non-empty operand's arena. *)
+(** One k-way union: a bitmap over the operands' span when it is no
+    larger than their total size, otherwise {!Intset.union_many}. When
+    the union equals its largest operand, that operand is returned. *)
 
 val inter_cardinal : t -> t -> int
-(** Allocation-free (SWAR popcount on bitset pairs); memoized. *)
+(** [cardinal (inter a b)] without allocating (SWAR popcount on bitset
+    pairs). *)
 
 val union_cardinal : t -> t -> int
 val subset : t -> t -> bool

@@ -112,69 +112,74 @@ let add x t = if mem x t then t else union (singleton x) t
 
 let remove x t = if mem x t then diff t (singleton x) else t
 
-(* Heap-based k-way merge: a binary min-heap of (head value, source, cursor)
-   emits the global minimum per step, so total work is O(N log k) with one
-   output pass and no intermediate merge arrays. *)
+(* Heap-based k-way merge: a binary min-heap of source heads emits the
+   global minimum per step, so total work is O(N log k) with one output
+   pass and no intermediate merge arrays. The heap is two int arrays —
+   head value and source index — so a step allocates nothing. *)
 let union_many_heap sets =
   let srcs = Array.of_list sets in
   let k = Array.length srcs in
   let total = Array.fold_left (fun acc s -> acc + Array.length s) 0 srcs in
-  (* heap.(i) = (current head value, source index); idx.(s) = cursor into
-     source s. Invariant: every live source appears exactly once. *)
-  let heap = Array.make k (0, 0) in
+  (* [hv.(i)]/[hs.(i)]: head value and source of heap slot i; [idx.(s)]:
+     cursor into source s. Invariant: every live source appears exactly
+     once. *)
+  let hv = Array.make k 0 and hs = Array.make k 0 in
   let idx = Array.make k 0 in
   let hn = ref 0 in
-  let swap i j =
-    let tmp = heap.(i) in
-    heap.(i) <- heap.(j);
-    heap.(j) <- tmp
-  in
-  let rec sift_up i =
-    if i > 0 then begin
-      let p = (i - 1) / 2 in
-      if fst heap.(i) < fst heap.(p) then begin
-        swap i p;
-        sift_up p
+  (* Move the entry (v, s) down from slot i to where it belongs. *)
+  let rec sift_down i v s =
+    let l = (2 * i) + 1 in
+    if l >= !hn then begin
+      hv.(i) <- v;
+      hs.(i) <- s
+    end
+    else begin
+      let r = l + 1 in
+      let m = if r < !hn && hv.(r) < hv.(l) then r else l in
+      if hv.(m) < v then begin
+        hv.(i) <- hv.(m);
+        hs.(i) <- hs.(m);
+        sift_down m v s
+      end
+      else begin
+        hv.(i) <- v;
+        hs.(i) <- s
       end
     end
   in
-  let rec sift_down i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let m = ref i in
-    if l < !hn && fst heap.(l) < fst heap.(!m) then m := l;
-    if r < !hn && fst heap.(r) < fst heap.(!m) then m := r;
-    if !m <> i then begin
-      swap i !m;
-      sift_down !m
+  let rec sift_up i v s =
+    let p = (i - 1) / 2 in
+    if i > 0 && v < hv.(p) then begin
+      hv.(i) <- hv.(p);
+      hs.(i) <- hs.(p);
+      sift_up p v s
+    end
+    else begin
+      hv.(i) <- v;
+      hs.(i) <- s
     end
   in
   Array.iteri
     (fun s src ->
       if Array.length src > 0 then begin
-        heap.(!hn) <- (src.(0), s);
         incr hn;
-        sift_up (!hn - 1)
+        sift_up (!hn - 1) src.(0) s
       end)
     srcs;
   let out = Array.make total 0 in
   let n = ref 0 in
   while !hn > 0 do
-    let v, s = heap.(0) in
+    let v = hv.(0) and s = hs.(0) in
     if !n = 0 || out.(!n - 1) <> v then begin
       out.(!n) <- v;
       incr n
     end;
-    idx.(s) <- idx.(s) + 1;
-    if idx.(s) < Array.length srcs.(s) then begin
-      heap.(0) <- (srcs.(s).(idx.(s)), s);
-      sift_down 0
-    end
+    let c = idx.(s) + 1 in
+    idx.(s) <- c;
+    if c < Array.length srcs.(s) then sift_down 0 srcs.(s).(c) s
     else begin
       decr hn;
-      if !hn > 0 then begin
-        heap.(0) <- heap.(!hn);
-        sift_down 0
-      end
+      if !hn > 0 then sift_down 0 hv.(!hn) hs.(!hn)
     end
   done;
   if !n = total then out else Array.sub out 0 !n
@@ -213,6 +218,8 @@ let iter f t = Array.iter f t
 let fold f t init = Array.fold_left (fun acc x -> f x acc) init t
 
 let choose t = if is_empty t then raise Not_found else t.(0)
+
+let max_elt t = if is_empty t then raise Not_found else t.(Array.length t - 1)
 
 let pp ppf t =
   Format.fprintf ppf "{%a}"

@@ -51,4 +51,7 @@ val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val choose : t -> int
 (** Smallest element. @raise Not_found if empty. *)
 
+val max_elt : t -> int
+(** Largest element. @raise Not_found if empty. *)
+
 val pp : Format.formatter -> t -> unit

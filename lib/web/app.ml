@@ -263,9 +263,6 @@ let show t query =
                 match Engine.show_results s node with
                 | exception Invalid_argument _ -> Http.bad_request "node not visible"
                 | citations ->
-                    (* The docset lives in the live arena; iterating it
-                       is a pure read, done before the next engine
-                       operation. *)
                     let items = citation_items t citations in
                     Http.ok
                       (Html.page

@@ -52,15 +52,14 @@ let ranked_children active node =
        weighted)
 
 (* The visible nodes in preorder and, for each, the vnode the old capture
-   published (results in a private arena). *)
+   published (results as a fresh copy). *)
 let capture active =
   let nav = Active_tree.nav active in
-  let arena = Docset_arena.create () in
   List.map
     (fun id ->
       let members = Array.of_list (members active id) in
       let results =
-        Docset.of_sorted_array_unchecked_in arena (Docset.to_array (results active id))
+        Docset.of_sorted_array_unchecked (Docset.to_array (results active id))
       in
       {
         Nav_snapshot.id;

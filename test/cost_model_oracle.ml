@@ -1,8 +1,7 @@
 (* The union-based distinct count that the signature table in
    lib/core/cost_model.ml replaced, kept as the differential-test oracle:
-   |L(C)| is the cardinality of the union of the mask's node sets, folded
-   through the arena's memoized unions. Bits beyond the tree are
-   ignored. *)
+   |L(C)| is the cardinality of the union of the mask's node sets. Bits
+   beyond the tree are ignored. *)
 
 open Bionav_core
 

@@ -1,9 +1,8 @@
-(* The reduced-tree builder that the one-pass bitmap unions in
+(* The reduced-tree builder that the array-indexed supernodes in
    lib/core/reduced_tree.ml replaced, kept as the differential-test
    oracle: supernodes are found through a Hashtbl and each supernode's
-   results are a Docset.union_many, which interns and memoizes one
-   intermediate union per member. [best_cut] runs Heuristic-ReducedOpt
-   over this builder and the partition oracle. *)
+   results are the Intset union of its members' sets. [best_cut] runs
+   Heuristic-ReducedOpt over this builder and the partition oracle. *)
 
 open Bionav_util
 open Bionav_core
@@ -38,7 +37,13 @@ let build orig (partition : Partition.result) =
           Hashtbl.find super_of_root partition.assignment.(p))
       roots
   in
-  let results = Array.map (fun ms -> Docset.union_many (List.map (Comp_tree.results orig) ms)) members in
+  let results =
+    Array.map
+      (fun ms ->
+        Docset.of_intset
+          (Intset.union_many (List.map (fun v -> Docset.to_intset (Comp_tree.results orig v)) ms)))
+      members
+  in
   let totals =
     Array.map (fun ms -> List.fold_left (fun acc v -> acc + Comp_tree.total orig v) 0 ms) members
   in

@@ -112,6 +112,36 @@ let test_search_creates_sessions_with_monotonic_ids () =
   Alcotest.(check bool) "lookup works" true
     (match Engine.find_session t "s0" with Some _ -> true | None -> false)
 
+(* Query answers are values the index does not keep: 100 distinct
+   two-word searches, each session closed, leave the words reachable
+   from the inverted index exactly where they were. *)
+let test_search_retains_nothing_in_index () =
+  let t = engine () in
+  let eutils = Engine.eutils t in
+  let index = Eu.index eutils in
+  let queries = Hashtbl.create 128 in
+  Array.iter
+    (fun c ->
+      match Bionav_search.Tokenizer.unique_tokens c.Bionav_corpus.Citation.title with
+      | a :: b :: _ when Hashtbl.length queries < 100 -> Hashtbl.replace queries (a ^ " " ^ b) ()
+      | _ -> ())
+    (Bionav_corpus.Medline.citations (Eu.medline eutils));
+  Alcotest.(check int) "100 distinct queries" 100 (Hashtbl.length queries);
+  let before = Obj.reachable_words (Obj.repr index) in
+  let sessions = ref 0 in
+  Hashtbl.iter
+    (fun q () ->
+      match Engine.search t q with
+      | Ok (Engine.Session s) ->
+          incr sessions;
+          ignore (Engine.close t (Engine.session_id s) : bool)
+      | Ok Engine.No_results -> ()
+      | Error e -> Alcotest.fail e)
+    queries;
+  Alcotest.(check bool) "queries found results" true (!sessions > 50);
+  Alcotest.(check int) "all closed" 0 (Engine.session_count t);
+  Alcotest.(check int) "index words unchanged" before (Obj.reachable_words (Obj.repr index))
+
 (* --- bounded store / LRU ------------------------------------------------ *)
 
 let small_config = { Engine.default_config with Engine.max_sessions = 3 }
@@ -354,6 +384,8 @@ let () =
           Alcotest.test_case "errors" `Quick test_search_errors;
           Alcotest.test_case "no results" `Quick test_search_no_results;
           Alcotest.test_case "monotonic ids" `Quick test_search_creates_sessions_with_monotonic_ids;
+          Alcotest.test_case "index retains no results" `Quick
+            test_search_retains_nothing_in_index;
         ] );
       ( "store",
         [

@@ -116,7 +116,7 @@ let test_bionav_cost_bounded () =
 (* --- Docset vs Intset equivalence (the tentpole's correctness anchor):
    over random attachment-style sets, every Docset operation agrees with
    the Intset reference implementation, and fingerprints are stable
-   across arenas. *)
+   across the ways a set can be built. *)
 
 let gen_attachment =
   (* Mix of sparse and dense-ish ranges so both physical representations
@@ -164,15 +164,14 @@ let qcheck_docset_cardinal =
       && Docset.subset da db_ = Intset.subset ia ib)
 
 let qcheck_docset_fingerprint_stable =
-  QCheck.Test.make ~name:"docset fingerprint stable across arenas" ~count:300
+  QCheck.Test.make ~name:"docset fingerprint stable across constructions" ~count:300
     gen_attachment
     (fun l ->
-      (* Same content interned three ways: private arenas, a shared arena,
-         and through set algebra — one fingerprint everywhere, and equal
-         content is equal regardless of arena. *)
+      (* Same content built from a list, from a sorted array and through
+         set algebra — one fingerprint everywhere, and equal content is
+         equal however it was built. *)
       let a = Docset.of_list l and b = Docset.of_list (List.rev l) in
-      let arena = Docset_arena.create () in
-      let c = Docset.of_list_in arena l in
+      let c = Docset.of_sorted_array_unchecked (Array.of_list (List.sort_uniq compare l)) in
       let rebuilt = Docset.union (Docset.of_list l) (Docset.of_list l) in
       Docset.fingerprint a = Docset.fingerprint b
       && Docset.fingerprint a = Docset.fingerprint c

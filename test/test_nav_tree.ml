@@ -187,9 +187,9 @@ let test_of_database_distinct_monotone () =
       <= Nav_tree.subtree_distinct t (Nav_tree.parent t node))
   done
 
-(* of_database interns each concept's bucket straight into the new tree's
-   arena; building from private-arena sets over the Intset buckets is the
-   reference. Trees and arena economics must agree node for node. *)
+(* of_database buckets straight into docsets; building from the Intset
+   buckets is the reference. Trees and their sets must agree node for
+   node. *)
 let test_of_database_matches_reference () =
   let h = S.generate ~params:S.small_params ~seed:65 () in
   let m = G.generate ~params:{ G.small_params with G.n_citations = 400 } ~seed:66 h in
@@ -215,11 +215,10 @@ let test_of_database_matches_reference () =
         Alcotest.(check bool) "results" true
           (Docset.equal (Nav_tree.results r v) (Nav_tree.results t v));
         Alcotest.(check int) "subtree distinct" (Nav_tree.subtree_distinct r v)
-          (Nav_tree.subtree_distinct t v)
-      done;
-      let st = Docset_arena.stats (Nav_tree.arena t)
-      and sr = Docset_arena.stats (Nav_tree.arena r) in
-      Alcotest.(check bool) "arena stats" true (st = sr))
+          (Nav_tree.subtree_distinct t v);
+        Alcotest.(check bool) "subtree results" true
+          (Docset.equal (Nav_tree.subtree_results r v) (Nav_tree.subtree_results t v))
+      done)
     [ List.init 60 (fun i -> i * 5); List.init 400 Fun.id; [ 7 ]; [] ]
 
 let () =

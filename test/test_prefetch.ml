@@ -189,6 +189,29 @@ let test_snapshot_roundtrip () =
       Alcotest.(check (list int)) "root cut" e.Snapshot.root_cut b.Snapshot.root_cut)
     entries back
 
+(* The v2 encoder's exact bytes for a set table with an empty entry in
+   the middle, repeated sets and a dense run: the empty set at index 0,
+   then distinct sets in first-use order. The digest was taken from the
+   arena-interning encoder this one replaced. *)
+let test_snapshot_v2_bytes_pinned () =
+  let db, _ = Lazy.force world in
+  let e query l root_cut = { Snapshot.query; results = Intset.of_list l; root_cut } in
+  let entries =
+    [
+      e "alpha" [ 9; 1; 5 ] [ 2; 3 ];
+      e "beta" [] [];
+      e "gamma" [ 2; 3 ] [ 1 ];
+      e "delta" [ 1; 5; 9 ] [ 4; 5; 6 ];
+      e "epsilon" (List.init 200 (fun i -> 40 + i)) [ 7 ];
+      e "zeta" [ 3; 2 ] [];
+      e "eta" [ 0 ] [ 1 ];
+    ]
+  in
+  let data = Snapshot.encode ~db entries in
+  Alcotest.(check int) "length" 1031 (String.length data);
+  Alcotest.(check string) "digest" "46d281e8d2fe7a8350a50de79e15b27e"
+    (Digest.to_hex (Digest.string data))
+
 let rejects f = try ignore (f ()); false with Invalid_argument _ -> true
 
 let flip_byte s i =
@@ -313,6 +336,7 @@ let () =
       ( "snapshot",
         [
           Alcotest.test_case "roundtrip" `Quick test_snapshot_roundtrip;
+          Alcotest.test_case "v2 bytes pinned" `Quick test_snapshot_v2_bytes_pinned;
           Alcotest.test_case "rejects corruption" `Quick test_snapshot_rejects_corruption;
           Alcotest.test_case "rejects other database" `Quick test_snapshot_rejects_other_database;
         ] );

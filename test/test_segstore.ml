@@ -600,7 +600,7 @@ let test_buckets_match_oracle () =
         (fun (name, db) ->
           Alcotest.(check bool) (name ^ " oracle") true
             (Bucket_oracle.concepts_of_result db result = expected);
-          let ds = DB.concepts_of_result_ds db ~arena:(Docset_arena.create ()) result in
+          let ds = DB.concepts_of_result_ds db result in
           Alcotest.(check bool) (name ^ " docsets") true
             (List.map (fun (c, d) -> (c, Docset.to_array d)) ds = expected);
           let is = DB.concepts_of_result db (Docset.to_intset result) in
