@@ -2,12 +2,13 @@ open Bionav_util
 
 (* What a component carries while its visible root stays visible. Every
    field is fixed when the component is formed (create or a cut) except
-   [key], the member set built on first use by a plan-cache lookup. *)
+   [key], the member set and its fingerprint, built on first use by a
+   plan-cache lookup. *)
 type comp = {
   members : int array;  (* ascending navigation ids; members.(0) is the root *)
   results : Docset.t;
   weight : float;  (* explore mass: Σ |L| / |LT| over members *)
-  mutable key : Docset.t option;
+  mutable key : (Docset.t * int) option;
 }
 
 (* A visible node: its component and its visible children (ascending). Its
@@ -88,14 +89,15 @@ let component_results t r = (node t "component_results" r).comp.results
 let component_distinct t r = Docset.cardinal (component_results t r)
 let component_weight t r = (node t "component_weight" r).comp.weight
 
-let component_set t r =
-  let c = (node t "component_set" r).comp in
+let component_key t r =
+  let c = (node t "component_key" r).comp in
   match c.key with
-  | Some s -> s
+  | Some k -> k
   | None ->
       let s = Docset.of_sorted_array_unchecked c.members in
-      c.key <- Some s;
-      s
+      let k = (s, Docset.fingerprint s) in
+      c.key <- Some k;
+      k
 
 let is_expandable t r = t.visible.(r) && component_size t r > 1
 

@@ -53,10 +53,11 @@ val component_weight : t -> int -> float
 (** The component's explore mass [Σ |L| / |LT|] over its members, summed
     in ascending member order (see {!Relevance}). *)
 
-val component_set : t -> int -> Bionav_util.Docset.t
-(** The member {e navigation ids} as a set — plan caches use its
-    {!Bionav_util.Docset.fingerprint} as a key component. Built on first
-    use and kept until a cut or backtrack changes the component. *)
+val component_key : t -> int -> Bionav_util.Docset.t * int
+(** The member {e navigation ids} as a set, with its
+    {!Bionav_util.Docset.fingerprint}: the plan-cache key of the
+    component. Built on first use and kept until a cut or backtrack
+    changes the component, so repeated lookups hash nothing. *)
 
 val is_expandable : t -> int -> bool
 (** Visible with a component of ≥ 2 nodes (the ">>>" affordance). *)

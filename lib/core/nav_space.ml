@@ -102,13 +102,14 @@ let derivation_hist dim = Metrics.histogram ("bionav_space_derivation_ms_" ^ dim
 let descriptor_hist = derivation_hist Descriptor
 let qualifier_hist = derivation_hist Qualifier_facet
 
-let derive t dim result =
-  let hist = match dim with Descriptor -> descriptor_hist | Qualifier_facet -> qualifier_hist in
-  let nav, ms =
-    Timing.time (fun () ->
-        match dim with
-        | Descriptor -> Nav_tree.of_database t.database result
-        | Qualifier_facet -> derive_facet t result)
-  in
+let timed hist f =
+  let nav, ms = Timing.time f in
   Metrics.observe hist ms;
   nav
+
+let derive t dim result =
+  match dim with
+  | Descriptor -> timed descriptor_hist (fun () -> Nav_tree.of_database t.database result)
+  | Qualifier_facet -> timed qualifier_hist (fun () -> derive_facet t result)
+
+let restrict parent subset = timed descriptor_hist (fun () -> Nav_tree.restrict parent subset)

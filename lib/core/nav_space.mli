@@ -20,7 +20,8 @@
     citation is lost or duplicated across pages, so SHOWRESULTS over the
     cut of a facet space enumerates the result set exactly once.
 
-    Derivation is timed into per-dimension
+    A refinement derives its descriptor space by {!restrict}ing the
+    descriptor tree it narrows. Derivation is timed into per-dimension
     [bionav_space_derivation_ms_<dimension>] histograms. *)
 
 type dimension = Descriptor | Qualifier_facet
@@ -40,9 +41,15 @@ val deriver :
 val supports : deriver -> dimension -> bool
 
 val derive : deriver -> dimension -> Bionav_util.Docset.t -> Nav_tree.t
-(** Derive the navigation space of a result set along a dimension.
-    @raise Invalid_argument on an unsupported dimension (facet without
-    [medline]). *)
+(** Derive the navigation space of a result set along a dimension from
+    scratch. @raise Invalid_argument on an unsupported dimension (facet
+    without [medline]). *)
+
+val restrict : Nav_tree.t -> Bionav_util.Docset.t -> Nav_tree.t
+(** The descriptor space of a subset of a descriptor tree's results,
+    filtered out of that tree ({!Nav_tree.restrict}): equal to
+    [derive _ Descriptor subset], without reading the database or
+    walking the hierarchy. Timed into the descriptor histogram. *)
 
 (* --- facet structure (exposed for rendering and tests) ----------------- *)
 

@@ -12,87 +12,39 @@ type t = {
   labels : string array;
   subtree_distinct : int array;
   subtree_sets : Docset.t array;
-  tin : int array;  (* preorder entry = node id itself, kept for clarity *)
   tout : int array;  (* preorder exit: last descendant id *)
   node_of_concept : (int, int) Hashtbl.t;
 }
 
-(* Intermediate rose tree used while computing the maximum embedding. *)
-type rose = Rose of int * rose list
-
-let build ~hierarchy ~attachments ~total_count =
-  let n_concepts = Hierarchy.size hierarchy in
-  let attached = Array.make n_concepts Docset.empty in
-  List.iter
-    (fun (c, set) ->
-      if c < 0 || c >= n_concepts then
-        invalid_arg (Printf.sprintf "Nav_tree.build: unknown concept %d" c);
-      if not (Docset.is_empty attached.(c)) then
-        invalid_arg (Printf.sprintf "Nav_tree.build: duplicate attachment for concept %d" c);
-      attached.(c) <- set)
-    attachments;
-  (* Maximum embedding (Definition 2), one depth-first pass: an empty
-     internal node is replaced by its kept children, an empty leaf vanishes,
-     the root survives unconditionally. *)
-  let rec embed c =
-    let kept = List.concat_map embed (Hierarchy.children hierarchy c) in
-    if Docset.is_empty attached.(c) then kept else [ Rose (c, kept) ]
-  in
-  let hroot = Hierarchy.root hierarchy in
-  let top = Rose (hroot, List.concat_map embed (Hierarchy.children hierarchy hroot)) in
-  (* Flatten in preorder: ids are assigned parents-first. *)
-  let count =
-    let rec sz (Rose (_, kids)) = 1 + List.fold_left (fun a k -> a + sz k) 0 kids in
-    sz top
-  in
-  let concept_ids = Array.make count 0 in
-  let parent = Array.make count (-1) in
-  let next = ref 0 in
-  let rec assign p (Rose (c, kids)) =
-    let id = !next in
-    incr next;
-    concept_ids.(id) <- c;
-    parent.(id) <- p;
-    List.iter (assign id) kids
-  in
-  assign (-1) top;
-  let children = Array.make count [] in
-  for i = count - 1 downto 1 do
-    children.(parent.(i)) <- i :: children.(parent.(i))
+(* Parents of [count] nodes listed in preorder, node 0 the root: each
+   node hangs under the innermost earlier node that [encloses] it, found
+   on a stack of the open ancestors. *)
+let nest count ~encloses =
+  let parent = Array.make count (-1) and stack = Array.make count 0 and top = ref 0 in
+  for i = 1 to count - 1 do
+    while !top > 0 && not (encloses stack.(!top) i) do
+      decr top
+    done;
+    parent.(i) <- stack.(!top);
+    incr top;
+    stack.(!top) <- i
   done;
-  let depth = Array.make count 0 in
+  parent
+
+(* The rest of a tree from its preorder arrays: children, depths, subtree
+   intervals and the concept index. [subtree_sets] gets the children. *)
+let finish ~concept_ids ~parent ~results ~totals ~labels ~subtree_sets =
+  let count = Array.length parent in
+  let children = Array.make count [] and depth = Array.make count 0 in
+  let tout = Array.init count Fun.id in
+  for i = count - 1 downto 1 do
+    children.(parent.(i)) <- i :: children.(parent.(i));
+    tout.(parent.(i)) <- max tout.(parent.(i)) tout.(i)
+  done;
   for i = 1 to count - 1 do
     depth.(i) <- depth.(parent.(i)) + 1
   done;
-  let results = Array.init count (fun i -> attached.(concept_ids.(i))) in
-  let totals =
-    Array.init count (fun i ->
-        let c = concept_ids.(i) in
-        let tc = total_count c in
-        let lc = Docset.cardinal results.(i) in
-        if tc < lc then
-          invalid_arg
-            (Printf.sprintf "Nav_tree.build: concept %d has total %d < attached %d" c tc lc);
-        (* The root may legitimately have no results and a zero total. *)
-        max tc lc)
-    in
-  let labels = Array.init count (fun i -> Hierarchy.label hierarchy concept_ids.(i)) in
-  (* Bottom-up union for subtree-distinct counts, kept as sets: refinement
-     narrows to a node's subtree results and component unions reuse whole
-     subtrees. A union equal to one operand shares it. *)
-  let subtree_sets = Array.make count Docset.empty in
-  for i = count - 1 downto 0 do
-    let union =
-      Docset.union_many (results.(i) :: List.map (fun c -> subtree_sets.(c)) children.(i))
-    in
-    subtree_sets.(i) <- union
-  done;
-  let subtree_distinct = Array.map Docset.cardinal subtree_sets in
-  let tin = Array.init count Fun.id in
-  let tout = Array.make count 0 in
-  for i = count - 1 downto 0 do
-    tout.(i) <- List.fold_left (fun acc c -> max acc tout.(c)) i children.(i)
-  done;
+  let subtree_sets = subtree_sets children in
   let node_of_concept = Hashtbl.create count in
   Array.iteri (fun i c -> Hashtbl.replace node_of_concept c i) concept_ids;
   {
@@ -103,12 +55,87 @@ let build ~hierarchy ~attachments ~total_count =
     results;
     totals;
     labels;
-    subtree_distinct;
+    subtree_distinct = Array.map Docset.cardinal subtree_sets;
     subtree_sets;
-    tin;
     tout;
     node_of_concept;
   }
+
+let build ~hierarchy ~attachments ~total_count =
+  let n_concepts = Hierarchy.size hierarchy in
+  let rank c = Hierarchy.preorder_rank hierarchy c in
+  let attached =
+    List.filter
+      (fun (c, set) ->
+        if c < 0 || c >= n_concepts then
+          invalid_arg (Printf.sprintf "Nav_tree.build: unknown concept %d" c);
+        not (Docset.is_empty set))
+      attachments
+    |> Array.of_list
+  in
+  Array.sort (fun (a, _) (b, _) -> Int.compare (rank a) (rank b)) attached;
+  Array.iteri
+    (fun i (c, _) ->
+      if i > 0 && fst attached.(i - 1) = c then
+        invalid_arg (Printf.sprintf "Nav_tree.build: duplicate attachment for concept %d" c))
+    attached;
+  (* Maximum embedding (Definition 2): in hierarchy preorder, each
+     attached concept hangs under its nearest attached ancestor, the
+     innermost one whose rank interval contains it. The root survives
+     unconditionally. *)
+  let hroot = Hierarchy.root hierarchy in
+  let nodes =
+    if Array.length attached > 0 && fst attached.(0) = hroot then attached
+    else Array.append [| (hroot, Docset.empty) |] attached
+  in
+  let count = Array.length nodes in
+  let concept_ids = Array.map fst nodes and results = Array.map snd nodes in
+  let parent =
+    nest count ~encloses:(fun j i ->
+        rank concept_ids.(i) <= Hierarchy.last_descendant_rank hierarchy concept_ids.(j))
+  in
+  let totals =
+    Array.init count (fun i ->
+        let c = concept_ids.(i) in
+        let tc = total_count c in
+        let lc = Docset.cardinal results.(i) in
+        if tc < lc then
+          invalid_arg
+            (Printf.sprintf "Nav_tree.build: concept %d has total %d < attached %d" c tc lc);
+        (* The root may legitimately have no results and a zero total. *)
+        max tc lc)
+  in
+  (* Bottom-up union for subtree-distinct counts, kept as sets: refinement
+     narrows to a node's subtree results and component unions reuse whole
+     subtrees. A union equal to one operand shares it. *)
+  let subtree_sets children =
+    let sets = Array.make count Docset.empty in
+    for i = count - 1 downto 0 do
+      sets.(i) <- Docset.union_many (results.(i) :: List.map (fun c -> sets.(c)) children.(i))
+    done;
+    sets
+  in
+  finish ~concept_ids ~parent ~results ~totals
+    ~labels:(Array.map (Hierarchy.label hierarchy) concept_ids)
+    ~subtree_sets
+
+(* Every concept of S is already in [t] (S lies inside its results), and
+   a node's nearest ancestor with results in S is on its [t] ancestor
+   chain, so filtering [t] in preorder is the maximum embedding of S. *)
+let restrict t s =
+  let m = Docset.mask s in
+  let kept = ref [] in
+  for i = Array.length t.parent - 1 downto 1 do
+    let r = Docset.inter_mask t.results.(i) m in
+    if not (Docset.is_empty r) then kept := (i, r) :: !kept
+  done;
+  let nodes = Array.of_list ((0, Docset.inter_mask t.results.(0) m) :: !kept) in
+  let olds = Array.map fst nodes in
+  let from a = Array.map (fun i -> a.(i)) olds in
+  finish ~concept_ids:(from t.concept_ids)
+    ~parent:(nest (Array.length olds) ~encloses:(fun j i -> olds.(i) <= t.tout.(olds.(j))))
+    ~results:(Array.map snd nodes) ~totals:(from t.totals) ~labels:(from t.labels)
+    ~subtree_sets:(fun _ -> Array.map (fun i -> Docset.inter_mask t.subtree_sets.(i) m) olds)
 
 let of_database db result =
   build ~hierarchy:(Database.hierarchy db)
@@ -139,7 +166,7 @@ let max_width t =
   Array.iter (fun d -> counts.(d) <- counts.(d) + 1) t.depth;
   Array.fold_left max 0 counts
 
-let in_subtree t ~root i = t.tin.(i) >= t.tin.(root) && t.tin.(i) <= t.tout.(root)
+let in_subtree t ~root i = i >= root && i <= t.tout.(root)
 let last_descendant t i = t.tout.(i)
 
 let comp_tree_of t ~root ~members:nodes =
@@ -147,22 +174,17 @@ let comp_tree_of t ~root ~members:nodes =
   if k = 0 || nodes.(0) <> root then
     invalid_arg "Nav_tree.comp_tree_of: members must contain the root as minimum";
   (* Ascending ids are a preorder of the component, so a member's parent
-     is the innermost still-open member on the stack of its ancestors. *)
-  let parent = Array.make k (-1) in
-  let stack = Array.make k 0 and top = ref 0 in
+     is its innermost enclosing member, which must be its tree parent. *)
   for idx = 1 to k - 1 do
-    let nav = nodes.(idx) in
-    if nav <= nodes.(idx - 1) then
-      invalid_arg "Nav_tree.comp_tree_of: members not strictly ascending";
-    while !top >= 0 && t.tout.(nodes.(stack.(!top))) < nav do
-      decr top
-    done;
-    if !top < 0 || nodes.(stack.(!top)) <> t.parent.(nav) then
+    if nodes.(idx) <= nodes.(idx - 1) then
+      invalid_arg "Nav_tree.comp_tree_of: members not strictly ascending"
+  done;
+  let parent = nest k ~encloses:(fun j i -> nodes.(i) <= t.tout.(nodes.(j))) in
+  for idx = 1 to k - 1 do
+    if nodes.(parent.(idx)) <> t.parent.(nodes.(idx)) then
       invalid_arg
-        (Printf.sprintf "Nav_tree.comp_tree_of: member %d disconnected from root %d" nav root);
-    parent.(idx) <- stack.(!top);
-    incr top;
-    stack.(!top) <- idx
+        (Printf.sprintf "Nav_tree.comp_tree_of: member %d disconnected from root %d"
+           nodes.(idx) root)
   done;
   let results = Array.map (fun nav -> t.results.(nav)) nodes in
   let totals = Array.map (fun nav -> t.totals.(nav)) nodes in

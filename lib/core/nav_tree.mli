@@ -23,6 +23,18 @@ val of_database : Bionav_store.Database.t -> Bionav_util.Docset.t -> t
 (** The on-line construction path: look up the concepts of every result
     citation in the BioNav database and embed. *)
 
+val restrict : t -> Bionav_util.Docset.t -> t
+(** [restrict t s] is the tree of the subset [s] of [t]'s results,
+    derived from [t] alone: every node whose results meet [s] is kept,
+    with [L(n) ∩ s], under its nearest kept ancestor, plus the root.
+    Concepts, totals and labels come from [t], and subtree sets are
+    [t]'s intersected with [s]. Since the concepts of [s] are all in
+    [t] and embedding keeps ancestry, this is node for node the tree
+    that [t]'s own derivation (e.g. {!of_database} on the same
+    database) builds over [s]; elements of [s] outside [t]'s results
+    are ignored. One preorder pass; sets inside [s] are shared with
+    [t]. *)
+
 val size : t -> int
 val root : t -> int
 val parent : t -> int -> int

@@ -47,8 +47,8 @@ let navigation_cost s = s.expands + s.revealed
 let total_cost s = s.expands + s.revealed + s.results_listed
 
 type plan_source = {
-  find_plan : root:int -> members:Docset.t -> int list option;
-  store_plan : root:int -> members:Docset.t -> cut:int list -> unit;
+  find_plan : root:int -> members:Docset.t -> members_fp:int -> int list option;
+  store_plan : root:int -> members:Docset.t -> members_fp:int -> cut:int list -> unit;
 }
 
 type t = {
@@ -148,8 +148,8 @@ let heuristic_cut t root ~over_budget ~k ~model ~reuse =
   match t.plan_source with
   | None -> compute_or_degrade ()
   | Some src -> (
-      let members = Active_tree.component_set t.active root in
-      match src.find_plan ~root ~members with
+      let members, members_fp = Active_tree.component_key t.active root in
+      match src.find_plan ~root ~members ~members_fp with
       | Some (_ :: _ as cut) ->
           Logs.debug (fun m -> m "navigation: injected plan for node %d" root);
           (`Cut cut, 0., 0, false)
@@ -158,7 +158,8 @@ let heuristic_cut t root ~over_budget ~k ~model ~reuse =
           (* A degraded cut is not a Heuristic-ReducedOpt solution; caching
              it would poison future sessions with static-quality plans. *)
           (match action with
-          | `Cut (_ :: _ as cut) when not degraded -> src.store_plan ~root ~members ~cut
+          | `Cut (_ :: _ as cut) when not degraded ->
+              src.store_plan ~root ~members ~members_fp ~cut
           | `Cut _ | `Static -> ());
           result)
 

@@ -96,15 +96,17 @@ val strategy : t -> strategy
 val stats : t -> stats
 
 type plan_source = {
-  find_plan : root:int -> members:Bionav_util.Docset.t -> int list option;
+  find_plan : root:int -> members:Bionav_util.Docset.t -> members_fp:int -> int list option;
       (** Memoized EdgeCut for the component of [root] whose members (the
           current [I(n)] navigation ids, as a set — key on its
-          fingerprint) are exactly [members]; [None] (or [Some []]) to
-          fall through to computation.
+          fingerprint [members_fp], cached with the component) are
+          exactly [members]; [None] (or [Some []]) to fall through to
+          computation.
           The returned cut children must be a valid EdgeCut of that
           component — sources built on exact-key memoization of previously
           computed cuts satisfy this by construction. *)
-  store_plan : root:int -> members:Bionav_util.Docset.t -> cut:int list -> unit;
+  store_plan :
+    root:int -> members:Bionav_util.Docset.t -> members_fp:int -> cut:int list -> unit;
       (** Called after a fresh computation so the source can memoize it. *)
 }
 

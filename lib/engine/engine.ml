@@ -66,6 +66,9 @@ type session = {
   query : string;
   sstrategy : Navigation.strategy;
       (* the effective base strategy; per-frame strategies derive from it *)
+  qnav : Nav_tree.t;
+      (* the query's descriptor tree: what a refinement with no descriptor
+         frame beneath it (a session based on the facet space) narrows *)
   mutable frames : frame list;  (* top frame first *)
   owner : t;
   mutable snapshot : Nav_snapshot.t;
@@ -87,7 +90,7 @@ and t = {
   prefetch : Prefetch.t option;
   guard : Guard.t option;
   adaptive : Adaptive.t option;  (* learned probability model *)
-  deriver : Nav_space.deriver;  (* derives refined/faceted spaces *)
+  deriver : Nav_space.deriver;  (* derives facet spaces *)
   budget : (unit -> unit -> bool) option;
       (* the EXPAND budget factory handed to Navigation.set_budget, when
          a guard or a budget is configured. The deadline starts first so
@@ -396,14 +399,14 @@ let wire_frame t ~fkey navigation =
   | Some factory -> Navigation.set_budget navigation (Some factory));
   Option.iter (fun pf -> Prefetch.attach_plans pf ~query:fkey navigation) t.prefetch
 
-(* Fetch or derive a navigation space for a derived frame, through the
+(* Fetch or [derive] a navigation space for a derived frame, through the
    engine's tree cache under the frame's composite key — so revisiting a
    refinement path is a cache hit, not a re-derivation. *)
-let derived_space t ~fkey ~dim subset =
+let derived_space t ~fkey derive =
   match Nav_cache.find t.cache fkey with
   | Some nav -> nav
   | None ->
-      let nav = Nav_space.derive t.deriver dim subset in
+      let nav = derive () in
       Nav_cache.put t.cache fkey nav;
       nav
 
@@ -440,7 +443,8 @@ let search t ?(strategy = Navigation.bionav ()) query =
                         let fkey = frame_key query fid in
                         let subset = Nav_tree.subtree_results nav (Nav_tree.root nav) in
                         let fnav =
-                          derived_space t ~fkey ~dim:Nav_space.Qualifier_facet subset
+                          derived_space t ~fkey (fun () ->
+                              Nav_space.derive t.deriver Nav_space.Qualifier_facet subset)
                         in
                         { fid; fdim = Nav_space.Qualifier_facet; fkey; fnav;
                           fnavigation = Navigation.start strategy fnav }
@@ -453,6 +457,7 @@ let search t ?(strategy = Navigation.bionav ()) query =
                       sid;
                       query;
                       sstrategy = strategy;
+                      qnav = nav;
                       frames = [ base ];
                       owner = t;
                       snapshot = capture ~epoch:0 ~query ~depth:0 base;
@@ -551,10 +556,10 @@ let backtrack s = run_locked s (fun () -> Navigation.backtrack (navigation s))
    revisited path is a Plan_cache-style hit, not a re-derivation), start
    a navigation on it under the dimension-mapped strategy and wire it
    into the budget and the plan cache. [run_locked] then publishes. *)
-let push_frame s ~fid ~dim subset =
+let push_frame s ~fid ~dim derive =
   let t = s.owner in
   let fkey = frame_key s.query fid in
-  let fnav = derived_space t ~fkey ~dim subset in
+  let fnav = derived_space t ~fkey derive in
   let fnavigation = Navigation.start (frame_strategy t.adaptive s.sstrategy dim) fnav in
   let fr = { fid; fdim = dim; fkey; fnav; fnavigation } in
   wire_frame t ~fkey fnavigation;
@@ -579,7 +584,17 @@ let refine s node =
       let subset = Nav_tree.subtree_results fr.fnav node in
       note_engaged s Adaptive.observe_show node;
       let fid = Printf.sprintf "%s>refine:%d" fr.fid concept in
-      let fr' = push_frame s ~fid ~dim:Nav_space.Descriptor subset in
+      (* Every frame's results lie inside those of the frames beneath it
+         and of the query, so the subset is filtered out of the nearest
+         descriptor tree. *)
+      let parent =
+        match List.find_opt descriptor_frame s.frames with
+        | Some d -> d.fnav
+        | None -> s.qnav
+      in
+      let fr' =
+        push_frame s ~fid ~dim:Nav_space.Descriptor (fun () -> Nav_space.restrict parent subset)
+      in
       Nav_tree.distinct_results fr'.fnav)
 
 let facet s =
@@ -589,7 +604,10 @@ let facet s =
         invalid_arg "Engine.facet: the session is already in a qualifier-facet space";
       let subset = Nav_tree.subtree_results fr.fnav (Nav_tree.root fr.fnav) in
       let fid = fr.fid ^ ">facets" in
-      let fr' = push_frame s ~fid ~dim:Nav_space.Qualifier_facet subset in
+      let fr' =
+        push_frame s ~fid ~dim:Nav_space.Qualifier_facet (fun () ->
+            Nav_space.derive s.owner.deriver Nav_space.Qualifier_facet subset)
+      in
       (* Number of qualifier pages (every non-root node of the flat facet
          tree is a page). *)
       Nav_tree.size fr'.fnav - 1)

@@ -235,9 +235,12 @@ val backtrack : session -> bool
 val refine : session -> int -> int
 (** Query-by-navigation: narrow the live result set to the full
     navigation subtree [L(n)] of the given visible node, derive the
-    descriptor space of that subset (through the engine's tree cache —
-    revisiting a refinement path is a cache hit, not a re-derivation),
-    and push it as the session's new top frame. Returns the refined
+    descriptor space of that subset, and push it as the session's new top
+    frame. The space comes from the engine's tree cache (revisiting a
+    refinement path is a cache hit) or is filtered out of the nearest
+    descriptor tree on the session's stack, or the query's own for a
+    session based on the facet space ({!Bionav_core.Nav_space.restrict});
+    it reads neither the database nor the hierarchy. Returns the refined
     space's distinct result count. The snapshot republishes with the new
     space id and an advanced epoch together.
     @raise Invalid_argument if the node is not visible or is the root. *)

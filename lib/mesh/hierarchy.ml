@@ -4,6 +4,7 @@ type t = {
   children : int list array;
   depth : int array;
   subtree_size : int array;
+  rank : int array;  (* preorder rank, children visited in ascending id order *)
 }
 
 let validate concepts parent =
@@ -46,7 +47,20 @@ let build concepts ~parent =
   for i = n - 1 downto 1 do
     subtree_size.(parent.(i)) <- subtree_size.(parent.(i)) + subtree_size.(i)
   done;
-  { concepts; parent = Array.copy parent; children; depth; subtree_size }
+  (* Ids are parents-first but not preorder. A child's rank follows its
+     parent's and the subtrees of its earlier siblings; parents precede
+     children, so one ascending pass sees every parent ranked. *)
+  let rank = Array.make n 0 in
+  for i = 0 to n - 1 do
+    ignore
+      (List.fold_left
+         (fun next c ->
+           rank.(c) <- next;
+           next + subtree_size.(c))
+         (rank.(i) + 1) children.(i)
+        : int)
+  done;
+  { concepts; parent = Array.copy parent; children; depth; subtree_size; rank }
 
 let of_parents ?labels parent =
   let n = Array.length parent in
@@ -75,6 +89,8 @@ let children t i = t.children.(i)
 let depth t i = t.depth.(i)
 let is_leaf t i = t.children.(i) = []
 let subtree_size t i = t.subtree_size.(i)
+let preorder_rank t i = t.rank.(i)
+let last_descendant_rank t i = t.rank.(i) + t.subtree_size.(i) - 1
 
 let height t = Array.fold_left max 0 t.depth
 
@@ -95,12 +111,7 @@ let path_from_root t i =
   let rec up acc j = if j = -1 then acc else up (j :: acc) t.parent.(j) in
   up [] i
 
-let is_ancestor t a b =
-  if a = b then false
-  else if t.depth.(a) >= t.depth.(b) then false
-  else
-    let rec climb j = if j = -1 then false else if j = a then true else climb t.parent.(j) in
-    climb t.parent.(b)
+let is_ancestor t a b = t.rank.(a) < t.rank.(b) && t.rank.(b) <= last_descendant_rank t a
 
 let iter_subtree t n f =
   let rec go i =

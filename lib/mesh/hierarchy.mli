@@ -32,6 +32,16 @@ val is_leaf : t -> int -> bool
 val subtree_size : t -> int -> int
 (** Number of nodes in the subtree rooted at the argument (itself included). *)
 
+val preorder_rank : t -> int -> int
+(** The node's position in the depth-first preorder that visits children
+    in ascending id order (the root is 0). Ids are parents-first but not
+    preorder; ranks are. Precomputed, O(1). *)
+
+val last_descendant_rank : t -> int -> int
+(** The largest preorder rank in the node's subtree: the subtree is
+    exactly the rank interval [\[preorder_rank n, last_descendant_rank n\]].
+    O(1). *)
+
 val height : t -> int
 (** Maximum depth over all nodes; a single-node tree has height 0. *)
 
@@ -45,7 +55,7 @@ val path_from_root : t -> int -> int list
 (** Root-to-node path, both endpoints included. *)
 
 val is_ancestor : t -> int -> int -> bool
-(** [is_ancestor t a b] iff [a] is a strict ancestor of [b]. *)
+(** [is_ancestor t a b] iff [a] is a strict ancestor of [b]; O(1) on preorder ranks. *)
 
 val descendants : t -> int -> int list
 (** All strict descendants in preorder. *)

@@ -13,8 +13,8 @@ let root_cut_of ~k ~model nav =
   Navigation.set_plan_source session
     (Some
        {
-         Navigation.find_plan = (fun ~root:_ ~members:_ -> None);
-         store_plan = (fun ~root:_ ~members:_ ~cut -> captured := cut);
+         Navigation.find_plan = (fun ~root:_ ~members:_ ~members_fp:_ -> None);
+         store_plan = (fun ~root:_ ~members:_ ~members_fp:_ ~cut -> captured := cut);
        });
   ignore (Navigation.expand session (Nav_tree.root nav) : int list);
   !captured

@@ -362,7 +362,6 @@ let seal t =
 
 module Medline = Bionav_corpus.Medline
 module Generator = Bionav_corpus.Generator
-module Nbib = Bionav_corpus.Nbib
 module Citation = Bionav_corpus.Citation
 
 let ingest_medline ?config ~dir medline =
@@ -378,13 +377,6 @@ let ingest_medline ?config ~dir medline =
 let ingest_generated ?config ~dir ~params ~seed hierarchy =
   let t = create ?config ~n_concepts:(Bionav_mesh.Hierarchy.size hierarchy) dir in
   Generator.iter ~params ~seed hierarchy ~f:(fun c ->
-      add_citation t ~id:(Citation.id c) (fun f ->
-          Intset.iter f (Citation.concepts c)));
-  seal t
-
-let ingest_nbib ?config ?on_unknown_mh ~dir ~hierarchy path =
-  let t = create ?config ~n_concepts:(Bionav_mesh.Hierarchy.size hierarchy) dir in
-  Nbib.fold_file ?on_unknown_mh ~hierarchy path ~init:() ~f:(fun () c ->
       add_citation t ~id:(Citation.id c) (fun f ->
           Intset.iter f (Citation.concepts c)));
   seal t

@@ -66,12 +66,3 @@ val ingest_generated :
   summary
 (** Streams {!Bionav_corpus.Generator.iter} straight into the ingester —
     the full out-of-core path: the corpus never exists in memory. *)
-
-val ingest_nbib :
-  ?config:config ->
-  ?on_unknown_mh:[ `Skip | `Fail ] ->
-  dir:string ->
-  hierarchy:Bionav_mesh.Hierarchy.t ->
-  string ->
-  summary
-(** Streams an nbib export file via {!Bionav_corpus.Nbib.fold_file}. *)

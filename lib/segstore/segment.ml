@@ -329,7 +329,6 @@ let find t key =
   done;
   !found
 
-let key_at t k = t.keys.(k)
 let count_at t k = t.counts.(k)
 let count t key = match find t key with None -> 0 | Some k -> t.counts.(k)
 let n_blocks_at t k = t.key_block_start.(k + 1) - t.key_block_start.(k)
@@ -339,8 +338,6 @@ let block_index t kidx bidx =
     invalid_arg "Segstore.Segment: block index out of range";
   t.key_block_start.(kidx) + bidx
 
-let block_first t kidx bidx = t.blk_first.(block_index t kidx bidx)
-let block_count t kidx bidx = t.blk_count.(block_index t kidx bidx)
 
 let check_block_bounds t kidx bidx dst dst_off =
   let b = block_index t kidx bidx in

@@ -85,14 +85,11 @@ val data_checksum : t -> int64
 val find : t -> int -> int option
 (** Binary-search a key; returns its index. *)
 
-val key_at : t -> int -> int
 val count_at : t -> int -> int
 val count : t -> int -> int
 (** Postings under a key, 0 if absent — pure directory metadata. *)
 
 val n_blocks_at : t -> int -> int
-val block_first : t -> int -> int -> int
-val block_count : t -> int -> int -> int
 
 val decode_block : t -> int -> int -> int array
 (** [decode_block t kidx bidx] — validated against the directory's first

@@ -70,11 +70,6 @@ let n_associations t = t.n_associations
 let citations_of_concept t c = t.by_concept.(c)
 let concepts_of_citation t c = t.by_citation.(c)
 
-let iter_pairs t f =
-  Array.iteri
-    (fun concept citations -> Intset.iter (fun cit -> f concept cit) citations)
-    t.by_concept
-
 let fold_concepts t ~init ~f =
   let acc = ref init in
   Array.iteri

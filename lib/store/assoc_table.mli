@@ -37,11 +37,6 @@ val n_associations : t -> int
 val citations_of_concept : t -> int -> Bionav_util.Intset.t
 val concepts_of_citation : t -> int -> Bionav_util.Intset.t
 
-val iter_pairs : t -> (int -> int -> unit) -> unit
-(** [iter_pairs t f] calls [f concept citation] for every association, in
-    (concept, citation) order — the streaming boundary the segment-store
-    ingest consumes, inverse of {!of_sorted_pairs}. *)
-
 val fold_concepts :
   t -> init:'a -> f:('a -> int -> Bionav_util.Intset.t -> 'a) -> 'a
 (** Folds over concepts with non-empty citation sets. *)

@@ -66,8 +66,8 @@ let refinement_vs_topdown ?k (w : Queries.t) =
       in
       (* Refine-hybrid: EXPAND the root once, then query-by-navigation into
          the component holding the target — its subtree result set becomes
-         the live result set and a fresh, much smaller descriptor space is
-         derived over it — and finish the drill-down there. The refinement
+         the live result set and a much smaller descriptor space is
+         filtered out of the query's tree — and finish the drill-down there. The refinement
          itself charges 1 action, like an EXPAND. *)
       let session = Engine.start (Navigation.bionav ?k ()) nav in
       let active = Navigation.active session in
@@ -80,7 +80,7 @@ let refinement_vs_topdown ?k (w : Queries.t) =
           let anchor = Active_tree.component_root_of active target in
           let subset = Nav_tree.subtree_results nav anchor in
           let pre = Navigation.navigation_cost (Navigation.stats session) in
-          let nav' = Nav_space.derive deriver Nav_space.Descriptor subset in
+          let nav' = Nav_tree.restrict nav subset in
           let size = Bionav_util.Docset.cardinal subset in
           match Nav_tree.node_of_concept nav' (Nav_tree.concept_id nav target) with
           | None -> (pre + 1, size)

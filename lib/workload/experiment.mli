@@ -44,9 +44,10 @@ type space_run = {
 val refinement_vs_topdown : ?k:int -> Queries.t -> space_run list
 (** The navigation-space experiment: for each workload query, compare the
     paper's TOPDOWN cost against (a) a refine-hybrid plan that narrows the
-    result set by query-by-navigation and re-derives, and (b) the
-    qualifier-facet route to the target's dominant facet page. Both derived
-    spaces go through {!Bionav_core.Nav_space.derive}. *)
+    result set by query-by-navigation, deriving the narrowed descriptor
+    space with {!Bionav_core.Nav_tree.restrict} as the engine does, and
+    (b) the qualifier-facet route to the target's dominant facet page,
+    derived by {!Bionav_core.Nav_space.derive}. *)
 
 (* --- learned vs static ------------------------------------------------- *)
 

@@ -193,22 +193,6 @@ let fig10_csv runs =
          (fun r -> [ name_of r; Printf.sprintf "%.4f" (Experiment.mean_expand_ms r.Experiment.bionav) ])
          runs)
 
-let space_table_csv (runs : Experiment.space_run list) =
-  csv_of_rows
-    ([ "query"; "topdown_cost"; "refine_cost"; "refine_result_size"; "facet_cost";
-       "facet_pages" ]
-    :: List.map
-         (fun (r : Experiment.space_run) ->
-           [
-             r.Experiment.space_query.Queries.spec.Queries.name;
-             string_of_int r.Experiment.topdown_cost;
-             string_of_int r.Experiment.refine_cost;
-             string_of_int r.Experiment.refine_result_size;
-             string_of_int r.Experiment.facet_cost;
-             string_of_int r.Experiment.facet_pages;
-           ])
-         runs)
-
 let fig11_csv (r : Experiment.run) =
   csv_of_rows
     ([ "step"; "partitions"; "elapsed_ms"; "revealed" ]

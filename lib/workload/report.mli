@@ -34,4 +34,3 @@ val fig8_csv : Experiment.run list -> string
 val fig9_csv : Experiment.run list -> string
 val fig10_csv : Experiment.run list -> string
 val fig11_csv : Experiment.run -> string
-val space_table_csv : Experiment.space_run list -> string

@@ -174,19 +174,23 @@ let qcheck_capture_matches_oracle =
          from what it stored. *)
       let plans = Hashtbl.create 8 in
       let key_problems = ref [] in
-      let check_key ~root ~members =
+      let check_key ~root ~members ~members_fp =
         let expected = Docset.of_list (Oracle.members active root) in
         if not (Docset.equal members expected) then
           key_problems := Printf.sprintf "stale member key at %d" root :: !key_problems;
-        (root, Docset.fingerprint members)
+        if members_fp <> Docset.fingerprint members then
+          key_problems := Printf.sprintf "stale member fingerprint at %d" root :: !key_problems;
+        (root, members_fp)
       in
       Navigation.set_plan_source navigation
         (Some
            {
              Navigation.find_plan =
-               (fun ~root ~members -> Hashtbl.find_opt plans (check_key ~root ~members));
+               (fun ~root ~members ~members_fp ->
+                 Hashtbl.find_opt plans (check_key ~root ~members ~members_fp));
              store_plan =
-               (fun ~root ~members ~cut -> Hashtbl.replace plans (check_key ~root ~members) cut);
+               (fun ~root ~members ~members_fp ~cut ->
+                 Hashtbl.replace plans (check_key ~root ~members ~members_fp) cut);
            });
       let pick l i = match l with [] -> None | _ -> Some (List.nth l (i mod List.length l)) in
       let step epoch op =
@@ -263,14 +267,16 @@ let test_backtrack_cut_above_revealed () =
 
 let test_member_key_reused () =
   let active = Active_tree.create (fixture ()) in
-  let key = Active_tree.component_set active 0 in
+  let key = fst (Active_tree.component_key active 0) in
   Alcotest.(check bool) "same handle while unchanged" true
-    (Active_tree.component_set active 0 == key);
+    (fst (Active_tree.component_key active 0) == key);
+  Alcotest.(check bool) "fingerprint kept with it" true
+    (Active_tree.component_key active 0 == Active_tree.component_key active 0);
   ignore (Active_tree.apply_cut active ~root:0 ~cut_children:[ 1 ]);
-  let upper = Active_tree.component_set active 0 in
+  let upper = fst (Active_tree.component_key active 0) in
   Alcotest.(check (list int)) "new key after a cut" [ 0; 4; 5 ] (Docset.elements upper);
   ignore (Active_tree.backtrack active);
-  Alcotest.(check bool) "restored by backtrack" true (Active_tree.component_set active 0 == key)
+  Alcotest.(check bool) "restored by backtrack" true (fst (Active_tree.component_key active 0) == key)
 
 let test_whole_tree_results_shared () =
   let nav = fixture () in

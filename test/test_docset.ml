@@ -206,6 +206,18 @@ let prop_counts =
       && Docset.subset da db = Intset.subset ia ib
       && Docset.subset (Docset.inter da db) da)
 
+let prop_inter_mask =
+  QCheck.Test.make ~name:"inter_mask equals inter, sharing contained sets" ~count:500 arb_pair
+    (fun (a, b) ->
+      (* Spread apart, the mask is too thin for a bitset. *)
+      List.for_all
+        (fun scale ->
+          let da = Docset.of_list (List.map (( * ) scale) a) in
+          let db = Docset.of_list (List.map (( * ) scale) b) in
+          let r = Docset.inter_mask da (Docset.mask db) in
+          Docset.equal r (Docset.inter da db) && ((not (Docset.subset da db)) || r == da))
+        [ 1; 100_000 ])
+
 let prop_union_many =
   QCheck.Test.make ~name:"union_many agrees, up to 20 operands" ~count:300
     (QCheck.list_of_size (QCheck.Gen.int_range 0 20) arb_set)
@@ -269,5 +281,12 @@ let () =
         ] );
       ( "differential",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_binops; prop_counts; prop_union_many; prop_queries; prop_equality ] );
+          [
+            prop_binops;
+            prop_counts;
+            prop_union_many;
+            prop_queries;
+            prop_equality;
+            prop_inter_mask;
+          ] );
     ]

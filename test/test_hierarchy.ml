@@ -168,6 +168,27 @@ let qcheck_subtree_sizes_sum =
       done;
       !ok)
 
+(* Ranks are positions in [iter_subtree]'s preorder, and a subtree is
+   exactly its rank interval. *)
+let qcheck_preorder_rank =
+  QCheck.Test.make ~name:"preorder ranks follow iter_subtree" ~count:200 gen_parents
+    (fun parents ->
+      let h = H.of_parents parents in
+      let order = ref [] in
+      H.iter_subtree h 0 (fun i -> order := i :: !order);
+      let ok = ref true in
+      List.iteri (fun r i -> if H.preorder_rank h i <> r then ok := false) (List.rev !order);
+      for i = 0 to H.size h - 1 do
+        List.iter
+          (fun d ->
+            let r = H.preorder_rank h d in
+            if r <= H.preorder_rank h i || r > H.last_descendant_rank h i then ok := false)
+          (H.descendants h i);
+        if H.last_descendant_rank h i - H.preorder_rank h i + 1 <> H.subtree_size h i then
+          ok := false
+      done;
+      !ok)
+
 let qcheck_ancestors_match_is_ancestor =
   QCheck.Test.make ~name:"ancestors list agrees with is_ancestor" ~count:100 gen_parents
     (fun parents ->
@@ -210,5 +231,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_depth_consistent;
           QCheck_alcotest.to_alcotest qcheck_subtree_sizes_sum;
           QCheck_alcotest.to_alcotest qcheck_ancestors_match_is_ancestor;
+          QCheck_alcotest.to_alcotest qcheck_preorder_rank;
         ] );
     ]

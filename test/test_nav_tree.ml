@@ -221,6 +221,146 @@ let test_of_database_matches_reference () =
       done)
     [ List.init 60 (fun i -> i * 5); List.init 400 Fun.id; [ 7 ]; [] ]
 
+(* --- differential: rank-ordered build and restriction ------------------- *)
+
+module Oracle = Nav_tree_oracle
+
+let check_same what expected actual =
+  match Oracle.diff expected actual with
+  | None -> true
+  | Some d -> QCheck.Test.fail_reportf "%s: %s differs" what d
+
+(* Random hierarchies (parents-first ids, not preorder) with random
+   attachments over a small citation range. *)
+let gen_attached_hierarchy =
+  QCheck.make
+    ~print:(fun (parents, att) ->
+      Printf.sprintf "parents=[%s] attachments=[%s]"
+        (String.concat ";" (Array.to_list (Array.map string_of_int parents)))
+        (String.concat "; "
+           (List.map
+              (fun (c, l) -> Printf.sprintf "%d:{%s}" c (String.concat "," (List.map string_of_int l)))
+              att)))
+    QCheck.Gen.(
+      int_range 1 40 >>= fun n ->
+      let rec parents i acc =
+        if i >= n then return (Array.of_list (List.rev acc))
+        else int_range 0 (i - 1) >>= fun p -> parents (i + 1) (p :: acc)
+      in
+      parents 1 [ -1 ] >>= fun parents ->
+      let concept = oneof [ return 0; int_range 0 (n - 1) ] in
+      list_size (int_range 0 n) (pair concept (list_size (int_range 0 4) (int_range 0 30)))
+      >>= fun att ->
+      (* One attachment per concept, as the builders require. *)
+      let seen = Hashtbl.create 16 in
+      return
+        ( parents,
+          List.filter
+            (fun (c, _) ->
+              if Hashtbl.mem seen c then false
+              else begin
+                Hashtbl.add seen c ();
+                true
+              end)
+            att ))
+
+let prop_build_matches_oracle =
+  QCheck.Test.make ~name:"build equals the rose-tree embedding" ~count:300
+    gen_attached_hierarchy (fun (parents, att) ->
+      let hierarchy = H.of_parents parents in
+      let attachments = List.map (fun (c, l) -> (c, Docset.of_list l)) att in
+      let total_count c = 40 + (7 * c mod 11) in
+      check_same "build"
+        (Oracle.build ~hierarchy ~attachments ~total_count)
+        (Oracle.of_nav (Nav_tree.build ~hierarchy ~attachments ~total_count)))
+
+(* A generated corpus served by both association backends: the in-memory
+   table and a segment store ingested into a scratch directory. *)
+let corpus =
+  lazy
+    (let h = S.generate ~params:S.small_params ~seed:67 () in
+     let m = G.generate ~params:{ G.small_params with G.n_citations = 400 } ~seed:68 h in
+     let dir =
+       Filename.concat (Filename.get_temp_dir_name ())
+         (Printf.sprintf "bionav-navtree-%d" (Unix.getpid ()))
+     in
+     let rec rm_rf path =
+       match Unix.lstat path with
+       | { Unix.st_kind = Unix.S_DIR; _ } ->
+           Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+           Unix.rmdir path
+       | _ -> Sys.remove path
+       | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+     in
+     rm_rf dir;
+     ignore (Bionav_segstore.Ingest.ingest_medline ~dir m : Bionav_segstore.Ingest.summary);
+     at_exit (fun () -> rm_rf dir);
+     let store = Bionav_segstore.Store.open_dir dir in
+     (m, [ ("memory", DB.of_medline m); ("segstore", Bionav_segstore.Bridge.database store h) ]))
+
+let backends () = snd (Lazy.force corpus)
+
+let random_subset rng n_cit =
+  Docset.of_list (List.filter (fun _ -> Rng.int rng 3 = 0) (List.init n_cit Fun.id))
+
+let prop_of_database_matches_oracle =
+  QCheck.Test.make ~name:"of_database equals the oracle on both backends" ~count:20
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let m, _ = Lazy.force corpus in
+      let result = random_subset (Rng.create seed) (Bionav_corpus.Medline.size m) in
+      List.for_all
+        (fun (name, db) ->
+          check_same name (Oracle.of_database db result) (Oracle.of_nav (Nav_tree.of_database db result)))
+        (backends ()))
+
+(* S ⊆ results(t): empty, one citation, one node's subtree set, the full
+   set, or a random subset; then a second restriction of the restricted
+   tree to one of its own subtree sets, as a refine inside a refine. *)
+let pick_subset rng t kind =
+  let all = Nav_tree.subtree_results t (Nav_tree.root t) in
+  let elements = Docset.to_array all in
+  match kind with
+  | 0 -> Docset.empty
+  | 1 when Array.length elements > 0 ->
+      Docset.singleton elements.(Rng.int rng (Array.length elements))
+  | 2 -> Nav_tree.subtree_results t (Rng.int rng (Nav_tree.size t))
+  | 3 -> all
+  | _ -> Docset.of_list (List.filter (fun _ -> Rng.bool rng) (Array.to_list elements))
+
+let prop_restrict_matches_of_database =
+  QCheck.Test.make ~name:"restrict equals of_database of the subset on both backends"
+    ~count:60
+    QCheck.(pair (int_bound 4) (int_bound 100_000))
+    (fun (kind, seed) ->
+      let m, _ = Lazy.force corpus in
+      List.for_all
+        (fun (name, db) ->
+          let rng = Rng.create seed in
+          let t = Nav_tree.of_database db (random_subset rng (Bionav_corpus.Medline.size m)) in
+          let s = pick_subset rng t kind in
+          let r = Nav_tree.restrict t s in
+          check_same name (Oracle.of_nav (Nav_tree.of_database db s)) (Oracle.of_nav r)
+          &&
+          let s' = pick_subset rng r 2 in
+          check_same (name ^ ", nested")
+            (Oracle.of_nav (Nav_tree.of_database db s'))
+            (Oracle.of_nav (Nav_tree.restrict r s')))
+        (backends ()))
+
+let test_restrict_shares_contained_sets () =
+  let _, dbs = Lazy.force corpus in
+  let db = List.assoc "memory" dbs in
+  let t = Nav_tree.of_database db (Docset.of_list (List.init 200 Fun.id)) in
+  let node = List.hd (Nav_tree.children t (Nav_tree.root t)) in
+  let r = Nav_tree.restrict t (Nav_tree.subtree_results t node) in
+  (* Every node under [node] keeps all its citations, so its sets are
+     the parent's own values. *)
+  let top = Option.get (Nav_tree.node_of_concept r (Nav_tree.concept_id t node)) in
+  Alcotest.(check bool) "subtree set shared" true
+    (Nav_tree.subtree_results r top == Nav_tree.subtree_results t node);
+  Alcotest.(check bool) "results shared" true (Nav_tree.results r top == Nav_tree.results t node)
+
 let () =
   Alcotest.run "nav_tree"
     [
@@ -247,5 +387,13 @@ let () =
           Alcotest.test_case "of_database consistency" `Quick test_of_database_consistency;
           Alcotest.test_case "distinct monotone" `Quick test_of_database_distinct_monotone;
           Alcotest.test_case "matches reference build" `Quick test_of_database_matches_reference;
+        ] );
+      ( "differential",
+        [
+          QCheck_alcotest.to_alcotest prop_build_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_of_database_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_restrict_matches_of_database;
+          Alcotest.test_case "restrict shares contained sets" `Quick
+            test_restrict_shares_contained_sets;
         ] );
     ]

@@ -207,6 +207,35 @@ let test_faceted_strategy_search () =
   let revealed = Engine.expand s (Nav_tree.root (Engine.session_nav s)) in
   Alcotest.(check bool) "pages revealed" true (revealed <> [])
 
+(* A refinement made on a facet page, with a descriptor frame beneath it
+   or in a session based on the facet space, is filtered out of a
+   descriptor tree; it must equal the tree derived from scratch. *)
+let test_refine_from_facet_frames () =
+  let e = engine () in
+  let d = deriver () in
+  let refine_page s =
+    ignore (Engine.expand s (Nav_tree.root (Engine.session_nav s)) : int list);
+    let page = Option.get (first_refinable s) in
+    let subset = Nav_tree.subtree_results (Engine.session_nav s) page in
+    ignore (Engine.refine s page : int);
+    let expected = Nav_space.derive d Nav_space.Descriptor subset in
+    match
+      Nav_tree_oracle.diff (Nav_tree_oracle.of_nav expected)
+        (Nav_tree_oracle.of_nav (Engine.session_nav s))
+    with
+    | None -> ()
+    | Some diff -> Alcotest.fail ("refined space differs from scratch: " ^ diff)
+  in
+  let s = must_session (Engine.search e "cancer") in
+  ignore (Engine.facet s : int);
+  refine_page s;
+  Alcotest.(check int) "descriptor, facet, refined" 2 (Engine.refine_depth s);
+  let s = must_session (Engine.search e ~strategy:(Navigation.faceted ()) "cancer") in
+  refine_page s;
+  Alcotest.(check int) "facet base, refined" 1 (Engine.refine_depth s);
+  (* And a refinement inside that refined space narrows it again. *)
+  refine_page s
+
 (* Refine → unrefine restores a byte-identical user-visible snapshot (the
    epoch advances; everything else is untouched), regardless of how much
    navigation happened inside the derived space. *)
@@ -344,6 +373,7 @@ let () =
           Alcotest.test_case "facet end-to-end" `Quick test_facet_end_to_end;
           Alcotest.test_case "faceted strategy" `Quick test_faceted_strategy_search;
           QCheck_alcotest.to_alcotest prop_refine_roundtrip;
+          Alcotest.test_case "refine from facet frames" `Quick test_refine_from_facet_frames;
         ] );
       ( "caches",
         [

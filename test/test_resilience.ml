@@ -403,8 +403,8 @@ let test_injected_plan_is_not_degraded () =
   let stored = ref [] in
   let source =
     {
-      Navigation.find_plan = (fun ~root:_ ~members:_ -> Some cut);
-      store_plan = (fun ~root:_ ~members:_ ~cut -> stored := cut :: !stored);
+      Navigation.find_plan = (fun ~root:_ ~members:_ ~members_fp:_ -> Some cut);
+      store_plan = (fun ~root:_ ~members:_ ~members_fp:_ ~cut -> stored := cut :: !stored);
     }
   in
   let starved = Navigation.start (Navigation.bionav ()) nav in
@@ -422,8 +422,8 @@ let test_degraded_cut_never_stored () =
   let stored = ref [] in
   let source =
     {
-      Navigation.find_plan = (fun ~root:_ ~members:_ -> None);
-      store_plan = (fun ~root:_ ~members:_ ~cut -> stored := cut :: !stored);
+      Navigation.find_plan = (fun ~root:_ ~members:_ ~members_fp:_ -> None);
+      store_plan = (fun ~root:_ ~members:_ ~members_fp:_ ~cut -> stored := cut :: !stored);
     }
   in
   let starved = Navigation.start (Navigation.bionav ()) nav in
