@@ -1,10 +1,10 @@
-(** A small bounded least-recently-used cache.
-
-    The on-line system builds one navigation tree per user query; repeated
-    queries (the common case in exploratory search) should not pay the
-    construction again, so the navigation subsystem keeps a bounded cache.
-    Capacities are small (tens of entries), so eviction scans are O(n) by
-    design — no intrusive lists to maintain. *)
+(** A bounded least-recently-used cache. Every operation but {!fold} and
+    {!clear} is O(1) expected, eviction included: a doubly linked recency
+    list runs through the table's nodes, so a miss never scans the
+    resident entries. Its holders: [Nav_cache] (navigation trees, 32 by
+    default), [Plan_cache] (EXPAND plans, 512) and the segment store's
+    [Block_cache] (decoded blocks of 1 KiB: 4,096 in the default 4 MiB,
+    about 2,100 on perfbench's [refine]). *)
 
 type ('k, 'v) t
 

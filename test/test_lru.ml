@@ -153,6 +153,108 @@ let qcheck_recent_k_survive =
       let expected = List.filteri (fun i _ -> i < cap) recent_first in
       List.for_all (Lru.mem c) expected)
 
+(* Differential check against the scanning LRU it replaced
+   (test/lru_oracle.ml): random operation sequences over a small key space
+   must give the same answers, lengths, counters and resident values after
+   every step, so every eviction picks the same victim. *)
+type op =
+  | Add of int * int
+  | Find of int
+  | Mem of int
+  | Remove of int
+  | Clear
+  | Reset_counters
+  | Find_or_add of int * int
+  | Fold_find of int  (* a recency-touching read inside [fold] *)
+  | Fold_mutate of int  (* add, remove or clear inside [fold] *)
+
+let show_op = function
+  | Add (k, v) -> Printf.sprintf "add %d %d" k v
+  | Find k -> Printf.sprintf "find %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Clear -> "clear"
+  | Reset_counters -> "reset_counters"
+  | Find_or_add (k, v) -> Printf.sprintf "find_or_add %d %d" k v
+  | Fold_find k -> Printf.sprintf "fold_find %d" k
+  | Fold_mutate m -> Printf.sprintf "fold_mutate %d" m
+
+let op_gen =
+  let open QCheck.Gen in
+  let key = int_range 0 11 and value = int_range 0 999 in
+  frequency
+    [
+      (6, map2 (fun k v -> Add (k, v)) key value);
+      (6, map (fun k -> Find k) key);
+      (2, map (fun k -> Mem k) key);
+      (2, map (fun k -> Remove k) key);
+      (1, return Clear);
+      (1, return Reset_counters);
+      (3, map2 (fun k v -> Find_or_add (k, v)) key value);
+      (1, map (fun k -> Fold_find k) key);
+      (1, map (fun m -> Fold_mutate m) (int_range 0 2));
+    ]
+
+type answer = Unit | Found of int option | Bool of bool | Int of int | Raised
+
+let raises f = try f (); false with Invalid_argument _ -> true
+
+(* One step of a sequence against either implementation, and what can be
+   observed of the cache after it. *)
+module type LRU = sig
+  type ('k, 'v) t
+
+  val length : ('k, 'v) t -> int
+  val find : ('k, 'v) t -> 'k -> 'v option
+  val mem : ('k, 'v) t -> 'k -> bool
+  val add : ('k, 'v) t -> 'k -> 'v -> unit
+  val remove : ('k, 'v) t -> 'k -> unit
+  val clear : ('k, 'v) t -> unit
+  val fold : ('k, 'v) t -> ('v -> 'a -> 'a) -> 'a -> 'a
+  val hits : ('k, 'v) t -> int
+  val misses : ('k, 'v) t -> int
+  val evictions : ('k, 'v) t -> int
+  val reset_counters : ('k, 'v) t -> unit
+  val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
+end
+
+module Step (L : LRU) = struct
+  let apply c = function
+    | Add (k, v) -> L.add c k v; Unit
+    | Find k -> Found (L.find c k)
+    | Mem k -> Bool (L.mem c k)
+    | Remove k -> L.remove c k; Unit
+    | Clear -> L.clear c; Unit
+    | Reset_counters -> L.reset_counters c; Unit
+    | Find_or_add (k, v) -> Int (L.find_or_add c k (fun () -> v))
+    | Fold_find k -> Int (L.fold c (fun v acc -> ignore (L.find c k : int option); acc + v) 0)
+    | Fold_mutate m ->
+        let mutate () = match m with 0 -> L.add c 0 0 | 1 -> L.remove c 0 | _ -> L.clear c in
+        if raises (fun () -> L.fold c (fun _ () -> mutate ()) ()) then Raised else Unit
+
+  let observe c =
+    ( (L.length c, L.hits c, L.misses c, L.evictions c),
+      List.sort compare (L.fold c (fun v acc -> v :: acc) []),
+      List.init 12 (L.mem c) )
+end
+
+module New = Step (Lru)
+module Old = Step (Lru_oracle)
+
+let qcheck_matches_oracle =
+  QCheck.Test.make ~name:"same answers, counters and contents as the scanning oracle"
+    ~count:500
+    QCheck.(
+      pair (int_range 1 8)
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+           QCheck.Gen.(list_size (int_range 0 120) op_gen)))
+    (fun (cap, ops) ->
+      let c = Lru.create ~capacity:cap and o = Lru_oracle.create ~capacity:cap in
+      List.for_all
+        (fun op -> New.apply c op = Old.apply o op && New.observe c = Old.observe o)
+        ops)
+
 let () =
   Alcotest.run "lru"
     [
@@ -175,5 +277,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_never_exceeds_capacity;
           QCheck_alcotest.to_alcotest qcheck_recent_k_survive;
+          QCheck_alcotest.to_alcotest qcheck_matches_oracle;
         ] );
     ]

@@ -468,6 +468,54 @@ let test_cache_stays_bounded () =
   Alcotest.(check bool) "resident blocks bounded" true
     (Store.concept_count store 1 >= 0)
 
+(* A cache of 8 blocks against a store of many more churns on nearly
+   every read. Every citation's concepts and a sample of concepts'
+   postings, each read twice in a shuffled order: each materialized set
+   must equal the in-memory table's, the cache must never hold more than
+   its capacity, and every block lookup must count as exactly one hit or
+   one miss. A key of [n] postings spans ceil(n / block_size) blocks. *)
+let test_block_cache_churn () =
+  let dir, _ = Lazy.force ingested in
+  let budget_bytes = 8 * BC.block_size * (Sys.word_size / 8) in
+  let capacity = Cache.capacity_blocks (Cache.create ~budget_bytes) in
+  Alcotest.(check int) "capacity" 8 capacity;
+  let store =
+    Store.open_dir ~config:{ Store.default_config with Store.cache_budget_bytes = budget_bytes } dir
+  in
+  let assoc = DB.assoc (Lazy.force database) in
+  let module A = Bionav_store.Assoc_table in
+  let rng = Rng.create 76 in
+  let citations = List.init (A.n_citations assoc) (fun c -> `Citation c) in
+  let concepts =
+    List.filter_map
+      (fun c -> if Rng.int rng 3 = 0 then Some (`Concept c) else None)
+      (List.init (A.n_concepts assoc) Fun.id)
+  in
+  let reads = Array.of_list (citations @ concepts @ citations @ concepts) in
+  Rng.shuffle rng reads;
+  let hits = Metrics.counter "bionav_segstore_block_cache_hits_total"
+  and misses = Metrics.counter "bionav_segstore_block_cache_misses_total"
+  and resident = Metrics.gauge "bionav_segstore_blocks_resident" in
+  let hits0 = Metrics.value hits and misses0 = Metrics.value misses in
+  let lookups = ref 0 in
+  Array.iter
+    (fun read ->
+      let got, expect =
+        match read with
+        | `Citation c -> (Store.concepts_of_citation store c, A.concepts_of_citation assoc c)
+        | `Concept c -> (Store.postings store c, A.citations_of_concept assoc c)
+      in
+      if Docset.elements got <> Intset.elements expect then
+        Alcotest.fail "materialized set differs from the in-memory table";
+      lookups := !lookups + ((Intset.cardinal expect + BC.block_size - 1) / BC.block_size);
+      Store.publish_metrics store;
+      if Metrics.gauge_value resident > float_of_int capacity then
+        Alcotest.fail "resident blocks exceed capacity")
+    reads;
+  let hits = Metrics.value hits - hits0 and misses = Metrics.value misses - misses0 in
+  Alcotest.(check int) "hits + misses = block lookups" !lookups (hits + misses);
+  Alcotest.(check bool) "the cache churned" true (misses > 2 * capacity)
+
 let test_database_assoc_raises_on_external () =
   let store = Lazy.force opened in
   let db = Bridge.database store (Lazy.force hierarchy) in
@@ -638,6 +686,7 @@ let () =
           Alcotest.test_case "postings match corpus" `Quick test_store_postings_match_corpus;
           Alcotest.test_case "forward matches corpus" `Quick test_store_forward_matches_corpus;
           Alcotest.test_case "cache stays bounded" `Quick test_cache_stays_bounded;
+          Alcotest.test_case "block cache churn" `Quick test_block_cache_churn;
           Alcotest.test_case "assoc raises on external" `Quick
             test_database_assoc_raises_on_external;
         ] );
