@@ -1204,7 +1204,18 @@ let ingest_bench () =
    block cache and hold the backend to byte-identity with the in-memory
    association table: same navigation trees (per-node concepts and result
    sets compared with Docset.equal), same oracle traces. Cold p95 comes
-   from the expand-latency histogram of the segstore run. *)
+   from the expand-latency histogram of the segstore run.
+
+   The first query is hot: it runs again after each other query, and a
+   one-tree navigation cache makes every run rebuild its tree from the
+   store. The block cache holds fewer blocks than the run touches, so
+   its hit and miss counts depend on which blocks eviction keeps (LRU
+   keeps the hot query's; FIFO would not), and they are pinned: a change
+   to the eviction policy moves them. *)
+let coldexpand_cache_blocks = 288
+
+let coldexpand_expected_hits, coldexpand_expected_misses = (240, 350)
+
 let coldexpand_bench () =
   say "%s" (Table.section "Segment store: cold-cache expand traffic vs in-memory");
   say "";
@@ -1242,6 +1253,7 @@ let coldexpand_bench () =
      in the trace is a cold read. *)
   let run_backend config =
     Metrics.reset ();
+    let config = { config with Engine.cache_capacity = 1 } in
     let engine = Engine.create ~config ~database:w.Q.database ~eutils:w.Q.eutils () in
     let buf = Buffer.create 4096 in
     List.iter
@@ -1261,7 +1273,9 @@ let coldexpand_bench () =
             ignore (Engine.close engine (Engine.session_id s) : bool)
         | Ok Engine.No_results | Error _ ->
             Buffer.add_string buf (Printf.sprintf "%s no-results\n" q.Q.spec.Q.name))
-      w.Q.queries;
+      (match w.Q.queries with
+      | hot :: cold -> hot :: List.concat_map (fun q -> [ q; hot ]) cold
+      | [] -> []);
     let hist = Metrics.histogram "bionav_expand_latency_ms" in
     let hits = Metrics.value (Metrics.counter "bionav_segstore_block_cache_hits_total") in
     let misses =
@@ -1278,7 +1292,12 @@ let coldexpand_bench () =
     run_backend Engine.default_config
   in
   let cold_trace, cold_expands, cold_p50, cold_p95, hits, misses =
-    run_backend { Engine.default_config with Engine.segstore = Some (Seg_store.spec dir) }
+    let block_bytes = Bionav_segstore.Block_codec.block_size * (Sys.word_size / 8) in
+    let config =
+      { Seg_store.default_config with
+        Seg_store.cache_budget_bytes = coldexpand_cache_blocks * block_bytes }
+    in
+    run_backend { Engine.default_config with Engine.segstore = Some (Seg_store.spec ~config dir) }
   in
   let trace_identical = String.equal mem_trace cold_trace in
   print_string
@@ -1298,6 +1317,7 @@ let coldexpand_bench () =
   say "";
   let p95_ceiling_ms = 100. in
   let p95_ok = cold_p95 <= p95_ceiling_ms in
+  let counts_ok = hits = coldexpand_expected_hits && misses = coldexpand_expected_misses in
   segstore_json :=
     ( "coldexpand",
       Printf.sprintf
@@ -1312,14 +1332,17 @@ let coldexpand_bench () =
         \    \"cold_expand_p50_ms\": %.4f,\n\
         \    \"cold_expand_p95_ms\": %.4f,\n\
         \    \"cold_p95_ceiling_ms\": %.1f,\n\
+        \    \"block_cache_blocks\": %d,\n\
         \    \"block_cache_hits\": %d,\n\
         \    \"block_cache_misses\": %d,\n\
+        \    \"block_cache_expected\": [%d, %d],\n\
         \    \"traces_identical\": %b,\n\
         \    \"results_identical\": %b\n\
         \  }"
         (List.length w.Q.queries) ingest_summary.Seg_ingest.n_segments
         ingest_summary.Seg_ingest.bytes mem_expands mem_p50 mem_p95 cold_expands cold_p50
-        cold_p95 p95_ceiling_ms hits misses trace_identical !results_identical )
+        cold_p95 p95_ceiling_ms coldexpand_cache_blocks hits misses coldexpand_expected_hits
+        coldexpand_expected_misses trace_identical !results_identical )
     :: !segstore_json;
   write_segstore_json ();
   say "";
@@ -1330,6 +1353,11 @@ let coldexpand_bench () =
   if not p95_ok then begin
     say "  *** FAIL: cold expand p95 %.3f ms above the %.0f ms ceiling ***" cold_p95
       p95_ceiling_ms;
+    exit 1
+  end;
+  if not counts_ok then begin
+    say "  *** FAIL: block cache %d hit(s), %d miss(es) at %d blocks, pinned %d/%d ***" hits
+      misses coldexpand_cache_blocks coldexpand_expected_hits coldexpand_expected_misses;
     exit 1
   end
 

@@ -64,8 +64,8 @@ val is_expandable : t -> int -> bool
 
 val comp_tree : t -> int -> Comp_tree.t * int array
 (** The component as a {!Comp_tree.t} plus the index→navigation-node map
-    (equal to the tree's tags), extracted in one pass over the ascending
-    members. *)
+    (the tree's tags: {!component_members} itself, shared, never mutate
+    it), extracted in one pass over the ascending members. *)
 
 val apply_cut : t -> root:int -> cut_children:int list -> int list
 (** Perform the EdgeCut: [cut_children] are navigation nodes, members of the

@@ -3,68 +3,11 @@ type t = {
   model : Probability.model;
   norm : float;
   full : int;
-  covered : int;  (* |R|: the distinct results of the whole tree *)
-  within : int array;
-      (* within.(s): results of R held by no node outside mask [s] *)
+  signature : Signature.t;  (* distinct counts of every mask *)
   expand_memo : float array;  (* P_x by mask, NaN until computed *)
 }
 
-let max_size = 16
-
-(* The signature table. Each result in R, the union of the node sets, has
-   a signature: the mask of the nodes whose set holds it. Counting results
-   per signature and then summing over subsets (the zeta transform, m·2^m
-   additions) gives [within.(s)], the results whose signature lies inside
-   [s]. The signatures come from an m-way merge of the sorted node sets,
-   so the build costs O(m·|R|) whatever the span of the ids. *)
-let signature_table tree =
-  let m = Comp_tree.size tree in
-  let sets = Array.init m (fun i -> Bionav_util.Docset.to_array (Comp_tree.results tree i)) in
-  let pos = Array.make m 0 in
-  let within = Array.make (1 lsl m) 0 in
-  (* [live.(0 .. !n_live - 1)]: the nodes with unmerged results. *)
-  let live = Array.of_list (List.filter (fun i -> sets.(i) <> [||]) (List.init m Fun.id)) in
-  let n_live = ref (Array.length live) in
-  let covered = ref 0 in
-  while !n_live > 1 do
-    let least = ref sets.(live.(0)).(pos.(live.(0))) in
-    for j = 1 to !n_live - 1 do
-      let i = live.(j) in
-      let x = sets.(i).(pos.(i)) in
-      if x < !least then least := x
-    done;
-    let signature = ref 0 and j = ref 0 in
-    while !j < !n_live do
-      let i = live.(!j) in
-      let p = pos.(i) in
-      if sets.(i).(p) = !least then begin
-        signature := !signature lor (1 lsl i);
-        pos.(i) <- p + 1;
-        if p + 1 = Array.length sets.(i) then begin
-          decr n_live;
-          live.(!j) <- live.(!n_live)
-        end
-        else incr j
-      end
-      else incr j
-    done;
-    within.(!signature) <- within.(!signature) + 1;
-    incr covered
-  done;
-  (* One node left: the rest of its set has its bit alone as signature. *)
-  if !n_live = 1 then begin
-    let i = live.(0) in
-    let rest = Array.length sets.(i) - pos.(i) in
-    within.(1 lsl i) <- within.(1 lsl i) + rest;
-    covered := !covered + rest
-  end;
-  for b = 0 to m - 1 do
-    let bit = 1 lsl b in
-    for s = 0 to (1 lsl m) - 1 do
-      if s land bit <> 0 then within.(s) <- within.(s) + within.(s lxor bit)
-    done
-  done;
-  (!covered, within)
+let max_size = Signature.max_parts
 
 let create ?(model = Probability.default_model) ?norm tree =
   let size = Comp_tree.size tree in
@@ -72,14 +15,12 @@ let create ?(model = Probability.default_model) ?norm tree =
     invalid_arg
       (Printf.sprintf "Cost_model.create: tree has %d nodes (max %d)" size max_size);
   let norm = match norm with Some n -> n | None -> model.Probability.normalizer tree in
-  let covered, within = signature_table tree in
   {
     tree;
     model;
     norm;
     full = (1 lsl size) - 1;
-    covered;
-    within;
+    signature = Comp_tree.signature tree;
     expand_memo = Array.make (1 lsl size) Float.nan;
   }
 
@@ -123,10 +64,7 @@ let subtree_mask t ~mask v =
   in
   go v 0
 
-(* A result of R is outside [mask]'s union exactly when every node holding
-   it lies outside [mask]. Bits beyond the tree are ignored, as [members]
-   ignores them. *)
-let distinct t mask = t.covered - t.within.(t.full land lnot mask)
+let distinct t mask = Signature.distinct t.signature mask
 
 let p_explore t mask = t.model.Probability.explore ~norm:t.norm t.tree (members t mask)
 

@@ -40,12 +40,12 @@ val create : ?model:Probability.model -> ?norm:float -> Comp_tree.t -> t
     estimates); [norm] defaults to the model's [normalizer] of the tree —
     appropriate when the tree is the whole structure being expanded.
 
-    [create] builds the table behind {!distinct}: each result in R, the
-    union of the m node sets, gets as signature the mask of the nodes
-    whose set holds it, found by an m-way merge of the sorted sets; the
-    per-signature counts are then summed over subsets. That costs
-    O(m·|R| + m·2^m) time and two [2^m]-entry arrays, independent of the
-    span of the result ids.
+    The table behind {!distinct} is the tree's {!Comp_tree.signature}:
+    a reduced tree carries the one its builder counted in its single pass
+    over the component, and [create] only refers to it; a tree that
+    holds sets gets one pass over them, each node its own part. Either
+    way no set is unioned or merged, and [create] itself allocates only
+    the [2^m]-entry {!p_expand} memo.
     @raise Invalid_argument when the tree has more than {!max_size}
     nodes. *)
 
@@ -82,8 +82,8 @@ val subtree_mask : t -> mask:int -> int -> int
 
 val distinct : t -> int -> int
 (** [|L(C)|]: the distinct result count of a mask's members. O(1), one
-    read of the table {!create} built: [|R|] minus the results held
-    only by nodes outside the mask. *)
+    read of the signature table: [|R|] minus the results held only by
+    nodes outside the mask. *)
 
 val p_explore : t -> int -> float
 val p_expand : t -> int -> float

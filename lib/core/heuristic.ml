@@ -58,53 +58,37 @@ let fresh_plan ?model ?(k = default_k) tree =
     invalid_arg
       (Printf.sprintf "Heuristic.best_cut: k = %d exceeds Opt-EdgeCut's limit %d" k
          Opt_edgecut.max_size);
-  if Comp_tree.size tree <= k then begin
-    let ctx = Cost_model.create ?model tree in
-    let state = Opt_edgecut.init ctx in
-    Some { plan_tree = tree; reduced = None; state; mask = Cost_model.full_mask ctx }
-  end
-  else begin
-    let partition = Partition.run_k tree ~k in
-    let reduced = Reduced_tree.build tree partition in
-    let rt = Reduced_tree.tree reduced in
-    if Comp_tree.size rt < 2 then None
-    else begin
-      let ctx = Cost_model.create ?model rt in
-      let state = Opt_edgecut.init ctx in
-      Some { plan_tree = rt; reduced = Some reduced; state; mask = Cost_model.full_mask ctx }
-    end
-  end
+  let plan_tree, reduced =
+    if Comp_tree.size tree <= k then (tree, None)
+    else
+      let reduced = Reduced_tree.build tree (Partition.run_k tree ~k) in
+      (Reduced_tree.tree reduced, Some reduced)
+  in
+  let ctx = Cost_model.create ?model plan_tree in
+  { plan_tree; reduced; state = Opt_edgecut.init ctx; mask = Cost_model.full_mask ctx }
 
 let cut_hist = Bionav_util.Metrics.histogram "bionav_heuristic_cut_ms"
 
 let best_cut_with_plan ?model ?k tree =
   let (report, plan), total_ms =
     Bionav_util.Timing.time (fun () ->
-        match fresh_plan ?model ?k tree with
-        | Some plan ->
-            Logs.debug (fun m ->
-                m "heuristic: component of %d nodes reduced to %d supernodes"
-                  (Comp_tree.size tree) (Comp_tree.size plan.plan_tree));
-            solve_plan plan
-        | None ->
-            (* Degenerate partitioning (everything merged into one
-               supernode): fall back to cutting every child of the root,
-               which is always a valid EdgeCut; the returned plan is
-               immediately exhausted. *)
-            let cut = Comp_tree.children tree (Comp_tree.root tree) in
-            let all = Comp_tree.all_results tree in
-            let total = max (Comp_tree.total tree 0) (Bionav_util.Docset.cardinal all) in
-            let ctx = Cost_model.create ?model (Comp_tree.singleton ~results:all ~total ()) in
-            let report =
-              {
-                cut_children = cut;
-                reduced_size = 1;
-                reduced_cost = Float.of_int (Comp_tree.size tree);
-                elapsed_ms = 0.;
-              }
-            in
-            ( report,
-              { plan_tree = tree; reduced = None; state = Opt_edgecut.init ctx; mask = 0 } ))
+        let plan = fresh_plan ?model ?k tree in
+        Logs.debug (fun m ->
+            m "heuristic: component of %d nodes reduced to %d supernodes"
+              (Comp_tree.size tree) (Comp_tree.size plan.plan_tree));
+        if plan_usable plan then solve_plan plan
+        else
+          (* Degenerate partitioning (everything merged into one
+             supernode): fall back to cutting every child of the root,
+             which is always a valid EdgeCut. The one-supernode plan is
+             already exhausted. *)
+          ( {
+              cut_children = Comp_tree.children tree (Comp_tree.root tree);
+              reduced_size = 1;
+              reduced_cost = Float.of_int (Comp_tree.size tree);
+              elapsed_ms = 0.;
+            },
+            plan ))
   in
   (* Report the full wall-clock including partitioning. *)
   Bionav_util.Metrics.observe cut_hist total_ms;

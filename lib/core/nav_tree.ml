@@ -173,25 +173,29 @@ let comp_tree_of t ~root ~members:nodes =
   let k = Array.length nodes in
   if k = 0 || nodes.(0) <> root then
     invalid_arg "Nav_tree.comp_tree_of: members must contain the root as minimum";
-  (* Ascending ids are a preorder of the component, so a member's parent
-     is its innermost enclosing member, which must be its tree parent. *)
+  (* Ascending ids are a preorder of the component, so a member's tree
+     parent, when it is a member, is on the stack of the previous
+     member's open ancestors: pop down to it. *)
+  let parent = Array.make k (-1) and stack = Array.make k 0 and top = ref 0 in
   for idx = 1 to k - 1 do
     if nodes.(idx) <= nodes.(idx - 1) then
-      invalid_arg "Nav_tree.comp_tree_of: members not strictly ascending"
-  done;
-  let parent = nest k ~encloses:(fun j i -> nodes.(i) <= t.tout.(nodes.(j))) in
-  for idx = 1 to k - 1 do
-    if nodes.(parent.(idx)) <> t.parent.(nodes.(idx)) then
+      invalid_arg "Nav_tree.comp_tree_of: members not strictly ascending";
+    let p = t.parent.(nodes.(idx)) in
+    while !top > 0 && nodes.(stack.(!top)) <> p do
+      decr top
+    done;
+    if nodes.(stack.(!top)) <> p then
       invalid_arg
         (Printf.sprintf "Nav_tree.comp_tree_of: member %d disconnected from root %d"
-           nodes.(idx) root)
+           nodes.(idx) root);
+    parent.(idx) <- stack.(!top);
+    incr top;
+    stack.(!top) <- idx
   done;
-  let results = Array.map (fun nav -> t.results.(nav)) nodes in
-  let totals = Array.map (fun nav -> t.totals.(nav)) nodes in
-  let labels = Array.map (fun nav -> t.labels.(nav)) nodes in
-  let concepts = Array.map (fun nav -> t.concept_ids.(nav)) nodes in
-  let tags = Array.copy nodes in
-  (Comp_tree.make ~parent ~results ~totals ~labels ~tags ~concepts (), tags)
+  (* A view of this tree's own per-node arrays: nothing is copied. *)
+  ( Comp_tree.make ~parent ~ids:nodes ~results:t.results ~totals:t.totals ~labels:t.labels
+      ~tags:nodes ~concepts:t.concept_ids (),
+    nodes )
 
 let pp ppf t =
   let rec go i =

@@ -86,9 +86,12 @@ val last_descendant : t -> int -> int
 val comp_tree_of : t -> root:int -> members:int array -> Comp_tree.t * int array
 (** Extracts a component tree from a connected member set containing
     [root], given strictly ascending (so [root] first): returns the
-    component tree (tags = navigation node ids) and a fresh copy of the
-    index-to-navigation-node mapping. One pass over [members], no sort
-    and no hashing. @raise Invalid_argument if [members] is not strictly
+    component tree (tags = navigation node ids) and the
+    index-to-navigation-node mapping, which is [members] itself, shared
+    as the tree's tags (never mutate either). One pass over [members], no
+    sort and no hashing. The tree is a view of this tree's own per-node
+    arrays through [members] (see {!Comp_tree.make}): it copies nothing
+    and stores no per-node defaults. @raise Invalid_argument if [members] is not strictly
     ascending from [root] or not connected at [root]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -9,22 +9,26 @@ let total_weight tree =
   done;
   !acc
 
-(* Everything a bottom-up pass reads, computed once per call, plus the
-   arrays it writes, reused by every threshold attempt of [run_k]. *)
+(* The node weights, computed once per call, plus the arrays a pass
+   writes, reused by every threshold attempt of [run_k]. Children are
+   read straight off the tree's flat child index. *)
 type work = {
   tree : Comp_tree.t;
   weight : float array;  (* node_weight, per node *)
-  kids : int array array;  (* children, ascending *)
+  kid_start : int array;  (* children of v: kids.(kid_start.(v) .. kid_start.(v+1) - 1) *)
+  kids : int array;
   cluster : float array;  (* cluster weight left attached to each node *)
   detached : bool array;
 }
 
 let work tree =
   let n = Comp_tree.size tree in
+  let kid_start, kids = Comp_tree.child_index tree in
   {
     tree;
     weight = Array.init n (node_weight tree);
-    kids = Array.init n (fun v -> Array.of_list (Comp_tree.children tree v));
+    kid_start;
+    kids;
     cluster = Array.make n 0.;
     detached = Array.make n false;
   }
@@ -41,14 +45,14 @@ let pass w threshold =
   Array.fill w.detached 0 n false;
   let parts = ref 1 in
   for v = n - 1 downto 0 do
-    let kids = w.kids.(v) in
+    let first = w.kid_start.(v) and stop = w.kid_start.(v + 1) in
     let weight = ref w.weight.(v) in
-    for i = 0 to Array.length kids - 1 do
-      weight := !weight +. w.cluster.(kids.(i))
+    for i = first to stop - 1 do
+      weight := !weight +. w.cluster.(w.kids.(i))
     done;
     if !weight > threshold then begin
       (* Only an overweight cluster sheds, so only its children are sorted. *)
-      let by_weight_desc = Array.copy kids in
+      let by_weight_desc = Array.sub w.kids first (stop - first) in
       Array.stable_sort (fun a b -> Float.compare w.cluster.(b) w.cluster.(a)) by_weight_desc;
       let i = ref 0 in
       while !weight > threshold && !i < Array.length by_weight_desc do

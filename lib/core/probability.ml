@@ -71,7 +71,7 @@ let expand params t ~members ~distinct =
         if p < 1.0 then h := !h -. (p *. log p)
       end
     in
-    List.iter (fun i -> Array.iter visit (Comp_tree.sub_weights t i)) members;
+    List.iter (fun i -> Comp_tree.iter_sub_weights t i visit) members;
     if !n_positive < 2 then 0.
     else begin
       let hmax = log (float_of_int !n_positive) in

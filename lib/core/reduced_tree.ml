@@ -1,5 +1,3 @@
-open Bionav_util
-
 type t = {
   reduced : Comp_tree.t;
   original : Comp_tree.t;
@@ -18,6 +16,9 @@ let build orig (partition : Partition.result) =
   let roots = Array.of_list partition.roots in
   let k = Array.length roots in
   if k = 0 || roots.(0) <> 0 then invalid_arg "Reduced_tree.build: malformed partition roots";
+  if k > Signature.max_parts then
+    invalid_arg
+      (Printf.sprintf "Reduced_tree.build: %d partitions (max %d)" k Signature.max_parts);
   let super_of_root = Array.make n (-1) in
   Array.iteri
     (fun s r ->
@@ -31,44 +32,27 @@ let build orig (partition : Partition.result) =
     super_of_root.(r)
   in
   let super = Array.init n super_of in
-  let members = Array.make k [||] and filled = Array.make k 0 in
-  Array.iter (fun s -> filled.(s) <- filled.(s) + 1) super;
-  Array.iteri (fun s c -> members.(s) <- Array.make c 0) filled;
-  Array.fill filled 0 k 0;
-  Array.iteri
-    (fun v s ->
-      members.(s).(filled.(s)) <- v;
-      filled.(s) <- filled.(s) + 1)
-    super;
   let parent =
     Array.mapi (fun s r -> if s = 0 then -1 else super.(Comp_tree.parent orig r)) roots
   in
-  (* One union per supernode; a supernode with one non-empty member
-     shares that member's set. *)
-  let results =
-    Array.map
-      (fun ms ->
-        Docset.union_many (Array.fold_right (fun v acc -> Comp_tree.results orig v :: acc) ms []))
-      members
-  in
-  let totals =
-    Array.map (Array.fold_left (fun acc v -> acc + Comp_tree.total orig v) 0) members
-  in
-  (* A supernode's union can exceed a member-wise total sum only if totals
-     undercount; clamp defensively so Comp_tree.make's invariant holds. *)
-  let totals = Array.mapi (fun s t -> max t (Docset.cardinal results.(s))) totals in
-  let labels = Array.map (Comp_tree.label orig) roots in
-  let concepts = Array.map (Comp_tree.concept orig) roots in
-  let multiplicity = Array.map Array.length members in
-  let sub_weights =
-    Array.map (Array.map (fun v -> float_of_int (Comp_tree.result_count orig v))) members
-  in
-  let sub_concepts = Array.map (Array.map (Comp_tree.concept orig)) members in
+  (* One pass over the members' sets gives every citation its mask of
+     supernodes, hence each supernode's |L(s)| and every distinct count
+     the cost model reads; no supernode set is built. *)
+  let g = Comp_tree.group orig ~part:super ~parts:k in
+  let signature = g.Comp_tree.signature in
+  (* A supernode's distinct count can exceed a member-wise total sum only
+     if totals undercount; clamp defensively so Comp_tree.make's
+     invariant holds. *)
+  let totals = Array.mapi (fun s t -> max t (Signature.count signature s)) g.part_totals in
   let reduced =
-    Comp_tree.make ~parent ~results ~totals ~labels ~tags:(Array.copy roots) ~concepts
-      ~multiplicity ~sub_weights ~sub_concepts ()
+    Comp_tree.make ~parent ~signature ~totals
+      ~labels:(Array.map (Comp_tree.label orig) roots)
+      ~tags:roots
+      ~concepts:(Array.map (Comp_tree.concept orig) roots)
+      ~multiplicity:(Array.map Array.length g.members)
+      ~sub_weights:g.member_weights ~sub_concepts:g.member_concepts ()
   in
-  { reduced; original = orig; roots; members }
+  { reduced; original = orig; roots; members = g.members }
 
 let tree t = t.reduced
 let original t = t.original

@@ -2,25 +2,31 @@
 
     Heuristic-ReducedOpt runs the exponential Opt-EdgeCut on a tree of at
     most k supernodes, each supernode being one partition of the real
-    component tree. A supernode aggregates its members: results are the
-    union of member result lists (duplicates across members collapse, as
-    they would within one component), corpus totals are summed, and the
+    component tree. A supernode aggregates its members: its results are
+    the union of member result lists (duplicates across members collapse,
+    as they would within one component), corpus totals are summed, and the
     label/tag come from the partition root. Reduced edges remember the
     original edge between partitions so a cut chosen on the reduced tree can
-    be mapped back. *)
+    be mapped back.
+
+    The reduced tree carries counts, not sets: the union is never built.
+    {!build} takes one pass over the members' result sets, ORing each
+    citation's supernode bit into its signature ({!Signature.of_sets}
+    with [part] the supernode of each member), and the resulting table
+    gives each supernode's [|L(s)|] and every distinct count
+    {!Cost_model} reads. *)
 
 type t
 
 val build : Comp_tree.t -> Partition.result -> t
-(** Each supernode's results are one {!Bionav_util.Docset.union_many}
-    over its members' sets: a bitmap over their span when that is no
-    larger than the operands, otherwise a k-way merge, so scattered ids
-    cost no more than their number.
-    @raise Invalid_argument if the partition does not belong to the tree. *)
+(** O(Σ |L(v)|) over the component plus [k * 2^k] for the table. The
+    original tree must hold sets.
+    @raise Invalid_argument if the partition does not belong to the tree
+    or has more than {!Signature.max_parts} partitions. *)
 
 val tree : t -> Comp_tree.t
-(** The reduced component tree; node 0 is the partition containing the
-    original root. *)
+(** The reduced component tree, counts-only (see {!Comp_tree}); node 0
+    is the partition containing the original root. *)
 
 val original : t -> Comp_tree.t
 val size : t -> int

@@ -85,3 +85,17 @@ let small_tree s =
   let results = Array.map Docset.of_list sets in
   let totals = Array.map (fun r -> Docset.cardinal r + Rng.int rng 50) results in
   Comp_tree.make ~parent:s.small_parents ~results ~totals ()
+
+(* The same tree with every id [x] moved to [x * stride]: far apart, so
+   the signature pass falls back from its dense scratch to sorting. *)
+let scatter ?(stride = 10_000_019) tree =
+  let n = Comp_tree.size tree in
+  let results =
+    Array.init n (fun i ->
+        Docset.of_list (List.map (fun x -> x * stride) (Docset.elements (Comp_tree.results tree i))))
+  in
+  Comp_tree.make
+    ~parent:(Array.init n (Comp_tree.parent tree))
+    ~results
+    ~totals:(Array.init n (Comp_tree.total tree))
+    ()

@@ -87,6 +87,29 @@ let test_empty_root_results_allowed () =
   Alcotest.(check int) "root L" 0 (Comp_tree.result_count t 0);
   Alcotest.(check int) "distinct" 1 (Docset.cardinal (Comp_tree.all_results t))
 
+(* A view reads the shared arrays through [ids] and copies nothing. *)
+let test_view () =
+  let results = Array.map Docset.of_list [| [ 9 ]; [ 1; 2 ]; [ 5 ]; [ 2; 3 ] |] in
+  let totals = [| 1; 10; 20; 30 |] and labels = [| "w"; "x"; "y"; "z" |] in
+  let t =
+    Comp_tree.make ~parent:[| -1; 0 |] ~ids:[| 1; 3 |] ~results ~totals ~labels
+      ~concepts:[| 40; 41; 42; 43 |] ()
+  in
+  Alcotest.(check int) "size" 2 (Comp_tree.size t);
+  Alcotest.(check (list int)) "results" [ 2; 3 ] (Docset.elements (Comp_tree.results t 1));
+  Alcotest.(check int) "L" 2 (Comp_tree.result_count t 1);
+  Alcotest.(check int) "LT" 30 (Comp_tree.total t 1);
+  Alcotest.(check string) "label" "x" (Comp_tree.label t 0);
+  Alcotest.(check int) "concept" 43 (Comp_tree.concept t 1);
+  Alcotest.(check int) "tag is the index" 1 (Comp_tree.tag t 1);
+  Alcotest.(check int) "distinct" 3 (Docset.cardinal (Comp_tree.all_results t));
+  Alcotest.(check bool) "id beyond the shared arrays" true
+    (rejects (fun () -> Comp_tree.make ~parent:[| -1 |] ~ids:[| 4 |] ~results ~totals ()));
+  Alcotest.(check bool) "negative id" true
+    (rejects (fun () -> Comp_tree.make ~parent:[| -1 |] ~ids:[| -1 |] ~results ~totals ()));
+  Alcotest.(check bool) "ids length" true
+    (rejects (fun () -> Comp_tree.make ~parent:[| -1; 0 |] ~ids:[| 0 |] ~results ~totals ()))
+
 let test_pp_renders () =
   let t = sample () in
   let s = Format.asprintf "%a" Comp_tree.pp t in
@@ -106,6 +129,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_validation;
           Alcotest.test_case "singleton" `Quick test_singleton;
           Alcotest.test_case "empty root results" `Quick test_empty_root_results_allowed;
+          Alcotest.test_case "view" `Quick test_view;
           Alcotest.test_case "pp" `Quick test_pp_renders;
         ] );
     ]

@@ -1,6 +1,13 @@
 open Bionav_util
 open Bionav_core
 
+module Q = Bionav_workload.Queries
+
+(* The full-size seed-11 workload that `bench fig11` runs, built once for
+   the tests below. *)
+let workload = lazy (Q.build ~seed:11 ())
+
+
 let mk parent results totals =
   Comp_tree.make ~parent ~results:(Array.map Docset.of_list results) ~totals ()
 
@@ -124,8 +131,7 @@ let test_original_tree_accessor () =
    EXPAND's revealed nodes (navigation-tree ids, in cut order) are pinned,
    so a change to the solver's inputs that moves any cut fails here. *)
 let test_fig11_prothymosin_pinned () =
-  let module Q = Bionav_workload.Queries in
-  let w = Q.build ~seed:11 () in
+  let w = Lazy.force workload in
   let q = List.find (fun q -> q.Q.spec.Q.name = "prothymosin") w.Q.queries in
   let session = Bionav_engine.Engine.start (Navigation.bionav ()) q.Q.nav in
   let active = Navigation.active session in
@@ -152,6 +158,88 @@ let test_fig11_prothymosin_pinned () =
     ]
     cuts
 
+
+(* Differential over real components: on every component an oracle
+   drill-down of each of the ten Table I trees reaches (to its Table I
+   target and to three more nodes spread through the tree), the lean
+   component tree, the partition, the counts-only reduction and the
+   solver match the set-based pipeline kept in test/ field by field, on
+   every mask and on every cut. The drill itself is a Simulate trace,
+   compared with the trace of a session whose every cut the oracle
+   pipeline injects. *)
+module Oracle = Reduced_tree_oracle
+
+let oracle_source session =
+  {
+    Navigation.find_plan =
+      (fun ~root ~members:_ ~members_fp:_ ->
+        let act = Navigation.active session in
+        let members = Active_tree.component_members act root in
+        let _, _, cut, _ = Oracle.pipeline (Active_tree.nav act) ~members in
+        Some cut);
+    store_plan = (fun ~root:_ ~members:_ ~members_fp:_ ~cut:_ -> ());
+  }
+
+let check_component act root =
+  let k = Heuristic.default_k in
+  let members = Active_tree.component_members act root in
+  let comp, map = Active_tree.comp_tree act root in
+  let ocomp, ored, ocut, ocost = Oracle.pipeline (Active_tree.nav act) ~members in
+  Alcotest.(check bool) "component tree = copying oracle" true (Oracle.same_comp_tree comp ocomp);
+  Alcotest.(check bool) "map is the members" true (map == members);
+  (match ored with
+  | None -> ()
+  | Some ored ->
+      let part = Partition.run_k comp ~k in
+      let same (a : Partition.result) (b : Partition.result) =
+        a.assignment = b.assignment && a.roots = b.roots && Float.equal a.threshold b.threshold
+      in
+      Alcotest.(check bool) "partition = oracles" true
+        (same part (Partition_oracle.Rebuilding.run_k ocomp ~k)
+        && same part (Partition_oracle.run_k ocomp ~k));
+      let red = Reduced_tree.build comp part in
+      let rt = Reduced_tree.tree red and ort = Oracle.tree ored in
+      Alcotest.(check bool) "reduction = union oracle" true (Oracle.same_comp_tree rt ort);
+      if Comp_tree.size rt >= 2 then
+        Alcotest.(check bool) "every mask and cut = oracle" true
+          (Oracle.same_solver ~sets_tree:ort (Cost_model.create rt) (Cost_model.create ort)));
+  let r = Heuristic.best_cut ~k comp in
+  Alcotest.(check (list int)) "cut" ocut (List.map (Comp_tree.tag comp) r.Heuristic.cut_children);
+  Alcotest.(check bool) "cost" true (Float.equal ocost r.Heuristic.reduced_cost)
+
+let test_table1_components_match_oracle () =
+  let w = Lazy.force workload in
+  List.iter
+    (fun q ->
+      let n = Nav_tree.size q.Q.nav in
+      List.iter
+        (fun target ->
+          let session = Bionav_engine.Engine.start (Navigation.bionav ()) q.Q.nav in
+          let act = Navigation.active session in
+          let rec drill () =
+            if not (Active_tree.is_visible act target) then begin
+              let root = Active_tree.component_root_of act target in
+              check_component act root;
+              ignore (Navigation.expand session root : int list);
+              drill ()
+            end
+          in
+          drill ();
+          let traced = Bionav_engine.Engine.start (Navigation.bionav ()) q.Q.nav in
+          let injected = Bionav_engine.Engine.start (Navigation.bionav ()) q.Q.nav in
+          Navigation.set_plan_source injected (Some (oracle_source injected));
+          let steps o =
+            List.map
+              (fun (r : Navigation.expand_record) -> (r.node, r.n_revealed))
+              o.Simulate.history
+          in
+          let a = Simulate.to_target traced ~target and b = Simulate.to_target injected ~target in
+          Alcotest.(check (list (pair int int))) "Simulate trace = oracle's" (steps b) (steps a);
+          Alcotest.(check (list int)) "visible nodes" (Active_tree.visible (Navigation.active injected))
+            (Active_tree.visible (Navigation.active traced)))
+        [ q.Q.target_node; n / 4; n / 2; 3 * n / 4 ])
+    w.Q.queries
+
 let qcheck_valid_cuts =
   QCheck.Test.make ~name:"heuristic cuts are always valid" ~count:100
     QCheck.(pair (int_range 2 150) (int_range 0 10_000))
@@ -177,6 +265,8 @@ let () =
           Alcotest.test_case "plan lifecycle" `Quick test_plan_lifecycle;
           Alcotest.test_case "original tree accessor" `Quick test_original_tree_accessor;
           Alcotest.test_case "fig11 prothymosin cuts pinned" `Slow test_fig11_prothymosin_pinned;
+          Alcotest.test_case "Table I components = oracle pipeline" `Slow
+            test_table1_components_match_oracle;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest qcheck_valid_cuts ]);
     ]

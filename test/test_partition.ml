@@ -199,6 +199,18 @@ let qcheck_run_k_matches_oracle =
             (List.init 11 (fun i -> i + 2)))
         [ 1.05; 1.3; 2.0; 7.5 ])
 
+let qcheck_run_k_matches_rebuilding =
+  QCheck.Test.make ~name:"run_k = children-rebuilding oracle, four growths" ~count:300
+    Comp_tree_gen.gen (fun spec ->
+      let tree = Comp_tree_gen.tree spec in
+      List.for_all
+        (fun growth ->
+          List.for_all
+            (fun k ->
+              same (Partition.run_k ~growth tree ~k) (Oracle.Rebuilding.run_k ~growth tree ~k))
+            (List.init 11 (fun i -> i + 2)))
+        [ 1.05; 1.3; 2.0; 7.5 ])
+
 let qcheck_run_matches_oracle =
   QCheck.Test.make ~name:"run = oracle at any threshold" ~count:300
     (QCheck.pair Comp_tree_gen.gen (QCheck.float_range 0.01 200.))
@@ -227,6 +239,7 @@ let () =
       ( "oracle",
         [
           QCheck_alcotest.to_alcotest qcheck_run_k_matches_oracle;
+          QCheck_alcotest.to_alcotest qcheck_run_k_matches_rebuilding;
           QCheck_alcotest.to_alcotest qcheck_run_matches_oracle;
         ] );
     ]
