@@ -30,6 +30,45 @@ let runs = lazy (E.run_all (Lazy.force workload))
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
 
+let write_file path content =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc content)
+
+(* A JSON object from fields whose values are already JSON text; [indent]
+   is the indentation of the line the object starts on. *)
+let json_obj ?(indent = "") fields =
+  Printf.sprintf "{\n%s\n%s}"
+    (String.concat ",\n"
+       (List.map (fun (k, v) -> Printf.sprintf "%s  \"%s\": %s" indent k v) fields))
+    indent
+
+let json_string s = Printf.sprintf "\"%s\"" (String.escaped s)
+
+let commit =
+  lazy
+    (match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+    | exception Unix.Unix_error _ -> "unknown"
+    | ic -> (
+        let line = try input_line ic with End_of_file -> "" in
+        match Unix.close_process_in ic with
+        | Unix.WEXITED 0 when line <> "" -> line
+        | _ -> "unknown"))
+
+(* Write a BENCH_*.json artifact, stamped with what produced it: the
+   commit, the core count, the compiler and whether it ran at --smoke
+   size, so numbers from different machines or sizes are never confused. *)
+let write_bench_json path fields =
+  let stamp =
+    [
+      ("commit", json_string (Lazy.force commit));
+      ("cores", string_of_int (Domain.recommended_domain_count ()));
+      ("ocaml", json_string Sys.ocaml_version);
+      ("smoke", string_of_bool !smoke_mode);
+    ]
+  in
+  write_file path (json_obj (stamp @ fields) ^ "\n");
+  say "  wrote %s" path
+
 let paper_note lines =
   List.iter (fun l -> say "  | %s" l) lines;
   say ""
@@ -706,191 +745,23 @@ let prefetch_bench () =
        ]);
   say "";
   say "  %d sessions over %d queries (Zipf, exponent 1.0)." n_sessions (Array.length queries);
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"sessions\": %d,\n\
-      \  \"queries\": %d,\n\
-      \  \"off\": { \"expands\": %d, \"expand_p50_ms\": %.4f, \"expand_p95_ms\": %.4f },\n\
-      \  \"on\": { \"expands\": %d, \"expand_p50_ms\": %.4f, \"expand_p95_ms\": %.4f,\n\
-      \          \"plan_cache_hit_rate\": %.4f }\n\
-       }\n"
-      n_sessions (Array.length queries) off_expands off_p50 off_p95 on_expands on_p50
-      on_p95 hit_rate
-  in
-  let path = "BENCH_prefetch.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
-  say "  wrote %s" path;
+  write_bench_json "BENCH_prefetch.json"
+    [
+      ("sessions", string_of_int n_sessions);
+      ("queries", string_of_int (Array.length queries));
+      ( "off",
+        Printf.sprintf "{ \"expands\": %d, \"expand_p50_ms\": %.4f, \"expand_p95_ms\": %.4f }"
+          off_expands off_p50 off_p95 );
+      ( "on",
+        Printf.sprintf
+          "{ \"expands\": %d, \"expand_p50_ms\": %.4f, \"expand_p95_ms\": %.4f, \
+           \"plan_cache_hit_rate\": %.4f }"
+          on_expands on_p50 on_p95 hit_rate );
+    ];
   say "";
   if hit_rate < 0.5 then begin
     say "  *** FAIL: plan-cache hit rate %.0f%% below the 50%% floor ***"
       (100. *. hit_rate);
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Chaos: the Zipf workload under a seeded fault plan                   *)
-(* ------------------------------------------------------------------ *)
-
-module Resil = Bionav_resilience
-
-(* The prefetch bench's repeat traffic, replayed on a simulated clock
-   with a deterministic fault plan injected into the engine's backend
-   guard: esearch calls fail 15% of the time, every op can draw a
-   20-200 ms virtual latency spike, and EXPANDs run under a 50 ms
-   budget, degrading to a static-style cut when a spike ate it. The
-   whole run is seeded (workload, Zipf draws, fault plan, backoff
-   jitter) and time is virtual, so two runs must produce byte-identical
-   event traces. Gates: zero exceptions escaping the engine, trace
-   determinism, and a degraded fraction at most 50%. *)
-let chaos_bench () =
-  say "%s" (Table.section "Chaos: Zipf workload under a seeded fault plan");
-  say "";
-  let w = Q.build ~config:Q.small_config ~seed:workload_seed () in
-  let queries = Array.of_list w.Q.queries in
-  let n_sessions = 60 in
-  let expand_budget_ms = 50. in
-  let chaos_config =
-    { Resil.Chaos.seed = 5;
-      (* esearch only runs on tree-cache misses (one per distinct query),
-         so the per-call failure rate is high enough that some retries
-         and possibly give-ups show up in a 60-session run. *)
-      error_rate = 0.3;
-      delay_rate = 0.25;
-      delay_ms = (20., 200.);
-      fail_ops = [ "esearch" ] }
-  in
-  let run_once () =
-    Metrics.reset ();
-    let clock = Resil.Clock.simulated () in
-    let chaos = Resil.Chaos.create chaos_config in
-    let config =
-      { Engine.default_config with
-        Engine.clock;
-        expand_budget_ms = Some expand_budget_ms;
-        (* A tree cache big enough for the whole workload would absorb
-           all but the first esearch per query; capacity 1 keeps the
-           guarded backend under fire for most sessions. *)
-        cache_capacity = 1;
-        prefetch = Some Bionav_prefetch.Prefetch.default_config }
-    in
-    let engine = Engine.create ~config ~chaos ~database:w.Q.database ~eutils:w.Q.eutils () in
-    let zipf = Zipf.create ~exponent:1.0 (Array.length queries) in
-    let rng = Rng.create 42 in
-    let trace = Buffer.create 4096 in
-    let crashes = ref 0 in
-    let search_errors = ref 0 in
-    let expands = ref 0 in
-    let degraded = ref 0 in
-    (* Trace lines carry only seeded quantities and virtual timestamps —
-       never wall-clock readings — or byte-identity across runs breaks. *)
-    let event i qi fmt =
-      Printf.ksprintf
-        (fun s ->
-          Buffer.add_string trace
-            (Printf.sprintf "s%02d q=%d %s t=%.3f\n" i qi s (Resil.Clock.now_ms clock)))
-        fmt
-    in
-    for i = 1 to n_sessions do
-      let qi = Zipf.draw zipf rng in
-      let q = queries.(qi) in
-      match Engine.search engine q.Q.keyword with
-      | Ok (Engine.Session s) -> (
-          (match Simulate.to_target (Engine.navigation s) ~target:q.Q.target_node with
-          | _cost ->
-              let st = Navigation.stats (Engine.navigation s) in
-              let d =
-                List.length
-                  (List.filter (fun r -> r.Navigation.degraded) st.Navigation.history)
-              in
-              expands := !expands + st.Navigation.expands;
-              degraded := !degraded + d;
-              event i qi "ok expands=%d degraded=%d" st.Navigation.expands d
-          | exception e ->
-              incr crashes;
-              event i qi "CRASH %s" (Printexc.to_string e));
-          ignore (Engine.close engine (Engine.session_id s) : bool))
-      | Ok Engine.No_results -> event i qi "no-results"
-      | Error msg ->
-          incr search_errors;
-          event i qi "unavailable %s" msg
-      | exception e ->
-          incr crashes;
-          event i qi "CRASH %s" (Printexc.to_string e)
-    done;
-    ( Buffer.contents trace,
-      !crashes,
-      !search_errors,
-      !expands,
-      !degraded,
-      Resil.Chaos.injected_failures chaos,
-      Resil.Chaos.injected_delays chaos,
-      Metrics.value (Metrics.counter "bionav_resilience_retries_total"),
-      Metrics.value (Metrics.counter "bionav_resilience_giveups_total") )
-  in
-  let trace1, crashes, search_errors, expands, degraded, failures, delays, retries, giveups =
-    run_once ()
-  in
-  let trace2, _, _, _, _, _, _, _, _ = run_once () in
-  let deterministic = String.equal trace1 trace2 in
-  let degraded_fraction =
-    if expands = 0 then 0. else float_of_int degraded /. float_of_int expands
-  in
-  print_string
-    (Table.render
-       ~header:[ "metric"; "value" ]
-       [ Table.Left; Right ]
-       [
-         [ "sessions"; string_of_int n_sessions ];
-         [ "crashes (escaped exceptions)"; string_of_int crashes ];
-         [ "backend unavailable"; string_of_int search_errors ];
-         [ "EXPANDs"; string_of_int expands ];
-         [ "degraded EXPANDs"; string_of_int degraded ];
-         [ "degraded fraction"; Printf.sprintf "%.1f%%" (100. *. degraded_fraction) ];
-         [ "injected failures"; string_of_int failures ];
-         [ "injected delays"; string_of_int delays ];
-         [ "retries"; string_of_int retries ];
-         [ "give-ups"; string_of_int giveups ];
-         [ "trace deterministic"; (if deterministic then "yes" else "NO") ];
-       ]);
-  say "";
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"sessions\": %d,\n\
-      \  \"chaos_seed\": %d,\n\
-      \  \"expand_budget_ms\": %.1f,\n\
-      \  \"crashes\": %d,\n\
-      \  \"backend_unavailable\": %d,\n\
-      \  \"expands\": %d,\n\
-      \  \"degraded_expands\": %d,\n\
-      \  \"degraded_fraction\": %.4f,\n\
-      \  \"injected_failures\": %d,\n\
-      \  \"injected_delays\": %d,\n\
-      \  \"retries\": %d,\n\
-      \  \"giveups\": %d,\n\
-      \  \"trace_deterministic\": %b\n\
-       }\n"
-      n_sessions chaos_config.Resil.Chaos.seed expand_budget_ms crashes search_errors
-      expands degraded degraded_fraction failures delays retries giveups deterministic
-  in
-  let path = "BENCH_chaos.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
-  say "  wrote %s" path;
-  say "";
-  if crashes > 0 then begin
-    say "  *** FAIL: %d exception(s) escaped the engine under fault injection ***" crashes;
-    exit 1
-  end;
-  if not deterministic then begin
-    say "  *** FAIL: two runs under the same fault plan diverged ***";
-    exit 1
-  end;
-  if degraded_fraction > 0.5 then begin
-    say "  *** FAIL: degraded fraction %.0f%% above the 50%% ceiling ***"
-      (100. *. degraded_fraction);
     exit 1
   end
 
@@ -1000,26 +871,18 @@ let docset_bench () =
            Printf.sprintf "%.1fx" (speedup intset_inter_ms docset_inter_ms) ];
        ]);
   say "";
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"sessions\": %d,\n\
-      \  \"expands\": %d,\n\
-      \  \"expand_p50_ms\": %.4f,\n\
-      \  \"expand_p95_ms\": %.4f,\n\
-      \  \"resident_bytes\": %d,\n\
-      \  \"union_many_intset_ms\": %.5f,\n\
-      \  \"union_many_docset_ms\": %.5f,\n\
-      \  \"inter_cardinal_intset_ms\": %.5f,\n\
-      \  \"inter_cardinal_docset_ms\": %.5f\n\
-       }\n"
-      n_sessions expands expand_p50 expand_p95 resident_bytes intset_union_ms docset_union_ms
-      intset_inter_ms docset_inter_ms
-  in
-  let path = "BENCH_docset.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
-  say "  wrote %s" path;
+  write_bench_json "BENCH_docset.json"
+    [
+      ("sessions", string_of_int n_sessions);
+      ("expands", string_of_int expands);
+      ("expand_p50_ms", Printf.sprintf "%.4f" expand_p50);
+      ("expand_p95_ms", Printf.sprintf "%.4f" expand_p95);
+      ("resident_bytes", string_of_int resident_bytes);
+      ("union_many_intset_ms", Printf.sprintf "%.5f" intset_union_ms);
+      ("union_many_docset_ms", Printf.sprintf "%.5f" docset_union_ms);
+      ("inter_cardinal_intset_ms", Printf.sprintf "%.5f" intset_inter_ms);
+      ("inter_cardinal_docset_ms", Printf.sprintf "%.5f" docset_inter_ms);
+    ];
   say "";
   (* Regression gates against the committed baseline, on outcomes: expand
      latency (p50 and p95) gets a wide multiplier (CI machines vary); the
@@ -1073,18 +936,7 @@ module Gen = Bionav_corpus.Generator
    BENCH_ingest.json covering ingest and serving. *)
 let segstore_json : (string * string) list ref = ref []
 
-let write_segstore_json () =
-  let json =
-    Printf.sprintf "{\n%s\n}\n"
-      (String.concat ",\n"
-         (List.map
-            (fun (k, v) -> Printf.sprintf "  \"%s\": %s" k v)
-            (List.rev !segstore_json)))
-  in
-  let path = "BENCH_ingest.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
-  say "  wrote %s" path
+let write_segstore_json () = write_bench_json "BENCH_ingest.json" (List.rev !segstore_json)
 
 let rm_rf dir =
   if Sys.file_exists dir then begin
@@ -1161,31 +1013,24 @@ let ingest_bench () =
   let ratio_ok = summary.Seg_ingest.bytes >= 10 * cache_budget_bytes in
   segstore_json :=
     ( "ingest",
-      Printf.sprintf
-        "{\n\
-        \    \"smoke\": %b,\n\
-        \    \"citations\": %d,\n\
-        \    \"associations\": %d,\n\
-        \    \"runs_spilled\": %d,\n\
-        \    \"segments\": %d,\n\
-        \    \"segment_bytes\": %d,\n\
-        \    \"elapsed_ms\": %.2f,\n\
-        \    \"citations_per_s\": %.1f,\n\
-        \    \"run_buffer_bytes\": %d,\n\
-        \    \"cache_budget_bytes\": %d,\n\
-        \    \"peak_rss_before_bytes\": %d,\n\
-        \    \"peak_rss_after_bytes\": %d,\n\
-        \    \"peak_rss_growth_bytes\": %d,\n\
-        \    \"rss_ceiling_bytes\": %d,\n\
-        \    \"corpus_at_least_10x_cache\": %b,\n\
-        \    \"rss_gate_ok\": %b\n\
-        \  }"
-        smoke summary.Seg_ingest.n_citations summary.Seg_ingest.n_associations
-        summary.Seg_ingest.runs_spilled summary.Seg_ingest.n_segments
-        summary.Seg_ingest.bytes elapsed_ms
-        (per_s summary.Seg_ingest.n_citations)
-        run_buffer_bytes cache_budget_bytes peak0 peak1 peak_delta rss_ceiling ratio_ok
-        rss_ok )
+      json_obj ~indent:"  "
+        [
+          ("citations", string_of_int summary.Seg_ingest.n_citations);
+          ("associations", string_of_int summary.Seg_ingest.n_associations);
+          ("runs_spilled", string_of_int summary.Seg_ingest.runs_spilled);
+          ("segments", string_of_int summary.Seg_ingest.n_segments);
+          ("segment_bytes", string_of_int summary.Seg_ingest.bytes);
+          ("elapsed_ms", Printf.sprintf "%.2f" elapsed_ms);
+          ("citations_per_s", Printf.sprintf "%.1f" (per_s summary.Seg_ingest.n_citations));
+          ("run_buffer_bytes", string_of_int run_buffer_bytes);
+          ("cache_budget_bytes", string_of_int cache_budget_bytes);
+          ("peak_rss_before_bytes", string_of_int peak0);
+          ("peak_rss_after_bytes", string_of_int peak1);
+          ("peak_rss_growth_bytes", string_of_int peak_delta);
+          ("rss_ceiling_bytes", string_of_int rss_ceiling);
+          ("corpus_at_least_10x_cache", string_of_bool ratio_ok);
+          ("rss_gate_ok", string_of_bool rss_ok);
+        ] )
     :: !segstore_json;
   write_segstore_json ();
   say "";
@@ -1320,29 +1165,26 @@ let coldexpand_bench () =
   let counts_ok = hits = coldexpand_expected_hits && misses = coldexpand_expected_misses in
   segstore_json :=
     ( "coldexpand",
-      Printf.sprintf
-        "{\n\
-        \    \"queries\": %d,\n\
-        \    \"segments\": %d,\n\
-        \    \"segment_bytes\": %d,\n\
-        \    \"mem_expands\": %d,\n\
-        \    \"mem_expand_p50_ms\": %.4f,\n\
-        \    \"mem_expand_p95_ms\": %.4f,\n\
-        \    \"cold_expands\": %d,\n\
-        \    \"cold_expand_p50_ms\": %.4f,\n\
-        \    \"cold_expand_p95_ms\": %.4f,\n\
-        \    \"cold_p95_ceiling_ms\": %.1f,\n\
-        \    \"block_cache_blocks\": %d,\n\
-        \    \"block_cache_hits\": %d,\n\
-        \    \"block_cache_misses\": %d,\n\
-        \    \"block_cache_expected\": [%d, %d],\n\
-        \    \"traces_identical\": %b,\n\
-        \    \"results_identical\": %b\n\
-        \  }"
-        (List.length w.Q.queries) ingest_summary.Seg_ingest.n_segments
-        ingest_summary.Seg_ingest.bytes mem_expands mem_p50 mem_p95 cold_expands cold_p50
-        cold_p95 p95_ceiling_ms coldexpand_cache_blocks hits misses coldexpand_expected_hits
-        coldexpand_expected_misses trace_identical !results_identical )
+      json_obj ~indent:"  "
+        [
+          ("queries", string_of_int (List.length w.Q.queries));
+          ("segments", string_of_int ingest_summary.Seg_ingest.n_segments);
+          ("segment_bytes", string_of_int ingest_summary.Seg_ingest.bytes);
+          ("mem_expands", string_of_int mem_expands);
+          ("mem_expand_p50_ms", Printf.sprintf "%.4f" mem_p50);
+          ("mem_expand_p95_ms", Printf.sprintf "%.4f" mem_p95);
+          ("cold_expands", string_of_int cold_expands);
+          ("cold_expand_p50_ms", Printf.sprintf "%.4f" cold_p50);
+          ("cold_expand_p95_ms", Printf.sprintf "%.4f" cold_p95);
+          ("cold_p95_ceiling_ms", Printf.sprintf "%.1f" p95_ceiling_ms);
+          ("block_cache_blocks", string_of_int coldexpand_cache_blocks);
+          ("block_cache_hits", string_of_int hits);
+          ("block_cache_misses", string_of_int misses);
+          ( "block_cache_expected",
+            Printf.sprintf "[%d, %d]" coldexpand_expected_hits coldexpand_expected_misses );
+          ("traces_identical", string_of_bool trace_identical);
+          ("results_identical", string_of_bool !results_identical);
+        ] )
     :: !segstore_json;
   write_segstore_json ();
   say "";
@@ -1624,42 +1466,35 @@ let serve_bench () =
   let error_budget = 0.01 in
   let conn_gate_ok = int_of_float open_conns >= idle_target in
   let idle_gate_ok = int_of_float idle_conns >= idle_target in
-  let json =
-    Printf.sprintf
-      "{\n\
-       \  \"bench\": \"serve\",\n\
-       \  \"smoke\": %b,\n\
-       \  \"cores\": %d,\n\
-       \  \"gates_enforced\": %b,\n\
-       \  \"nofile_limit\": %d,\n\
-       \  \"idle\": {\n\
-       \    \"target\": %d,\n\
-       \    \"open_connections\": %d,\n\
-       \    \"idle_connections\": %d,\n\
-       \    \"probe_ok\": %b,\n\
-       \    \"probe_worst_ms\": %.3f\n\
-       \  },\n\
-       \  \"open_loop\": {\n\
-       \    \"rate_rps\": %.0f,\n\
-       \    \"duration_s\": %.1f,\n\
-       \    \"requests\": %d,\n\
-       \    \"client_connections\": %d,\n\
-       \    \"errors\": %d,\n\
-       \    \"error_rate\": %.4f,\n\
-       \    \"p50_ms\": %.3f,\n\
-       \    \"p99_ms\": %.3f,\n\
-       \    \"p99_ceiling_ms\": %.0f,\n\
-       \    \"throughput_rps\": %.1f\n\
-       \  }\n\
-       }\n"
-      smoke cores gates_enforced nofile idle_target (int_of_float open_conns)
-      (int_of_float idle_conns) !probe_ok probe_worst rate duration_s n_reqs
-      n_client_threads error_count error_rate p50 p99 p99_ceiling_ms open_throughput
-  in
-  let path = "BENCH_serve.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
-  say "  wrote %s" path;
+  write_bench_json "BENCH_serve.json"
+    [
+      ("bench", json_string "serve");
+      ("gates_enforced", string_of_bool gates_enforced);
+      ("nofile_limit", string_of_int nofile);
+      ( "idle",
+        json_obj ~indent:"  "
+          [
+            ("target", string_of_int idle_target);
+            ("open_connections", string_of_int (int_of_float open_conns));
+            ("idle_connections", string_of_int (int_of_float idle_conns));
+            ("probe_ok", string_of_bool !probe_ok);
+            ("probe_worst_ms", Printf.sprintf "%.3f" probe_worst);
+          ] );
+      ( "open_loop",
+        json_obj ~indent:"  "
+          [
+            ("rate_rps", Printf.sprintf "%.0f" rate);
+            ("duration_s", Printf.sprintf "%.1f" duration_s);
+            ("requests", string_of_int n_reqs);
+            ("client_connections", string_of_int n_client_threads);
+            ("errors", string_of_int error_count);
+            ("error_rate", Printf.sprintf "%.4f" error_rate);
+            ("p50_ms", Printf.sprintf "%.3f" p50);
+            ("p99_ms", Printf.sprintf "%.3f" p99);
+            ("p99_ceiling_ms", Printf.sprintf "%.0f" p99_ceiling_ms);
+            ("throughput_rps", Printf.sprintf "%.1f" open_throughput);
+          ] );
+    ];
   say "";
   let fail = ref false in
   let gate name ok detail =
@@ -1698,8 +1533,7 @@ let csv () =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let write name content =
     let path = Filename.concat dir name in
-    let oc = open_out path in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc content);
+    write_file path content;
     say "wrote %s" path
   in
   write "table1.csv" (R.table1_csv w);
@@ -1817,49 +1651,82 @@ let adaptive_bench () =
   say "  evidence overhead on the expand path: %+.1f us/EXPAND" overhead_us;
   say "";
   (* 3. Does learning pay? Mean simulated navigation cost, static vs
-     learned, per stochastic-user population. *)
-  let train = if smoke then 60 else 120 in
-  let eval_walks = if smoke then 60 else 120 in
-  let runs = E.learned_vs_static ~train ~eval_walks ~seed:42 w in
+     learned, per stochastic-user population, on ten seeds. Both arms of a
+     seed share its training sessions and evaluation draws, so each seed
+     gives one paired reduction; report their median and quartiles. *)
+  let train = if smoke then 20 else 120 in
+  let eval_walks = if smoke then 20 else 120 in
+  let seeds = List.init 10 (fun i -> i + 1) in
+  let per_seed = List.map (fun seed -> E.learned_vs_static ~train ~eval_walks ~seed w) seeds in
+  let populations =
+    List.map
+      (fun (r : E.adaptive_run) ->
+        let runs =
+          Array.of_list
+            (List.map (List.find (fun (s : E.adaptive_run) -> s.E.population = r.E.population))
+               per_seed)
+        in
+        let col f = Array.map f runs in
+        let reductions = col (fun s -> s.E.cost_reduction) in
+        ( r.E.population,
+          Stats.median (col (fun s -> s.E.static_mean_cost)),
+          Stats.median (col (fun s -> s.E.learned_mean_cost)),
+          reductions ))
+      (List.hd per_seed)
+  in
+  let pct x = Printf.sprintf "%+.1f%%" (100. *. x) in
   print_string
     (Table.render
-       ~header:[ "population"; "static cost"; "learned cost"; "reduction" ]
-       [ Table.Left; Right; Right; Right ]
+       ~header:
+         [ "population"; "static cost"; "learned cost"; "reduction"; "IQR"; "seeds improved" ]
+       [ Table.Left; Right; Right; Right; Right; Right ]
        (List.map
-          (fun (r : E.adaptive_run) ->
+          (fun (name, static, learned, reductions) ->
             [
-              r.E.population;
-              Printf.sprintf "%.2f" r.E.static_mean_cost;
-              Printf.sprintf "%.2f" r.E.learned_mean_cost;
-              Printf.sprintf "%+.1f%%" (100. *. r.E.cost_reduction);
+              name;
+              Printf.sprintf "%.2f" static;
+              Printf.sprintf "%.2f" learned;
+              pct (Stats.median reductions);
+              Printf.sprintf "[%s, %s]"
+                (pct (Stats.percentile reductions 25.))
+                (pct (Stats.percentile reductions 75.));
+              Printf.sprintf "%d/%d"
+                (Array.fold_left (fun n x -> if x > 0. then n + 1 else n) 0 reductions)
+                (Array.length reductions);
             ])
-          runs));
-  say "  %d training sessions, %d evaluation walks per population." train eval_walks;
+          populations));
+  say "  medians over seeds 1-%d; %d training sessions, %d evaluation walks per population."
+    (List.length seeds) train eval_walks;
   say "";
-  let wins = List.length (List.filter (fun r -> r.E.cost_reduction > 0.) runs) in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"smoke\": %b,\n\
-      \  \"observe_us\": %.4f,\n\
-      \  \"expand\": { \"off_us\": %.2f, \"on_us\": %.2f, \"overhead_us\": %.2f },\n\
-      \  \"populations\": [%s],\n\
-      \  \"populations_improved\": %d\n\
-       }\n"
-      smoke observe_us off_us on_us overhead_us
-      (String.concat ", "
-         (List.map
-            (fun (r : E.adaptive_run) ->
-              Printf.sprintf
-                "{ \"name\": \"%s\", \"static\": %.3f, \"learned\": %.3f, \"reduction\": %.4f }"
-                r.E.population r.E.static_mean_cost r.E.learned_mean_cost r.E.cost_reduction)
-            runs))
-      wins
+  (* A population counts as improved when its whole interquartile range
+     of paired reductions lies above 0. *)
+  let wins =
+    List.length
+      (List.filter (fun (_, _, _, reductions) -> Stats.percentile reductions 25. > 0.) populations)
   in
-  let path = "BENCH_adaptive.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
-  say "  wrote %s" path;
+  write_bench_json "BENCH_adaptive.json"
+    [
+      ("observe_us", Printf.sprintf "%.4f" observe_us);
+      ( "expand",
+        Printf.sprintf "{ \"off_us\": %.2f, \"on_us\": %.2f, \"overhead_us\": %.2f }" off_us
+          on_us overhead_us );
+      ("seeds", Printf.sprintf "[%s]" (String.concat ", " (List.map string_of_int seeds)));
+      ( "populations",
+        Printf.sprintf "[%s]"
+          (String.concat ", "
+             (List.map
+                (fun (name, static, learned, reductions) ->
+                  Printf.sprintf
+                    "{ \"name\": \"%s\", \"static\": %.3f, \"learned\": %.3f, \
+                     \"reduction\": %.4f, \"reduction_q1\": %.4f, \"reduction_q3\": %.4f, \
+                     \"reductions\": [%s] }"
+                    name static learned (Stats.median reductions)
+                    (Stats.percentile reductions 25.) (Stats.percentile reductions 75.)
+                    (String.concat ", "
+                       (Array.to_list (Array.map (Printf.sprintf "%.4f") reductions))))
+                populations)) );
+      ("populations_improved", string_of_int wins);
+    ];
   say "";
   (* Gates: observing must stay off the hot path's back, and learning must
      actually win on most populations. *)
@@ -1872,8 +1739,8 @@ let adaptive_bench () =
     exit 1
   end;
   if wins < 2 then begin
-    say "  *** FAIL: learned model beat static on only %d of %d populations ***" wins
-      (List.length runs);
+    say "  *** FAIL: learned model beat static (IQR above 0) on only %d of %d populations ***" wins
+      (List.length populations);
     exit 1
   end
 
@@ -1962,39 +1829,34 @@ let navspace_bench () =
   let td_mean = mean (fun (r : E.space_run) -> r.E.topdown_cost) in
   let refine_mean = mean (fun (r : E.space_run) -> r.E.refine_cost) in
   let facet_mean = mean (fun (r : E.space_run) -> r.E.facet_cost) in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"smoke\": %b,\n\
-      \  \"rounds\": %d,\n\
-      \  \"sessions\": %d,\n\
-      \  \"refinements\": %d,\n\
-      \  \"facet_cuts\": %d,\n\
-      \  \"derivation\": {\n\
-      \    \"descriptor\": { \"count\": %d, \"p50_ms\": %.4f, \"p95_ms\": %.4f },\n\
-      \    \"qualifier\": { \"count\": %d, \"p50_ms\": %.4f, \"p95_ms\": %.4f }\n\
-      \  },\n\
-      \  \"plan_cache_hit_rate\": %.4f,\n\
-      \  \"cost\": { \"topdown_mean\": %.2f, \"refine_mean\": %.2f, \"facet_mean\": %.2f },\n\
-      \  \"per_query\": [%s]\n\
-       }\n"
-      !smoke_mode rounds !sessions !refines !facets (Metrics.count dhist)
-      (Metrics.percentile dhist 50.) (Metrics.percentile dhist 95.)
-      (Metrics.count qhist) (Metrics.percentile qhist 50.) (Metrics.percentile qhist 95.)
-      hit_rate td_mean refine_mean facet_mean
-      (String.concat ", "
-         (List.map
-            (fun (r : E.space_run) ->
-              Printf.sprintf
-                "{ \"query\": \"%s\", \"topdown\": %d, \"refine\": %d, \"facet\": %d }"
-                r.E.space_query.Q.spec.Q.name r.E.topdown_cost r.E.refine_cost
-                r.E.facet_cost)
-            space_runs))
+  let derivation h =
+    Printf.sprintf "{ \"count\": %d, \"p50_ms\": %.4f, \"p95_ms\": %.4f }" (Metrics.count h)
+      (Metrics.percentile h 50.) (Metrics.percentile h 95.)
   in
-  let path = "BENCH_navspace.json" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc json);
-  say "  wrote %s" path;
+  write_bench_json "BENCH_navspace.json"
+    [
+      ("rounds", string_of_int rounds);
+      ("sessions", string_of_int !sessions);
+      ("refinements", string_of_int !refines);
+      ("facet_cuts", string_of_int !facets);
+      ( "derivation",
+        json_obj ~indent:"  "
+          [ ("descriptor", derivation dhist); ("qualifier", derivation qhist) ] );
+      ("plan_cache_hit_rate", Printf.sprintf "%.4f" hit_rate);
+      ( "cost",
+        Printf.sprintf "{ \"topdown_mean\": %.2f, \"refine_mean\": %.2f, \"facet_mean\": %.2f }"
+          td_mean refine_mean facet_mean );
+      ( "per_query",
+        Printf.sprintf "[%s]"
+          (String.concat ", "
+             (List.map
+                (fun (r : E.space_run) ->
+                  Printf.sprintf
+                    "{ \"query\": \"%s\", \"topdown\": %d, \"refine\": %d, \"facet\": %d }"
+                    r.E.space_query.Q.spec.Q.name r.E.topdown_cost r.E.refine_cost
+                    r.E.facet_cost)
+                space_runs)) );
+    ];
   say "";
   if !refines = 0 then begin
     say "  *** FAIL: the churn loop performed no refinements ***";
@@ -2026,7 +1888,6 @@ let targets =
     ("calibration", calibration);
     ("micro", micro);
     ("prefetch", prefetch_bench);
-    ("chaos", chaos_bench);
     ("docset", docset_bench);
     ("ingest", ingest_bench);
     ("coldexpand", coldexpand_bench);
@@ -2036,7 +1897,7 @@ let targets =
     ("csv", csv);
   ]
 
-(* "csv", "prefetch", "chaos", "docset", "ingest", "coldexpand",
+(* "csv", "prefetch", "docset", "ingest", "coldexpand",
    "serve", "adaptive" and "navspace" write files rather than (only)
    printing;
    keep them out of the default everything-run so
@@ -2046,7 +1907,7 @@ let default_targets =
     (fun (n, _) ->
       not
         (List.mem n
-           [ "csv"; "prefetch"; "chaos"; "docset"; "ingest"; "coldexpand"; "serve";
+           [ "csv"; "prefetch"; "docset"; "ingest"; "coldexpand"; "serve";
              "adaptive"; "navspace" ]))
     targets
 

@@ -7,11 +7,7 @@ module Warmer = Bionav_prefetch.Warmer
 module Snapshot = Bionav_store.Snapshot
 module Clock = Bionav_resilience.Clock
 module Adaptive = Bionav_adaptive.Adaptive
-module Guard = Bionav_resilience.Guard
 module Deadline = Bionav_resilience.Deadline
-module Chaos = Bionav_resilience.Chaos
-
-exception Backend_unavailable of string
 
 type config = {
   max_sessions : int;
@@ -20,7 +16,6 @@ type config = {
   prefetch : Prefetch.config option;
   clock : Clock.t;
   expand_budget_ms : float option;
-  resilience : Guard.config option;
   segstore : Bionav_segstore.Store.spec option;
   adaptive : Adaptive.config option;
 }
@@ -33,7 +28,6 @@ let default_config =
     prefetch = None;
     clock = Clock.real;
     expand_budget_ms = None;
-    resilience = Some Guard.default_config;
     segstore = None;
     adaptive = None;
   }
@@ -88,16 +82,11 @@ and t = {
   in_use : bool Atomic.t;  (* the entry guard: set while an operation runs *)
   cache : Nav_cache.t;
   prefetch : Prefetch.t option;
-  guard : Guard.t option;
   adaptive : Adaptive.t option;  (* learned probability model *)
   deriver : Nav_space.deriver;  (* derives facet spaces *)
   budget : (unit -> unit -> bool) option;
       (* the EXPAND budget factory handed to Navigation.set_budget, when
-         a guard or a budget is configured. The deadline starts first so
-         an injected latency spike (the "expand" half of a fault plan)
-         eats into it — exactly the overload signal that triggers
-         degradation. *)
-  run_search : string -> Docset.t;
+         a budget is configured *)
   sessions : (string, session) Hashtbl.t;
   mutable next_sid : int;
   mutable clock_tick : int;
@@ -138,7 +127,7 @@ let enter t f =
        second domain)";
   Fun.protect ~finally:(fun () -> Atomic.set t.in_use false) f
 
-let create ?(config = default_config) ?chaos ?snapshot ~database ~eutils () =
+let create ?(config = default_config) ?snapshot ~database ~eutils () =
   if config.max_sessions < 1 then invalid_arg "Engine.create: max_sessions must be >= 1";
   (match config.expand_budget_ms with
   | Some b when b < 0. -> invalid_arg "Engine.create: expand_budget_ms must be >= 0"
@@ -169,33 +158,7 @@ let create ?(config = default_config) ?chaos ?snapshot ~database ~eutils () =
       (fun cfg -> Adaptive.create ~config:cfg ~now_ms:(fun () -> Clock.now_ms config.clock) ())
       config.adaptive
   in
-  let guard =
-    match (config.resilience, chaos) with
-    | None, None -> None
-    | cfg, chaos ->
-        let gconfig = Option.value cfg ~default:Guard.default_config in
-        Some (Guard.create ?chaos ~config:gconfig ~clock:config.clock ())
-  in
-  let run_search query =
-    (* Only tree-cache misses and warm starts pay this. *)
-    let esearch () = Eutils.esearch eutils query in
-    match guard with
-    | None -> esearch ()
-    | Some g -> (
-        match Guard.call g ~op:"esearch" esearch with
-        | Ok ids -> ids
-        | Error e -> raise (Backend_unavailable (Guard.error_message e)))
-  in
-  let build query = Nav_tree.of_database database (run_search query) in
-  let budget_factory () =
-    let deadline =
-      Option.map
-        (fun budget_ms -> Deadline.start ~clock:config.clock ~budget_ms)
-        config.expand_budget_ms
-    in
-    (match guard with None -> () | Some g -> Guard.inject g ~op:"expand");
-    match deadline with None -> fun () -> false | Some d -> fun () -> Deadline.expired d
-  in
+  let build query = Nav_tree.of_database database (Eutils.esearch eutils query) in
   let t =
     {
       config;
@@ -205,14 +168,14 @@ let create ?(config = default_config) ?chaos ?snapshot ~database ~eutils () =
       in_use = Atomic.make false;
       cache = Nav_cache.create ~capacity:config.cache_capacity ~build ();
       prefetch = Option.map (fun pc -> Prefetch.create ~config:pc ()) config.prefetch;
-      guard;
       adaptive;
       deriver = Nav_space.deriver ~medline:(Eutils.medline eutils) database;
       budget =
-        (if Option.is_some guard || Option.is_some config.expand_budget_ms then
-           Some budget_factory
-         else None);
-      run_search;
+        Option.map
+          (fun budget_ms () ->
+            let d = Deadline.start ~clock:config.clock ~budget_ms in
+            fun () -> Deadline.expired d)
+          config.expand_budget_ms;
       sessions = Hashtbl.create 64;
       next_sid = 0;
       clock_tick = 0;
@@ -236,7 +199,6 @@ let create ?(config = default_config) ?chaos ?snapshot ~database ~eutils () =
 let eutils t = t.eutils
 let config t = t.config
 let prefetch t = t.prefetch
-let guard t = t.guard
 let segstore t = t.store
 let adaptive t = t.adaptive
 
@@ -420,60 +382,58 @@ let search t ?(strategy = Navigation.bionav ()) query =
       else begin
         let strategy = effective_strategy t strategy in
         enter t (fun () ->
-            (* The sid is allocated before the (fallible) tree build; a
-               failed search burns an id, which stays monotonic. *)
+            (* Allocated before the tree lookup: a query without results
+               burns an id, which stays monotonic. *)
             let sid = Printf.sprintf "s%d" t.next_sid in
             t.next_sid <- t.next_sid + 1;
-            match Nav_cache.get t.cache query with
-            | exception Backend_unavailable msg -> Error msg
-            | nav ->
-                if Nav_tree.distinct_results nav = 0 then Ok No_results
-                else begin
-                  while Hashtbl.length t.sessions >= t.config.max_sessions do
-                    evict_lru t
-                  done;
-                  (* A Faceted base strategy starts the session in the
-                     qualifier-facet space of the full result set; the
-                     descriptor tree built above stays cached for later
-                     refinements. Everything else starts on descriptors. *)
-                  let base =
-                    match strategy with
-                    | Navigation.Faceted _ ->
-                        let fid = "qualifier" in
-                        let fkey = frame_key query fid in
-                        let subset = Nav_tree.subtree_results nav (Nav_tree.root nav) in
-                        let fnav =
-                          derived_space t ~fkey (fun () ->
-                              Nav_space.derive t.deriver Nav_space.Qualifier_facet subset)
-                        in
-                        { fid; fdim = Nav_space.Qualifier_facet; fkey; fnav;
-                          fnavigation = Navigation.start strategy fnav }
-                    | _ ->
-                        { fid = "descriptor"; fdim = Nav_space.Descriptor; fkey = query;
-                          fnav = nav; fnavigation = Navigation.start strategy nav }
-                  in
-                  let s =
-                    {
-                      sid;
-                      query;
-                      sstrategy = strategy;
-                      qnav = nav;
-                      frames = [ base ];
-                      owner = t;
-                      snapshot = capture ~epoch:0 ~query ~depth:0 base;
-                      seen_concepts = Hashtbl.create 16;
-                      epoch = 0;
-                      tick = 0;
-                      last_use_ms = 0.;
-                    }
-                  in
-                  touch t s;
-                  Hashtbl.replace t.sessions sid s;
-                  wire_frame t ~fkey:base.fkey base.fnavigation;
-                  Metrics.incr started_counter;
-                  publish_live t;
-                  Ok (Session s)
-                end)
+            let nav = Nav_cache.get t.cache query in
+            if Nav_tree.distinct_results nav = 0 then Ok No_results
+            else begin
+              while Hashtbl.length t.sessions >= t.config.max_sessions do
+                evict_lru t
+              done;
+              (* A Faceted base strategy starts the session in the
+                 qualifier-facet space of the full result set; the
+                 descriptor tree built above stays cached for later
+                 refinements. Everything else starts on descriptors. *)
+              let base =
+                match strategy with
+                | Navigation.Faceted _ ->
+                    let fid = "qualifier" in
+                    let fkey = frame_key query fid in
+                    let subset = Nav_tree.subtree_results nav (Nav_tree.root nav) in
+                    let fnav =
+                      derived_space t ~fkey (fun () ->
+                          Nav_space.derive t.deriver Nav_space.Qualifier_facet subset)
+                    in
+                    { fid; fdim = Nav_space.Qualifier_facet; fkey; fnav;
+                      fnavigation = Navigation.start strategy fnav }
+                | _ ->
+                    { fid = "descriptor"; fdim = Nav_space.Descriptor; fkey = query;
+                      fnav = nav; fnavigation = Navigation.start strategy nav }
+              in
+              let s =
+                {
+                  sid;
+                  query;
+                  sstrategy = strategy;
+                  qnav = nav;
+                  frames = [ base ];
+                  owner = t;
+                  snapshot = capture ~epoch:0 ~query ~depth:0 base;
+                  seen_concepts = Hashtbl.create 16;
+                  epoch = 0;
+                  tick = 0;
+                  last_use_ms = 0.;
+                }
+              in
+              touch t s;
+              Hashtbl.replace t.sessions sid s;
+              wire_frame t ~fkey:base.fkey base.fnavigation;
+              Metrics.incr started_counter;
+              publish_live t;
+              Ok (Session s)
+            end)
       end
 
 let find_session t sid =
@@ -635,7 +595,7 @@ let start strategy nav =
 let warm t queries =
   enter t (fun () ->
       let model = Option.map Adaptive.model t.adaptive in
-      let entries = Warmer.build ~db:t.database ~run:t.run_search ?model queries in
+      let entries = Warmer.build ~db:t.database ~run:(Eutils.esearch t.eutils) ?model queries in
       ignore
         (Warmer.apply ~db:t.database ~trees:t.cache
            ?plans:(Option.map Prefetch.plans t.prefetch)

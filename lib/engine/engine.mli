@@ -22,7 +22,7 @@
     engine, never to [Navigation.start] directly.
 
     {b One owner} (DESIGN.md §11–§12): the session store, the tree
-    cache, the plan cache and the backend guard are unsynchronized, and
+    cache and the plan cache are unsynchronized, and
     the engine serves one caller at a time. Every operation ({!search},
     the navigation actions, {!run_locked}, {!find_session}, {!close},
     {!sweep}, {!learn}, {!warm}, {!docset_stats}, {!metrics_text})
@@ -38,20 +38,13 @@
     {!Bionav_search.Nav_snapshot}, which rendering and result paging read
     after the action returns.
 
-    {b Resilience} ({!Bionav_resilience}): every backend call (the
-    ESearch keyword lookup) runs under a {!Bionav_resilience.Guard} —
-    retry with backoff, circuit breaker, optional fault injection — and
-    a failed call surfaces as an [Error] from {!search}, never an
-    exception. All timing (session TTLs, EXPAND deadlines, retry
-    backoff) reads [config.clock], so a simulated clock
-    makes the whole engine's time behaviour test-controlled. With
+    {b Time} ({!Bionav_resilience}): all timing (session TTLs, EXPAND
+    deadlines) reads [config.clock], so a simulated clock makes the
+    whole engine's time behaviour test-controlled. With
     [expand_budget_ms] set, an EXPAND whose budget is exhausted before
     the cut computation starts degrades to a static-style cut (see
-    {!Bionav_core.Navigation.set_budget}). *)
-
-exception Backend_unavailable of string
-(** The guarded backend gave up (retries exhausted or circuit open).
-    Raised by {!warm}; {!search} catches it internally. *)
+    {!Bionav_core.Navigation.set_budget}). The ESearch keyword lookup
+    is a call into the in-process inverted index and cannot fail. *)
 
 type config = {
   max_sessions : int;  (** Bound on live sessions (>= 1). Default 256. *)
@@ -70,10 +63,6 @@ type config = {
       (** Per-EXPAND time budget (>= 0): once exhausted, Heuristic
           sessions serve a degraded static-style cut instead of running
           the solver. Default [None] (no budget). *)
-  resilience : Bionav_resilience.Guard.config option;
-      (** Retry/breaker policy for backend calls. Default
-          [Some Guard.default_config]; [None] disables the guard (calls
-          go straight to the backend) unless chaos is injected. *)
   segstore : Bionav_segstore.Store.spec option;
       (** Serve associations from an out-of-core segment store instead of
           the in-memory table: {!create} opens the store and rebinds the
@@ -96,7 +85,6 @@ type t
 
 val create :
   ?config:config ->
-  ?chaos:Bionav_resilience.Chaos.t ->
   ?snapshot:string ->
   database:Bionav_store.Database.t ->
   eutils:Bionav_search.Eutils.t ->
@@ -104,10 +92,7 @@ val create :
   t
 (** [snapshot] is a {!Bionav_store.Snapshot} path to warm-start from:
     navigation trees are rebuilt into the tree cache and — when prefetch
-    is enabled — root cuts seed the plan cache. [chaos] injects a fault
-    plan into the backend guard (forcing a guard into existence even
-    when [config.resilience] is [None]): backend calls draw failures and
-    latency spikes from it, EXPANDs draw latency spikes (op ["expand"]).
+    is enabled — root cuts seed the plan cache.
 
     With [config.segstore] set, the association backend is the opened
     segment store and [database] contributes only its hierarchy; the
@@ -122,10 +107,6 @@ val config : t -> config
 
 val prefetch : t -> Bionav_prefetch.Prefetch.t option
 (** The prefetch facade, when enabled. *)
-
-val guard : t -> Bionav_resilience.Guard.t option
-(** The backend guard (for breaker/chaos introspection), when
-    enabled. *)
 
 val segstore : t -> Bionav_segstore.Store.t option
 (** The opened segment store, when [config.segstore] was set. *)
@@ -203,9 +184,8 @@ val search :
     fetch or build the navigation tree through the cache, and — if the
     query has results — create a session under a fresh monotonic id
     ("s0", "s1", ...), evicting the least recently used session first
-    when the store is full. [Error] on a blank query, invalid strategy,
-    or an unavailable backend (guard gave up / circuit open) — backend
-    faults never escape as exceptions. *)
+    when the store is full. [Error] on a blank query or an invalid
+    strategy. *)
 
 val find_session : t -> string -> session option
 (** Refreshes the session's recency and idle clock. *)

@@ -8,17 +8,9 @@ let simulated ?(start_ms = 0.) () = Simulated { now_ms = start_ms }
 
 let now_ms = function Real -> Timing.now_ms () | Simulated s -> s.now_ms
 
-let sleep_ms t ms =
-  if ms > 0. then
-    match t with
-    | Real -> Unix.sleepf (ms /. 1e3)
-    | Simulated s -> s.now_ms <- s.now_ms +. ms
-
 let advance t ms =
   match t with
   | Real -> invalid_arg "Clock.advance: the real clock cannot be advanced"
   | Simulated s ->
       if ms < 0. then invalid_arg "Clock.advance: negative delta";
       s.now_ms <- s.now_ms +. ms
-
-let is_simulated = function Real -> false | Simulated _ -> true

@@ -15,5 +15,3 @@ let expired t =
     Metrics.incr expired_counter
   end;
   e
-
-let remaining_ms t = Float.max 0. (t.expires_at_ms -. Clock.now_ms t.clock)

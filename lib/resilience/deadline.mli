@@ -15,6 +15,3 @@ val start : clock:Clock.t -> budget_ms:float -> t
     and expires immediately — "degrade everything"). *)
 
 val expired : t -> bool
-
-val remaining_ms : t -> float
-(** Clamped at 0. *)

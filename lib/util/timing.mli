@@ -10,8 +10,8 @@
 val now_ms : unit -> float
 (** Monotonic milliseconds since an arbitrary fixed origin (typically
     boot). Never decreases within a process; meaningful only as the
-    difference of two readings — session TTLs, breaker cool-downs,
-    deadlines, idle timeouts, lock wait/hold times, evidence decay. *)
+    difference of two readings — session TTLs, deadlines, idle
+    timeouts, lock wait/hold times, evidence decay. *)
 
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f ()] and returns its result together with the elapsed

@@ -6,6 +6,8 @@ module DB = Bionav_store.Database
 module Eu = Bionav_search.Eutils
 module Engine = Bionav_engine.Engine
 module Clock = Bionav_resilience.Clock
+module Deadline = Bionav_resilience.Deadline
+module Q = Bionav_workload.Queries
 
 let contains ~sub s =
   let n = String.length s and m = String.length sub in
@@ -330,14 +332,15 @@ let test_sequential_handoff () =
   ignore (Engine.expand s' (expandable_root s') : int list);
   Alcotest.(check int) "both sessions live" 2 (Engine.session_count t)
 
+let small_workload = lazy (Q.build ~config:Q.small_config ~seed:11 ())
+
 (* A Zipf serving workload: small corpus (seed 11), 24 sessions drawn
    Zipf(1.0) from [Rng.create 42], each an oracle navigation to its
    target under [run_locked], after the tree cache is warmed. The EXPAND
    total is deterministic, and the expand-latency histogram must account
    for every one of them — no EXPAND lost or recorded twice. *)
 let test_zipf_replay_conserves_expands () =
-  let module Q = Bionav_workload.Queries in
-  let w = Q.build ~config:Q.small_config ~seed:11 () in
+  let w = Lazy.force small_workload in
   let queries = Array.of_list w.Q.queries in
   let zipf = Zipf.create ~exponent:1.0 (Array.length queries) in
   let rng = Rng.create 42 in
@@ -369,6 +372,144 @@ let test_zipf_replay_conserves_expands () =
   Alcotest.(check int) "EXPAND total of the 24-session workload" 57 expands;
   Alcotest.(check int) "histogram grew by every EXPAND" expands (Metrics.count hist - before);
   Alcotest.(check int) "all sessions closed" 0 (Engine.session_count t)
+
+(* --- seeded replay ----------------------------------------------------- *)
+
+(* Seeded traffic against one engine on a simulated clock, folded into a
+   trace: Zipf(1.0)-drawn workload queries with junk ones mixed in, and
+   per session a seeded mix of EXPANDs of visible expandable nodes and
+   BACKTRACKs before the close. A one-tree cache keeps rebuilding trees,
+   the plan cache serves repeat components and every EXPAND runs under a
+   50 ms budget. Any exception an engine call lets out is recorded and
+   counted, never raised. *)
+let replay_traffic ~seed ~sessions =
+  let w = Lazy.force small_workload in
+  let queries = Array.of_list w.Q.queries in
+  let junk = [| ""; "   "; "zzzznotaword"; "%00\x01\xff"; String.make 300 'q' |] in
+  let config =
+    {
+      Engine.default_config with
+      Engine.clock = Clock.simulated ();
+      cache_capacity = 1;
+      expand_budget_ms = Some 50.;
+      prefetch = Some Bionav_prefetch.Prefetch.default_config;
+    }
+  in
+  let t = Engine.create ~config ~database:w.Q.database ~eutils:w.Q.eutils () in
+  let zipf = Zipf.create ~exponent:1.0 (Array.length queries) in
+  let rng = Rng.create seed in
+  let trace = Buffer.create 4096 in
+  let escaped = ref 0 in
+  let line fmt = Printf.ksprintf (fun l -> Buffer.add_string trace (l ^ "\n")) fmt in
+  let guarded label f =
+    match f () with
+    | () -> ()
+    | exception e ->
+        incr escaped;
+        line "  %s ESCAPED %s" label (Printexc.to_string e)
+  in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  for i = 1 to sessions do
+    let q =
+      if Rng.float rng 1. < 0.25 then junk.(Rng.int rng (Array.length junk))
+      else queries.(Zipf.draw zipf rng).Q.keyword
+    in
+    guarded "search" (fun () ->
+        match Engine.search t q with
+        | Error msg -> line "%d %S error %s" i q msg
+        | Ok Engine.No_results -> line "%d %S no-results" i q
+        | Ok (Engine.Session s) ->
+            line "%d %S %s" i q (Engine.session_id s);
+            for _ = 1 to 6 do
+              guarded "action" (fun () ->
+                  let active = Navigation.active (Engine.navigation s) in
+                  let expandable =
+                    List.filter (Active_tree.is_expandable active) (Active_tree.visible active)
+                  in
+                  if expandable = [] || Rng.float rng 1. < 0.2 then
+                    line "  backtrack %b" (Engine.backtrack s)
+                  else
+                    let node = List.nth expandable (Rng.int rng (List.length expandable)) in
+                    line "  expand %d -> [%s]" node (ints (Engine.expand s node)))
+            done;
+            let st = Navigation.stats (Engine.navigation s) in
+            line "  cost=%d closed=%b" (Navigation.total_cost st)
+              (Engine.close t (Engine.session_id s)))
+  done;
+  (Buffer.contents trace, !escaped)
+
+let test_replay_no_exception_escapes () =
+  let trace, escaped = replay_traffic ~seed:3 ~sessions:24 in
+  Alcotest.(check int) "no exception escaped the engine" 0 escaped;
+  Alcotest.(check bool) "junk queries were refused" true (contains ~sub:"error" trace);
+  Alcotest.(check bool) "sessions expanded" true (contains ~sub:"expand" trace)
+
+let test_replay_deterministic () =
+  let t1, e1 = replay_traffic ~seed:17 ~sessions:16 in
+  let t2, e2 = replay_traffic ~seed:17 ~sessions:16 in
+  Alcotest.(check int) "no exception escaped" 0 (e1 + e2);
+  Alcotest.(check string) "byte-identical traces" t1 t2;
+  let t3, _ = replay_traffic ~seed:18 ~sessions:16 in
+  Alcotest.(check bool) "different seed, different trace" true (t1 <> t3)
+
+(* Latency spikes against the EXPAND budget, on a simulated clock: every
+   EXPAND starts a 50 ms deadline, and with probability 0.25 a seeded
+   20-200 ms spike then eats into it. Over 60 Zipf-drawn oracle sessions,
+   every session still reaches its target, at most half the EXPANDs
+   degrade, and no cut of an over-budget EXPAND — a degraded one — is
+   reported to the plan source. The source never answers, so every
+   EXPAND either computes its cut or degrades. *)
+let test_latency_spikes_degrade_at_most_half () =
+  let w = Lazy.force small_workload in
+  let queries = Array.of_list w.Q.queries in
+  let clock = Clock.simulated () in
+  let t =
+    Engine.create ~config:{ Engine.default_config with Engine.clock } ~database:w.Q.database
+      ~eutils:w.Q.eutils ()
+  in
+  let spikes = Rng.create 5 in
+  let over_budget = ref (fun () -> false) in
+  let budget () =
+    let d = Deadline.start ~clock ~budget_ms:50. in
+    if Rng.float spikes 1. < 0.25 then Clock.advance clock (20. +. Rng.float spikes 180.);
+    over_budget := (fun () -> Deadline.expired d);
+    !over_budget
+  in
+  let zipf = Zipf.create ~exponent:1.0 (Array.length queries) in
+  let rng = Rng.create 42 in
+  let expands = ref 0 and degraded = ref 0 and stored = ref 0 and stored_over = ref 0 in
+  for _ = 1 to 60 do
+    let q = queries.(Zipf.draw zipf rng) in
+    let s = must_session (Engine.search t q.Q.keyword) in
+    let navigation = Engine.navigation s in
+    Navigation.set_budget navigation (Some budget);
+    Navigation.set_plan_source navigation
+      (Some
+         {
+           Navigation.find_plan = (fun ~root:_ ~members:_ ~members_fp:_ -> None);
+           store_plan =
+             (fun ~root:_ ~members:_ ~members_fp:_ ~cut:_ ->
+               incr stored;
+               if !over_budget () then incr stored_over);
+         });
+    let outcome = Simulate.to_target navigation ~target:q.Q.target_node in
+    Alcotest.(check bool)
+      (q.Q.keyword ^ " reaches its target")
+      true
+      (Active_tree.is_visible (Navigation.active navigation) q.Q.target_node);
+    expands := !expands + outcome.Simulate.expands;
+    degraded :=
+      !degraded
+      + List.length (List.filter (fun r -> r.Navigation.degraded) outcome.Simulate.history);
+    ignore (Engine.close t (Engine.session_id s) : bool)
+  done;
+  let fraction = float_of_int !degraded /. float_of_int !expands in
+  Alcotest.(check bool) "spikes degraded some EXPANDs" true (!degraded > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "degraded fraction %.3f <= 0.5" fraction)
+    true (fraction <= 0.5);
+  Alcotest.(check bool) "computed cuts were stored" true (!stored > 0);
+  Alcotest.(check int) "no cut stored over budget" 0 !stored_over
 
 let () =
   Alcotest.run "engine"
@@ -410,5 +551,12 @@ let () =
           Alcotest.test_case "handoff across domains" `Quick test_sequential_handoff;
           Alcotest.test_case "zipf replay conserves expands" `Quick
             test_zipf_replay_conserves_expands;
+        ] );
+      ( "replay",
+        [
+          Alcotest.test_case "no exception escapes" `Quick test_replay_no_exception_escapes;
+          Alcotest.test_case "seeded replay deterministic" `Quick test_replay_deterministic;
+          Alcotest.test_case "spikes degrade at most half" `Quick
+            test_latency_spikes_degrade_at_most_half;
         ] );
     ]
