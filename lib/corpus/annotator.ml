@@ -47,7 +47,7 @@ let draw_background t =
   while !d < Array.length t.depth_cdf - 1 && t.depth_cdf.(!d) < u do
     incr d
   done;
-  (* Guard against numerically empty depths. *)
+  (* Fall back to depth 1 when the drawn depth holds no concept. *)
   let d = if Array.length t.by_depth.(!d) = 0 then 1 else !d in
   Rng.choice t.rng t.by_depth.(d)
 
