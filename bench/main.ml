@@ -611,11 +611,14 @@ let micro () =
   let sets =
     List.init 32 (fun i -> Docset.of_list (List.init 100 (fun j -> (i * 37) + j)))
   in
-  (* Paper scale: the root component of the full-size prothymosin tree. *)
-  let large =
-    let w = Lazy.force workload in
-    let q = List.find (fun q -> q.Q.spec.Q.name = "prothymosin") w.Q.queries in
-    fst (Active_tree.comp_tree (Active_tree.create q.Q.nav) 0)
+  (* Paper scale: the full-size prothymosin tree, its root component and
+     its first root child's subtree set (a refinement's S). *)
+  let w = Lazy.force workload in
+  let prothymosin = List.find (fun q -> q.Q.spec.Q.name = "prothymosin") w.Q.queries in
+  let large = fst (Active_tree.comp_tree (Active_tree.create prothymosin.Q.nav) 0) in
+  let refined =
+    Nav_tree.subtree_results prothymosin.Q.nav
+      (List.hd (Nav_tree.children prothymosin.Q.nav (Nav_tree.root prothymosin.Q.nav)))
   in
   let large_part = Partition.run_k large ~k:10 in
   let tests =
@@ -623,6 +626,11 @@ let micro () =
       (* Table I path: building the navigation tree from the database. *)
       Test.make ~name:"table1/nav-tree-build"
         (Staged.stage (fun () -> ignore (Nav_tree.of_database small.Q.database q.Q.result)));
+      Test.make ~name:"table1/nav-tree-build-large"
+        (Staged.stage (fun () ->
+             ignore (Nav_tree.of_database w.Q.database prothymosin.Q.result)));
+      Test.make ~name:"table1/nav-tree-restrict-large"
+        (Staged.stage (fun () -> ignore (Nav_tree.restrict prothymosin.Q.nav refined)));
       (* Fig. 8 path: one full oracle navigation per strategy. *)
       Test.make ~name:"fig8/bionav-navigate"
         (Staged.stage (fun () ->
@@ -1541,7 +1549,20 @@ let csv () =
   write "fig9.csv" (R.fig9_csv rs);
   write "fig10.csv" (R.fig10_csv rs);
   let prothymosin = List.find (fun r -> r.E.query.Q.spec.Q.name = "prothymosin") rs in
-  write "fig11.csv" (R.fig11_csv prothymosin)
+  write "fig11.csv" (R.fig11_csv prothymosin);
+  (* The CSVs keep their plain format; their provenance goes beside them.
+     A sample is one timed EXPAND: fig10 averages every query's, fig11
+     lists prothymosin's one per row. *)
+  let expands r = List.length r.E.bionav.Simulate.history in
+  write_bench_json (Filename.concat dir "csv_stamp.json")
+    [
+      ( "samples",
+        json_obj ~indent:"  "
+          [
+            ("fig10.csv", string_of_int (List.fold_left (fun n r -> n + expands r) 0 rs));
+            ("fig11.csv", string_of_int (expands prothymosin));
+          ] );
+    ]
 
 
 (* ------------------------------------------------------------------ *)

@@ -12,8 +12,13 @@ let pop32 x =
    literal; split into two 32-bit halves instead. *)
 let popcount x = pop32 (x land 0xFFFFFFFF) + pop32 ((x lsr 32) land 0x7FFFFFFF)
 
+(* [m land -m] isolates the lowest set bit. Powers of two below 2^62
+   differ mod 67, so the residue names the bit; bit 62 isolates to
+   [min_int], which [land max_int] makes residue 0, the table's default. *)
+let bit_of_residue = Array.make 67 62
+
+let () = for i = 0 to 61 do bit_of_residue.((1 lsl i) mod 67) <- i done
+
 let lowest_bit m =
   if m = 0 then invalid_arg "Bits.lowest_bit: zero mask";
-  (* [m land -m] isolates the lowest set bit; subtracting 1 turns it into
-     a mask of all lower positions, whose popcount is the bit's index. *)
-  popcount ((m land -m) - 1)
+  Array.unsafe_get bit_of_residue (((m land -m) land max_int) mod 67)

@@ -326,33 +326,6 @@ let inter_cardinal a b =
 let union_cardinal a b = cardinal a + cardinal b - inter_cardinal a b
 let subset a b = inter_cardinal a b = cardinal a
 
-(* --- filtering by one fixed set ------------------------------------------ *)
-
-(* A mask is a set in a representation for membership tests, used only
-   internally: a dense set as it is, and a sparse one as a bitset over its
-   span, uncompressed, unless that would exceed both 32 KB and 16 words
-   per element. *)
-type mask = t
-
-let mask = function
-  | Sparse s when not (Intset.is_empty s) ->
-      let n = Intset.cardinal s in
-      let base = align (Intset.choose s) in
-      let span = Intset.max_elt s - base in
-      if span >= 0 && span / word_bits <= max 4096 (16 * n) then begin
-        let words = Array.make ((span / word_bits) + 1) 0 in
-        Intset.iter (fun x -> set_bit words (x - base)) s;
-        Dense { base; words; card = n }
-      end
-      else Sparse s
-  | s -> s
-
-(* Count first, so that a set inside the mask comes back as it is and
-   only a partial overlap allocates. *)
-let inter_mask a m =
-  let kept = inter_cardinal a m in
-  if kept = cardinal a then a else if kept = 0 then empty else inter a m
-
 let pp fmt s =
   Format.fprintf fmt "{";
   let first = ref true in

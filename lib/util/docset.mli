@@ -90,17 +90,4 @@ val inter_cardinal : t -> t -> int
 val union_cardinal : t -> t -> int
 val subset : t -> t -> bool
 
-(* --- filtering by one fixed set ------------------------------------------ *)
-
-type mask
-(** A set prepared for many intersections: a bitset over its span (a
-    dense set's own words) unless it is spread very thinly, when
-    intersecting it merges sorted arrays. *)
-
-val mask : t -> mask
-
-val inter_mask : t -> mask -> t
-(** [inter_mask a (mask s)] equals [inter a s], and is [a] itself when
-    [a] lies inside [s]: only a partial overlap allocates. *)
-
 val pp : Format.formatter -> t -> unit

@@ -105,3 +105,133 @@ let diff a b =
         field "label" String.equal (fun t i -> t.labels.(i));
         field "last descendant" Int.equal (fun t i -> t.last.(i));
       ]
+
+(* --- the rank-sorted build and the masked restriction ----------------- *)
+
+(* The builders that the flat passes in lib/core/nav_tree.ml replaced,
+   kept as oracles for values and for sharing. [sorted_build] filters
+   the attachments, heapsorts them by preorder rank, nests them on a
+   stack of open ancestors and unions each node's own results with its
+   children's subtree sets through [Docset.union_many]. [masked_restrict]
+   intersects every node's sets with S, keeping those inside it. *)
+
+(* Parents of [count] nodes listed in preorder, node 0 the root: each
+   node hangs under the innermost earlier node that [encloses] it. *)
+let nest count ~encloses =
+  let parent = Array.make count (-1) and stack = Array.make count 0 and top = ref 0 in
+  for i = 1 to count - 1 do
+    while !top > 0 && not (encloses stack.(!top) i) do
+      decr top
+    done;
+    parent.(i) <- stack.(!top);
+    incr top;
+    stack.(!top) <- i
+  done;
+  parent
+
+let children_of parent =
+  let children = Array.make (Array.length parent) [] in
+  for i = Array.length parent - 1 downto 1 do
+    children.(parent.(i)) <- i :: children.(parent.(i))
+  done;
+  children
+
+let of_arrays ~concept_ids ~parent ~results ~subtree_sets ~totals ~labels =
+  let count = Array.length parent in
+  let depth = Array.make count 0 and last = Array.init count Fun.id in
+  for i = count - 1 downto 1 do
+    last.(parent.(i)) <- max last.(parent.(i)) last.(i)
+  done;
+  for i = 1 to count - 1 do
+    depth.(i) <- depth.(parent.(i)) + 1
+  done;
+  { concept_ids; parent; depth; results; subtree_sets; totals; labels; last }
+
+let sorted_build ~hierarchy ~attachments ~total_count =
+  let n_concepts = Hierarchy.size hierarchy in
+  let rank c = Hierarchy.preorder_rank hierarchy c in
+  let attached =
+    List.filter
+      (fun (c, set) ->
+        if c < 0 || c >= n_concepts then invalid_arg "sorted_build: unknown concept";
+        not (Docset.is_empty set))
+      attachments
+    |> Array.of_list
+  in
+  Array.sort (fun (a, _) (b, _) -> Int.compare (rank a) (rank b)) attached;
+  Array.iteri
+    (fun i (c, _) ->
+      if i > 0 && fst attached.(i - 1) = c then invalid_arg "sorted_build: duplicate")
+    attached;
+  let hroot = Hierarchy.root hierarchy in
+  let nodes =
+    if Array.length attached > 0 && fst attached.(0) = hroot then attached
+    else Array.append [| (hroot, Docset.empty) |] attached
+  in
+  let count = Array.length nodes in
+  let concept_ids = Array.map fst nodes and results = Array.map snd nodes in
+  let parent =
+    nest count ~encloses:(fun j i ->
+        rank concept_ids.(i) <= Hierarchy.last_descendant_rank hierarchy concept_ids.(j))
+  in
+  let children = children_of parent in
+  let subtree_sets = Array.make count Docset.empty in
+  for i = count - 1 downto 0 do
+    subtree_sets.(i) <-
+      Docset.union_many (results.(i) :: List.map (fun c -> subtree_sets.(c)) children.(i))
+  done;
+  of_arrays ~concept_ids ~parent ~results ~subtree_sets
+    ~totals:
+      (Array.mapi (fun i c -> max (total_count c) (Docset.cardinal results.(i))) concept_ids)
+    ~labels:(Array.map (Hierarchy.label hierarchy) concept_ids)
+
+(* [inter a s], and [a] itself when [a] lies inside [s], as the
+   library's [Docset.inter_mask] did before it went. *)
+let inter_mask a s =
+  let kept = Docset.inter_cardinal a s in
+  if kept = Docset.cardinal a then a else if kept = 0 then Docset.empty else Docset.inter a s
+
+let masked_restrict t m =
+  let kept = ref [] in
+  for i = Array.length t.parent - 1 downto 1 do
+    let r = inter_mask t.results.(i) m in
+    if not (Docset.is_empty r) then kept := (i, r) :: !kept
+  done;
+  let nodes = Array.of_list ((0, inter_mask t.results.(0) m) :: !kept) in
+  let olds = Array.map fst nodes in
+  let from a = Array.map (fun i -> a.(i)) olds in
+  of_arrays ~concept_ids:(from t.concept_ids)
+    ~parent:(nest (Array.length olds) ~encloses:(fun j i -> olds.(i) <= t.last.(olds.(j))))
+    ~results:(Array.map snd nodes)
+    ~subtree_sets:(Array.map (fun i -> inter_mask t.subtree_sets.(i) m) olds)
+    ~totals:(from t.totals) ~labels:(from t.labels)
+
+(* Which operand of its union each subtree set physically is: 0 for the
+   node's own results, [k + 1] for its [k]th child's subtree set, -1 for
+   none. Shared values are what resident-byte accounting counts once. *)
+let sharing t =
+  let children = children_of t.parent in
+  Array.mapi
+    (fun i sub ->
+      if sub == t.results.(i) then 0
+      else
+        match List.find_index (fun c -> sub == t.subtree_sets.(c)) children.(i) with
+        | Some k -> k + 1
+        | None -> -1)
+    t.subtree_sets
+
+(* The sharing rule: a subtree set equal to one of its operands is the
+   first such operand, own results before children in order. Returns
+   the first node breaking it. *)
+let unshared t =
+  let children = children_of t.parent in
+  List.find_opt
+    (fun i ->
+      let sub = t.subtree_sets.(i) in
+      match
+        List.find_opt (Docset.equal sub)
+          (t.results.(i) :: List.map (fun c -> t.subtree_sets.(c)) children.(i))
+      with
+      | Some first -> first != sub
+      | None -> false)
+    (List.init (Array.length t.parent) Fun.id)
