@@ -363,13 +363,14 @@ let wire_frame t ~fkey navigation =
 
 (* Fetch or [derive] a navigation space for a derived frame, through the
    engine's tree cache under the frame's composite key — so revisiting a
-   refinement path is a cache hit, not a re-derivation. *)
+   refinement path is a cache hit, not a re-derivation. A fresh space
+   enters the cache cold, behind every query tree. *)
 let derived_space t ~fkey derive =
   match Nav_cache.find t.cache fkey with
   | Some nav -> nav
   | None ->
       let nav = derive () in
-      Nav_cache.put t.cache fkey nav;
+      Nav_cache.put_derived t.cache fkey nav;
       nav
 
 let frame_key query fid = Nav_cache.normalize query ^ "\x1f" ^ fid

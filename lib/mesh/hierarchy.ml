@@ -5,6 +5,8 @@ type t = {
   depth : int array;
   subtree_size : int array;
   rank : int array;  (* preorder rank, children visited in ascending id order *)
+  height : int;
+  max_width : int;
 }
 
 let validate concepts parent =
@@ -43,6 +45,9 @@ let build concepts ~parent =
   for i = 1 to n - 1 do
     depth.(i) <- depth.(parent.(i)) + 1
   done;
+  let height = Array.fold_left Int.max 0 depth in
+  let width = Array.make (height + 1) 0 in
+  Array.iter (fun d -> width.(d) <- width.(d) + 1) depth;
   let subtree_size = Array.make n 1 in
   for i = n - 1 downto 1 do
     subtree_size.(parent.(i)) <- subtree_size.(parent.(i)) + subtree_size.(i)
@@ -60,7 +65,8 @@ let build concepts ~parent =
          (rank.(i) + 1) children.(i)
         : int)
   done;
-  { concepts; parent = Array.copy parent; children; depth; subtree_size; rank }
+  { concepts; parent = Array.copy parent; children; depth; subtree_size; rank; height;
+    max_width = Array.fold_left Int.max 0 width }
 
 let of_parents ?labels parent =
   let n = Array.length parent in
@@ -92,12 +98,8 @@ let subtree_size t i = t.subtree_size.(i)
 let preorder_rank t i = t.rank.(i)
 let last_descendant_rank t i = t.rank.(i) + t.subtree_size.(i) - 1
 
-let height t = Array.fold_left max 0 t.depth
-
-let max_width t =
-  let counts = Array.make (height t + 1) 0 in
-  Array.iter (fun d -> counts.(d) <- counts.(d) + 1) t.depth;
-  Array.fold_left max 0 counts
+let height t = t.height
+let max_width t = t.max_width
 
 let ancestors t i =
   (* Nearest ancestor first, root last. *)

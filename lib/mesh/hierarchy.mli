@@ -43,10 +43,10 @@ val last_descendant_rank : t -> int -> int
     O(1). *)
 
 val height : t -> int
-(** Maximum depth over all nodes; a single-node tree has height 0. *)
+(** Maximum depth over all nodes (a single-node tree has height 0); O(1). *)
 
 val max_width : t -> int
-(** Maximum number of nodes at any single depth. *)
+(** Maximum number of nodes at any single depth; O(1). *)
 
 val ancestors : t -> int -> int list
 (** Strict ancestors, nearest first; [ancestors t root = []]. *)

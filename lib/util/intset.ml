@@ -2,11 +2,9 @@ type t = int array
 (* Invariant: strictly increasing. *)
 
 let check_sorted a =
-  let ok = ref true in
-  for i = 1 to Array.length a - 1 do
-    if a.(i - 1) >= a.(i) then ok := false
-  done;
-  !ok
+  let n = Array.length a in
+  let rec from i = i >= n || (a.(i - 1) < a.(i) && from (i + 1)) in
+  from 1
 
 let empty = [||]
 
@@ -30,9 +28,12 @@ let dedup_sorted a =
   end
 
 let of_array a =
-  let b = Array.copy a in
-  Array.sort compare b;
-  dedup_sorted b
+  if check_sorted a then Array.copy a
+  else begin
+    let b = Array.copy a in
+    Array.sort Int.compare b;
+    dedup_sorted b
+  end
 
 let of_list l = of_array (Array.of_list l)
 

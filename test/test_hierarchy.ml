@@ -199,6 +199,17 @@ let qcheck_ancestors_match_is_ancestor =
       done;
       !ok)
 
+(* The values [build] records equal the folds over every depth they
+   replaced. *)
+let qcheck_height_width =
+  QCheck.Test.make ~name:"height/max_width = fold over depths" ~count:300 gen_parents
+    (fun parents ->
+      let h = H.of_parents parents in
+      let depths = List.init (H.size h) (H.depth h) in
+      let height = List.fold_left max 0 depths in
+      let width = List.init (height + 1) (fun d -> List.length (H.nodes_at_depth h d)) in
+      H.height h = height && H.max_width h = List.fold_left max 0 width)
+
 let () =
   Alcotest.run "hierarchy"
     [
@@ -232,5 +243,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_subtree_sizes_sum;
           QCheck_alcotest.to_alcotest qcheck_ancestors_match_is_ancestor;
           QCheck_alcotest.to_alcotest qcheck_preorder_rank;
+          QCheck_alcotest.to_alcotest qcheck_height_width;
         ] );
     ]

@@ -128,6 +128,28 @@ let qcheck_inter_cardinal =
       let sa = Intset.of_list a and sb = Intset.of_list b in
       Intset.inter_cardinal sa sb = Intset.cardinal (Intset.inter sa sb))
 
+(* Construction against [List.sort_uniq], over unsorted, sorted,
+   strictly sorted and reversed input, with duplicates and the extreme
+   ints; the input array must be left as it was and never adopted. *)
+let qcheck_of_array =
+  let gen =
+    QCheck.Gen.(
+      let elt = frequency [ (8, int_range (-20) 20); (1, return min_int); (1, return max_int); (1, int) ] in
+      list_size (int_range 0 40) elt >>= fun l ->
+      oneofl
+        [ l; List.sort compare l; List.sort_uniq compare l; List.rev (List.sort_uniq compare l) ])
+  in
+  QCheck.Test.make ~name:"of_array/of_list = List.sort_uniq" ~count:1000
+    (QCheck.make ~print:QCheck.Print.(list int) gen)
+    (fun l ->
+      let expected = List.sort_uniq compare l in
+      let a = Array.of_list l in
+      let s = Intset.of_array a in
+      Array.iteri (fun i x -> a.(i) <- x + 1) a;
+      Intset.elements s = expected
+      && Intset.elements (Intset.of_list l) = expected
+      && List.for_all2 (fun x y -> x + 1 = y) l (Array.to_list a))
+
 let () =
   Alcotest.run "intset"
     [
@@ -156,5 +178,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_union_many_heap;
           QCheck_alcotest.to_alcotest qcheck_mem;
           QCheck_alcotest.to_alcotest qcheck_inter_cardinal;
+          QCheck_alcotest.to_alcotest qcheck_of_array;
         ] );
     ]

@@ -152,6 +152,97 @@ let test_mutation_during_fold_trees () =
   Alcotest.(check int) "fold still walks both trees" 2
     (Nav_cache.fold_trees cache (fun _ n -> n + 1) 0)
 
+(* Every insert path — [get]'s build, warm-start [put] and [put_derived] —
+   counts its capacity eviction in the process-wide metric. *)
+let test_eviction_metric_every_path () =
+  let metric = Metrics.counter "bionav_cache_evictions_total" in
+  let cache = Nav_cache.create ~capacity:1 ~build:(fun q -> make_nav (String.length q)) () in
+  ignore (Nav_cache.get cache "a");
+  let before = Metrics.value metric in
+  ignore (Nav_cache.get cache "b");
+  Alcotest.(check int) "get counts" (before + 1) (Metrics.value metric);
+  Nav_cache.put cache "c" (make_nav 1);
+  Alcotest.(check int) "put counts" (before + 2) (Metrics.value metric);
+  Nav_cache.put_derived cache "c\x1fqualifier" (make_nav 1);
+  Alcotest.(check int) "put_derived counts" (before + 3) (Metrics.value metric);
+  Alcotest.(check int) "instance counter agrees" 3 (Nav_cache.evictions cache)
+
+let counting_cache ~capacity =
+  let calls = ref 0 in
+  let cache =
+    Nav_cache.create ~capacity
+      ~build:(fun q ->
+        incr calls;
+        make_nav (String.length q))
+      ()
+  in
+  (cache, calls)
+
+(* Derived spaces enter at the least recently used end, so while the
+   query trees leave a slot free, any number of derived inserts cycle
+   through it and evict no query tree. *)
+let test_query_tree_survives_derived_inserts () =
+  for capacity = 2 to 6 do
+    let cache, calls = counting_cache ~capacity in
+    let queries = List.init (capacity - 1) (Printf.sprintf "query%d") in
+    List.iter (fun q -> ignore (Nav_cache.get cache q)) queries;
+    for i = 1 to 100 do
+      Nav_cache.put_derived cache (Printf.sprintf "query0\x1fd%d" i) (make_nav 1)
+    done;
+    List.iter (fun q -> ignore (Nav_cache.get cache q)) queries;
+    Alcotest.(check int)
+      (Printf.sprintf "capacity %d: no query tree rebuilt" capacity)
+      (capacity - 1) !calls;
+    Alcotest.(check int)
+      (Printf.sprintf "capacity %d: every re-search hit" capacity)
+      (capacity - 1) (Nav_cache.hits cache)
+  done
+
+let test_derived_hit_promotes () =
+  let cache, calls = counting_cache ~capacity:3 in
+  ignore (Nav_cache.get cache "a");
+  ignore (Nav_cache.get cache "b");
+  let d = make_nav 1 in
+  Nav_cache.put_derived cache "a\x1fd" d;
+  (* "a\x1fd" is the least recently used entry; the hit promotes it, so
+     the next insert evicts "a" instead. *)
+  let served () =
+    match Nav_cache.find cache "a\x1fd" with Some n -> n == d | None -> false
+  in
+  Alcotest.(check bool) "hit" true (served ());
+  ignore (Nav_cache.get cache "c");
+  Alcotest.(check bool) "promoted entry kept" true (served ());
+  ignore (Nav_cache.get cache "a");
+  Alcotest.(check int) "oldest query tree evicted instead" 4 !calls
+
+(* With query trees alone, the cache is the plain LRU it always was: the
+   same misses as [Lru.find_or_add] on a random query stream. *)
+let test_query_trees_plain_lru () =
+  let st = Random.State.make [| 29 |] in
+  let cache, calls = counting_cache ~capacity:3 in
+  let model = Lru.create ~capacity:3 and model_calls = ref 0 in
+  for _ = 1 to 500 do
+    let q = Printf.sprintf "q%d" (Random.State.int st 7) in
+    ignore (Nav_cache.get cache q);
+    Lru.find_or_add model q (fun () -> incr model_calls)
+  done;
+  Alcotest.(check int) "same builds" !model_calls !calls;
+  Alcotest.(check int) "same evictions" (Lru.evictions model) (Nav_cache.evictions cache)
+
+(* A single slot holds whatever was inserted last, cold or hot. *)
+let test_capacity_one_derived () =
+  let cache, calls = counting_cache ~capacity:1 in
+  ignore (Nav_cache.get cache "q");
+  Nav_cache.put_derived cache "q\x1fd" (make_nav 1);
+  Alcotest.(check int) "derived insert evicts the query tree" 1 (Nav_cache.evictions cache);
+  Alcotest.(check bool) "derived entry served" true
+    (Option.is_some (Nav_cache.find cache "q\x1fd"));
+  ignore (Nav_cache.get cache "q");
+  Alcotest.(check int) "query tree rebuilt" 2 !calls;
+  Alcotest.(check bool) "rebuild evicts the derived entry" true
+    (Option.is_none (Nav_cache.find cache "q\x1fd"));
+  Alcotest.(check int) "two evictions" 2 (Nav_cache.evictions cache)
+
 let () =
   Alcotest.run "nav_cache"
     [
@@ -171,5 +262,12 @@ let () =
             test_put_seeds_without_building;
           Alcotest.test_case "mutation during fold_trees" `Quick
             test_mutation_during_fold_trees;
+          Alcotest.test_case "evictions counted on every insert" `Quick
+            test_eviction_metric_every_path;
+          Alcotest.test_case "query tree survives derived inserts" `Quick
+            test_query_tree_survives_derived_inserts;
+          Alcotest.test_case "derived hit promotes" `Quick test_derived_hit_promotes;
+          Alcotest.test_case "query trees alone: plain LRU" `Quick test_query_trees_plain_lru;
+          Alcotest.test_case "capacity one with derived" `Quick test_capacity_one_derived;
         ] );
     ]

@@ -334,6 +334,70 @@ let test_revisited_refinement_hits_caches () =
   Alcotest.(check (list string)) "cold run matches prefetch off" off1 seen1;
   Alcotest.(check (list string)) "cached run matches prefetch off" off2 seen2
 
+(* More distinct refined and facet spaces than the tree cache holds, over
+   three queries: each session refines into its first visible nodes in
+   turn, facets each refined space and expands in both, then every query
+   is searched again. Derived spaces enter the cache cold, so the
+   re-searches must all hit; and what the user sees must not depend on
+   the cache at all — the transcripts equal those of a cache that never
+   evicts, and their digest is the one the plain-LRU cache produced. *)
+let cache_churn_queries = [ "cancer"; "binding"; "pathway" ]
+
+let cache_churn e =
+  let transcript = Buffer.create 4096 in
+  let record s revealed =
+    Buffer.add_string transcript (String.concat "," (List.map string_of_int revealed));
+    Buffer.add_char transcript '\n';
+    Buffer.add_string transcript (snapshot_fingerprint (Engine.snapshot s))
+  in
+  let expand_root s = record s (Engine.expand s (Nav_tree.root (Engine.session_nav s))) in
+  let derived = ref 0 in
+  List.iter
+    (fun q ->
+      let s = must_session (Engine.search e q) in
+      expand_root s;
+      let nav = Engine.session_nav s in
+      let active = Navigation.active (Engine.navigation s) in
+      let nodes = List.filter (fun v -> v <> Nav_tree.root nav) (Active_tree.visible active) in
+      List.iteri
+        (fun i node ->
+          if i < 6 then begin
+            record s [ Engine.refine s node ];
+            expand_root s;
+            record s [ Engine.facet s ];
+            expand_root s;
+            derived := !derived + 2;
+            while Engine.unrefine s do
+              record s []
+            done
+          end)
+        nodes;
+      ignore (Engine.close e (Engine.session_id s) : bool))
+    cache_churn_queries;
+  let misses = Metrics.counter "bionav_cache_misses_total" in
+  let misses0 = Metrics.value misses in
+  List.iter
+    (fun q ->
+      let s = must_session (Engine.search e q) in
+      expand_root s;
+      ignore (Engine.close e (Engine.session_id s) : bool))
+    cache_churn_queries;
+  (!derived, Metrics.value misses - misses0, Buffer.contents transcript)
+
+let test_query_trees_survive_space_churn () =
+  let capacity = 8 in
+  let e = engine ~config:{ Engine.default_config with Engine.cache_capacity = capacity } () in
+  let derived, misses, seen = cache_churn e in
+  Alcotest.(check bool) "more derived spaces than slots" true (derived > capacity);
+  Alcotest.(check int) "every re-search hits" 0 misses;
+  let roomy = engine ~config:{ Engine.default_config with Engine.cache_capacity = 1024 } () in
+  let _, _, unevicted = cache_churn roomy in
+  Alcotest.(check bool) "transcripts match a cache that never evicts" true
+    (String.equal seen unevicted);
+  Alcotest.(check string) "transcript digest of the plain-LRU cache"
+    "fabdfd399b57ccf2a175f0ca9a8e2d57"
+    (Digest.to_hex (Digest.string seen))
+
 let test_derivation_histograms_populated () =
   let d = deriver () in
   let m, _, _ = Lazy.force world in
@@ -378,6 +442,8 @@ let () =
       ( "caches",
         [
           Alcotest.test_case "revisit hits caches" `Quick test_revisited_refinement_hits_caches;
+          Alcotest.test_case "query trees survive churn" `Quick
+            test_query_trees_survive_space_churn;
           Alcotest.test_case "derivation histograms" `Quick
             test_derivation_histograms_populated;
           Alcotest.test_case "deriver without medline" `Quick test_deriver_without_medline;
