@@ -19,8 +19,8 @@ type undo = { root : int; previous : vnode; cut_children : int list }
 
 type t = {
   nav : Nav_tree.t;
-  comp_root : int array;  (* node -> root of its component *)
-  visible : bool array;
+  mutable comp_root : int array;
+      (* node -> root of its component (visible iff its own); [||] = all 0 *)
   nodes : (int, vnode) Hashtbl.t;  (* visible root -> its state *)
   mutable history : undo list;
 }
@@ -44,31 +44,25 @@ let results_of nav members =
   in
   match go 0 [] with [ s ] -> s | sets -> Docset.union_many sets
 
-let weight_of nav members =
-  Array.fold_left
-    (fun acc m ->
-      let l = Nav_tree.result_count nav m in
-      if l = 0 then acc else acc +. (float_of_int l /. float_of_int (Nav_tree.total nav m)))
-    0. members
-
 let make_comp nav members =
-  { members; results = results_of nav members; weight = weight_of nav members; key = None }
+  { members; results = results_of nav members; weight = Nav_tree.explore_weight nav members;
+    key = None }
 
+(* The whole tree's members and weight are the tree's, computed once. *)
 let create nav =
-  let n = Nav_tree.size nav in
-  let comp_root = Array.make n 0 in
-  let visible = Array.make n false in
-  visible.(0) <- true;
   let nodes = Hashtbl.create 64 in
-  Hashtbl.replace nodes 0 { comp = make_comp nav (Array.init n Fun.id); vchildren = [] };
-  { nav; comp_root; visible; nodes; history = [] }
+  Hashtbl.replace nodes 0 { comp = make_comp nav (Nav_tree.root_members nav); vchildren = [] };
+  { nav; comp_root = [||]; nodes; history = [] }
 
 let nav t = t.nav
 
-let is_visible t i = t.visible.(i)
+let component_root_of t i =
+  if Array.length t.comp_root = 0 && i >= 0 && i < Nav_tree.size t.nav then 0 else t.comp_root.(i)
+
+let is_visible t i = component_root_of t i = i
 
 let node t fn r =
-  if r < 0 || r >= Array.length t.visible || not t.visible.(r) then
+  if r < 0 || r >= Nav_tree.size t.nav || not (is_visible t r) then
     invalid_arg (Printf.sprintf "Active_tree.%s: %d not visible" fn r);
   Hashtbl.find t.nodes r
 
@@ -79,8 +73,6 @@ let visible_children t r = (node t "visible_children" r).vchildren
 let visible t =
   let rec go acc v = List.fold_left go (v :: acc) (Hashtbl.find t.nodes v).vchildren in
   List.rev (go [] (Nav_tree.root t.nav))
-
-let component_root_of t i = t.comp_root.(i)
 
 let component_members t r = (node t "component" r).comp.members
 let component t r = Array.to_list (component_members t r)
@@ -99,27 +91,27 @@ let component_key t r =
       c.key <- Some k;
       k
 
-let is_expandable t r = t.visible.(r) && component_size t r > 1
+let is_expandable t r = is_visible t r && component_size t r > 1
 
 let comp_tree t r = Nav_tree.comp_tree_of t.nav ~root:r ~members:(component_members t r)
 
 (* Nearest visible strict ancestor: a node's parent lies in the component
    of that nearest visible ancestor (or is it). *)
 let visible_parent t i =
-  match Nav_tree.parent t.nav i with -1 -> -1 | p -> t.comp_root.(p)
+  match Nav_tree.parent t.nav i with -1 -> -1 | p -> component_root_of t p
 
 (* [cut_children] arrives sorted and deduplicated. Sorted by preorder id,
    the cut children form an antichain iff no one's subtree interval
    contains the next one. *)
 let validate_cut t ~root ~cut_children =
-  let n = Array.length t.visible in
-  if root < 0 || root >= n || not t.visible.(root) then
+  let n = Nav_tree.size t.nav in
+  if root < 0 || root >= n || not (is_visible t root) then
     invalid_arg (Printf.sprintf "Active_tree.apply_cut: %d not visible" root);
   if cut_children = [] then invalid_arg "Active_tree.apply_cut: empty cut";
   List.iter
     (fun c ->
       if c = root then invalid_arg "Active_tree.apply_cut: cannot cut at the component root";
-      if c < 0 || c >= n || t.comp_root.(c) <> root then
+      if c < 0 || c >= n || component_root_of t c <> root then
         invalid_arg (Printf.sprintf "Active_tree.apply_cut: %d not in component of %d" c root))
     cut_children;
   let rec check_antichain = function
@@ -137,6 +129,7 @@ let apply_cut t ~root ~cut_children =
   let previous = Hashtbl.find t.nodes root in
   let members = previous.comp.members in
   let n = Array.length members in
+  if Array.length t.comp_root = 0 then t.comp_root <- Array.make (Nav_tree.size t.nav) 0;
   (* A cut child's subtree is a preorder interval, so its lower component
      is one contiguous slice of the ascending member array; the upper
      component is the gaps between the slices. *)
@@ -164,7 +157,6 @@ let apply_cut t ~root ~cut_children =
   let stays, moves = List.partition (fun v -> visible_parent t v = root) previous.vchildren in
   List.iter
     (fun (c, lower) ->
-      t.visible.(c) <- true;
       Hashtbl.replace t.nodes c
         {
           comp = make_comp t.nav lower;
@@ -180,9 +172,9 @@ let apply_cut t ~root ~cut_children =
   cut_children
 
 let expand_static t root =
-  if not t.visible.(root) then
+  if not (is_visible t root) then
     invalid_arg (Printf.sprintf "Active_tree.expand_static: %d not visible" root);
-  let kids = List.filter (fun c -> t.comp_root.(c) = root) (Nav_tree.children t.nav root) in
+  let kids = List.filter (fun c -> component_root_of t c = root) (Nav_tree.children t.nav root) in
   match kids with [] -> [] | _ :: _ -> apply_cut t ~root ~cut_children:kids
 
 let backtrack t =
@@ -192,7 +184,6 @@ let backtrack t =
       List.iter
         (fun c ->
           Array.iter (fun m -> t.comp_root.(m) <- root) (Hashtbl.find t.nodes c).comp.members;
-          t.visible.(c) <- false;
           Hashtbl.remove t.nodes c)
         cut_children;
       Hashtbl.replace t.nodes root previous;

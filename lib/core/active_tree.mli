@@ -22,7 +22,8 @@ type t
 
 val create : Nav_tree.t -> t
 (** One component containing every node, rooted at the navigation root;
-    only the root is visible. *)
+    only the root is visible. Its members and weight are the tree's own
+    ({!Nav_tree.root_members}), shared by every session on the tree. *)
 
 val nav : t -> Nav_tree.t
 

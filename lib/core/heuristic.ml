@@ -48,31 +48,34 @@ let solve_plan plan =
 
 let original_tree plan =
   match plan.reduced with None -> plan.plan_tree | Some r -> Reduced_tree.original r
+let reduction plan = plan.reduced
 
 let replan plan = if plan_usable plan then Some (solve_plan plan) else None
 
-let fresh_plan ?model ?(k = default_k) tree =
+let fresh_plan ?model ?(k = default_k) ?reduction tree =
   if Comp_tree.size tree < 2 then invalid_arg "Heuristic.best_cut: tree must have >= 2 nodes";
   if k < 2 then invalid_arg "Heuristic.best_cut: k must be >= 2";
   if k > Opt_edgecut.max_size then
     invalid_arg
       (Printf.sprintf "Heuristic.best_cut: k = %d exceeds Opt-EdgeCut's limit %d" k
          Opt_edgecut.max_size);
-  let plan_tree, reduced =
-    if Comp_tree.size tree <= k then (tree, None)
-    else
-      let reduced = Reduced_tree.build tree (Partition.run_k tree ~k) in
-      (Reduced_tree.tree reduced, Some reduced)
+  let reduced =
+    match reduction with
+    | (None | Some None) when Comp_tree.size tree <= k -> None
+    | None -> Some (Reduced_tree.build tree (Partition.run_k tree ~k))
+    | Some (Some r) when Reduced_tree.original r == tree && Reduced_tree.size r <= k -> Some r
+    | Some _ -> invalid_arg "Heuristic.best_cut: reduction is not this tree's for k"
   in
+  let plan_tree = match reduced with None -> tree | Some r -> Reduced_tree.tree r in
   let ctx = Cost_model.create ?model plan_tree in
   { plan_tree; reduced; state = Opt_edgecut.init ctx; mask = Cost_model.full_mask ctx }
 
 let cut_hist = Bionav_util.Metrics.histogram "bionav_heuristic_cut_ms"
 
-let best_cut_with_plan ?model ?k tree =
+let best_cut_with_plan ?model ?k ?reduction tree =
   let (report, plan), total_ms =
     Bionav_util.Timing.time (fun () ->
-        let plan = fresh_plan ?model ?k tree in
+        let plan = fresh_plan ?model ?k ?reduction tree in
         Logs.debug (fun m ->
             m "heuristic: component of %d nodes reduced to %d supernodes"
               (Comp_tree.size tree) (Comp_tree.size plan.plan_tree));
@@ -90,7 +93,7 @@ let best_cut_with_plan ?model ?k tree =
             },
             plan ))
   in
-  (* Report the full wall-clock including partitioning. *)
+  (* Report the full wall-clock, partitioning included unless given. *)
   Bionav_util.Metrics.observe cut_hist total_ms;
   ({ report with elapsed_ms = total_ms }, plan)
 

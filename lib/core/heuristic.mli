@@ -40,11 +40,21 @@ type plan
     tree no longer sees, so they take a fresh plan). *)
 
 val best_cut_with_plan :
-  ?model:Probability.model -> ?k:int -> Comp_tree.t -> report * plan
+  ?model:Probability.model -> ?k:int -> ?reduction:Reduced_tree.t option -> Comp_tree.t ->
+  report * plan
 (** Like {!best_cut} but also returns the reuse handle. The plan's mask is
     already advanced past the returned cut. @raise Invalid_argument as
     {!best_cut}; additionally the degenerate-partition fallback yields a
-    plan that immediately reports itself exhausted. *)
+    plan that immediately reports itself exhausted.
+
+    [reduction] is steps 1–2's result ({!reduction}) from an earlier
+    solve of this very tree with this [k], such as the whole tree's, kept
+    in the tree ({!Nav_tree.root_reduction}): the solve skips them, and
+    [elapsed_ms] and [bionav_heuristic_cut_ms] exclude them.
+    @raise Invalid_argument if it is not this tree's for [k]. *)
+
+val reduction : plan -> Reduced_tree.t option
+(** The plan's reduced tree, [None] when the tree fit within [k]. *)
 
 val plan_usable : plan -> bool
 (** The plan's upper component still covers at least two (super)nodes. *)

@@ -13,6 +13,9 @@ type t = {
   tout : int array;  (* preorder exit: last descendant id *)
   height : int;
   node_of_concept : (int, int) Hashtbl.t Lazy.t;
+  root_members : int array;  (* 0 .. size-1 *)
+  root_weight : float;
+  mutable root_reduction : (int * Comp_tree.t * Reduced_tree.t option) option;
 }
 
 (* Per-domain scratch, clear between passes and only growing: the
@@ -156,12 +159,22 @@ let nest locals ~count ~height ~key ~limit ~own ~whole =
   done;
   (parent, depth, tout, subs, !deepest)
 
+let weight_of ~results ~totals members =
+  Array.fold_left
+    (fun acc m ->
+      let l = Docset.cardinal results.(m) in
+      if l = 0 then acc else acc +. (float_of_int l /. float_of_int totals.(m)))
+    0. members
+
 (* A tree from its preorder arrays and [nest]'s output. *)
 let make ~concept_ids ~results ~totals ~labels (parent, depth, tout, subtree_sets, height)
     =
   let pairs = Seq.map (fun (i, c) -> (c, i)) (Array.to_seqi concept_ids) in
   let node_of_concept = lazy (Hashtbl.of_seq pairs) in
-  { concept_ids; parent; depth; results; totals; labels; subtree_sets; tout; height; node_of_concept }
+  let root_members = Array.init (Array.length parent) Fun.id in
+  let root_weight = weight_of ~results ~totals root_members in
+  { concept_ids; parent; depth; results; totals; labels; subtree_sets; tout; height;
+    node_of_concept; root_members; root_weight; root_reduction = None }
 
 let build ~hierarchy ~attachments ~total_count =
   let n_concepts = Hierarchy.size hierarchy in
@@ -315,6 +328,15 @@ let max_width t =
   let counts = Array.make (height t + 1) 0 in
   Array.iter (fun d -> counts.(d) <- counts.(d) + 1) t.depth;
   Array.fold_left max 0 counts
+
+let root_members t = t.root_members
+
+let explore_weight t members =
+  if members == t.root_members then t.root_weight
+  else weight_of ~results:t.results ~totals:t.totals members
+
+let root_reduction t = t.root_reduction
+let set_root_reduction t slot = t.root_reduction <- Some slot
 
 let in_subtree t ~root i = i >= root && i <= t.tout.(root)
 let last_descendant t i = t.tout.(i)

@@ -83,6 +83,27 @@ val last_descendant : t -> int -> int
 (** The largest id in the node's subtree: the subtree is exactly the id
     interval [\[n, last_descendant n\]]. O(1). *)
 
+(** {2 The root component, prepared once per tree}
+
+    {!build} and {!restrict} compute its members and weight; the first
+    root EXPAND fills its reduction slot ({!Navigation}), a plain mutable
+    field that, like {!node_of_concept}'s lazy index, relies on one
+    domain owning the tree at a time. *)
+
+val root_members : t -> int array
+(** [0 .. size-1], shared by every session: never mutate it. *)
+
+val explore_weight : t -> int array -> float
+(** [Σ |L(m)| / |LT(m)|] over the members, summed in array order; for
+    {!root_members} itself, the value computed once. *)
+
+val root_reduction : t -> (int * Comp_tree.t * Reduced_tree.t option) option
+(** The slot: a [k], the root component tree and its reduction for [k].
+    All immutable, so sessions share them. *)
+
+val set_root_reduction : t -> int * Comp_tree.t * Reduced_tree.t option -> unit
+(** Fill the slot, replacing what it held for another [k]. *)
+
 val comp_tree_of : t -> root:int -> members:int array -> Comp_tree.t * int array
 (** Extracts a component tree from a connected member set containing
     [root], given strictly ascending (so [root] first): returns the

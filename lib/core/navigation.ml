@@ -101,16 +101,34 @@ let next_page t root page_size =
   List.filteri (fun i _ -> i < page_size) by_count_desc
 
 let degraded_counter = Metrics.counter "bionav_resilience_degraded_expands_total"
+let reduction_reuses = Metrics.counter "bionav_root_reduction_reuses_total"
+let reduction_builds = Metrics.counter "bionav_root_reduction_builds_total"
 
 let heuristic_cut t root ~over_budget ~k ~model ~reuse =
+  (* Cut children are indices of the plan's original component tree,
+     whose tags are navigation nodes. *)
+  let cut_of (report : Heuristic.report) plan =
+    let cut = nav_cut_children (Heuristic.original_tree plan) report.cut_children in
+    (`Cut cut, report.elapsed_ms, report.reduced_size, false)
+  in
   let fresh () =
-    let comp, _map = Active_tree.comp_tree t.active root in
-    let report, plan = Heuristic.best_cut_with_plan ~model ~k comp in
+    (* A whole-tree component reads the tree's reduction slot or fills it. *)
+    let nav = Active_tree.nav t.active in
+    let whole = Array.length (Active_tree.component_members t.active root) = Nav_tree.size nav in
+    let comp, reduction =
+      match Nav_tree.root_reduction nav with
+      | Some (k', comp, reduction) when whole && k' = k ->
+          Metrics.incr reduction_reuses;
+          (comp, Some reduction)
+      | Some _ | None -> (fst (Active_tree.comp_tree t.active root), None)
+    in
+    let report, plan = Heuristic.best_cut_with_plan ~model ~k ?reduction comp in
+    if whole && Option.is_none reduction then begin
+      Metrics.incr reduction_builds;
+      Nav_tree.set_root_reduction nav (k, comp, Heuristic.reduction plan)
+    end;
     if reuse then Hashtbl.replace t.plans root plan;
-    ( `Cut (nav_cut_children comp report.Heuristic.cut_children),
-      report.Heuristic.elapsed_ms,
-      report.Heuristic.reduced_size,
-      false )
+    cut_of report plan
   in
   let computed () =
     if not reuse then fresh ()
@@ -121,13 +139,7 @@ let heuristic_cut t root ~over_budget ~k ~model ~reuse =
           | Some (report, next_plan) ->
               Logs.debug (fun m -> m "navigation: reused plan for node %d" root);
               Hashtbl.replace t.plans root next_plan;
-              (* Cut children are indices of the plan's original component
-                 tree, whose tags are navigation nodes. *)
-              let orig = Heuristic.original_tree plan in
-              ( `Cut (nav_cut_children orig report.Heuristic.cut_children),
-                report.Heuristic.elapsed_ms,
-                report.Heuristic.reduced_size,
-                false )
+              cut_of report next_plan
           | None ->
               Hashtbl.remove t.plans root;
               fresh ())

@@ -240,6 +240,97 @@ let test_table1_components_match_oracle () =
         [ q.Q.target_node; n / 4; n / 2; 3 * n / 4 ])
     w.Q.queries
 
+(* The root component each session used to build for itself: members
+   0..n-1, their subtree results, their weight folded in ascending order. *)
+let oracle_root_weight nav =
+  let w = ref 0. in
+  for m = 0 to Nav_tree.size nav - 1 do
+    let l = Nav_tree.result_count nav m in
+    if l > 0 then w := !w +. (float_of_int l /. float_of_int (Nav_tree.total nav m))
+  done;
+  !w
+
+(* A fresh root solve: a fresh component tree, a fresh reduction. *)
+let fresh_root_cut ?(model = Probability.default_model) ~k nav =
+  let comp, _ = Nav_tree.comp_tree_of nav ~root:0 ~members:(Array.init (Nav_tree.size nav) Fun.id) in
+  let r, _ = Heuristic.best_cut_with_plan ~model ~k comp in
+  List.sort Int.compare (List.map (Comp_tree.tag comp) r.Heuristic.cut_children)
+
+let counter n = Metrics.value (Metrics.counter n)
+
+let check_root_memo nav =
+  let act = Active_tree.create nav in
+  Alcotest.(check (array int)) "root members" (Array.init (Nav_tree.size nav) Fun.id)
+    (Active_tree.component_members act 0);
+  Alcotest.(check bool) "root results" true
+    (Docset.equal (Nav_tree.subtree_results nav 0) (Active_tree.component_results act 0));
+  Alcotest.(check int64) "root weight, bit for bit"
+    (Int64.bits_of_float (oracle_root_weight nav))
+    (Int64.bits_of_float (Active_tree.component_weight act 0));
+  let expand ?model ?(reuse = false) k =
+    let s = Navigation.start (Navigation.bionav ?model ~k ~reuse ()) nav in
+    (s, List.sort Int.compare (Navigation.expand s 0))
+  in
+  let builds = counter "bionav_root_reduction_builds_total" in
+  let reuses = counter "bionav_root_reduction_reuses_total" in
+  let fresh10 = fresh_root_cut ~k:10 nav in
+  let s, first = expand 10 in
+  Alcotest.(check (list int)) "first session = fresh" fresh10 first;
+  Alcotest.(check (list int)) "second session = fresh" fresh10 (snd (expand 10));
+  ignore (Navigation.backtrack s : bool);
+  Alcotest.(check (list int)) "after backtrack = fresh" fresh10
+    (List.sort Int.compare (Navigation.expand s 0));
+  Alcotest.(check (list int)) "second k = fresh" (fresh_root_cut ~k:6 nav) (snd (expand 6));
+  let model = Probability.static ~params:{ Probability.default_params with
+    Probability.expand_cost = 4. } () in
+  Alcotest.(check (list int)) "k 10 again, other model = fresh" (fresh_root_cut ~model ~k:10 nav)
+    (snd (expand ~model 10));
+  Alcotest.(check int) "builds: k 10, k 6, k 10" (builds + 3)
+    (counter "bionav_root_reduction_builds_total");
+  Alcotest.(check int) "reuses: second session, backtrack" (reuses + 2)
+    (counter "bionav_root_reduction_reuses_total");
+  (* Two interleaved plan-reusing sessions replan as each does alone. *)
+  let alone =
+    let s, first = expand ~reuse:true 10 in
+    first :: List.init 2 (fun _ -> List.sort Int.compare (Navigation.expand s 0))
+  in
+  let a = Navigation.start (Navigation.bionav ~reuse:true ()) nav in
+  let b = Navigation.start (Navigation.bionav ~reuse:true ()) nav in
+  let both = List.init 3 (fun _ ->
+    let x = List.sort Int.compare (Navigation.expand a 0) in
+    let y = List.sort Int.compare (Navigation.expand b 0) in
+    Alcotest.(check (list int)) "interleaved sessions agree" x y; x) in
+  Alcotest.(check (list (list int))) "replans = alone" alone both
+
+let test_root_memo_table1 () =
+  let w = Lazy.force workload in
+  List.iter
+    (fun q ->
+      let nav = Nav_tree.of_database w.Q.database q.Q.result in
+      check_root_memo nav;
+      let child = List.hd (Nav_tree.children nav 0) in
+      let r = Nav_tree.restrict nav (Nav_tree.subtree_results nav child) in
+      if Nav_tree.size r >= 2 then check_root_memo r)
+    w.Q.queries
+
+let test_root_memo_facets () =
+  let w = Lazy.force workload in
+  let deriver = Nav_space.deriver ~medline:w.Q.medline w.Q.database in
+  List.iter
+    (fun q ->
+      let fnav =
+        Nav_space.derive deriver Nav_space.Qualifier_facet (Nav_tree.subtree_results q.Q.nav 0)
+      in
+      let model = Probability.facet_model in
+      let cut () =
+        let s = Navigation.start (Navigation.faceted ()) fnav in
+        List.sort Int.compare (Navigation.expand s 0)
+      in
+      let fresh = fresh_root_cut ~model ~k:Heuristic.default_k fnav in
+      Alcotest.(check (list int)) "facet: cold = fresh" fresh (cut ());
+      Alcotest.(check (list int)) "facet: memo = fresh" fresh (cut ()))
+    w.Q.queries
+
 let qcheck_valid_cuts =
   QCheck.Test.make ~name:"heuristic cuts are always valid" ~count:100
     QCheck.(pair (int_range 2 150) (int_range 0 10_000))
@@ -267,6 +358,12 @@ let () =
           Alcotest.test_case "fig11 prothymosin cuts pinned" `Slow test_fig11_prothymosin_pinned;
           Alcotest.test_case "Table I components = oracle pipeline" `Slow
             test_table1_components_match_oracle;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "root memo on Table I and restricted trees" `Slow
+            test_root_memo_table1;
+          Alcotest.test_case "root memo on facet spaces" `Slow test_root_memo_facets;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest qcheck_valid_cuts ]);
     ]
