@@ -44,14 +44,22 @@ let results_of nav members =
   in
   match go 0 [] with [ s ] -> s | sets -> Docset.union_many sets
 
+let weight_of nav members =
+  Array.fold_left
+    (fun acc m ->
+      let l = Nav_tree.result_count nav m in
+      if l = 0 then acc else acc +. (float_of_int l /. float_of_int (Nav_tree.total nav m)))
+    0. members
+
 let make_comp nav members =
-  { members; results = results_of nav members; weight = Nav_tree.explore_weight nav members;
-    key = None }
+  { members; results = results_of nav members; weight = weight_of nav members; key = None }
 
 (* The whole tree's members and weight are the tree's, computed once. *)
 let create nav =
+  let members = Nav_tree.root_members nav and weight = Nav_tree.root_weight nav in
   let nodes = Hashtbl.create 64 in
-  Hashtbl.replace nodes 0 { comp = make_comp nav (Nav_tree.root_members nav); vchildren = [] };
+  Hashtbl.replace nodes 0
+    { comp = { members; results = results_of nav members; weight; key = None }; vchildren = [] };
   { nav; comp_root = [||]; nodes; history = [] }
 
 let nav t = t.nav

@@ -61,10 +61,10 @@ let fresh_plan ?model ?(k = default_k) ?reduction tree =
          Opt_edgecut.max_size);
   let reduced =
     match reduction with
-    | (None | Some None) when Comp_tree.size tree <= k -> None
-    | None -> Some (Reduced_tree.build tree (Partition.run_k tree ~k))
-    | Some (Some r) when Reduced_tree.original r == tree && Reduced_tree.size r <= k -> Some r
+    | Some r when Reduced_tree.original r == tree && Reduced_tree.size r <= k -> Some r
     | Some _ -> invalid_arg "Heuristic.best_cut: reduction is not this tree's for k"
+    | None when Comp_tree.size tree <= k -> None
+    | None -> Some (Reduced_tree.build tree (Partition.run_k tree ~k))
   in
   let plan_tree = match reduced with None -> tree | Some r -> Reduced_tree.tree r in
   let ctx = Cost_model.create ?model plan_tree in

@@ -40,7 +40,7 @@ type plan
     tree no longer sees, so they take a fresh plan). *)
 
 val best_cut_with_plan :
-  ?model:Probability.model -> ?k:int -> ?reduction:Reduced_tree.t option -> Comp_tree.t ->
+  ?model:Probability.model -> ?k:int -> ?reduction:Reduced_tree.t -> Comp_tree.t ->
   report * plan
 (** Like {!best_cut} but also returns the reuse handle. The plan's mask is
     already advanced past the returned cut. @raise Invalid_argument as

@@ -159,20 +159,17 @@ let nest locals ~count ~height ~key ~limit ~own ~whole =
   done;
   (parent, depth, tout, subs, !deepest)
 
-let weight_of ~results ~totals members =
-  Array.fold_left
-    (fun acc m ->
-      let l = Docset.cardinal results.(m) in
-      if l = 0 then acc else acc +. (float_of_int l /. float_of_int totals.(m)))
-    0. members
-
 (* A tree from its preorder arrays and [nest]'s output. *)
 let make ~concept_ids ~results ~totals ~labels (parent, depth, tout, subtree_sets, height)
     =
   let pairs = Seq.map (fun (i, c) -> (c, i)) (Array.to_seqi concept_ids) in
   let node_of_concept = lazy (Hashtbl.of_seq pairs) in
   let root_members = Array.init (Array.length parent) Fun.id in
-  let root_weight = weight_of ~results ~totals root_members in
+  let weight acc m =
+    let l = Docset.cardinal results.(m) in
+    if l = 0 then acc else acc +. (float_of_int l /. float_of_int totals.(m))
+  in
+  let root_weight = Array.fold_left weight 0. root_members in
   { concept_ids; parent; depth; results; totals; labels; subtree_sets; tout; height;
     node_of_concept; root_members; root_weight; root_reduction = None }
 
@@ -331,9 +328,7 @@ let max_width t =
 
 let root_members t = t.root_members
 
-let explore_weight t members =
-  if members == t.root_members then t.root_weight
-  else weight_of ~results:t.results ~totals:t.totals members
+let root_weight t = t.root_weight
 
 let root_reduction t = t.root_reduction
 let set_root_reduction t slot = t.root_reduction <- Some slot

@@ -93,13 +93,12 @@ val last_descendant : t -> int -> int
 val root_members : t -> int array
 (** [0 .. size-1], shared by every session: never mutate it. *)
 
-val explore_weight : t -> int array -> float
-(** [Σ |L(m)| / |LT(m)|] over the members, summed in array order; for
-    {!root_members} itself, the value computed once. *)
+val root_weight : t -> float
+(** Its explore weight, [Σ |L(m)| / |LT(m)|] in ascending id order. *)
 
 val root_reduction : t -> (int * Comp_tree.t * Reduced_tree.t option) option
-(** The slot: a [k], the root component tree and its reduction for [k].
-    All immutable, so sessions share them. *)
+(** The slot: a [k], the root component tree and its reduction for [k]
+    ([None] if the tree fits in [k]); immutable, so sessions share it. *)
 
 val set_root_reduction : t -> int * Comp_tree.t * Reduced_tree.t option -> unit
 (** Fill the slot, replacing what it held for another [k]. *)

@@ -115,18 +115,14 @@ let heuristic_cut t root ~over_budget ~k ~model ~reuse =
     (* A whole-tree component reads the tree's reduction slot or fills it. *)
     let nav = Active_tree.nav t.active in
     let whole = Array.length (Active_tree.component_members t.active root) = Nav_tree.size nav in
-    let comp, reduction =
+    let comp, reduction, hit =
       match Nav_tree.root_reduction nav with
-      | Some (k', comp, reduction) when whole && k' = k ->
-          Metrics.incr reduction_reuses;
-          (comp, Some reduction)
-      | Some _ | None -> (fst (Active_tree.comp_tree t.active root), None)
+      | Some (k', comp, reduction) when whole && k' = k -> (comp, reduction, true)
+      | Some _ | None -> (fst (Active_tree.comp_tree t.active root), None, false)
     in
     let report, plan = Heuristic.best_cut_with_plan ~model ~k ?reduction comp in
-    if whole && Option.is_none reduction then begin
-      Metrics.incr reduction_builds;
-      Nav_tree.set_root_reduction nav (k, comp, Heuristic.reduction plan)
-    end;
+    if whole then Metrics.incr (if hit then reduction_reuses else reduction_builds);
+    if whole && not hit then Nav_tree.set_root_reduction nav (k, comp, Heuristic.reduction plan);
     if reuse then Hashtbl.replace t.plans root plan;
     cut_of report plan
   in

@@ -258,7 +258,10 @@ let fresh_root_cut ?(model = Probability.default_model) ~k nav =
 
 let counter n = Metrics.value (Metrics.counter n)
 
-let check_root_memo nav =
+(* Two sessions, a backtrack, a second k, another model and two
+   interleaved plan-reusing sessions on one tree, each root cut against a
+   fresh solve. *)
+let check_root_memo ?(k = 10) ?(k2 = 6) nav =
   let act = Active_tree.create nav in
   Alcotest.(check (array int)) "root members" (Array.init (Nav_tree.size nav) Fun.id)
     (Active_tree.component_members act 0);
@@ -273,29 +276,29 @@ let check_root_memo nav =
   in
   let builds = counter "bionav_root_reduction_builds_total" in
   let reuses = counter "bionav_root_reduction_reuses_total" in
-  let fresh10 = fresh_root_cut ~k:10 nav in
-  let s, first = expand 10 in
-  Alcotest.(check (list int)) "first session = fresh" fresh10 first;
-  Alcotest.(check (list int)) "second session = fresh" fresh10 (snd (expand 10));
+  let fresh = fresh_root_cut ~k nav in
+  let s, first = expand k in
+  Alcotest.(check (list int)) "first session = fresh" fresh first;
+  Alcotest.(check (list int)) "second session = fresh" fresh (snd (expand k));
   ignore (Navigation.backtrack s : bool);
-  Alcotest.(check (list int)) "after backtrack = fresh" fresh10
+  Alcotest.(check (list int)) "after backtrack = fresh" fresh
     (List.sort Int.compare (Navigation.expand s 0));
-  Alcotest.(check (list int)) "second k = fresh" (fresh_root_cut ~k:6 nav) (snd (expand 6));
+  Alcotest.(check (list int)) "second k = fresh" (fresh_root_cut ~k:k2 nav) (snd (expand k2));
   let model = Probability.static ~params:{ Probability.default_params with
     Probability.expand_cost = 4. } () in
-  Alcotest.(check (list int)) "k 10 again, other model = fresh" (fresh_root_cut ~model ~k:10 nav)
-    (snd (expand ~model 10));
-  Alcotest.(check int) "builds: k 10, k 6, k 10" (builds + 3)
+  Alcotest.(check (list int)) "first k again, other model = fresh" (fresh_root_cut ~model ~k nav)
+    (snd (expand ~model k));
+  Alcotest.(check int) "builds: k, k2, k" (builds + 3)
     (counter "bionav_root_reduction_builds_total");
   Alcotest.(check int) "reuses: second session, backtrack" (reuses + 2)
     (counter "bionav_root_reduction_reuses_total");
   (* Two interleaved plan-reusing sessions replan as each does alone. *)
   let alone =
-    let s, first = expand ~reuse:true 10 in
+    let s, first = expand ~reuse:true k in
     first :: List.init 2 (fun _ -> List.sort Int.compare (Navigation.expand s 0))
   in
-  let a = Navigation.start (Navigation.bionav ~reuse:true ()) nav in
-  let b = Navigation.start (Navigation.bionav ~reuse:true ()) nav in
+  let a = Navigation.start (Navigation.bionav ~k ~reuse:true ()) nav in
+  let b = Navigation.start (Navigation.bionav ~k ~reuse:true ()) nav in
   let both = List.init 3 (fun _ ->
     let x = List.sort Int.compare (Navigation.expand a 0) in
     let y = List.sort Int.compare (Navigation.expand b 0) in
@@ -331,6 +334,34 @@ let test_root_memo_facets () =
       Alcotest.(check (list int)) "facet: memo = fresh" fresh (cut ()))
     w.Q.queries
 
+(* Random hierarchies with random attachments give navigation trees from
+   2 nodes up, so the slot also holds no reduction (size <= k) and
+   reductions smaller than k; the restriction to the even citations
+   checks a derived tree's own slot. *)
+let qcheck_root_memo_random =
+  QCheck.Test.make ~name:"root memo = fresh solve on random trees" ~count:100
+    QCheck.(triple (int_range 2 80) (int_range 2 10) (int_range 0 10_000))
+    (fun (n, k, seed) ->
+      let rng = Rng.create seed in
+      let parents = Array.init n (fun i -> if i = 0 then -1 else Rng.int rng i) in
+      let attachments =
+        List.filter_map
+          (fun c ->
+            if Rng.int rng 3 = 0 then None
+            else Some (c, Docset.of_list (List.init (1 + Rng.int rng 4) (fun _ -> Rng.int rng 60))))
+          (List.init n Fun.id)
+      in
+      let nav =
+        Nav_tree.build ~hierarchy:(Bionav_mesh.Hierarchy.of_parents parents) ~attachments
+          ~total_count:(fun c -> 100 + c)
+      in
+      let k2 = if k = 10 then 6 else k + 1 in
+      if Nav_tree.size nav >= 2 then check_root_memo ~k ~k2 nav;
+      let evens = Docset.of_list (List.init 30 (fun i -> 2 * i)) in
+      let r = Nav_tree.restrict nav (Docset.inter evens (Nav_tree.subtree_results nav 0)) in
+      if Nav_tree.size r >= 2 then check_root_memo ~k ~k2 r;
+      true)
+
 let qcheck_valid_cuts =
   QCheck.Test.make ~name:"heuristic cuts are always valid" ~count:100
     QCheck.(pair (int_range 2 150) (int_range 0 10_000))
@@ -365,5 +396,9 @@ let () =
             test_root_memo_table1;
           Alcotest.test_case "root memo on facet spaces" `Slow test_root_memo_facets;
         ] );
-      ("property", [ QCheck_alcotest.to_alcotest qcheck_valid_cuts ]);
+      ( "property",
+        [
+          QCheck_alcotest.to_alcotest qcheck_valid_cuts;
+          QCheck_alcotest.to_alcotest qcheck_root_memo_random;
+        ] );
     ]
