@@ -19,8 +19,6 @@ type undo = { root : int; previous : vnode; cut_children : int list }
 
 type t = {
   nav : Nav_tree.t;
-  mutable comp_root : int array;
-      (* node -> root of its component (visible iff its own); [||] = all 0 *)
   nodes : (int, vnode) Hashtbl.t;  (* visible root -> its state *)
   mutable history : undo list;
 }
@@ -60,17 +58,23 @@ let create nav =
   let nodes = Hashtbl.create 64 in
   Hashtbl.replace nodes 0
     { comp = { members; results = results_of nav members; weight; key = None }; vchildren = [] };
-  { nav; comp_root = [||]; nodes; history = [] }
+  { nav; nodes; history = [] }
 
 let nav t = t.nav
 
-let component_root_of t i =
-  if Array.length t.comp_root = 0 && i >= 0 && i < Nav_tree.size t.nav then 0 else t.comp_root.(i)
+let is_visible t i = Hashtbl.mem t.nodes i
 
-let is_visible t i = component_root_of t i = i
+(* A component is its root's subtree less its visible descendants' ones,
+   so a node's component root is its nearest visible ancestor-or-self;
+   the navigation root is always visible. *)
+let component_root_of t i =
+  if i < 0 || i >= Nav_tree.size t.nav then
+    invalid_arg (Printf.sprintf "Active_tree.component_root_of: no node %d" i);
+  let rec up i = if is_visible t i then i else up (Nav_tree.parent t.nav i) in
+  up i
 
 let node t fn r =
-  if r < 0 || r >= Nav_tree.size t.nav || not (is_visible t r) then
+  if not (is_visible t r) then
     invalid_arg (Printf.sprintf "Active_tree.%s: %d not visible" fn r);
   Hashtbl.find t.nodes r
 
@@ -113,7 +117,7 @@ let visible_parent t i =
    contains the next one. *)
 let validate_cut t ~root ~cut_children =
   let n = Nav_tree.size t.nav in
-  if root < 0 || root >= n || not (is_visible t root) then
+  if not (is_visible t root) then
     invalid_arg (Printf.sprintf "Active_tree.apply_cut: %d not visible" root);
   if cut_children = [] then invalid_arg "Active_tree.apply_cut: empty cut";
   List.iter
@@ -137,7 +141,6 @@ let apply_cut t ~root ~cut_children =
   let previous = Hashtbl.find t.nodes root in
   let members = previous.comp.members in
   let n = Array.length members in
-  if Array.length t.comp_root = 0 then t.comp_root <- Array.make (Nav_tree.size t.nav) 0;
   (* A cut child's subtree is a preorder interval, so its lower component
      is one contiguous slice of the ascending member array; the upper
      component is the gaps between the slices. *)
@@ -151,7 +154,6 @@ let apply_cut t ~root ~cut_children =
         let last_id = Nav_tree.last_descendant t.nav c in
         let stop = ref !start in
         while !stop < n && members.(!stop) <= last_id do
-          t.comp_root.(members.(!stop)) <- c;
           incr stop
         done;
         ( Array.sub members i (!start - i) :: gaps,
@@ -162,14 +164,14 @@ let apply_cut t ~root ~cut_children =
   let upper = Array.concat (List.rev (Array.sub members i (n - i) :: gaps)) in
   (* A visible child of [root] inside a cut child's subtree now hangs
      below that cut child. *)
-  let stays, moves = List.partition (fun v -> visible_parent t v = root) previous.vchildren in
+  let under c v = Nav_tree.in_subtree t.nav ~root:c v in
+  let stays, moves =
+    List.partition (fun v -> not (List.exists (fun c -> under c v) cut_children)) previous.vchildren
+  in
   List.iter
     (fun (c, lower) ->
       Hashtbl.replace t.nodes c
-        {
-          comp = make_comp t.nav lower;
-          vchildren = List.filter (fun v -> visible_parent t v = c) moves;
-        })
+        { comp = make_comp t.nav lower; vchildren = List.filter (under c) moves })
     lowers;
   Hashtbl.replace t.nodes root
     {
@@ -189,11 +191,7 @@ let backtrack t =
   match t.history with
   | [] -> false
   | { root; previous; cut_children } :: rest ->
-      List.iter
-        (fun c ->
-          Array.iter (fun m -> t.comp_root.(m) <- root) (Hashtbl.find t.nodes c).comp.members;
-          Hashtbl.remove t.nodes c)
-        cut_children;
+      List.iter (Hashtbl.remove t.nodes) cut_children;
       Hashtbl.replace t.nodes root previous;
       t.history <- rest;
       true

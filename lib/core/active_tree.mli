@@ -23,7 +23,8 @@ type t
 val create : Nav_tree.t -> t
 (** One component containing every node, rooted at the navigation root;
     only the root is visible. Its members and weight are the tree's own
-    ({!Nav_tree.root_members}), shared by every session on the tree. *)
+    ({!Nav_tree.root_members}), shared by every session on the tree, so
+    it allocates nothing per node. *)
 
 val nav : t -> Nav_tree.t
 
@@ -32,7 +33,8 @@ val visible : t -> int list
 (** Visible navigation nodes in preorder (the root is first). *)
 
 val component_root_of : t -> int -> int
-(** The visible root of the component containing the given node. *)
+(** The visible root of the component containing the given node: its
+    nearest visible ancestor-or-self, found in O(depth). *)
 
 val component : t -> int -> int list
 (** Members (ascending navigation ids) of the component rooted at a visible
