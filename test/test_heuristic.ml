@@ -292,6 +292,22 @@ let check_root_memo ?(k = 10) ?(k2 = 6) nav =
     (counter "bionav_root_reduction_builds_total");
   Alcotest.(check int) "reuses: second session, backtrack" (reuses + 2)
     (counter "bionav_root_reduction_reuses_total");
+  (* An adaptive model that learns between two sessions. *)
+  let adaptive = Bionav_adaptive.Adaptive.create () in
+  let learned () =
+    let model = Bionav_adaptive.Adaptive.model adaptive in
+    let cut = snd (expand ~model k) in
+    Alcotest.(check (list int)) "adaptive model = fresh" (fresh_root_cut ~model ~k nav) cut;
+    cut
+  in
+  List.iter
+    (fun v ->
+      for _ = 1 to 20 do
+        Bionav_adaptive.Adaptive.observe_ignore adaptive ~concept:(Nav_tree.concept_id nav v)
+      done)
+    (learned ());
+  Bionav_adaptive.Adaptive.refresh adaptive;
+  ignore (learned () : int list);
   (* Two interleaved plan-reusing sessions replan as each does alone. *)
   let alone =
     let s, first = expand ~reuse:true k in
