@@ -11,10 +11,10 @@ let misses_counter = Metrics.counter "bionav_cache_misses_total"
 let evictions_counter = Metrics.counter "bionav_cache_evictions_total"
 let build_hist = Metrics.histogram "bionav_nav_tree_build_ms"
 
-(* Every insert path counts its capacity eviction in the process metric. *)
-let insert add t key nav =
+(* Both insert paths count their capacity eviction in the process metric. *)
+let insert t key nav =
   let evictions_before = Lru.evictions t.cache in
-  add t.cache key nav;
+  Lru.add t.cache key nav;
   if Lru.evictions t.cache > evictions_before then Metrics.incr evictions_counter
 
 let get t query =
@@ -27,7 +27,7 @@ let get t query =
       Metrics.incr misses_counter;
       let nav, build_ms = Timing.time (fun () -> t.build query) in
       Metrics.observe build_hist build_ms;
-      insert Lru.add t key nav;
+      insert t key nav;
       nav
 
 let hit_rate t =
@@ -38,24 +38,7 @@ let hits t = Lru.hits t.cache
 let misses t = Lru.misses t.cache
 let evictions t = Lru.evictions t.cache
 
-let put t query nav = insert Lru.add t (normalize query) nav
-
-(* Cold: in a full cache a run of derived inserts recycles one slot, and
-   a derived space stays only if a [find] hits it before the next insert. *)
-let put_derived t key nav = insert Lru.add_cold t key nav
-
-(* Lookup without the build fallback: derived navigation spaces are built
-   by the caller (the key embeds a space path, not a runnable query), so
-   the [build] closure cannot serve a miss. Keys are used verbatim — the
-   caller already normalized the query component. *)
-let find t key =
-  match Lru.find t.cache key with
-  | Some nav ->
-      Metrics.incr hits_counter;
-      Some nav
-  | None ->
-      Metrics.incr misses_counter;
-      None
+let put t query nav = insert t (normalize query) nav
 
 let fold_trees t f acc = Lru.fold t.cache f acc
 

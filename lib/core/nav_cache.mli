@@ -3,7 +3,10 @@
     Paper §VII: the navigation tree "is done once for each user query" —
     the expensive on-line step (attachment lookup over every result citation
     plus the maximum embedding). Exploratory users reissue queries, so the
-    navigation subsystem memoizes trees behind an LRU. *)
+    navigation subsystem memoizes trees behind an LRU. The cache holds
+    query trees only: the spaces a session derives from one (refinements,
+    facet spaces) are owned by that tree ({!Nav_tree.derived}) and leave
+    with it. *)
 
 type t
 
@@ -25,24 +28,6 @@ val put : t -> string -> Nav_tree.t -> unit
     query key (warm start); replaces any existing entry. Counts neither as
     a hit nor a miss. *)
 
-val find : t -> string -> Nav_tree.t option
-(** Lookup under a caller-composed key (used verbatim, {e not}
-    normalized), with no build fallback — the path derived navigation
-    spaces take: their keys embed a space path the [build] closure could
-    not run as a query. Counts as a hit or miss like {!get}, and a hit
-    makes the entry the most recently used one. *)
-
-val put_derived : t -> string -> Nav_tree.t -> unit
-(** Cache a derived navigation space under a verbatim key, as {!find}
-    reads it, at the {e least} recently used end
-    ({!Bionav_util.Lru.add_cold}); query trees ({!get}, {!put}) enter at
-    the other end. Refine/facet/unrefine loops cycle through more derived
-    spaces than the cache holds, each cheap to derive again from its
-    session's tree; a run of them takes at most one slot from the
-    expensive query trees.
-    Derived entries admitted while slots were free stay until query
-    trees push them out. *)
-
 val fold_trees : t -> (Nav_tree.t -> 'a -> 'a) -> 'a -> 'a
 (** Fold over the cached trees in unspecified order without touching
     recency or hit/miss statistics — for observability walks such as the
@@ -56,7 +41,7 @@ val hits : t -> int
 val misses : t -> int
 val evictions : t -> int
 (** Per-instance counters, zeroed by {!clear} (lookups, and capacity
-    evictions by every insert path, also feed the process-wide,
+    evictions by {!get} and {!put}, also feed the process-wide,
     never-reset [bionav_cache_*] metrics, see {!Bionav_util.Metrics}). *)
 
 val clear : t -> unit

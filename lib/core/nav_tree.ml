@@ -16,6 +16,8 @@ type t = {
   root_members : int array;  (* 0 .. size-1 *)
   root_weight : float;
   mutable root_reduction : (int * Comp_tree.t * Reduced_tree.t option) option;
+  family : (string, t) Hashtbl.t;  (* spaces derived from this tree, by key *)
+  mutable family_nodes : int;  (* their nodes together *)
 }
 
 (* Per-domain scratch, clear between passes and only growing: the
@@ -171,7 +173,8 @@ let make ~concept_ids ~results ~totals ~labels (parent, depth, tout, subtree_set
   in
   let root_weight = Array.fold_left weight 0. root_members in
   { concept_ids; parent; depth; results; totals; labels; subtree_sets; tout; height;
-    node_of_concept; root_members; root_weight; root_reduction = None }
+    node_of_concept; root_members; root_weight; root_reduction = None;
+    family = Hashtbl.create 1; family_nodes = 0 }
 
 let build ~hierarchy ~attachments ~total_count =
   let n_concepts = Hierarchy.size hierarchy in
@@ -332,6 +335,26 @@ let root_weight t = t.root_weight
 
 let root_reduction t = t.root_reduction
 let set_root_reduction t slot = t.root_reduction <- Some slot
+
+let family_factor = 16
+
+let derived t key derive =
+  match Hashtbl.find_opt t.family key with
+  | Some d -> d
+  | None ->
+      let d = derive () in
+      let n = Array.length d.parent and bound = family_factor * Array.length t.parent in
+      if t.family_nodes + n > bound then begin
+        Hashtbl.reset t.family;
+        t.family_nodes <- 0
+      end;
+      if n <= bound then begin
+        Hashtbl.replace t.family key d;
+        t.family_nodes <- t.family_nodes + n
+      end;
+      d
+
+let fold_derived t f acc = Hashtbl.fold f t.family acc
 
 let in_subtree t ~root i = i >= root && i <= t.tout.(root)
 let last_descendant t i = t.tout.(i)

@@ -103,6 +103,26 @@ val root_reduction : t -> (int * Comp_tree.t * Reduced_tree.t option) option
 val set_root_reduction : t -> int * Comp_tree.t * Reduced_tree.t option -> unit
 (** Fill the slot, replacing what it held for another [k]. *)
 
+(** {2 Spaces derived from the tree}
+
+    A query tree owns the spaces derived from it (refinements and facet
+    spaces, at any depth) under their derivation path and frees them
+    with itself; each keeps its own root slot. Single-domain ownership,
+    as for the slot. *)
+
+val family_factor : int
+(** 16: the spaces a tree owns hold at most [family_factor * size t]
+    nodes together. *)
+
+val derived : t -> string -> (unit -> t) -> t
+(** [derived t key derive] is the space [t] holds under [key], or
+    [derive ()], now held under it. A space that would take the family
+    past its bound first empties it (sessions keep the spaces they
+    navigate); one larger than the bound alone is returned unkept. *)
+
+val fold_derived : t -> (string -> t -> 'a -> 'a) -> 'a -> 'a
+(** The spaces [t] holds, with their keys, in unspecified order. *)
+
 val comp_tree_of : t -> root:int -> members:int array -> Comp_tree.t * int array
 (** Extracts a component tree from a connected member set containing
     [root], given strictly ascending (so [root] first): returns the

@@ -39,13 +39,14 @@ let default_config =
 type frame = {
   fid : string;
       (* the space identity: a deterministic derivation path like
-         "descriptor" or "descriptor>refine:42>facets" — equal paths mean
-         equal member sets, so caches may key on it *)
+         "descriptor" or "descriptor>refine:42>facets" — within one query
+         tree equal paths mean equal member sets, so the tree keys the
+         spaces it owns by it *)
   fdim : Bionav_core.Nav_space.dimension;
   fkey : string;
-      (* tree- and plan-cache key of this space: the bare query for the base
-         descriptor frame (legacy-compatible with warm start and the plan
-         cache), [normalize query ^ "\x1f" ^ fid] for derived spaces *)
+      (* plan-cache key of this space: the bare query for the base
+         descriptor frame (legacy-compatible with warm start), [normalize
+         query ^ "\x1f" ^ fid] for derived spaces *)
   fnav : Nav_tree.t;
   fnavigation : Navigation.t;
 }
@@ -62,7 +63,8 @@ type session = {
       (* the effective base strategy; per-frame strategies derive from it *)
   qnav : Nav_tree.t;
       (* the query's descriptor tree: what a refinement with no descriptor
-         frame beneath it (a session based on the facet space) narrows *)
+         frame beneath it (a session based on the facet space) narrows,
+         and the owner of every space the session derives *)
   mutable frames : frame list;  (* top frame first *)
   owner : t;
   mutable snapshot : Nav_snapshot.t;
@@ -361,18 +363,6 @@ let wire_frame t ~fkey navigation =
   | Some factory -> Navigation.set_budget navigation (Some factory));
   Option.iter (fun pf -> Prefetch.attach_plans pf ~query:fkey navigation) t.prefetch
 
-(* Fetch or [derive] a navigation space for a derived frame, through the
-   engine's tree cache under the frame's composite key — so revisiting a
-   refinement path is a cache hit, not a re-derivation. A fresh space
-   enters the cache cold, behind every query tree. *)
-let derived_space t ~fkey derive =
-  match Nav_cache.find t.cache fkey with
-  | Some nav -> nav
-  | None ->
-      let nav = derive () in
-      Nav_cache.put_derived t.cache fkey nav;
-      nav
-
 let frame_key query fid = Nav_cache.normalize query ^ "\x1f" ^ fid
 
 let search t ?(strategy = Navigation.bionav ()) query =
@@ -404,7 +394,7 @@ let search t ?(strategy = Navigation.bionav ()) query =
                     let fkey = frame_key query fid in
                     let subset = Nav_tree.subtree_results nav (Nav_tree.root nav) in
                     let fnav =
-                      derived_space t ~fkey (fun () ->
+                      Nav_tree.derived nav fid (fun () ->
                           Nav_space.derive t.deriver Nav_space.Qualifier_facet subset)
                     in
                     { fid; fdim = Nav_space.Qualifier_facet; fkey; fnav;
@@ -513,14 +503,12 @@ let backtrack s = run_locked s (fun () -> Navigation.backtrack (navigation s))
 
 (* --- navigation spaces: refine / facet / unrefine ----------------------- *)
 
-(* Push a derived frame: resolve the space through the tree cache (a
-   revisited path is a Plan_cache-style hit, not a re-derivation), start
-   a navigation on it under the dimension-mapped strategy and wire it
-   into the budget and the plan cache. [run_locked] then publishes. *)
-let push_frame s ~fid ~dim derive =
+(* Push a derived frame on [fnav]: start a navigation on it under the
+   dimension-mapped strategy and wire it into the budget and the plan
+   cache. [run_locked] then publishes. *)
+let push_frame s ~fid ~dim fnav =
   let t = s.owner in
   let fkey = frame_key s.query fid in
-  let fnav = derived_space t ~fkey derive in
   let fnavigation = Navigation.start (frame_strategy t.adaptive s.sstrategy dim) fnav in
   let fr = { fid; fdim = dim; fkey; fnav; fnavigation } in
   wire_frame t ~fkey fnavigation;
@@ -540,22 +528,24 @@ let refine s node =
       let concept = Nav_tree.concept_id fr.fnav node in
       (* Narrow to the node's full navigation subtree L(n) — a property of
          the tree alone (not of the session's expansion state), so equal
-         space ids always mean equal member sets and the cache stays
-         sound. *)
+         space ids always mean equal member sets and the query tree may
+         key the space by its id. *)
       let subset = Nav_tree.subtree_results fr.fnav node in
       note_engaged s Adaptive.observe_show node;
       let fid = Printf.sprintf "%s>refine:%d" fr.fid concept in
       (* Every frame's results lie inside those of the frames beneath it
          and of the query, so the subset is filtered out of the nearest
-         descriptor tree. *)
+         descriptor tree; a subset of all its results is that tree. *)
       let parent =
         match List.find_opt descriptor_frame s.frames with
         | Some d -> d.fnav
         | None -> s.qnav
       in
-      let fr' =
-        push_frame s ~fid ~dim:Nav_space.Descriptor (fun () -> Nav_space.restrict parent subset)
+      let fnav =
+        if Docset.cardinal subset = Nav_tree.distinct_results parent then parent
+        else Nav_tree.derived s.qnav fid (fun () -> Nav_space.restrict parent subset)
       in
+      let fr' = push_frame s ~fid ~dim:Nav_space.Descriptor fnav in
       Nav_tree.distinct_results fr'.fnav)
 
 let facet s =
@@ -565,10 +555,11 @@ let facet s =
         invalid_arg "Engine.facet: the session is already in a qualifier-facet space";
       let subset = Nav_tree.subtree_results fr.fnav (Nav_tree.root fr.fnav) in
       let fid = fr.fid ^ ">facets" in
-      let fr' =
-        push_frame s ~fid ~dim:Nav_space.Qualifier_facet (fun () ->
+      let fnav =
+        Nav_tree.derived s.qnav fid (fun () ->
             Nav_space.derive s.owner.deriver Nav_space.Qualifier_facet subset)
       in
+      let fr' = push_frame s ~fid ~dim:Nav_space.Qualifier_facet fnav in
       (* Number of qualifier pages (every non-root node of the flat facet
          tree is a page). *)
       Nav_tree.size fr'.fnav - 1)
@@ -623,18 +614,24 @@ let plan_cache_hit_rate t =
 let docset_bytes_gauge = Metrics.gauge "bionav_docset_resident_bytes"
 
 (* Resident docset payload, computed when asked: the index's posting
-   lists plus the sets of every tree the engine can reach (cached trees
-   and every frame of every live session, deduplicated physically since
-   session trees come out of the cache) and each frame's visible
-   component results. A union equal to one of its operands is that
-   operand, so a subtree set may be the node's own results or a child's
-   subtree set, and a component's results may be a member's set; such
-   shared values are counted once. No hashing: a scrape stays linear. *)
+   lists plus the sets of every tree the engine can reach (cached query
+   trees, the spaces each owns, and every frame of every live session,
+   deduplicated physically since session trees come out of the cache or
+   a family) and each frame's visible component results. A union equal
+   to one of its operands is that operand, so a subtree set may be the
+   node's own results or a child's subtree set, and a component's
+   results may be a member's set; such shared values are counted once.
+   No hashing: a scrape stays linear. *)
 let docset_bytes t =
   let trees = ref [] in
   let note nav = if not (List.memq nav !trees) then trees := nav :: !trees in
-  Nav_cache.fold_trees t.cache (fun nav () -> note nav) ();
-  Hashtbl.iter (fun _ s -> List.iter (fun fr -> note fr.fnav) s.frames) t.sessions;
+  let note_family nav () =
+    note nav;
+    Nav_tree.fold_derived nav (fun _ d () -> note d) ()
+  in
+  Nav_cache.fold_trees t.cache note_family ();
+  Hashtbl.iter (fun _ s -> note_family s.qnav (); List.iter (fun fr -> note fr.fnav) s.frames)
+    t.sessions;
   let bytes = ref (Bionav_search.Inverted_index.resident_bytes (Eutils.index t.eutils)) in
   let add set = bytes := !bytes + Docset.bytes set in
   List.iter

@@ -161,9 +161,9 @@ val navigation : session -> Bionav_core.Navigation.t
 val space_id : session -> string
 (** Identity of the active navigation space: a derivation path such as
     ["descriptor"], ["descriptor>refine:42"] or
-    ["descriptor>refine:42>facets"]. Deterministic — equal paths on equal
-    queries denote equal spaces, which is what makes re-derivation
-    cacheable. *)
+    ["descriptor>refine:42>facets"]. Deterministic — equal paths on one
+    query tree denote equal spaces, so the query tree keeps each space
+    it derives under its path ({!Bionav_core.Nav_tree.derived}). *)
 
 val refine_depth : session -> int
 (** Frames above the base space (0 = unrefined). *)
@@ -216,18 +216,21 @@ val refine : session -> int -> int
 (** Query-by-navigation: narrow the live result set to the full
     navigation subtree [L(n)] of the given visible node, derive the
     descriptor space of that subset, and push it as the session's new top
-    frame. The space comes from the engine's tree cache (revisiting a
-    refinement path is a cache hit) or is filtered out of the nearest
-    descriptor tree on the session's stack, or the query's own for a
-    session based on the facet space ({!Bionav_core.Nav_space.restrict});
-    it reads neither the database nor the hierarchy. Returns the refined
-    space's distinct result count. The snapshot republishes with the new
-    space id and an advanced epoch together.
+    frame. The space comes from the spaces the session's query tree owns
+    (revisiting a refinement path, from any session on that tree, derives
+    nothing) or is filtered out of the nearest descriptor tree on the
+    session's stack, or the query's own for a session based on the facet
+    space ({!Bionav_core.Nav_space.restrict}); it reads neither the
+    database nor the hierarchy. A node whose [L(n)] is that whole tree's
+    result set narrows nothing: the frame navigates that tree. Returns
+    the refined space's distinct result count. The snapshot republishes
+    with the new space id and an advanced epoch together.
     @raise Invalid_argument if the node is not visible or is the root. *)
 
 val facet : session -> int
 (** Derive the (descriptor × qualifier) facet space of the current
-    result set and push it: one page per MeSH qualifier (primary-qualifier
+    result set and push it (owned by the query tree, as for {!refine}):
+    one page per MeSH qualifier (primary-qualifier
     assignment, an exact partition — no citation lost or duplicated)
     plus an "(unqualified)" page. Returns the number of non-empty facet
     pages. @raise Invalid_argument if the session is already in a facet
@@ -282,8 +285,9 @@ val plan_cache_hit_rate : t -> float
 val docset_stats : t -> Bionav_util.Docset_arena.stats
 (** Docset memory the engine can reach, walked when called: [bytes] is
     the {!Bionav_util.Docset.bytes} payload of the inverted index's
-    posting lists, of every node and subtree set of each cached tree and
-    each live frame's tree, and of each live frame's visible component
+    posting lists, of every node and subtree set of each cached tree, of
+    the spaces each cached or live query tree owns and of each live
+    frame's tree, and of each live frame's visible component
     results, counting a physically shared value once. Result sets are
     not interned, so the other three fields are always 0. *)
 

@@ -44,25 +44,23 @@ let unlink t n =
   | Some h when h == n -> t.head <- (if n.older == n then None else Some n.older)
   | Some _ | None -> ()
 
-(* Link [n], which is not on the list, between the most and the least
-   recently used entries: it becomes the most recently used one when
-   [hot], the least recently used one otherwise. On an empty list [n] is
-   a lone node and already links to itself. *)
-let push t ~hot n =
-  match t.head with
+(* Make [n], which is not on the list, the most recently used entry. On
+   an empty list [n] is a lone node and already links to itself. *)
+let push_front t n =
+  (match t.head with
   | Some h ->
       n.older <- h;
       n.newer <- h.newer;
       h.newer.older <- n;
-      h.newer <- n;
-      if hot then t.head <- Some n
-  | None -> t.head <- Some n
+      h.newer <- n
+  | None -> ());
+  t.head <- Some n
 
 let find t k =
   match Hashtbl.find_opt t.table k with
   | Some n ->
       unlink t n;
-      push t ~hot:true n;
+      push_front t n;
       t.hits <- t.hits + 1;
       Some n.value
   | None ->
@@ -80,21 +78,18 @@ let evict_lru t =
       t.evictions <- t.evictions + 1
   | None -> ()
 
-let insert t ~hot op k v =
-  guard_iteration t op;
+let add t k v =
+  guard_iteration t "add";
   match Hashtbl.find_opt t.table k with
   | Some n ->
       n.value <- v;
       unlink t n;
-      push t ~hot n
+      push_front t n
   | None ->
       if Hashtbl.length t.table >= t.capacity then evict_lru t;
       let rec n = { key = k; value = v; newer = n; older = n } in
       Hashtbl.add t.table k n;
-      push t ~hot n
-
-let add t k v = insert t ~hot:true "add" k v
-let add_cold t k v = insert t ~hot:false "add_cold" k v
+      push_front t n
 
 let remove t k =
   guard_iteration t "remove";

@@ -24,25 +24,16 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Inserts or replaces; evicts the least recently used entry when full.
     The entry becomes the most recently used one. *)
 
-val add_cold : ('k, 'v) t -> 'k -> 'v -> unit
-(** {!add}, except that the entry becomes the {e least} recently used
-    one: the next capacity eviction takes it unless a {!find} hits it
-    first, which moves it to the most recently used end like any entry.
-    Once the cache is full, entries added cold and never hit cycle
-    through one slot instead of pushing out the entries {!add} keeps
-    hot (the insertion policy of Qureshi et al., "Adaptive Insertion
-    Policies for High Performance Caching", ISCA 2007). *)
-
 val remove : ('k, 'v) t -> 'k -> unit
 val clear : ('k, 'v) t -> unit
 
 val fold : ('k, 'v) t -> ('v -> 'a -> 'a) -> 'a -> 'a
 (** Fold over the cached values in unspecified order, without touching
     recency or hit/miss accounting (observability walks). Structural
-    mutation from inside the fold callback — {!add}, {!add_cold},
-    {!remove}, {!clear} — raises [Invalid_argument] rather than
-    leaving iteration behavior unspecified; non-structural reads
-    ({!find}, {!mem}) remain allowed. *)
+    mutation from inside the fold callback — {!add}, {!remove},
+    {!clear} — raises [Invalid_argument] rather than leaving iteration
+    behavior unspecified; non-structural reads ({!find}, {!mem})
+    remain allowed. *)
 
 val hits : ('k, 'v) t -> int
 val misses : ('k, 'v) t -> int

@@ -43,11 +43,22 @@ let source () =
       Atomic.set chosen_source (Some s);
       s
 
+(* The largest figure read so far: VmHWM is the larger of a mark the
+   kernel updates lazily and the current RSS, so it can fall, as can the
+   heap fallback after a failed read. *)
+let highest = Atomic.make 0
+
 let peak_rss_bytes () =
-  match source () with
-  | `Gc_heap -> gc_peak_bytes ()
-  | `Proc_status -> (
-      match read_proc_status () with Some v -> v | None -> gc_peak_bytes ())
+  let v =
+    match source () with
+    | `Proc_status -> Option.value (read_proc_status ()) ~default:(gc_peak_bytes ())
+    | `Gc_heap -> gc_peak_bytes ()
+  in
+  let rec raise_to () =
+    let p = Atomic.get highest in
+    if v <= p || Atomic.compare_and_set highest p v then max p v else raise_to ()
+  in
+  raise_to ()
 
 let peak_rss_gauge = Metrics.gauge "bionav_process_peak_rss_bytes"
 let publish () = Metrics.set peak_rss_gauge (float_of_int (peak_rss_bytes ()))

@@ -8,8 +8,9 @@
     [/metrics] rendering).
 
     On Linux the figure is the kernel's [VmHWM] high-water mark from
-    [/proc/self/status] — true peak RSS, monotone over the process
-    lifetime, including every malloc'd and mmap'd resident page. Where
+    [/proc/self/status], including every malloc'd and mmap'd resident
+    page; the kernel records the mark lazily, so a later read can be
+    lower, and the largest figure read so far is reported. Where
     [/proc] is unavailable the fallback is the OCaml heap's own
     high-water mark ([Gc.quick_stat].top_heap_words), which undercounts
     non-heap memory but preserves the monotone-peak contract. *)

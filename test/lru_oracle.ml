@@ -1,8 +1,7 @@
 (* The scanning LRU that the intrusive recency list in lib/util/lru.ml
    replaced, kept as the differential-test oracle: every entry carries a
    logical timestamp and eviction folds over the whole table for the
-   smallest one, so each capacity eviction costs O(length). A cold insert
-   stamps its entry below every other one. *)
+   smallest one, so each capacity eviction costs O(length). *)
 
 type ('k, 'v) entry = { value : 'v; mutable last_use : int }
 
@@ -70,14 +69,6 @@ let add t k v =
   guard_iteration t "add";
   if not (Hashtbl.mem t.table k) && Hashtbl.length t.table >= t.capacity then evict_lru t;
   Hashtbl.replace t.table k { value = v; last_use = tick t }
-
-let add_cold t k v =
-  guard_iteration t "add_cold";
-  if not (Hashtbl.mem t.table k) && Hashtbl.length t.table >= t.capacity then evict_lru t;
-  let coldest =
-    Hashtbl.fold (fun k' e acc -> if k' = k then acc else Int.min e.last_use acc) t.table 0
-  in
-  Hashtbl.replace t.table k { value = v; last_use = coldest - 1 }
 
 let remove t k =
   guard_iteration t "remove";

@@ -48,32 +48,6 @@ let test_reinsert_lru_head_refreshes () =
   Alcotest.(check (option int)) "a survives with new value" (Some 10) (Lru.find c "a");
   Alcotest.(check bool) "c present" true (Lru.mem c "c")
 
-let test_add_cold_is_next_victim () =
-  let c = Lru.create ~capacity:3 in
-  Lru.add c "a" 1;
-  Lru.add_cold c "x" 9;
-  Lru.add c "b" 2;
-  Lru.add c "c" 3;
-  Alcotest.(check bool) "cold entry evicted first" false (Lru.mem c "x");
-  Alcotest.(check bool) "hot entries kept" true (Lru.mem c "a" && Lru.mem c "b");
-  (* Into a full cache, a cold insert evicts the least recently used
-     entry and then is the victim itself. *)
-  Lru.add_cold c "y" 8;
-  Lru.add_cold c "z" 7;
-  Alcotest.(check bool) "first cold insert took a's slot" false (Lru.mem c "a");
-  Alcotest.(check bool) "second cold insert took y's slot" false (Lru.mem c "y");
-  Alcotest.(check bool) "hot entries after it kept" true (Lru.mem c "b" && Lru.mem c "c");
-  Alcotest.(check int) "three evictions" 3 (Lru.evictions c)
-
-let test_add_cold_promoted_by_find () =
-  let c = Lru.create ~capacity:2 in
-  Lru.add c "a" 1;
-  Lru.add_cold c "x" 9;
-  Alcotest.(check (option int)) "hit" (Some 9) (Lru.find c "x");
-  Lru.add c "b" 2;
-  Alcotest.(check bool) "promoted cold entry kept" true (Lru.mem c "x");
-  Alcotest.(check bool) "a is now the victim" false (Lru.mem c "a")
-
 let test_capacity_one_churn () =
   let c = Lru.create ~capacity:1 in
   Lru.add c "a" 1;
@@ -185,7 +159,6 @@ let qcheck_recent_k_survive =
    every step, so every eviction picks the same victim. *)
 type op =
   | Add of int * int
-  | Add_cold of int * int
   | Find of int
   | Mem of int
   | Remove of int
@@ -193,11 +166,10 @@ type op =
   | Reset_counters
   | Find_or_add of int * int
   | Fold_find of int  (* a recency-touching read inside [fold] *)
-  | Fold_mutate of int  (* add, remove, clear or add_cold inside [fold] *)
+  | Fold_mutate of int  (* add, remove or clear inside [fold] *)
 
 let show_op = function
   | Add (k, v) -> Printf.sprintf "add %d %d" k v
-  | Add_cold (k, v) -> Printf.sprintf "add_cold %d %d" k v
   | Find k -> Printf.sprintf "find %d" k
   | Mem k -> Printf.sprintf "mem %d" k
   | Remove k -> Printf.sprintf "remove %d" k
@@ -213,7 +185,6 @@ let op_gen =
   frequency
     [
       (6, map2 (fun k v -> Add (k, v)) key value);
-      (4, map2 (fun k v -> Add_cold (k, v)) key value);
       (6, map (fun k -> Find k) key);
       (2, map (fun k -> Mem k) key);
       (2, map (fun k -> Remove k) key);
@@ -221,7 +192,7 @@ let op_gen =
       (1, return Reset_counters);
       (3, map2 (fun k v -> Find_or_add (k, v)) key value);
       (1, map (fun k -> Fold_find k) key);
-      (1, map (fun m -> Fold_mutate m) (int_range 0 3));
+      (1, map (fun m -> Fold_mutate m) (int_range 0 2));
     ]
 
 type answer = Unit | Found of int option | Bool of bool | Int of int | Raised
@@ -237,7 +208,6 @@ module type LRU = sig
   val find : ('k, 'v) t -> 'k -> 'v option
   val mem : ('k, 'v) t -> 'k -> bool
   val add : ('k, 'v) t -> 'k -> 'v -> unit
-  val add_cold : ('k, 'v) t -> 'k -> 'v -> unit
   val remove : ('k, 'v) t -> 'k -> unit
   val clear : ('k, 'v) t -> unit
   val fold : ('k, 'v) t -> ('v -> 'a -> 'a) -> 'a -> 'a
@@ -251,7 +221,6 @@ end
 module Step (L : LRU) = struct
   let apply c = function
     | Add (k, v) -> L.add c k v; Unit
-    | Add_cold (k, v) -> L.add_cold c k v; Unit
     | Find k -> Found (L.find c k)
     | Mem k -> Bool (L.mem c k)
     | Remove k -> L.remove c k; Unit
@@ -260,13 +229,7 @@ module Step (L : LRU) = struct
     | Find_or_add (k, v) -> Int (L.find_or_add c k (fun () -> v))
     | Fold_find k -> Int (L.fold c (fun v acc -> ignore (L.find c k : int option); acc + v) 0)
     | Fold_mutate m ->
-        let mutate () =
-          match m with
-          | 0 -> L.add c 0 0
-          | 1 -> L.remove c 0
-          | 2 -> L.clear c
-          | _ -> L.add_cold c 0 0
-        in
+        let mutate () = match m with 0 -> L.add c 0 0 | 1 -> L.remove c 0 | _ -> L.clear c in
         if raises (fun () -> L.fold c (fun _ () -> mutate ()) ()) then Raised else Unit
 
   let observe c =
@@ -303,8 +266,6 @@ let () =
           Alcotest.test_case "capacity one" `Quick test_capacity_one;
           Alcotest.test_case "capacity-one churn" `Quick test_capacity_one_churn;
           Alcotest.test_case "re-insert LRU head" `Quick test_reinsert_lru_head_refreshes;
-          Alcotest.test_case "add_cold is the next victim" `Quick test_add_cold_is_next_victim;
-          Alcotest.test_case "add_cold promoted by find" `Quick test_add_cold_promoted_by_find;
           Alcotest.test_case "reset_counters" `Quick test_reset_counters;
           Alcotest.test_case "hits/misses" `Quick test_hits_misses;
           Alcotest.test_case "find_or_add" `Quick test_find_or_add;

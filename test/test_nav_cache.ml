@@ -152,8 +152,8 @@ let test_mutation_during_fold_trees () =
   Alcotest.(check int) "fold still walks both trees" 2
     (Nav_cache.fold_trees cache (fun _ n -> n + 1) 0)
 
-(* Every insert path — [get]'s build, warm-start [put] and [put_derived] —
-   counts its capacity eviction in the process-wide metric. *)
+(* Both insert paths — [get]'s build and warm-start [put] — count their
+   capacity eviction in the process-wide metric. *)
 let test_eviction_metric_every_path () =
   let metric = Metrics.counter "bionav_cache_evictions_total" in
   let cache = Nav_cache.create ~capacity:1 ~build:(fun q -> make_nav (String.length q)) () in
@@ -163,9 +163,7 @@ let test_eviction_metric_every_path () =
   Alcotest.(check int) "get counts" (before + 1) (Metrics.value metric);
   Nav_cache.put cache "c" (make_nav 1);
   Alcotest.(check int) "put counts" (before + 2) (Metrics.value metric);
-  Nav_cache.put_derived cache "c\x1fqualifier" (make_nav 1);
-  Alcotest.(check int) "put_derived counts" (before + 3) (Metrics.value metric);
-  Alcotest.(check int) "instance counter agrees" 3 (Nav_cache.evictions cache)
+  Alcotest.(check int) "instance counter agrees" 2 (Nav_cache.evictions cache)
 
 let counting_cache ~capacity =
   let calls = ref 0 in
@@ -178,45 +176,43 @@ let counting_cache ~capacity =
   in
   (cache, calls)
 
-(* Derived spaces enter at the least recently used end, so while the
-   query trees leave a slot free, any number of derived inserts cycle
-   through it and evict no query tree. *)
+(* Derived spaces live in their query tree's family, not in the cache:
+   any number of them leaves every query tree resident. *)
 let test_query_tree_survives_derived_inserts () =
   for capacity = 2 to 6 do
     let cache, calls = counting_cache ~capacity in
-    let queries = List.init (capacity - 1) (Printf.sprintf "query%d") in
+    let queries = List.init capacity (Printf.sprintf "query%d") in
     List.iter (fun q -> ignore (Nav_cache.get cache q)) queries;
+    let owner = Nav_cache.get cache "query0" in
     for i = 1 to 100 do
-      Nav_cache.put_derived cache (Printf.sprintf "query0\x1fd%d" i) (make_nav 1)
+      ignore (Nav_tree.derived owner (Printf.sprintf "d%d" i) (fun () -> make_nav 1))
     done;
     List.iter (fun q -> ignore (Nav_cache.get cache q)) queries;
     Alcotest.(check int)
       (Printf.sprintf "capacity %d: no query tree rebuilt" capacity)
-      (capacity - 1) !calls;
+      capacity !calls;
     Alcotest.(check int)
-      (Printf.sprintf "capacity %d: every re-search hit" capacity)
-      (capacity - 1) (Nav_cache.hits cache)
+      (Printf.sprintf "capacity %d: no eviction" capacity)
+      0 (Nav_cache.evictions cache)
   done
 
-let test_derived_hit_promotes () =
-  let cache, calls = counting_cache ~capacity:3 in
-  ignore (Nav_cache.get cache "a");
-  ignore (Nav_cache.get cache "b");
-  let d = make_nav 1 in
-  Nav_cache.put_derived cache "a\x1fd" d;
-  (* "a\x1fd" is the least recently used entry; the hit promotes it, so
-     the next insert evicts "a" instead. *)
-  let served () =
-    match Nav_cache.find cache "a\x1fd" with Some n -> n == d | None -> false
-  in
-  Alcotest.(check bool) "hit" true (served ());
-  ignore (Nav_cache.get cache "c");
-  Alcotest.(check bool) "promoted entry kept" true (served ());
-  ignore (Nav_cache.get cache "a");
-  Alcotest.(check int) "oldest query tree evicted instead" 4 !calls
+(* A single slot holds one query tree with its derived spaces; evicting
+   the tree drops them, and its rebuild starts with none. *)
+let test_capacity_one_derived () =
+  let cache, calls = counting_cache ~capacity:1 in
+  let q = Nav_cache.get cache "q" in
+  let d = Nav_tree.derived q "d" (fun () -> make_nav 1) in
+  Alcotest.(check bool) "derived space served again" true
+    (Nav_tree.derived q "d" (fun () -> make_nav 1) == d);
+  Alcotest.(check int) "deriving evicts nothing" 0 (Nav_cache.evictions cache);
+  ignore (Nav_cache.get cache "r");
+  let q' = Nav_cache.get cache "q" in
+  Alcotest.(check int) "query tree rebuilt" 3 !calls;
+  Alcotest.(check int) "the rebuilt tree owns nothing" 0
+    (Nav_tree.fold_derived q' (fun _ _ n -> n + 1) 0)
 
-(* With query trees alone, the cache is the plain LRU it always was: the
-   same misses as [Lru.find_or_add] on a random query stream. *)
+(* The cache is a plain LRU over queries: the same misses as
+   [Lru.find_or_add] on a random query stream. *)
 let test_query_trees_plain_lru () =
   let st = Random.State.make [| 29 |] in
   let cache, calls = counting_cache ~capacity:3 in
@@ -228,20 +224,6 @@ let test_query_trees_plain_lru () =
   done;
   Alcotest.(check int) "same builds" !model_calls !calls;
   Alcotest.(check int) "same evictions" (Lru.evictions model) (Nav_cache.evictions cache)
-
-(* A single slot holds whatever was inserted last, cold or hot. *)
-let test_capacity_one_derived () =
-  let cache, calls = counting_cache ~capacity:1 in
-  ignore (Nav_cache.get cache "q");
-  Nav_cache.put_derived cache "q\x1fd" (make_nav 1);
-  Alcotest.(check int) "derived insert evicts the query tree" 1 (Nav_cache.evictions cache);
-  Alcotest.(check bool) "derived entry served" true
-    (Option.is_some (Nav_cache.find cache "q\x1fd"));
-  ignore (Nav_cache.get cache "q");
-  Alcotest.(check int) "query tree rebuilt" 2 !calls;
-  Alcotest.(check bool) "rebuild evicts the derived entry" true
-    (Option.is_none (Nav_cache.find cache "q\x1fd"));
-  Alcotest.(check int) "two evictions" 2 (Nav_cache.evictions cache)
 
 let () =
   Alcotest.run "nav_cache"
@@ -266,7 +248,6 @@ let () =
             test_eviction_metric_every_path;
           Alcotest.test_case "query tree survives derived inserts" `Quick
             test_query_tree_survives_derived_inserts;
-          Alcotest.test_case "derived hit promotes" `Quick test_derived_hit_promotes;
           Alcotest.test_case "query trees alone: plain LRU" `Quick test_query_trees_plain_lru;
           Alcotest.test_case "capacity one with derived" `Quick test_capacity_one_derived;
         ] );

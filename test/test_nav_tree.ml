@@ -413,6 +413,20 @@ let prop_restrict_matches_masked_oracle =
       let r = Nav_tree.restrict t s in
       check_restrict "nested" r (pick_subset rng r (Rng.int rng 5)))
 
+(* A subset of all of a tree's results narrows nothing: the restriction
+   is the tree, node for node. The engine relies on this to navigate the
+   parent tree itself instead of restricting it. *)
+let prop_restrict_to_all_is_identity =
+  QCheck.Test.make ~name:"restrict to all of a tree's results is the tree" ~count:300
+    gen_attached_hierarchy (fun (parents, att) ->
+      let t =
+        Nav_tree.build ~hierarchy:(H.of_parents parents)
+          ~attachments:(List.map (fun (c, l) -> (c, Docset.of_list l)) att)
+          ~total_count
+      in
+      check_same "restrict to all" (Oracle.of_nav t)
+        (Oracle.of_nav (Nav_tree.restrict t (Nav_tree.subtree_results t (Nav_tree.root t)))))
+
 let prop_backends_match_oracles =
   QCheck.Test.make ~name:"build and restrict equal their oracles on both backends" ~count:20
     QCheck.(pair (int_bound 4) (int_bound 100_000))
@@ -563,6 +577,7 @@ let () =
             test_restrict_shares_contained_sets;
           QCheck_alcotest.to_alcotest prop_build_matches_sorted_oracle;
           QCheck_alcotest.to_alcotest prop_restrict_matches_masked_oracle;
+          QCheck_alcotest.to_alcotest prop_restrict_to_all_is_identity;
           QCheck_alcotest.to_alcotest prop_backends_match_oracles;
         ] );
       ( "scattered",

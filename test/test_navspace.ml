@@ -337,10 +337,11 @@ let test_revisited_refinement_hits_caches () =
 (* More distinct refined and facet spaces than the tree cache holds, over
    three queries: each session refines into its first visible nodes in
    turn, facets each refined space and expands in both, then every query
-   is searched again. Derived spaces enter the cache cold, so the
-   re-searches must all hit; and what the user sees must not depend on
-   the cache at all — the transcripts equal those of a cache that never
-   evicts, and their digest is the one the plain-LRU cache produced. *)
+   is searched again. Derived spaces are owned by their query tree, not
+   cached beside it, so the re-searches must all hit; and what the user
+   sees must not depend on the cache at all — the transcripts equal those
+   of a cache that never evicts, and their digest is the one the plain-LRU
+   cache produced. *)
 let cache_churn_queries = [ "cancer"; "binding"; "pathway" ]
 
 let cache_churn e =
@@ -398,6 +399,211 @@ let test_query_trees_survive_space_churn () =
     "fabdfd399b57ccf2a175f0ca9a8e2d57"
     (Digest.to_hex (Digest.string seen))
 
+(* --- spaces owned by their query tree ------------------------------------ *)
+
+let same_space what expected actual =
+  match Nav_tree_oracle.diff (Nav_tree_oracle.of_nav expected) (Nav_tree_oracle.of_nav actual) with
+  | None -> true
+  | Some d -> QCheck.Test.fail_reportf "%s: %s differs" what d
+
+let family_nodes nav = Nav_tree.fold_derived nav (fun _ d n -> n + Nav_tree.size d) 0
+
+(* Reveal the top frame's root cut if nothing below the root is visible
+   yet, and return the visible non-root nodes. *)
+let visible_below_root s =
+  let nav = Engine.session_nav s in
+  let root = Nav_tree.root nav in
+  let active () = Navigation.active (Engine.navigation s) in
+  if Active_tree.visible (active ()) = [ root ] && Active_tree.is_expandable (active ()) root
+  then ignore (Engine.expand s root : int list);
+  List.filter (fun v -> v <> root) (Active_tree.visible (active ()))
+
+(* Random refine/facet/unrefine walks on one session, with searches of
+   another query in between, which evict the session's query tree from a
+   1-entry cache. Each pushed space and, at the end, every space the
+   query tree owns equal their derivation from scratch, node for node;
+   the session keeps working on its evicted tree. *)
+let prop_owned_spaces_match_derivation =
+  QCheck.Test.make ~name:"owned spaces equal their derivation from scratch" ~count:20
+    QCheck.(
+      pair (int_range 1 2)
+        (list_of_size Gen.(int_range 1 14) (pair (int_bound 3) (int_bound 1000))))
+    (fun (capacity, steps) ->
+      let e = engine ~config:{ Engine.default_config with Engine.cache_capacity = capacity } () in
+      let d = deriver () in
+      let s = must_session (Engine.search e "cancer") in
+      let qnav = Engine.session_nav s in
+      let derivations = Hashtbl.create 16 in
+      let pushed dim subset =
+        let fresh = Nav_space.derive d dim subset in
+        Hashtbl.replace derivations (Engine.space_id s) fresh;
+        same_space (Engine.space_id s) fresh (Engine.session_nav s)
+      in
+      let step (op, pick) =
+        match op with
+        | 0 -> (
+            match visible_below_root s with
+            | [] -> true
+            | nodes ->
+                let node = List.nth nodes (pick mod List.length nodes) in
+                let subset = Nav_tree.subtree_results (Engine.session_nav s) node in
+                ignore (Engine.refine s node : int);
+                pushed Nav_space.Descriptor subset)
+        | 1 ->
+            let nav = Engine.session_nav s in
+            if String.ends_with ~suffix:">facets" (Engine.space_id s) then true
+            else begin
+              ignore (Engine.facet s : int);
+              pushed Nav_space.Qualifier_facet (Nav_tree.subtree_results nav (Nav_tree.root nav))
+            end
+        | 2 ->
+            ignore (Engine.unrefine s : bool);
+            true
+        | _ ->
+            let other = must_session (Engine.search e "binding") in
+            ignore (Engine.close e (Engine.session_id other) : bool);
+            true
+      in
+      List.for_all step steps
+      && Nav_tree.fold_derived qnav
+           (fun fid space ok -> ok && same_space fid (Hashtbl.find derivations fid) space)
+           true
+      &&
+      (* The session still navigates, on whichever tree it holds. *)
+      (ignore (visible_below_root s : int list);
+       true))
+
+(* A live session on a query tree evicted from a 1-entry cache keeps
+   deriving into that tree; a new search builds a new tree with no
+   spaces of its own. *)
+let test_evicted_query_tree_keeps_its_spaces () =
+  let e = engine ~config:{ Engine.default_config with Engine.cache_capacity = 1 } () in
+  let s = must_session (Engine.search e "cancer") in
+  let qnav = Engine.session_nav s in
+  let other = must_session (Engine.search e "binding") in
+  ignore (Engine.close e (Engine.session_id other) : bool);
+  let node = List.hd (visible_below_root s) in
+  ignore (Engine.refine s node : int);
+  ignore (Engine.facet s : int);
+  Alcotest.(check bool) "spaces owned by the evicted tree" true
+    (Nav_tree.fold_derived qnav (fun _ _ n -> n + 1) 0 >= 1);
+  let fresh = must_session (Engine.search e "cancer") in
+  let qnav' = Engine.session_nav fresh in
+  Alcotest.(check bool) "the query tree was rebuilt" true (qnav' != qnav);
+  Alcotest.(check int) "the new tree owns nothing" 0
+    (Nav_tree.fold_derived qnav' (fun _ _ n -> n + 1) 0);
+  Alcotest.(check bool) "the old session still navigates" true
+    (Engine.unrefine s && Engine.unrefine s && visible_below_root s <> [])
+
+(* Adversarial: refine every visible node, nested three deep, and facet
+   each refined space. The family grows far past its bound, so it is
+   emptied on the way, and after every step it holds at most
+   [family_factor] times its query tree's nodes. *)
+let test_family_bound () =
+  let e = engine () in
+  let s = must_session (Engine.search e "cancer") in
+  let qnav = Engine.session_nav s in
+  let bound = Nav_tree.family_factor * Nav_tree.size qnav in
+  let reached = Hashtbl.create 64 in
+  let check () =
+    Hashtbl.replace reached (Engine.space_id s) (Nav_tree.size (Engine.session_nav s));
+    let n = family_nodes qnav in
+    if n > bound then Alcotest.failf "family holds %d nodes, bound %d" n bound
+  in
+  let rec explore depth =
+    List.iter
+      (fun node ->
+        ignore (Engine.refine s node : int);
+        check ();
+        if depth < 3 then explore (depth + 1);
+        ignore (Engine.facet s : int);
+        check ();
+        ignore (Engine.unrefine s : bool);
+        ignore (Engine.unrefine s : bool))
+      (visible_below_root s)
+  in
+  explore 1;
+  let total = Hashtbl.fold (fun _ n acc -> acc + n) reached 0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "spaces reached (%d nodes) exceed the bound (%d)" total bound)
+    true (total > bound);
+  Alcotest.(check string) "back at the base" "descriptor" (Engine.space_id s);
+  Alcotest.(check bool) "still navigates" true (visible_below_root s <> [])
+
+(* A refinement on a node whose L(n) is the whole space narrows nothing:
+   the frame navigates the parent tree itself and derives nothing. *)
+let test_non_narrowing_refine_reuses_parent () =
+  let e = engine () in
+  let dh = Metrics.histogram "bionav_space_derivation_ms_descriptor" in
+  let s = must_session (Engine.search e ~strategy:Navigation.Static "cancer") in
+  let nav = Engine.session_nav s in
+  let node =
+    List.find
+      (fun v -> Nav_tree.subtree_distinct nav v < Nav_tree.distinct_results nav)
+      (visible_below_root s)
+  in
+  let concept = Nav_tree.concept_id nav node in
+  ignore (Engine.refine s node : int);
+  let refined = Engine.session_nav s in
+  (* Every result of the refined space lies under [concept]'s node;
+     reveal it by expanding its ancestors (Static reveals children). *)
+  let target = Option.get (Nav_tree.node_of_concept refined concept) in
+  let rec ancestors n acc =
+    if n < 0 then acc else ancestors (Nav_tree.parent refined n) (n :: acc)
+  in
+  List.iter
+    (fun a -> ignore (Engine.expand s a : int list))
+    (ancestors (Nav_tree.parent refined target) []);
+  let d0 = Metrics.count dh in
+  Alcotest.(check int) "narrows nothing" (Nav_tree.distinct_results refined)
+    (Engine.refine s target);
+  Alcotest.(check bool) "the parent tree itself" true (Engine.session_nav s == refined);
+  Alcotest.(check int) "nothing derived" d0 (Metrics.count dh);
+  Alcotest.(check string) "space id"
+    (Printf.sprintf "descriptor>refine:%d>refine:%d" concept concept)
+    (Engine.space_id s)
+
+(* A second pass over the same refine/facet sessions derives no space
+   and builds no root reduction: every space and its prepared root come
+   from the query trees' families, and users see the same thing. *)
+let test_second_pass_derives_nothing () =
+  let e = engine () in
+  let count name = Metrics.count (Metrics.histogram name) in
+  let counter name = Metrics.value (Metrics.counter name) in
+  let read () =
+    ( count "bionav_space_derivation_ms_descriptor",
+      count "bionav_space_derivation_ms_qualifier",
+      counter "bionav_root_reduction_builds_total",
+      counter "bionav_root_reduction_reuses_total" )
+  in
+  let d0, q0, b0, r0 = read () in
+  let derived, _, first = cache_churn e in
+  let d1, q1, b1, r1 = read () in
+  let _, _, second = cache_churn e in
+  let d2, q2, b2, r2 = read () in
+  Alcotest.(check bool) "the first pass derives" true (d1 + q1 > d0 + q0 && derived > 0);
+  Alcotest.(check bool) "the first pass builds reductions" true (b1 > b0);
+  Alcotest.(check int) "no descriptor derivation" d1 d2;
+  Alcotest.(check int) "no facet derivation" q1 q2;
+  Alcotest.(check int) "no reduction built" b1 b2;
+  Alcotest.(check bool) "reductions reused" true (r2 - r1 > r1 - r0);
+  Alcotest.(check bool) "same transcript" true (String.equal first second)
+
+(* The resident-bytes gauge walks the spaces a query tree owns: a derived
+   space that outlives its session is still counted. *)
+let test_resident_bytes_count_owned_spaces () =
+  let e = engine () in
+  let bytes () = (Engine.docset_stats e).Docset_arena.bytes in
+  let s = must_session (Engine.search e "cancer") in
+  ignore (Engine.close e (Engine.session_id s) : bool);
+  let before = bytes () in
+  let s = must_session (Engine.search e "cancer") in
+  ignore (Engine.refine s (List.hd (visible_below_root s)) : int);
+  ignore (Engine.facet s : int);
+  ignore (Engine.close e (Engine.session_id s) : bool);
+  Alcotest.(check int) "no live session" 0 (Engine.session_count e);
+  Alcotest.(check bool) "owned spaces counted" true (bytes () > before)
+
 let test_derivation_histograms_populated () =
   let d = deriver () in
   let m, _, _ = Lazy.force world in
@@ -447,5 +653,18 @@ let () =
           Alcotest.test_case "derivation histograms" `Quick
             test_derivation_histograms_populated;
           Alcotest.test_case "deriver without medline" `Quick test_deriver_without_medline;
+        ] );
+      ( "owned",
+        [
+          QCheck_alcotest.to_alcotest prop_owned_spaces_match_derivation;
+          Alcotest.test_case "evicted query tree keeps its spaces" `Quick
+            test_evicted_query_tree_keeps_its_spaces;
+          Alcotest.test_case "family bound" `Quick test_family_bound;
+          Alcotest.test_case "non-narrowing refine reuses the parent" `Quick
+            test_non_narrowing_refine_reuses_parent;
+          Alcotest.test_case "second pass derives nothing" `Quick
+            test_second_pass_derives_nothing;
+          Alcotest.test_case "resident bytes count owned spaces" `Quick
+            test_resident_bytes_count_owned_spaces;
         ] );
     ]
