@@ -1916,6 +1916,114 @@ let navspace_bench () =
     exit 1
   end
 
+(* ------------------------------------------------------------------ *)
+(* Warm start: what a snapshot saves a restarted server                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A restart's first pass over the workload: a search, a root EXPAND and
+   a close per query, on a fresh engine with the plan cache on. Three
+   boots take turns in each round, in a rotating order: a cold engine, a
+   snapshot load ([Engine.load_snapshot]) and [Engine.warm]. A sample is
+   the boot plus the first pass; engine creation and a full major GC
+   before each run stay outside it. *)
+let warmstart_bench () =
+  say "%s" (Table.section "Warm start: first pass after a restart, cold vs snapshot vs warm");
+  say "";
+  let rounds = if !smoke_mode then 7 else 15 in
+  let scales =
+    ("small", lazy (Q.build ~config:Q.small_config ~seed:workload_seed ()))
+    :: (if !smoke_mode then [] else [ ("full", workload) ])
+  in
+  let config =
+    { Engine.default_config with
+      Engine.prefetch = Some Bionav_prefetch.Prefetch.default_config }
+  in
+  let arms = [ "cold"; "snapshot"; "warm" ] in
+  let run_scale (scale, w) =
+    let w = Lazy.force w in
+    let queries = List.map (fun (q : Q.query) -> q.Q.keyword) w.Q.queries in
+    let fresh () = Engine.create ~config ~database:w.Q.database ~eutils:w.Q.eutils () in
+    let path = Filename.temp_file "bionav_warmstart" ".bin" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let e = fresh () in
+        Engine.save_snapshot e (Engine.warm e queries) path;
+        let first_pass e =
+          List.iter
+            (fun q ->
+              match Engine.search e q with
+              | Ok (Engine.Session s) ->
+                  ignore (Engine.expand s (Nav_tree.root (Engine.session_nav s)) : int list);
+                  ignore (Engine.close e (Engine.session_id s) : bool)
+              | Ok Engine.No_results | Error _ -> ())
+            queries
+        in
+        let boot e = function
+          | "snapshot" -> ignore (Engine.load_snapshot e path : int)
+          | "warm" -> ignore (Engine.warm e queries : Bionav_store.Snapshot.entry list)
+          | _ -> ()
+        in
+        let samples = List.map (fun arm -> (arm, Array.make rounds 0.)) arms in
+        for r = 0 to rounds - 1 do
+          List.iteri
+            (fun i _ ->
+              let arm = List.nth arms ((i + r) mod List.length arms) in
+              let e = fresh () in
+              Gc.full_major ();
+              let (), ms = Timing.time (fun () -> boot e arm; first_pass e) in
+              (List.assoc arm samples).(r) <- ms)
+            arms
+        done;
+        (scale, List.length queries, samples))
+  in
+  let results = List.map run_scale scales in
+  let quartiles xs = (Stats.percentile xs 25., Stats.median xs, Stats.percentile xs 75.) in
+  print_string
+    (Table.render
+       ~header:[ "scale"; "queries"; "boot"; "n"; "median"; "IQR"; "vs cold" ]
+       [ Table.Left; Right; Left; Right; Right; Right; Right ]
+       (List.concat_map
+          (fun (scale, n_queries, samples) ->
+            let cold = Stats.median (List.assoc "cold" samples) in
+            List.map
+              (fun (arm, xs) ->
+                let p25, p50, p75 = quartiles xs in
+                [ scale; string_of_int n_queries; arm; string_of_int (Array.length xs);
+                  Printf.sprintf "%.2f ms" p50; Printf.sprintf "%.2f-%.2f ms" p25 p75;
+                  Printf.sprintf "%+.0f%%" (100. *. ((p50 /. cold) -. 1.)) ])
+              samples)
+          results));
+  say "";
+  say "  Each sample: the boot (none, snapshot load or Engine.warm) plus one";
+  say "  search, root EXPAND and close per query, on a fresh engine (prefetch on).";
+  write_bench_json "BENCH_warmstart.json"
+    (List.map
+       (fun (scale, n_queries, samples) ->
+         ( scale,
+           json_obj ~indent:"  "
+             (("queries", string_of_int n_queries)
+             :: List.map
+                  (fun (arm, xs) ->
+                    let p25, p50, p75 = quartiles xs in
+                    ( arm ^ "_ms",
+                      Printf.sprintf
+                        "{ \"n\": %d, \"median\": %.4f, \"p25\": %.4f, \"p75\": %.4f }"
+                        (Array.length xs) p50 p25 p75 ))
+                  samples) ))
+       results);
+  say "";
+  List.iter
+    (fun (scale, _, samples) ->
+      let median arm = Stats.median (List.assoc arm samples) in
+      if median "snapshot" >= median "cold" then begin
+        say "  *** FAIL: %s: the snapshot boot + first pass (%.2f ms) is not below the cold \
+             first pass (%.2f ms) ***"
+          scale (median "snapshot") (median "cold");
+        exit 1
+      end)
+    results
+
 let targets =
   [
     ("table1", table1);
@@ -1943,12 +2051,13 @@ let targets =
     ("serve", serve_bench);
     ("adaptive", adaptive_bench);
     ("navspace", navspace_bench);
+    ("warmstart", warmstart_bench);
     ("csv", csv);
   ]
 
 (* "csv", "prefetch", "docset", "ingest", "coldexpand",
-   "serve", "adaptive" and "navspace" write files rather than (only)
-   printing;
+   "serve", "adaptive", "navspace" and "warmstart" write files rather
+   than (only) printing;
    keep them out of the default everything-run so
    `bench/main.exe > bench_output.txt` stays pure. *)
 let default_targets =
@@ -1957,7 +2066,7 @@ let default_targets =
       not
         (List.mem n
            [ "csv"; "prefetch"; "docset"; "ingest"; "coldexpand"; "serve";
-             "adaptive"; "navspace" ]))
+             "adaptive"; "navspace"; "warmstart" ]))
     targets
 
 let () =

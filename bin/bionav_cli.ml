@@ -466,14 +466,21 @@ let serve_cmd =
       (* A corrupt, mismatched, or missing snapshot (or segment store) is
          a clean startup error, not a crash. *)
       try
-        Bionav_web.App.create
-          ~suggestions:(List.map (fun q -> q.Q.spec.Q.name) w.Q.queries)
-          ~config:
-            (with_adaptive ~adaptive ~half_life_ms
-               (with_segstore segstore
-                  (engine_config ~prefetch
-                     { Engine.default_config with Engine.max_sessions; expand_budget_ms })))
-          ?snapshot ~database:w.Q.database ~eutils:w.Q.eutils ()
+        let app =
+          Bionav_web.App.create
+            ~suggestions:(List.map (fun q -> q.Q.spec.Q.name) w.Q.queries)
+            ~config:
+              (with_adaptive ~adaptive ~half_life_ms
+                 (with_segstore segstore
+                    (engine_config ~prefetch
+                       { Engine.default_config with Engine.max_sessions; expand_budget_ms })))
+            ~database:w.Q.database ~eutils:w.Q.eutils ()
+        in
+        Option.iter
+          (fun path ->
+            ignore (Engine.load_snapshot (Bionav_web.App.engine app) path : int))
+          snapshot;
+        app
       with (Invalid_argument msg | Sys_error msg) ->
         Printf.printf "error: %s\n" msg;
         Printf.printf "(rebuild the snapshot with: bionav warm <FILE>;\n";

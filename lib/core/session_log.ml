@@ -19,7 +19,6 @@ let action_of_event = function
 type t = action list
 
 let header_v2 = "# bionav session transcript v2"
-let supported_versions = [ 1; 2 ]
 
 let events_to_string events =
   let buf = Buffer.create 256 in
@@ -49,18 +48,7 @@ let int_field lineno what s =
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "Session_log: line %d: bad %s %S" lineno what s)
 
-let v1_actions = "expand, show, backtrack"
 let v2_actions = "expand, show, backtrack, refine, unrefine, facet"
-
-let parse_line_v1 lineno line =
-  match String.split_on_char ' ' line with
-  | [ "backtrack" ] -> Backtracked
-  | [ "expand"; c ] -> Expanded { concept = int_field lineno "concept" c; revealed = [] }
-  | [ "show"; c ] -> Shown { concept = int_field lineno "concept" c; n_listed = 0 }
-  | _ ->
-      invalid_arg
-        (Printf.sprintf "Session_log: line %d: unknown v1 action %S (supported: %s)" lineno line
-           v1_actions)
 
 (* v2 lines carry the action's outcome: [expand <c> <n> <id>*] lists the
    [n] concepts the EXPAND revealed (the count must match — a truncated
@@ -91,47 +79,32 @@ let parse_line_v2 lineno line =
 
 let version_prefix = "# bionav session transcript v"
 
-let version_of_header lineno line =
-  let tail =
-    String.sub line (String.length version_prefix)
-      (String.length line - String.length version_prefix)
-  in
-  match int_of_string_opt tail with
-  | Some v when List.mem v supported_versions -> v
-  | Some _ | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Session_log: line %d: unsupported transcript version %S (supported: %s)" lineno tail
-           (String.concat ", " (List.map (Printf.sprintf "v%d") supported_versions)))
+let unsupported lineno what =
+  invalid_arg
+    (Printf.sprintf "Session_log: line %d: %s (supported: v2, header %S)" lineno what header_v2)
 
-(* A transcript declares its version in the header; files with no header
-   parse as v1 (the original wire format). A second, conflicting header
-   mid-file is corruption (e.g. two transcripts concatenated), not a
-   comment. *)
+(* A transcript declares its version in a header before its first
+   action; v2 is the one version read. A header of any other version is
+   rejected wherever it appears: a second header mid-file may only
+   repeat v2 (e.g. two v2 transcripts concatenated). *)
 let events_of_string text =
-  let version = ref None in
+  let headed = ref false in
   String.split_on_char '\n' text
   |> List.mapi (fun i line -> (i + 1, String.trim line))
   |> List.filter_map (fun (lineno, line) ->
          if line = "" then None
-         else if String.length line >= String.length version_prefix
-                 && String.sub line 0 (String.length version_prefix) = version_prefix then begin
-           let v = version_of_header lineno line in
-           (match !version with
-           | Some seen when seen <> v ->
-               invalid_arg
-                 (Printf.sprintf
-                    "Session_log: line %d: transcript declares v%d after v%d (mixed versions)"
-                    lineno v seen)
-           | Some _ | None -> version := Some v);
+         else if String.starts_with ~prefix:version_prefix line then begin
+           if line <> header_v2 then
+             unsupported lineno
+               (Printf.sprintf "unsupported transcript version %S"
+                  (String.sub line (String.length version_prefix)
+                     (String.length line - String.length version_prefix)));
+           headed := true;
            None
          end
          else if line.[0] = '#' then None
-         else
-           Some
-             (match Option.value !version ~default:1 with
-             | 2 -> parse_line_v2 lineno line
-             | _ -> parse_line_v1 lineno line))
+         else if not !headed then unsupported lineno "action before the transcript header"
+         else Some (parse_line_v2 lineno line))
 
 let of_string text = List.map action_of_event (events_of_string text)
 

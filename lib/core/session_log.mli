@@ -6,14 +6,8 @@
     algorithm version, to turn an interactive exploration into a regression
     test, to audit what a session cost, or to learn empirical
     EXPLORE/EXPAND probabilities from them (see [Bionav_adaptive]). A
-    transcript is a text format, one action per line, in two wire versions:
-
-    {v
-      # bionav session transcript v1
-      expand <concept-id>
-      show <concept-id>
-      backtrack
-    v}
+    transcript is a text format, one action per line, after a version
+    header:
 
     {v
       # bionav session transcript v2
@@ -25,15 +19,15 @@
       facet
     v}
 
-    v2 additionally carries each action's {e outcome} — which concepts the
+    Each line carries the action's {e outcome} — which concepts the
     EXPAND revealed and how many citations the SHOWRESULTS listed — the
     signals an evidence aggregator needs to tell engaged concepts from
-    ignored ones. Both versions parse (a file with no header is v1); only
-    v2 is written, the v1 reader stays for existing transcripts;
-    unknown versions are rejected naming the supported ones, and a
-    conflicting second header mid-file is corruption. Actions address
-    nodes by {e hierarchy concept id} (stable across navigation-tree
-    rebuilds), not by navigation-tree node. *)
+    ignored ones. Version 2 is the one version written and read: a file
+    whose first action comes before a v2 header (the retired headerless
+    v1 format, say) or that carries a header of any other version is
+    rejected with an error naming v2. Actions address nodes by
+    {e hierarchy concept id} (stable across navigation-tree rebuilds),
+    not by navigation-tree node. *)
 
 type action = Expand of int | Show_results of int | Backtrack | Refine of int | Unrefine | Facet
 
@@ -62,15 +56,14 @@ val events_to_string : event list -> string
     new lines loudly, naming the supported action set. *)
 
 val of_string : string -> t
-(** Parse either wire version, dropping v2 outcomes. @raise
-    Invalid_argument on malformed lines, a reveal list whose length
-    contradicts its declared count, an unsupported version header (the
-    error names the supported versions), or mixed version headers.
-    Comments (['#']) and blank lines are ignored. *)
+(** Parse a v2 transcript, dropping outcomes. @raise Invalid_argument on
+    malformed lines, a reveal list whose length contradicts its declared
+    count, an action before the v2 header, or a header of another
+    version (both errors name v2). Comments (['#']) and blank lines are
+    ignored. *)
 
 val events_of_string : string -> event list
-(** Like {!of_string} but keeps outcomes; v1 actions parse as events with
-    empty outcomes ([revealed = []], [n_listed = 0]). *)
+(** Like {!of_string} but keeps outcomes. *)
 
 val load : string -> t
 val save_events : event list -> string -> unit

@@ -3,7 +3,6 @@ open Bionav_core
 module Eutils = Bionav_search.Eutils
 module Nav_snapshot = Bionav_search.Nav_snapshot
 module Prefetch = Bionav_prefetch.Prefetch
-module Warmer = Bionav_prefetch.Warmer
 module Snapshot = Bionav_store.Snapshot
 module Clock = Bionav_resilience.Clock
 module Adaptive = Bionav_adaptive.Adaptive
@@ -45,8 +44,8 @@ type frame = {
   fdim : Bionav_core.Nav_space.dimension;
   fkey : string;
       (* plan-cache key of this space: the bare query for the base
-         descriptor frame (legacy-compatible with warm start), [normalize
-         query ^ "\x1f" ^ fid] for derived spaces *)
+         descriptor frame, [normalize query ^ "\x1f" ^ fid] for derived
+         spaces *)
   fnav : Nav_tree.t;
   fnavigation : Navigation.t;
 }
@@ -129,7 +128,7 @@ let enter t f =
        second domain)";
   Fun.protect ~finally:(fun () -> Atomic.set t.in_use false) f
 
-let create ?(config = default_config) ?snapshot ~database ~eutils () =
+let create ?(config = default_config) ~database ~eutils () =
   if config.max_sessions < 1 then invalid_arg "Engine.create: max_sessions must be >= 1";
   (match config.expand_budget_ms with
   | Some b when b < 0. -> invalid_arg "Engine.create: expand_budget_ms must be >= 0"
@@ -161,42 +160,27 @@ let create ?(config = default_config) ?snapshot ~database ~eutils () =
       config.adaptive
   in
   let build query = Nav_tree.of_database database (Eutils.esearch eutils query) in
-  let t =
-    {
-      config;
-      database;
-      store;
-      eutils;
-      in_use = Atomic.make false;
-      cache = Nav_cache.create ~capacity:config.cache_capacity ~build ();
-      prefetch = Option.map (fun pc -> Prefetch.create ~config:pc ()) config.prefetch;
-      adaptive;
-      deriver = Nav_space.deriver ~medline:(Eutils.medline eutils) database;
-      budget =
-        Option.map
-          (fun budget_ms () ->
-            let d = Deadline.start ~clock:config.clock ~budget_ms in
-            fun () -> Deadline.expired d)
-          config.expand_budget_ms;
-      sessions = Hashtbl.create 64;
-      next_sid = 0;
-      clock_tick = 0;
-      evictions = 0;
-    }
-  in
-  (match snapshot with
-  | None -> ()
-  | Some path ->
-      let entries = Snapshot.load ~db:database path in
-      let n =
-        Warmer.apply ~db:database ~trees:t.cache
-          ?plans:(Option.map Prefetch.plans t.prefetch)
-          ?model:(Option.map Adaptive.model t.adaptive)
-          entries
-      in
-      Logs.info (fun m -> m "engine: warm-started %d quer%s from %s" n
-                     (if n = 1 then "y" else "ies") path));
-  t
+  {
+    config;
+    database;
+    store;
+    eutils;
+    in_use = Atomic.make false;
+    cache = Nav_cache.create ~capacity:config.cache_capacity ~build ();
+    prefetch = Option.map (fun pc -> Prefetch.create ~config:pc ()) config.prefetch;
+    adaptive;
+    deriver = Nav_space.deriver ~medline:(Eutils.medline eutils) database;
+    budget =
+      Option.map
+        (fun budget_ms () ->
+          let d = Deadline.start ~clock:config.clock ~budget_ms in
+          fun () -> Deadline.expired d)
+        config.expand_budget_ms;
+    sessions = Hashtbl.create 64;
+    next_sid = 0;
+    clock_tick = 0;
+    evictions = 0;
+  }
 
 let eutils t = t.eutils
 let config t = t.config
@@ -584,18 +568,61 @@ let start strategy nav =
 
 (* --- prefetch & warm start ---------------------------------------------- *)
 
+let warmed_counter = Metrics.counter "bionav_prefetch_warmed_queries_total"
+
+(* A warmed query takes a first session's path: its tree comes through
+   the tree cache, and one root EXPAND on a detached session, wired to
+   the plan cache but given no budget, fills the tree's root slot and
+   stores the cut. What that EXPAND revealed is the cut, or [] when the
+   root has nothing to reveal. *)
 let warm t queries =
   enter t (fun () ->
-      let model = Option.map Adaptive.model t.adaptive in
-      let entries = Warmer.build ~db:t.database ~run:(Eutils.esearch t.eutils) ?model queries in
-      ignore
-        (Warmer.apply ~db:t.database ~trees:t.cache
-           ?plans:(Option.map Prefetch.plans t.prefetch)
-           ?model entries
-          : int);
-      entries)
+      let strategy = effective_strategy t (Navigation.bionav ()) in
+      let seen = Hashtbl.create 16 in
+      List.filter_map
+        (fun query ->
+          let query = Nav_cache.normalize query in
+          if Hashtbl.mem seen query then None
+          else begin
+            Hashtbl.add seen query ();
+            let nav = Nav_cache.get t.cache query in
+            let navigation = Navigation.start strategy nav in
+            Option.iter (fun pf -> Prefetch.attach_plans pf ~query navigation) t.prefetch;
+            let root_cut = Navigation.expand navigation (Nav_tree.root nav) in
+            Metrics.incr warmed_counter;
+            let results = Docset.to_intset (Eutils.esearch t.eutils query) in
+            Some { Snapshot.query; results; root_cut }
+          end)
+        queries)
 
 let save_snapshot t entries path = Snapshot.save ~db:t.database entries path
+
+(* Each entry's tree is rebuilt from its stored result set and its root
+   cut stored under the full-tree member set, the key a fresh session's
+   first EXPAND asks for. *)
+let load_snapshot t path =
+  enter t (fun () ->
+      let entries = Snapshot.load ~db:t.database path in
+      let model =
+        match t.adaptive with Some ad -> Adaptive.model ad | None -> Probability.default_model
+      in
+      List.iter
+        (fun (e : Snapshot.entry) ->
+          let nav = Nav_tree.of_database t.database (Docset.of_intset e.results) in
+          Nav_cache.put t.cache e.query nav;
+          Metrics.incr warmed_counter;
+          Option.iter
+            (fun pf ->
+              Bionav_prefetch.Plan_cache.store (Prefetch.plans pf) ~query:e.query
+                ~fingerprint:model.Probability.fingerprint ~root:(Nav_tree.root nav)
+                ~members:(Docset.of_sorted_array_unchecked (Nav_tree.root_members nav))
+                ~cut:e.root_cut)
+            t.prefetch)
+        entries;
+      let n = List.length entries in
+      Logs.info (fun m ->
+          m "engine: warm-started %d quer%s from %s" n (if n = 1 then "y" else "ies") path);
+      n)
 
 (* --- observability ------------------------------------------------------ *)
 

@@ -25,8 +25,8 @@
     cache and the plan cache are unsynchronized, and
     the engine serves one caller at a time. Every operation ({!search},
     the navigation actions, {!run_locked}, {!find_session}, {!close},
-    {!sweep}, {!learn}, {!warm}, {!docset_stats}, {!metrics_text})
-    takes one entry guard, an
+    {!sweep}, {!learn}, {!warm}, {!load_snapshot}, {!docset_stats},
+    {!metrics_text}) takes one entry guard, an
     [Atomic] compare-and-set, and raises [Invalid_argument] if another
     operation is still inside: a nested call ({!expand} or
     {!run_locked} inside {!run_locked}) or a second domain entering
@@ -85,22 +85,16 @@ type t
 
 val create :
   ?config:config ->
-  ?snapshot:string ->
   database:Bionav_store.Database.t ->
   eutils:Bionav_search.Eutils.t ->
   unit ->
   t
-(** [snapshot] is a {!Bionav_store.Snapshot} path to warm-start from:
-    navigation trees are rebuilt into the tree cache and — when prefetch
-    is enabled — root cuts seed the plan cache.
-
-    With [config.segstore] set, the association backend is the opened
+(** With [config.segstore] set, the association backend is the opened
     segment store and [database] contributes only its hierarchy; the
     store must describe the same corpus (citation counts are checked).
     @raise Invalid_argument if [config.max_sessions < 1], a negative
     [expand_budget_ms], a segment store that is corrupt or disagrees
-    with [database], or the snapshot is corrupt or from a different
-    database; [Sys_error] if unreadable. *)
+    with [database]. *)
 
 val eutils : t -> Bionav_search.Eutils.t
 val config : t -> config
@@ -264,15 +258,28 @@ val start :
 (* --- prefetch & warm start -------------------------------------------- *)
 
 val warm : t -> string list -> Bionav_store.Snapshot.entry list
-(** Run each query through the engine's own search path, build its
-    navigation tree and root cut ({!Bionav_prefetch.Warmer.build}), and
-    seed the live caches, as one engine operation. Returns the entries
-    so the caller can persist them with {!save_snapshot}. Works with
-    prefetch disabled (trees are still warmed; root cuts are only kept
-    when the plan cache exists). *)
+(** Serve each normalized, deduplicated query as its first session
+    would, as one engine operation: take its tree through the tree cache
+    (built once, timed into [bionav_nav_tree_build_ms]) and run one root
+    EXPAND under the default strategy (with the learned model when the
+    engine is adaptive) and no budget, which fills the tree's root slot
+    and, with prefetch enabled, stores the cut in the plan cache. Returns
+    one entry per query — its searched result set and that root cut
+    ([[]] when the root reveals nothing) — for {!save_snapshot}. *)
 
 val save_snapshot : t -> Bionav_store.Snapshot.entry list -> string -> unit
 (** Persist warm-start entries against this engine's database. *)
+
+val load_snapshot : t -> string -> int
+(** Warm-start from a snapshot file written by {!save_snapshot}, as one
+    engine operation: rebuild each entry's tree from its stored result
+    set into the tree cache and, with prefetch enabled, store its root
+    cut in the plan cache under the engine's model, where a fresh
+    session's first EXPAND finds it. Replaces what the caches held under
+    the same queries. Returns the number of entries.
+    @raise Invalid_argument if the snapshot is corrupt, of another
+    format version or from a different database; [Sys_error] if
+    unreadable. *)
 
 (* --- observability ---------------------------------------------------- *)
 

@@ -5,7 +5,8 @@
     Heuristic or Faceted session: the session then consults the plan
     cache before running Heuristic-ReducedOpt and feeds every foreground
     computation back in, so a repeat session of the same query (or a
-    warm start, see {!Warmer}) is served cached cuts. *)
+    warm-started one, see [Engine.warm] and [Engine.load_snapshot]) is
+    served cached cuts. *)
 
 type config = { plan_capacity : int  (** Plan-cache LRU capacity (default 512). *) }
 

@@ -3,14 +3,12 @@ open Codec.Wire
 
 let magic = "BIONAVSNAP"
 
-(* Version history:
-   1 — each entry carried its own inline result array.
-   2 — results are a deduplicated set table: structurally equal result
-       sets are written once and entries reference them by index. v1
-       snapshots still decode. *)
+(* Version 2: results are a deduplicated set table — structurally equal
+   result sets are written once and entries reference them by index.
+   Version 1 (inline per-entry result arrays) is no longer read: a
+   snapshot is bound to one database's dimensions, so it is rebuilt with
+   [bionav warm] rather than migrated. *)
 let version = 2
-
-let supported_versions = [ 1; 2 ]
 
 type entry = { query : string; results : Intset.t; root_cut : int list }
 
@@ -73,18 +71,7 @@ let read_cut cur =
   if c < 0 || c > remaining cur / 4 then fail "snapshot: cut length exceeds input";
   List.init c (fun _ -> read_i32 cur)
 
-(* v1 body: entries carry inline result arrays. Kept as the migration
-   path for pre-set-table snapshots. *)
-let decode_v1_body cur =
-  let n = read_i32 cur in
-  if n < 0 || n > remaining cur / 12 then fail "snapshot: entry count exceeds input";
-  List.init n (fun _ ->
-      let query = read_string cur in
-      let results = read_sorted_set cur in
-      let root_cut = read_cut cur in
-      { query; results; root_cut })
-
-let decode_v2_body cur =
+let decode_body cur =
   let n_sets = read_i32 cur in
   if n_sets < 0 || n_sets > remaining cur / 4 then fail "snapshot: set count exceeds input";
   let sets = Array.init n_sets (fun _ -> read_sorted_set cur) in
@@ -104,10 +91,8 @@ let decode ~db data =
     fail "snapshot: bad magic";
   let cur = cursor ~pos:mlen data in
   let v = read_i32 cur in
-  if not (List.mem v supported_versions) then
-    fail
-      (Printf.sprintf "snapshot: version %d not supported (supported: %s)" v
-         (String.concat ", " (List.map string_of_int supported_versions)));
+  if v <> version then
+    fail (Printf.sprintf "snapshot: version %d not supported (supported: %d)" v version);
   let stored_sum = read_i64 cur in
   let body = String.sub data (pos cur) (remaining cur) in
   if fnv1a64 body <> stored_sum then fail "snapshot: checksum mismatch";
@@ -118,7 +103,7 @@ let decode ~db data =
     fail "snapshot: built against a different hierarchy";
   if ncit <> Database.n_citations db then
     fail "snapshot: built against a different corpus";
-  let entries = if v = 1 then decode_v1_body cur else decode_v2_body cur in
+  let entries = decode_body cur in
   if remaining cur <> 0 then fail "snapshot: trailing bytes";
   entries
 

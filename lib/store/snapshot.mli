@@ -10,18 +10,15 @@
     source database's dimensions so a snapshot is never applied against a
     hierarchy or corpus other than the one it was built from.
 
-    Version 2 writes a deduplicated set table — the empty set, then each
-    structurally distinct result set once, in first-use order, referenced
-    by index —
-    while version-1 snapshots (inline per-entry result arrays) still
-    decode. Unknown versions fail with an error naming the supported
-    ones. *)
+    Version 2, the one format written and read, holds a deduplicated
+    set table — the empty set, then each structurally distinct result
+    set once, in first-use order, referenced by index. Any other
+    version, the retired version 1 (inline per-entry result arrays)
+    included, fails with an error naming version 2: a snapshot is bound
+    to one database, so an old one is rebuilt, not migrated. *)
 
 val version : int
-(** The version {!encode} writes (2). *)
-
-val supported_versions : int list
-(** Versions {!decode} accepts. *)
+(** The one version {!encode} writes and {!decode} accepts (2). *)
 
 type entry = {
   query : string;  (** Normalized ({!Nav_cache.normalize}-style) query. *)

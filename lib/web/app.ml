@@ -5,8 +5,8 @@ module Eutils = Bionav_search.Eutils
 
 type t = { engine : Engine.t; suggestions : string list }
 
-let create ?(suggestions = []) ?config ?snapshot ~database ~eutils () =
-  { engine = Engine.create ?config ?snapshot ~database ~eutils (); suggestions }
+let create ?(suggestions = []) ?config ~database ~eutils () =
+  { engine = Engine.create ?config ~database ~eutils (); suggestions }
 
 let session_count t = Engine.session_count t.engine
 let engine t = t.engine

@@ -28,15 +28,12 @@ type t
 val create :
   ?suggestions:string list ->
   ?config:Bionav_engine.Engine.config ->
-  ?snapshot:string ->
   database:Bionav_store.Database.t ->
   eutils:Bionav_search.Eutils.t ->
   unit ->
   t
 (** [config] bounds the session store and the navigation-tree cache
-    (defaults: {!Bionav_engine.Engine.default_config}); [snapshot] is a
-    warm-start snapshot path passed through to
-    {!Bionav_engine.Engine.create}. *)
+    (defaults: {!Bionav_engine.Engine.default_config}). *)
 
 val handle : t -> Http.handler
 (** 404 on unknown routes, 400 on missing/invalid parameters. *)

@@ -10,6 +10,8 @@ module Http = Bionav_web.Http
 module App = Bionav_web.App
 module Plan_cache = Bionav_prefetch.Plan_cache
 module Prefetch = Bionav_prefetch.Prefetch
+module Adaptive = Bionav_adaptive.Adaptive
+module Q = Bionav_workload.Queries
 
 let fp = Probability.default_model.Probability.fingerprint
 
@@ -49,9 +51,9 @@ let cancer_nav =
     (let db, eu = Lazy.force world in
      Nav_tree.of_database db (Eu.esearch eu "cancer"))
 
-let engine ?config ?snapshot () =
+let engine ?config () =
   let database, eutils = Lazy.force world in
-  Engine.create ?config ?snapshot ~database ~eutils ()
+  Engine.create ?config ~database ~eutils ()
 
 let must_session = function
   | Ok (Engine.Session s) -> s
@@ -287,7 +289,8 @@ let test_engine_warm_snapshot_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Engine.save_snapshot t entries path;
-      let t2 = engine ~config:prefetch_config ~snapshot:path () in
+      let t2 = engine ~config:prefetch_config () in
+      Alcotest.(check int) "one entry loaded" 1 (Engine.load_snapshot t2 path);
       let s = must_session (Engine.search t2 "cancer") in
       Alcotest.(check (float 1e-9)) "tree served from warmed cache" 1.
         (Engine.cache_hit_rate t2);
@@ -301,6 +304,125 @@ let test_engine_warm_snapshot_roundtrip () =
       let cold = Navigation.start (Navigation.bionav ()) (Engine.session_nav s) in
       Alcotest.(check (list int)) "warmed root cut = cold root cut"
         (Navigation.expand cold root) revealed)
+
+let counter name = Metrics.value (Metrics.counter name)
+
+(* Warming serves the query as its first session would, so the tree it
+   leaves in the cache carries a filled root slot: with no plan cache to
+   answer it, the first live root EXPAND reuses the reduction. *)
+let test_warm_fills_root_slot () =
+  let t = engine () in
+  ignore (Engine.warm t [ "cancer" ] : Snapshot.entry list);
+  let s = must_session (Engine.search t "cancer") in
+  let reuses = counter "bionav_root_reduction_reuses_total"
+  and builds = counter "bionav_root_reduction_builds_total" in
+  ignore (Engine.expand s (Nav_tree.root (Engine.session_nav s)) : int list);
+  Alcotest.(check int) "slot reused" (reuses + 1) (counter "bionav_root_reduction_reuses_total");
+  Alcotest.(check int) "no reduction built" builds
+    (counter "bionav_root_reduction_builds_total")
+
+(* Each warmed tree is built once, through the tree cache, and later
+   searches find it there. *)
+let test_warm_builds_each_tree_once () =
+  let t = engine () in
+  let builds () = Metrics.count (Metrics.histogram "bionav_nav_tree_build_ms") in
+  let before = builds () in
+  let entries = Engine.warm t [ "cancer"; " Cancer"; "histones"; "no-such-word-here" ] in
+  Alcotest.(check int) "three distinct queries" 3 (List.length entries);
+  Alcotest.(check int) "one build per query" (before + 3) (builds ());
+  List.iter
+    (fun (e : Snapshot.entry) -> ignore (Engine.search t e.Snapshot.query : _ result))
+    entries;
+  Alcotest.(check int) "searches build nothing" (before + 3) (builds ())
+
+(* Hand-built bytes of the retired version-1 layout (inline result arrays
+   per entry), valid but for the version. *)
+let v1_snapshot_bytes db =
+  let open Bionav_store.Codec.Wire in
+  let body = Buffer.create 64 in
+  write_i32 body (Bionav_mesh.Hierarchy.size (DB.hierarchy db));
+  write_i32 body (DB.n_citations db);
+  write_i32 body 1;
+  write_string body "cancer";
+  write_i32 body 3;
+  List.iter (write_i32 body) [ 1; 5; 9 ];
+  write_i32 body 2;
+  List.iter (write_i32 body) [ 2; 3 ];
+  let body = Buffer.contents body in
+  let out = Buffer.create 64 in
+  Buffer.add_string out "BIONAVSNAP";
+  write_i32 out 1;
+  write_i64 out (fnv1a64 body);
+  Buffer.add_string out body;
+  Buffer.contents out
+
+let test_v1_snapshot_rejected () =
+  let db, _ = Lazy.force world in
+  let path = Filename.temp_file "bionav_snapshot_v1" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc (v1_snapshot_bytes db));
+      match Engine.load_snapshot (engine ~config:prefetch_config ()) path with
+      | _ -> Alcotest.fail "a v1 snapshot was loaded"
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) msg true (contains ~sub:"supported: 2" msg))
+
+(* --- warm start against the builder it replaced -------------------------- *)
+
+let small_workload = lazy (Q.build ~config:Q.small_config ~seed:11 ())
+
+(* Evidence that moves the learned model off the static one: every
+   concept of each query's tree engaged with, some of them repeatedly. *)
+let learn_workload t (w : Q.t) =
+  let events =
+    List.concat_map
+      (fun (q : Q.query) ->
+        List.init (Nav_tree.size q.Q.nav) (fun node ->
+            let concept = Nav_tree.concept_id q.Q.nav node in
+            if node mod 3 = 0 then Session_log.Expanded { concept; revealed = [] }
+            else Session_log.Shown { concept; n_listed = 1 }))
+      w.Q.queries
+  in
+  Alcotest.(check bool) "learn accepted" true (Engine.learn t events)
+
+let test_warm_matches_oracle ~prefetch ~adaptive () =
+  let w = Lazy.force small_workload in
+  let config =
+    { Engine.default_config with
+      Engine.prefetch = (if prefetch then Some Prefetch.default_config else None);
+      adaptive = (if adaptive then Some Adaptive.default_config else None) }
+  in
+  let t = Engine.create ~config ~database:w.Q.database ~eutils:w.Q.eutils () in
+  if adaptive then learn_workload t w;
+  let model = Option.map Adaptive.model (Engine.adaptive t) in
+  if adaptive then
+    Alcotest.(check bool) "learned model differs" true
+      ((Option.get model).Probability.fingerprint <> fp);
+  let keywords = List.map (fun (q : Q.query) -> q.Q.keyword) w.Q.queries in
+  let queries =
+    keywords @ [ String.uppercase_ascii (List.hd keywords); "no-such-word-here" ]
+  in
+  let expected =
+    Warmer_oracle.build ~db:w.Q.database ~run:(Eu.esearch w.Q.eutils) ?model queries
+  in
+  let got = Engine.warm t queries in
+  Alcotest.(check int) "entries" (List.length expected) (List.length got);
+  List.iter2
+    (fun (e : Snapshot.entry) (g : Snapshot.entry) ->
+      Alcotest.(check string) "query" e.Snapshot.query g.Snapshot.query;
+      Alcotest.(check bool) (e.Snapshot.query ^ " results") true
+        (Intset.equal e.Snapshot.results g.Snapshot.results);
+      Alcotest.(check (list int)) (e.Snapshot.query ^ " root cut") e.Snapshot.root_cut
+        g.Snapshot.root_cut)
+    expected got;
+  Alcotest.(check bool) "some root cut" true
+    (List.exists (fun (g : Snapshot.entry) -> g.Snapshot.root_cut <> []) got);
+  Alcotest.(check bool) "an empty root cut" true
+    (List.exists (fun (g : Snapshot.entry) -> g.Snapshot.root_cut = []) got);
+  Alcotest.(check string) "snapshot bytes"
+    (Snapshot.encode ~db:w.Q.database expected)
+    (Snapshot.encode ~db:w.Q.database got)
 
 (* --- web surface ------------------------------------------------------- *)
 
@@ -348,7 +470,21 @@ let () =
             test_engine_disabled_prefetch_is_inert;
           Alcotest.test_case "warm + snapshot roundtrip" `Quick
             test_engine_warm_snapshot_roundtrip;
+          Alcotest.test_case "warm fills the root slot" `Quick test_warm_fills_root_slot;
+          Alcotest.test_case "warm builds each tree once" `Quick
+            test_warm_builds_each_tree_once;
+          Alcotest.test_case "v1 snapshot rejected" `Quick test_v1_snapshot_rejected;
         ] );
+      ( "warm oracle",
+        List.map
+          (fun (name, prefetch, adaptive) ->
+            Alcotest.test_case name `Quick (test_warm_matches_oracle ~prefetch ~adaptive))
+          [
+            ("static, prefetch off", false, false);
+            ("static, prefetch on", true, false);
+            ("adaptive, prefetch off", false, true);
+            ("adaptive, prefetch on", true, true);
+          ] );
       ( "web",
         [ Alcotest.test_case "/prefetch + /metrics" `Quick test_web_prefetch_routes ] );
     ]

@@ -12,14 +12,24 @@ let nav () =
   in
   Nav_tree.build ~hierarchy:h ~attachments ~total_count:(fun _ -> 400)
 
-(* v1 is read-only, so its reader is checked on literal v1 text. *)
+let has_sub msg needle =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length msg && (String.sub msg i n = needle || go (i + 1)) in
+  go 0
+
+(* The reader is also checked on literal text, not only on what the
+   writer produces. *)
 let test_text_roundtrip () =
   let t = [ SL.Expand 3; SL.Show_results 7; SL.Backtrack; SL.Expand 1 ] in
-  let text = "# bionav session transcript v1\nexpand 3\nshow 7\nbacktrack\nexpand 1\n" in
+  let text =
+    "# bionav session transcript v2\nexpand 3 2 4 5\nshow 7 12\nbacktrack\nexpand 1 0\n"
+  in
   Alcotest.(check bool) "roundtrip" true (SL.of_string text = t)
 
 let test_parse_tolerates_comments () =
-  let t = SL.of_string "# hello\n\nexpand 4\n  show 2  \n" in
+  let t =
+    SL.of_string "# hello\n# bionav session transcript v2\n\nexpand 4 0\n# note\n  show 2 1  \n"
+  in
   Alcotest.(check bool) "parsed" true (t = [ SL.Expand 4; SL.Show_results 2 ])
 
 let test_parse_rejects_garbage () =
@@ -30,7 +40,9 @@ let test_parse_rejects_garbage () =
            ignore (SL.of_string text);
            false
          with Invalid_argument _ -> true))
-    [ "explode 3\n"; "expand x\n"; "show\n"; "expand 1 2\n" ]
+    (List.map
+       (fun line -> "# bionav session transcript v2\n" ^ line)
+       [ "explode 3\n"; "expand x\n"; "show\n"; "expand 1 2\n" ])
 
 let test_recording_produces_replayable_transcript () =
   let session = Navigation.start Navigation.Static (nav ()) in
@@ -84,7 +96,7 @@ let test_save_load () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Out_channel.with_open_text path (fun oc ->
-          output_string oc "# bionav session transcript v1\nexpand 1\nbacktrack\n");
+          output_string oc "# bionav session transcript v2\nexpand 1 1 3\nbacktrack\n");
       Alcotest.(check bool) "roundtrip" true (SL.load path = t))
 
 (* --- transcript v2 ------------------------------------------------------- *)
@@ -106,30 +118,26 @@ let test_v2_roundtrip () =
   Alcotest.(check bool) "action view" true
     (SL.of_string text = [ SL.Expand 0; SL.Expand 1; SL.Show_results 4; SL.Backtrack ])
 
-let test_v1_still_parses () =
-  (* Headerless and v1-headered files are the original wire format. *)
-  let expected = [ SL.Expand 3; SL.Show_results 7; SL.Backtrack ] in
+(* The retired v1 format, headerless or headed, fails naming v2. *)
+let test_v1_rejected_naming_v2 () =
   List.iter
-    (fun text -> Alcotest.(check bool) text true (SL.of_string text = expected))
+    (fun text ->
+      match SL.events_of_string text with
+      | _ -> Alcotest.failf "accepted %S" text
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) text true (has_sub msg "supported: v2"))
     [
       "expand 3\nshow 7\nbacktrack\n";
+      "# a comment first\nexpand 3 0\n";
       "# bionav session transcript v1\nexpand 3\nshow 7\nbacktrack\n";
-    ];
-  (* v1 events surface empty outcomes rather than failing. *)
-  Alcotest.(check bool) "v1 events" true
-    (SL.events_of_string "expand 3\n" = [ SL.Expanded { concept = 3; revealed = [] } ])
+    ]
 
 let test_unknown_version_names_supported () =
   match SL.events_of_string "# bionav session transcript v9\nexpand 1 0\n" with
   | _ -> Alcotest.fail "v9 accepted"
   | exception Invalid_argument msg ->
-      let has needle =
-        let n = String.length needle in
-        let rec go i = i + n <= String.length msg && (String.sub msg i n = needle || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool) "names supported versions" true (has "v1" && has "v2");
-      Alcotest.(check bool) "says unsupported" true (has "unsupported")
+      Alcotest.(check bool) "names the supported version" true (has_sub msg "supported: v2");
+      Alcotest.(check bool) "says unsupported" true (has_sub msg "unsupported")
 
 let test_v2_corruption_rejected () =
   List.iter
@@ -169,11 +177,6 @@ let test_recorder_events_carry_outcomes () =
 
 (* --- navigation-space actions (v2) --------------------------------------- *)
 
-let has_sub msg needle =
-  let n = String.length needle in
-  let rec go i = i + n <= String.length msg && (String.sub msg i n = needle || go (i + 1)) in
-  go 0
-
 let space_events =
   [
     SL.Expanded { concept = 0; revealed = [ 1; 4 ] };
@@ -194,18 +197,6 @@ let test_space_events_roundtrip () =
   Alcotest.(check bool) "action view" true
     (SL.of_string text
     = [ SL.Expand 0; SL.Refine 4; SL.Facet; SL.Unrefine; SL.Unrefine; SL.Show_results 1 ])
-
-let test_v1_reader_rejects_space_lines_loudly () =
-  (* A refine line in a v1 (headerless) transcript is an unknown action;
-     the error must name the v1-supported set so the reader knows the line
-     is from a newer writer, not garbage. *)
-  match SL.events_of_string "expand 3\nrefine 4\n" with
-  | _ -> Alcotest.fail "v1 reader accepted refine"
-  | exception Invalid_argument msg ->
-      Alcotest.(check bool) "names the supported set" true
-        (has_sub msg "expand, show, backtrack");
-      Alcotest.(check bool) "does not claim refine supported" true
-        (not (has_sub msg "refine,"))
 
 let test_v2_unknown_action_names_supported_set () =
   match SL.events_of_string "# bionav session transcript v2\npivot 3\n" with
@@ -268,7 +259,7 @@ let () =
       ( "v2",
         [
           Alcotest.test_case "roundtrip" `Quick test_v2_roundtrip;
-          Alcotest.test_case "v1 still parses" `Quick test_v1_still_parses;
+          Alcotest.test_case "v1 rejected naming v2" `Quick test_v1_rejected_naming_v2;
           Alcotest.test_case "unknown version" `Quick test_unknown_version_names_supported;
           Alcotest.test_case "corruption rejected" `Quick test_v2_corruption_rejected;
           Alcotest.test_case "recorder outcomes" `Quick test_recorder_events_carry_outcomes;
@@ -277,8 +268,6 @@ let () =
       ( "spaces",
         [
           Alcotest.test_case "space events roundtrip" `Quick test_space_events_roundtrip;
-          Alcotest.test_case "v1 reader fails loudly" `Quick
-            test_v1_reader_rejects_space_lines_loudly;
           Alcotest.test_case "v2 unknown action names set" `Quick
             test_v2_unknown_action_names_supported_set;
           Alcotest.test_case "v2 malformed space lines" `Quick

@@ -160,70 +160,14 @@ let test_codec_rejects_trailing_garbage () =
   let db = Lazy.force database in
   Alcotest.(check bool) "trailing" true (decode_fails (Codec.encode db ^ "x"))
 
-(* --- Snapshot version compatibility --- *)
+(* --- Snapshot versions --- *)
 
 module Snapshot = Bionav_store.Snapshot
 
-(* Hand-built version-1 bytes (the pre-set-table layout: inline result
-   arrays per entry), byte-for-byte what the v1 encoder produced. *)
-let v1_snapshot_bytes db entries =
-  let open Codec.Wire in
-  let body = Buffer.create 256 in
-  write_i32 body (H.size (DB.hierarchy db));
-  write_i32 body (AT.n_citations (DB.assoc db));
-  write_i32 body (List.length entries);
-  List.iter
-    (fun (query, results, root_cut) ->
-      write_string body query;
-      write_i32 body (List.length results);
-      List.iter (fun cit -> write_i32 body cit) results;
-      write_i32 body (List.length root_cut);
-      List.iter (fun n -> write_i32 body n) root_cut)
-    entries;
-  let body = Buffer.contents body in
-  let out = Buffer.create (String.length body + 32) in
-  Buffer.add_string out "BIONAVSNAP";
-  write_i32 out 1;
-  write_i64 out (fnv1a64 body);
-  Buffer.add_string out body;
-  Buffer.contents out
-
-let test_snapshot_decodes_v1 () =
-  let db = Lazy.force database in
-  let data = v1_snapshot_bytes db [ ("cancer", [ 1; 5; 9 ], [ 2; 3 ]); ("histones", [], []) ] in
-  let entries = Snapshot.decode ~db data in
-  Alcotest.(check int) "entries" 2 (List.length entries);
-  let e = List.hd entries in
-  Alcotest.(check string) "query" "cancer" e.Snapshot.query;
-  Alcotest.(check (list int)) "results" [ 1; 5; 9 ] (Intset.elements e.Snapshot.results);
-  Alcotest.(check (list int)) "cut" [ 2; 3 ] e.Snapshot.root_cut;
-  let e2 = List.nth entries 1 in
-  Alcotest.(check bool) "empty results" true (Intset.is_empty e2.Snapshot.results)
-
-let test_snapshot_v1_v2_agree () =
-  (* A migrated v1 snapshot and a fresh v2 encode of the same entries
-     must decode identically. *)
-  let db = Lazy.force database in
-  let raw = [ ("alpha", [ 0; 3; 7 ], [ 1 ]); ("beta", [ 0; 3; 7 ], [ 2 ]) ] in
-  let v1 = Snapshot.decode ~db (v1_snapshot_bytes db raw) in
-  let v2 =
-    Snapshot.decode ~db
-      (Snapshot.encode ~db
-         (List.map
-            (fun (query, results, root_cut) ->
-              { Snapshot.query; results = Intset.of_list results; root_cut })
-            raw))
-  in
-  List.iter2
-    (fun a b ->
-      Alcotest.(check string) "query" a.Snapshot.query b.Snapshot.query;
-      Alcotest.(check bool) "results" true (Intset.equal a.Snapshot.results b.Snapshot.results);
-      Alcotest.(check (list int)) "cut" a.Snapshot.root_cut b.Snapshot.root_cut)
-    v1 v2
-
 let test_snapshot_unknown_version_message () =
   let db = Lazy.force database in
-  let data = Bytes.of_string (v1_snapshot_bytes db [ ("q", [ 1 ], []) ]) in
+  let entry = { Snapshot.query = "q"; results = Intset.of_list [ 1 ]; root_cut = [] } in
+  let data = Bytes.of_string (Snapshot.encode ~db [ entry ]) in
   Bytes.set data 10 '\x63';  (* version byte -> 99 *)
   match Snapshot.decode ~db (Bytes.to_string data) with
   | _ -> Alcotest.fail "expected rejection of version 99"
@@ -234,8 +178,7 @@ let test_snapshot_unknown_version_message () =
         at 0
       in
       Alcotest.(check bool) "names the bad version" true (mentions "99");
-      Alcotest.(check bool) "names supported versions" true
-        (mentions "1" && mentions "2")
+      Alcotest.(check bool) "names the supported version" true (mentions "supported: 2")
 
 let () =
   Alcotest.run "store"
@@ -257,8 +200,6 @@ let () =
         ] );
       ( "snapshot_compat",
         [
-          Alcotest.test_case "decodes v1" `Quick test_snapshot_decodes_v1;
-          Alcotest.test_case "v1 and v2 agree" `Quick test_snapshot_v1_v2_agree;
           Alcotest.test_case "unknown version error" `Quick test_snapshot_unknown_version_message;
         ] );
       ( "codec",
