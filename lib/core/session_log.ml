@@ -95,10 +95,7 @@ let events_of_string text =
          if line = "" then None
          else if String.starts_with ~prefix:version_prefix line then begin
            if line <> header_v2 then
-             unsupported lineno
-               (Printf.sprintf "unsupported transcript version %S"
-                  (String.sub line (String.length version_prefix)
-                     (String.length line - String.length version_prefix)));
+             unsupported lineno (Printf.sprintf "unsupported transcript header %S" line);
            headed := true;
            None
          end
