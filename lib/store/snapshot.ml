@@ -3,11 +3,11 @@ open Codec.Wire
 
 let magic = "BIONAVSNAP"
 
-(* Version 2: results are a deduplicated set table — structurally equal
-   result sets are written once and entries reference them by index.
-   Version 1 (inline per-entry result arrays) is no longer read: a
-   snapshot is bound to one database's dimensions, so it is rebuilt with
-   [bionav warm] rather than migrated. *)
+(* The one version written and read: results are a deduplicated set
+   table — structurally equal result sets are written once and entries
+   reference them by index. A snapshot is bound to one database's
+   dimensions, so one of another version is rebuilt with [bionav warm],
+   not migrated. *)
 let version = 2
 
 type entry = { query : string; results : Intset.t; root_cut : int list }
